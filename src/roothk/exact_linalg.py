@@ -24,6 +24,22 @@ def _as_int(x) -> int:
     return int(x)
 
 
+def _from_flat_unchecked(cls, rows: int, cols: int, data: tuple):
+    """Wrap a row-major tuple whose entries already have the class's entry
+    type (``int`` for IntMatrix, ``Fraction`` for RatMatrix).
+
+    For callers that build the entries exactly themselves; the public
+    constructors coerce and validate every entry.
+    """
+    if len(data) != rows * cols:
+        raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
+    m = object.__new__(cls)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "data", data)
+    return m
+
+
 class IntMatrix:
     """Immutable dense matrix with arbitrary-precision integer entries.
 
@@ -42,6 +58,8 @@ class IntMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
+
+    from_flat_unchecked = classmethod(_from_flat_unchecked)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "IntMatrix":
@@ -193,6 +211,8 @@ class RatMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
 
+    from_flat_unchecked = classmethod(_from_flat_unchecked)
+
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
         r = len(rows)
@@ -281,18 +301,6 @@ class RatMatrix:
 
     def to_int(self) -> IntMatrix:
         return IntMatrix(self.rows, self.cols, self.data)
-
-    def kron(self, other: "RatMatrix") -> "RatMatrix":
-        """Kronecker product self ⊗ other."""
-        r1, c1, r2, c2 = self.rows, self.cols, other.rows, other.cols
-        out = []
-        for i1 in range(r1):
-            for i2 in range(r2):
-                for j1 in range(c1):
-                    a = self[i1, j1]
-                    row2 = other.row(i2)
-                    out.extend(a * b for b in row2[:c2])
-        return RatMatrix(r1 * r2, c1 * c2, out)
 
     def inverse(self) -> "RatMatrix":
         """Exact inverse by Gauss-Jordan elimination."""
@@ -556,14 +564,14 @@ def _bezout(p: int, v: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def _int_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _int_echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form with per-row content reduction.
 
     Returns the nonzero echelon rows and their pivot columns.  Row content is
     divided out after every elimination step, which keeps entries small for
     the sparse reflection-representation systems this package produces.
     """
-    work = [row[:] for row in rows if any(row)]
+    work = [list(row) for row in rows if any(row)]
     if not work:
         return [], []
     ncols = len(work[0])
@@ -605,32 +613,48 @@ def _int_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return work[:rank], pivots
 
 
-def _rat_rows_to_int(m: RatMatrix) -> list[list[int]]:
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        mlt = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                mlt = mlt * d // gcd(mlt, d)
-        if mlt == 1:
-            out.append([x.numerator for x in row])
-        else:
-            out.append([int(x * mlt) for x in row])
-    return out
+def _rows(m):
+    return (m.row(i) for i in range(m.rows))
+
+
+def clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
+    """The row scaled by the lcm of its entry denominators, as integers.
+
+    A row of integers comes back unchanged.
+    """
+    mlt = 1
+    for x in row:
+        d = x.denominator
+        if d != 1:
+            mlt = mlt * d // gcd(mlt, d)
+    if mlt == 1:
+        return [x.numerator for x in row]
+    return [int(x * mlt) for x in row]
+
+
+def integer_row_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank over the rationals of the matrix with the given integer rows."""
+    _, pivots = _int_echelon(rows)
+    return len(pivots)
+
+
+def integer_row_kernel(rows: Iterable[Sequence[int]], ncols: int) -> list[Vector]:
+    """Echelon-normalized basis of { v : row . v = 0 for every given row }.
+
+    Zero rows may be left out: the basis depends only on the row space.
+    """
+    echelon, pivots = _int_echelon(rows)
+    return _kernel_from_echelon(echelon, pivots, ncols)
 
 
 def rational_rank(m: RatMatrix) -> int:
     """Exact rank over the rationals."""
-    _, pivots = _int_echelon(_rat_rows_to_int(m))
-    return len(pivots)
+    return integer_row_rank(clear_denominators(row) for row in _rows(m))
 
 
 def integer_rank(m: IntMatrix) -> int:
     """Exact rank of an integer matrix over the rationals."""
-    _, pivots = _int_echelon(m.to_rows())
-    return len(pivots)
+    return integer_row_rank(_rows(m))
 
 
 def _kernel_from_echelon(echelon: list[list[int]], pivots: list[int], ncols: int) -> list[Vector]:
@@ -662,13 +686,7 @@ def _kernel_from_echelon(echelon: list[list[int]], pivots: list[int], ncols: int
 
 def rational_kernel(m: RatMatrix) -> list[Vector]:
     """Basis of the right kernel { v : m @ v = 0 }, echelon-normalized."""
-    if m.rows == 0:
-        return [
-            tuple(Fraction(1 if i == j else 0) for i in range(m.cols))
-            for j in range(m.cols)
-        ]
-    echelon, pivots = _int_echelon(_rat_rows_to_int(m))
-    return _kernel_from_echelon(echelon, pivots, m.cols)
+    return integer_row_kernel((clear_denominators(row) for row in _rows(m)), m.cols)
 
 
 def stack_and_common_kernel(ms: Sequence[RatMatrix]) -> list[Vector]:
@@ -679,11 +697,7 @@ def stack_and_common_kernel(ms: Sequence[RatMatrix]) -> list[Vector]:
     for m in ms:
         if m.cols != ncols:
             raise ValueError("matrices must share the same column count")
-    rows: list[list[int]] = []
-    for m in ms:
-        rows.extend(_rat_rows_to_int(m))
-    echelon, pivots = _int_echelon(rows)
-    return _kernel_from_echelon(echelon, pivots, ncols)
+    return integer_row_kernel((clear_denominators(row) for m in ms for row in _rows(m)), ncols)
 
 
 def apply_to_vector(m: RatMatrix, v: Sequence) -> Vector:

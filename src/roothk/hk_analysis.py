@@ -31,6 +31,12 @@ from .weyl import GroupCap, WeylGroup, generate_group, group_order_formula
 
 _MINOR_CHUNK = 20_000
 
+# Cost ceiling for analyze, whose generator-only work grows a little faster
+# than rank^4: the invariant two-form system on the doubled span has
+# rank(2 rank - 1) unknowns.  `analyze A 24` takes about 7 s and 310 MB on one
+# core of a 2-core Xeon, `analyze A 28` about twice both.
+GENERATOR_ONLY_MAX_RANK = 24
+
 # One-slot cache for the brute-force grid: consecutive oracle calls for the
 # elements of one group share the same denominator and dimension.
 _GRID_CACHE: dict = {}
@@ -352,15 +358,21 @@ def analyze(
 
     Group enumeration failures only downgrade the freeness field to skipped;
     every other field is generator-only and always computed.  A pre-generated
-    ``group`` may be supplied to share enumerations across calls.
+    ``group`` may be supplied to share enumerations across calls.  Ranks above
+    ``GENERATOR_ONLY_MAX_RANK`` raise ValueError before any work.
     """
+    if spec.rank > GENERATOR_ONLY_MAX_RANK:
+        raise ValueError(
+            f"{spec.label} is over the generator-only cost ceiling: rank {spec.rank} > "
+            f"GENERATOR_ONLY_MAX_RANK = {GENERATOR_ONLY_MAX_RANK}"
+        )
     cap = cap if cap is not None else GroupCap()
     datum = build_root_datum(spec)
     lattice_label = _select_lattice_label(spec, lattice_selector)
 
     base = rep_reflection(datum)
     irreducible = irreducibility_check(base)
-    form_dim = symplectic_form_dim(datum)
+    form_dim = symplectic_form_dim(base)
 
     if group is not None and group.elements is not None:
         freeness = freeness_codim_check(group, cap=cap)

@@ -6,6 +6,14 @@ whole group.  Because the simple reflections generate, that subspace is the
 common kernel of (image - identity) over the generators alone, so no group
 enumeration is ever required; Reynolds averaging over an exhaustive group is
 kept as an independent cross-check for small groups.
+
+Weyl matrices in the simple-root basis are integral, and so are their
+doubles, symmetric and alternating squares: those images are ``IntMatrix``
+and only non-integral explicit input is carried as ``RatMatrix``.  A simple
+reflection differs from the identity in one row, so the constructions
+compute only the image rows that move, and every linear system here (fixed
+points, commutant, invariant forms) is assembled from the moved rows alone,
+as integer rows for one exact echelon kernel.
 """
 
 from __future__ import annotations
@@ -20,13 +28,18 @@ from .errors import FormSpaceError, NotExhaustiveError
 from .exact_linalg import (
     IntMatrix,
     RatMatrix,
+    Vector,
+    clear_denominators,
     integer_rank,
-    stack_and_common_kernel,
+    integer_row_kernel,
+    integer_row_rank,
 )
 from .root_data import RootDatum, simple_reflections
 from .weyl import WeylGroup
 
 _REYNOLDS_CHUNK = 50_000
+
+Matrix = IntMatrix | RatMatrix
 
 
 @lru_cache(maxsize=None)
@@ -45,6 +58,10 @@ def pairs_weak(n: int) -> tuple[tuple[int, int], ...]:
 class Representation:
     """A finite-dimensional rational representation given on the generators.
 
+    Integral generator images are ``IntMatrix`` (every construction from a
+    Weyl group's reflection representation is); ``RatMatrix`` appears only
+    for non-integral explicitly supplied images.
+
     ``chain`` records how the representation was built from the defining
     (reflection) representation, e.g. ("wedge2", ("double", ("defining",))).
     Explicitly supplied generator images get the chain ("explicit",); they
@@ -52,7 +69,7 @@ class Representation:
     """
 
     dim: int
-    generator_images: tuple[RatMatrix, ...]
+    generator_images: tuple[Matrix, ...]
     label: str
     chain: tuple
 
@@ -63,23 +80,27 @@ class Representation:
 
 
 def rep_reflection(datum: RootDatum) -> Representation:
-    """The rank-dimensional reflection representation over the rationals."""
+    """The rank-dimensional reflection representation, with integer images."""
     return Representation(
         dim=datum.rank,
-        generator_images=tuple(s.to_rat() for s in simple_reflections(datum)),
+        generator_images=simple_reflections(datum),
         label=f"V({datum.label})",
         chain=("defining",),
     )
 
 
-def rep_explicit(generator_images: tuple[RatMatrix, ...], label: str) -> Representation:
-    dim = generator_images[0].rows if generator_images else 0
-    return Representation(dim=dim, generator_images=tuple(generator_images), label=label, chain=("explicit",))
+def rep_explicit(generator_images: tuple[Matrix, ...], label: str) -> Representation:
+    """Representation from given generator images; integral ones become ``IntMatrix``."""
+    images = tuple(
+        g.to_int() if isinstance(g, RatMatrix) and g.is_integral() else g for g in generator_images
+    )
+    dim = images[0].rows if images else 0
+    return Representation(dim=dim, generator_images=images, label=label, chain=("explicit",))
 
 
 def rep_trivial(n_generators: int, dim: int = 1) -> Representation:
     """Trivial action: every element acts as the identity."""
-    ident = RatMatrix.identity(dim)
+    ident = IntMatrix.identity(dim)
     return Representation(
         dim=dim,
         generator_images=(ident,) * n_generators,
@@ -88,56 +109,82 @@ def rep_trivial(n_generators: int, dim: int = 1) -> Representation:
     )
 
 
-def _double_matrix(m: RatMatrix) -> RatMatrix:
+# --- row-sparse constructions ------------------------------------------------
+
+
+def _moved_rows(g: Matrix) -> list[tuple[int, tuple]]:
+    """(k, row k) for every row of g that differs from the identity row."""
+    d = g.cols
+    data = g.data
+    moved = []
+    for k in range(g.rows):
+        row = data[k * d : (k + 1) * d]
+        if row[k] != 1 or row.count(0) != d - 1:
+            moved.append((k, row))
+    return moved
+
+
+def _zero(m: Matrix) -> int | Fraction:
+    return 0 if isinstance(m, IntMatrix) else Fraction(0)
+
+
+def _identity_except(like: Matrix, d: int, rows: list[tuple[int, tuple | list]]) -> Matrix:
+    """The d x d identity, of the same matrix type as ``like``, with the given
+    rows replaced.  Entries are exact values of that type already, so the
+    flat data is assembled without per-entry coercion."""
+    zero = _zero(like)
+    one = zero + 1
+    data = [zero] * (d * d)
+    data[:: d + 1] = [one] * d
+    for k, row in rows:
+        data[k * d : (k + 1) * d] = row
+    return type(like).from_flat_unchecked(d, d, tuple(data))
+
+
+def _double_matrix(m: Matrix) -> Matrix:
+    """Block-diagonal diag(m, m); row i moves in both copies iff row i of m moves."""
     n = m.rows
-    zero = Fraction(0)
-    entries = []
-    for i in range(2 * n):
-        for j in range(2 * n):
-            if (i < n) == (j < n):
-                entries.append(m[i % n, j % n])
-            else:
-                entries.append(zero)
-    return RatMatrix(2 * n, 2 * n, entries)
+    pad = (_zero(m),) * n
+    rows = []
+    for i, r in _moved_rows(m):
+        rows.append((i, r + pad))
+        rows.append((i + n, pad + r))
+    return _identity_except(m, 2 * n, rows)
 
 
-def _entry_rows(m: RatMatrix):
-    """Rows as plain ints when the matrix is integral (the common case for
-    Weyl matrices in the root basis), else as Fractions."""
-    if m.is_integral():
-        return [[x.numerator for x in m.row(i)] for i in range(m.rows)]
-    return m.to_rows()
+def _sym2_matrix(m: Matrix) -> Matrix:
+    """Induced action on degree-two monomials, basis x_i x_j with i <= j.
 
-
-def _sym2_matrix(m: RatMatrix) -> RatMatrix:
-    """Induced action on degree-two monomials, basis x_i x_j with i <= j."""
+    Row (k, l) is an identity row unless row k or row l of m moves.
+    """
     n = m.rows
+    moved = {k for k, _ in _moved_rows(m)}
     pw = pairs_weak(n)
-    a = _entry_rows(m)
-    entries = []
-    for k, l in pw:
-        ak, al = a[k], a[l]
-        for i, j in pw:
+    rows = []
+    for r, (k, l) in enumerate(pw):
+        if k in moved or l in moved:
+            ak, al = m.row(k), m.row(l)
             if k == l:
-                entries.append(ak[i] * ak[j])
+                rows.append((r, [ak[i] * ak[j] for i, j in pw]))
             else:
-                entries.append(ak[i] * al[j] + al[i] * ak[j])
-    d = len(pw)
-    return RatMatrix(d, d, entries)
+                rows.append((r, [ak[i] * al[j] + al[i] * ak[j] for i, j in pw]))
+    return _identity_except(m, len(pw), rows)
 
 
-def _wedge2_matrix(m: RatMatrix) -> RatMatrix:
-    """Induced action on elementary alternating tensors, basis e_i ^ e_j, i < j."""
+def _wedge2_matrix(m: Matrix) -> Matrix:
+    """Induced action on elementary alternating tensors, basis e_i ^ e_j, i < j.
+
+    Row (k, l) is an identity row unless row k or row l of m moves.
+    """
     n = m.rows
+    moved = {k for k, _ in _moved_rows(m)}
     ps = pairs_strict(n)
-    a = _entry_rows(m)
-    entries = []
-    for k, l in ps:
-        ak, al = a[k], a[l]
-        for i, j in ps:
-            entries.append(ak[i] * al[j] - al[i] * ak[j])
-    d = len(ps)
-    return RatMatrix(d, d, entries)
+    rows = []
+    for r, (k, l) in enumerate(ps):
+        if k in moved or l in moved:
+            ak, al = m.row(k), m.row(l)
+            rows.append((r, [ak[i] * al[j] - al[i] * ak[j] for i, j in ps]))
+    return _identity_except(m, len(ps), rows)
 
 
 def rep_double(rep: Representation) -> Representation:
@@ -170,39 +217,41 @@ def rep_wedge2(rep: Representation) -> Representation:
     )
 
 
+# --- generator-only linear systems ---------------------------------------------
+
+
+def _integer_rows(g: Matrix, rows: list[list]) -> list[list[int]]:
+    """Rows built from the entries of g, with denominators cleared per row."""
+    if isinstance(g, IntMatrix):
+        return rows
+    return [clear_denominators(row) for row in rows]
+
+
+def _fixed_point_rows(rep: Representation) -> list[list[int]]:
+    """The nonzero rows of (g - 1) over all generators g."""
+    out = []
+    for g in rep.generator_images:
+        rows = []
+        for k, row in _moved_rows(g):
+            row = list(row)
+            row[k] -= 1
+            rows.append(row)
+        out.extend(_integer_rows(g, rows))
+    return out
+
+
 def invariant_dim(rep: Representation) -> int:
     """Dimension of the subspace fixed by every group element.
 
     Computed as the common kernel of (image - identity) over the generators,
     which equals the full invariant subspace because the generators generate.
     """
-    if rep.dim == 0:
-        return 0
-    if not rep.generator_images:
-        return rep.dim
-    if all(g.is_integral() for g in rep.generator_images):
-        # Same stacked-kernel computation, with the conversion to integer rows
-        # done up front.
-        from .exact_linalg import _int_echelon
-
-        rows = []
-        for g in rep.generator_images:
-            for r in range(rep.dim):
-                row = [x.numerator for x in g.row(r)]
-                row[r] -= 1
-                rows.append(row)
-        _, pivots = _int_echelon(rows)
-        return rep.dim - len(pivots)
-    ident = RatMatrix.identity(rep.dim)
-    return len(stack_and_common_kernel([g - ident for g in rep.generator_images]))
+    return rep.dim - integer_row_rank(_fixed_point_rows(rep))
 
 
-def invariant_subspace(rep: Representation) -> list[tuple[Fraction, ...]]:
+def invariant_subspace(rep: Representation) -> list[Vector]:
     """Echelon-normalized basis of the invariant subspace."""
-    if rep.dim == 0:
-        return []
-    ident = RatMatrix.identity(rep.dim)
-    return stack_and_common_kernel([g - ident for g in rep.generator_images])
+    return integer_row_kernel(_fixed_point_rows(rep), rep.dim)
 
 
 # --- batch images over numpy element arrays (exact bounded integers) ---------
@@ -364,20 +413,23 @@ def invariant_dim_reynolds(rep: Representation, group: WeylGroup) -> int:
 # --- structural checks --------------------------------------------------------
 
 
-def decomposition_check(datum: RootDatum) -> bool:
-    """Check the two-copy alternating-square decomposition numerically.
+def _tensor_square_invariants(v: Representation) -> tuple[int, int, int, bool]:
+    """Invariant dimensions of Sym2 V, Wedge2 V and Wedge2(V + V), each built
+    once, and whether they satisfy the two-copy decomposition.
 
     The alternating square of a doubled space splits into three copies of the
     alternating square plus one symmetric square; both the plain dimensions
-    and the invariant dimensions must match.
+    and the three independently computed invariant dimensions must match.
     """
-    v = rep_reflection(datum)
-    s2 = rep_sym2(v)
-    w2 = rep_wedge2(v)
-    w2d = rep_wedge2(rep_double(v))
-    dims_ok = w2d.dim == 3 * w2.dim + s2.dim
-    inv_ok = invariant_dim(w2d) == 3 * invariant_dim(w2) + invariant_dim(s2)
-    return dims_ok and inv_ok
+    s2, w2, w2d = rep_sym2(v), rep_wedge2(v), rep_wedge2(rep_double(v))
+    inv_s2, inv_w2, inv_w2d = invariant_dim(s2), invariant_dim(w2), invariant_dim(w2d)
+    consistent = w2d.dim == 3 * w2.dim + s2.dim and inv_w2d == 3 * inv_w2 + inv_s2
+    return inv_s2, inv_w2, inv_w2d, consistent
+
+
+def decomposition_check(datum: RootDatum) -> bool:
+    """Check the two-copy alternating-square decomposition numerically."""
+    return _tensor_square_invariants(rep_reflection(datum))[3]
 
 
 @dataclass(frozen=True)
@@ -406,25 +458,48 @@ class InvariantReport:
 def invariant_report(datum: RootDatum) -> InvariantReport:
     """Run the full set of generator-only invariant checks for one datum."""
     v = rep_reflection(datum)
+    inv_s2, inv_w2, inv_w2d, consistent = _tensor_square_invariants(v)
     return InvariantReport(
         label=datum.label,
-        dim_sym2_inv=invariant_dim(rep_sym2(v)),
-        dim_wedge2_inv=invariant_dim(rep_wedge2(v)),
-        dim_wedge2_doubled_inv=invariant_dim(rep_wedge2(rep_double(v))),
+        dim_sym2_inv=inv_s2,
+        dim_wedge2_inv=inv_w2,
+        dim_wedge2_doubled_inv=inv_w2d,
         irreducible=irreducibility_check(v),
-        decomposition_consistent=decomposition_check(datum),
+        decomposition_consistent=consistent,
     )
 
 
+def _nonzero_entries(m: Matrix) -> list[list[tuple[int, int | Fraction]]]:
+    """Per row of m, its nonzero entries as (column, value)."""
+    return [[(a, x) for a, x in enumerate(m.row(i)) if x] for i in range(m.rows)]
+
+
 def commutant_dimension(rep: Representation) -> int:
-    """Dimension of { X : X commutes with every generator image }."""
+    """Dimension of { X : X commutes with every generator image }.
+
+    Entry (i, j) of gX - Xg is sum_a g[i, a] X[a, j] - sum_b X[i, b] g[b, j];
+    it vanishes identically unless row i or column j of g moves, so only
+    those equations are emitted.
+    """
     n = rep.dim
-    if n == 0:
-        return 0
-    ident = RatMatrix.identity(n)
-    # vec(gX - Xg) = (I (x) g - g^T (x) I) vec(X)
-    systems = [ident.kron(g) - g.transpose().kron(ident) for g in rep.generator_images]
-    return len(stack_and_common_kernel(systems))
+    rows = []
+    for g in rep.generator_images:
+        gt = g.transpose()
+        g_rows, g_cols = _nonzero_entries(g), _nonzero_entries(gt)
+        moved_rows = {k for k, _ in _moved_rows(g)}
+        moved_cols = {k for k, _ in _moved_rows(gt)}
+        eqs = []
+        for i in range(n):
+            for j in range(n):
+                if i in moved_rows or j in moved_cols:
+                    row = [0] * (n * n)
+                    for a, x in g_rows[i]:
+                        row[a * n + j] += x
+                    for b, x in g_cols[j]:
+                        row[i * n + b] -= x
+                    eqs.append(row)
+        rows.extend(_integer_rows(g, eqs))
+    return n * n - integer_row_rank(rows)
 
 
 def irreducibility_check(rep: Representation) -> bool:
@@ -447,10 +522,25 @@ def invariant_bilinear_form(rep: Representation) -> RatMatrix:
     n = rep.dim
     if n == 0:
         raise FormSpaceError(0)
-    ident = RatMatrix.identity(n * n)
-    # vec(g^T B g) = (g^T (x) g^T) vec(B)
-    systems = [g.transpose().kron(g.transpose()) - ident for g in rep.generator_images]
-    basis = stack_and_common_kernel(systems)
+    rows = []
+    for g in rep.generator_images:
+        gt = g.transpose()
+        g_cols = _nonzero_entries(gt)
+        moved_cols = {k for k, _ in _moved_rows(gt)}
+        eqs = []
+        # Entry (i, j) of g^T B g - B is sum_{p,q} g[p, i] g[q, j] B[p, q] - B[i, j],
+        # identically zero unless column i or column j of g moves.
+        for i in range(n):
+            for j in range(n):
+                if i in moved_cols or j in moved_cols:
+                    row = [0] * (n * n)
+                    for p, x in g_cols[i]:
+                        for q, y in g_cols[j]:
+                            row[p * n + q] += x * y
+                    row[i * n + j] -= 1
+                    eqs.append(row)
+        rows.extend(_integer_rows(g, eqs))
+    basis = integer_row_kernel(rows, n * n)
     if len(basis) != 1:
         raise FormSpaceError(len(basis))
     vec = basis[0]

@@ -202,20 +202,40 @@ def cartan_matrix(spec: RootSystemSpec) -> IntMatrix:
 def build_root_datum(spec: RootSystemSpec) -> RootDatum:
     """Construct the full root datum: roots by reflection closure, Gram form, Cartan."""
     simple = _simple_roots(spec)
-    norms = [_dot(a, a) for a in simple]
+    cartan = cartan_matrix(spec)
+    n = spec.rank
 
-    roots = set(simple) | {tuple(-x for x in v) for v in simple}
-    frontier = list(roots)
+    # Closure in simple-root coordinates, where everything is an integer:
+    # s_j(v) = v - <v, a_j^vee> a_j with <v, a_j^vee> = sum_i v_i cartan[i, j].
+    columns = [[(i, c) for i, c in enumerate(cartan.transpose().row(j)) if c] for j in range(n)]
+    units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    coords = set(units) | {tuple(-x for x in v) for v in units}
+    frontier = list(coords)
     while frontier:
         new = []
         for v in frontier:
-            for alpha, norm in zip(simple, norms):
-                w = _reflect(v, alpha, norm)
-                if w not in roots:
-                    roots.add(w)
-                    new.append(w)
+            for j, col in enumerate(columns):
+                c = sum(v[i] * x for i, x in col)
+                if c:
+                    w = v[:j] + (v[j] - c,) + v[j + 1 :]
+                    if w not in coords:
+                        coords.add(w)
+                        new.append(w)
         frontier = new
-    all_roots = tuple(sorted(roots))
+    # Ambient coordinates, once per root, in integers scaled by the common
+    # denominator of the simple roots; the positive scale keeps the sort order.
+    scaled, scale = RatMatrix.from_rows(simple).integral_rescale()
+    den = scale.denominator
+    ambient = []
+    for v in coords:
+        acc = [0] * scaled.cols
+        for c, a in zip(v, scaled):
+            if c:
+                acc = [x + c * y for x, y in zip(acc, a)]
+        ambient.append(tuple(acc))
+    ambient.sort()
+    entry = {x: Fraction(x, den) for u in ambient for x in u}
+    all_roots = tuple(tuple(entry[x] for x in u) for u in ambient)
     if len(all_roots) != spec.root_count:
         raise AssertionError(f"root count mismatch for {spec.label}: {len(all_roots)}")
 
@@ -228,7 +248,7 @@ def build_root_datum(spec: RootSystemSpec) -> RootDatum:
     gram, scale = raw_gram.integral_rescale()
     return RootDatum(
         spec=spec,
-        cartan=cartan_matrix(spec),
+        cartan=cartan,
         simple_roots=simple,
         all_roots=all_roots,
         gram=gram,

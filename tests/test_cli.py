@@ -159,3 +159,12 @@ def test_e8_analyze_skips_freeness_quickly():
     assert freeness["status"] == "skipped"
     form = next(c for c in doc["checks"] if c["name"].endswith("symplectic-form-dim"))
     assert form["values"]["dim"] == 1
+
+
+def test_analyze_over_generator_only_ceiling_exit_2():
+    from roothk.hk_analysis import GENERATOR_ONLY_MAX_RANK
+
+    proc = run_cli(["analyze", "A", str(GENERATOR_ONLY_MAX_RANK + 1)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"GENERATOR_ONLY_MAX_RANK = {GENERATOR_ONLY_MAX_RANK}" in proc.stderr

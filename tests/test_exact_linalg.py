@@ -180,8 +180,3 @@ def test_matmul_and_transpose():
     assert (a @ b).to_rows() == [[2, 1], [4, 3]]
     assert a.transpose().to_rows() == [[1, 3], [2, 4]]
 
-
-def test_kron():
-    a = RatMatrix.from_rows([[1, 2]])
-    b = RatMatrix.from_rows([[3], [4]])
-    assert a.kron(b).to_rows() == [[3, 6], [4, 8]]

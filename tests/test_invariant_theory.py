@@ -33,14 +33,14 @@ def test_reflection_rep_dims():
     assert rep_reflection(_datum("A", 1)).dim == 1
     assert rep_reflection(_datum("A", 2)).dim == 2
     assert rep_reflection(_datum("E", 8)).dim == 8
-    assert rep_reflection(_datum("A", 1)).generator_images[0] == RatMatrix.from_rows([[-1]])
+    assert rep_reflection(_datum("A", 1)).generator_images[0] == IntMatrix.from_rows([[-1]])
 
 
 def test_double_blocks_and_involution():
     v = rep_reflection(_datum("A", 2))
     d = rep_double(v)
     assert d.dim == 4
-    ident = RatMatrix.identity(4)
+    ident = IntMatrix.identity(4)
     for g, base in zip(d.generator_images, v.generator_images):
         assert g @ g == ident
         for i in range(2):
@@ -64,7 +64,7 @@ def test_sym2_preserves_induced_form():
     # with respect to the induced pairing; verify g^T g = 1 goes to involution.
     v = rep_reflection(_datum("A", 2))
     s = rep_sym2(v)
-    ident = RatMatrix.identity(3)
+    ident = IntMatrix.identity(3)
     for g in s.generator_images:
         assert g @ g == ident
 
@@ -241,3 +241,54 @@ def test_reducible_two_line_rep_has_two_invariant_forms():
     g2 = RatMatrix.from_rows([[1, 0], [0, -1]])
     rep = rep_explicit((g1, g2), "sign+sign")
     assert invariant_dim(rep_wedge2(rep_double(rep))) == 2
+
+
+def _conjugated(v):
+    # P g P^-1 for a fixed unipotent P with non-integral entries: the same
+    # representation up to isomorphism, so every invariant dimension agrees,
+    # but carried by RatMatrix images.
+    n = v.dim
+    p = RatMatrix.from_rows(
+        [[Fraction(1, i + j + 2) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    )
+    p_inv = p.inverse()
+    return rep_explicit(tuple(p @ g.to_rat() @ p_inv for g in v.generator_images), f"P{v.label}P^-1"), p
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
+def test_rational_conjugate_matches_integral(family, rank):
+    v = rep_reflection(_datum(family, rank))
+    w, p = _conjugated(v)
+    assert all(isinstance(g, RatMatrix) and not g.is_integral() for g in w.generator_images)
+    for build in (rep_sym2, rep_wedge2, lambda r: rep_wedge2(rep_double(r))):
+        assert invariant_dim(build(w)) == invariant_dim(build(v))
+    assert commutant_dimension(w) == commutant_dimension(v) == 1
+    assert commutant_dimension(rep_double(w)) == commutant_dimension(rep_double(v)) == 4
+    # The invariant form moves with the basis: B' is proportional to P^-T B P^-1.
+    p_inv = p.inverse()
+    moved = p_inv.transpose() @ invariant_bilinear_form(v) @ p_inv
+    form = invariant_bilinear_form(w)
+    for i in range(rank):
+        for j in range(rank):
+            assert form[i, j] * moved[0, 0] == moved[i, j] * form[0, 0]
+
+
+def test_commutant_of_one_reflection():
+    # Eigenvalues -1, 1, ..., 1: the commutant is gl(1) + gl(rank - 1).  Both
+    # halves of gX = Xg (moved rows and moved columns) are needed for this.
+    for family, rank in [("A", 3), ("B", 3), ("G", 2)]:
+        s = rep_reflection(_datum(family, rank)).generator_images[0]
+        assert commutant_dimension(rep_explicit((s,), "one reflection")) == 1 + (rank - 1) ** 2
+        assert commutant_dimension(rep_explicit((s.transpose(),), "transposed")) == 1 + (rank - 1) ** 2
+
+
+def test_commutant_of_four_copies():
+    v = rep_reflection(_datum("A", 2))
+    assert commutant_dimension(rep_double(rep_double(v))) == 16
+
+
+def test_integral_constructions_stay_integer():
+    v = rep_reflection(_datum("A", 4))
+    w2d = rep_wedge2(rep_double(v))
+    assert all(isinstance(g, IntMatrix) for g in w2d.generator_images)
+    assert invariant_dim(w2d) == 1
