@@ -198,17 +198,15 @@ def _batch_det(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def freeness_codim_check(
-    group: WeylGroup, lattice=None, cap: GroupCap | None = None
-) -> FreenessCheck:
+def freeness_codim_check(group: WeylGroup, cap: GroupCap | None = None) -> FreenessCheck:
     """Minimum fixed-space codimension on the doubled space over all w != 1.
 
     Exhaustive over the enumerated group: the minimum of 2 * rank(w - 1) is
     located by a minors ladder (rank <= r iff all (r+1)-minors vanish).  The
     codimensions do not depend on which finite-index lattice in the tower the
-    group acts on (conjugate matrices have equal ranks), so ``lattice`` is
-    informational.  For groups beyond the cap the check reports skipped rather
-    than certifying a universal claim from generators.
+    group acts on (conjugate matrices have equal ranks).  For groups beyond the
+    cap the check reports skipped rather than certifying a universal claim from
+    generators.
     """
     cap = cap if cap is not None else GroupCap()
     if group.elements is None or group.order > cap.max_elements:
@@ -257,7 +255,7 @@ RESOLUTION_CITATION = (
     "(Poisson deformations)"
 )
 
-_RESOLUTION_TABLE = {
+RESOLUTION_TABLE = {
     "A": ResolutionVerdict.RESOLVABLE,
     "B": ResolutionVerdict.RESOLVABLE,
     "C": ResolutionVerdict.RESOLVABLE,
@@ -276,9 +274,9 @@ def resolution_verdict(family: str) -> ResolutionVerdict:
     This is a cited lookup (see RESOLUTION_CITATION), never recomputed here.
     Type H has no integral root lattice in this toolkit and is out of scope.
     """
-    if family not in _RESOLUTION_TABLE:
+    if family not in RESOLUTION_TABLE:
         raise ValueError(f"unknown family {family!r}")
-    return _RESOLUTION_TABLE[family]
+    return RESOLUTION_TABLE[family]
 
 
 def symplectic_form_dim(datum_or_rep: RootDatum | Representation) -> int:

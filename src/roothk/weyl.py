@@ -1,10 +1,12 @@
 """Weyl groups as explicit sets of integer matrices in the simple-root basis.
 
-Exhaustive enumeration is breadth-first closure of the simple reflections
-under multiplication.  Elements are kept in a compact numpy integer array;
-coefficients of Weyl matrices in the root basis are bounded by the largest
-root coordinate (at most 6 across the supported families), so fixed-width
-integer arithmetic is exact here — guards assert the bounds on every batch.
+Exhaustive enumeration walks the canonical-parent tree of the group: each
+element is reached once, from its parent one Coxeter length down, by the
+smallest of its right descents.  Elements are kept in a compact numpy integer
+array; coefficients of Weyl matrices in the root basis are bounded by the
+largest root coordinate (at most 6 across the supported families), so
+fixed-width integer arithmetic is exact here — guards assert the bounds on
+every batch.
 All rational linear algebra elsewhere stays arbitrary-precision.
 """
 
@@ -25,11 +27,8 @@ DEFAULT_GROUP_CAP = 5_000_000
 # Root coordinates in the simple-root basis are bounded by the largest
 # highest-root coefficient across the supported families (6, attained by E8),
 # so every entry of every enumerated element lies in [-6, 6].  The bound is
-# asserted on each batch; it keeps int16 accumulation exact and lets rows pack
-# injectively into base-13 integer keys.
+# asserted on each batch; it keeps int16 accumulation and int8 storage exact.
 _ENTRY_BOUND = 6
-_PACK_BASE = 2 * _ENTRY_BOUND + 1
-_DIGITS_PER_WORD = 17  # 13**17 < 2**63
 _FRONTIER_CHUNK = 200_000
 
 _EXCEPTIONAL_ORDERS = {"G": 12, "F": 1152, "E6": 51840, "E7": 2903040, "E8": 696729600}
@@ -64,9 +63,10 @@ def group_order_formula(spec: RootSystemSpec) -> int:
 class WeylGroup:
     """A Weyl group held as generators plus (optionally) all elements.
 
-    ``elements`` is an ``(order, n, n)`` int8 array in breadth-first order:
-    the identity first, then level by level, lexicographically within each
-    level.  ``None`` means the group was built generators-only.
+    ``elements`` is an ``(order, n, n)`` int8 array, each element once: the
+    identity first, then level by level in nondecreasing Coxeter length, in
+    enumeration order within a level.  ``None`` means the group was built
+    generators-only.
     """
 
     datum: RootDatum
@@ -128,56 +128,18 @@ class WeylGroup:
         return self._pair_sums
 
 
-def _pack_rows(rows: np.ndarray) -> np.ndarray:
-    """Injective, order-preserving encoding of int8 rows into int64 key columns.
-
-    Entries are shifted to base-13 digits and packed big-endian, 17 digits per
-    word, so lexicographic comparison of the key columns equals lexicographic
-    comparison of the original rows.
-    """
-    if rows.size:
-        lo, hi = int(rows.min()), int(rows.max())
-        if lo < -_ENTRY_BOUND or hi > _ENTRY_BOUND:
-            raise AssertionError("group element entries exceeded the root-coordinate bound")
-    digits = rows.astype(np.int64) + _ENTRY_BOUND
-    width = rows.shape[1]
-    cols = []
-    for lo in range(0, width, _DIGITS_PER_WORD):
-        block = digits[:, lo : lo + _DIGITS_PER_WORD]
-        weights = _PACK_BASE ** np.arange(block.shape[1] - 1, -1, -1, dtype=np.int64)
-        cols.append(block @ weights)
-    return np.stack(cols, axis=1)
-
-
-def _void_view(keys: np.ndarray) -> np.ndarray:
-    """Big-endian void records whose memcmp order equals numeric key order."""
-    be = np.ascontiguousarray(keys.astype(">i8"))
-    return be.view(np.dtype((np.void, be.shape[1] * 8))).ravel()
-
-
-def _reflect_products(block: np.ndarray, gen_rows: np.ndarray) -> list[np.ndarray]:
-    """Products block @ s for every simple reflection s.
-
-    Right multiplication by a simple reflection is a rank-one column update:
-    only the column of the moved simple root changes into every other column.
-    """
-    out = []
-    for i in range(gen_rows.shape[0]):
-        d = gen_rows[i, i]  # the defining row of s_i
-        r = block + block[:, :, i : i + 1] * d[None, None, :]
-        r[:, :, i] = -block[:, :, i]
-        out.append(r)
-    return out
-
-
 def generate_group(datum: RootDatum, cap: GroupCap | None = None) -> WeylGroup:
-    """Exhaustive Weyl group by breadth-first closure of the simple reflections.
+    """Exhaustive Weyl group by canonical-parent enumeration.
 
-    Levels are word lengths: right multiplication by a simple reflection moves
-    an element one level up or down, so candidate products only ever collide
-    with the previous level, and the final count is checked against the
-    closed-form order.  Raises :class:`GroupTooLargeError` when that order
-    exceeds the cap, signalling callers to fall back to generator-only methods.
+    Right multiplication by s raises the length exactly when w(alpha_s) is a
+    positive root, i.e. when column s of w has a positive coordinate sum.  A
+    product w*s is kept only when it raises the length and s is the smallest
+    right descent of w*s (every column t < s of w*s stays positive).  Every
+    element other than the identity has exactly one such parent, one level
+    down, so each element is produced exactly once with no comparison between
+    elements; the final count is checked against the closed-form order.
+    Raises :class:`GroupTooLargeError` when that order exceeds the cap,
+    signalling callers to fall back to generator-only methods.
     """
     cap = cap if cap is not None else GroupCap()
     spec = datum.spec
@@ -187,49 +149,31 @@ def generate_group(datum: RootDatum, cap: GroupCap | None = None) -> WeylGroup:
 
     n = spec.rank
     gens = simple_reflections(datum)
-    gen_arr = np.array([g.to_rows() for g in gens], dtype=np.int16)
+    # s_i - 1 is zero outside row i, so w*s_i = w + (column i of w) * shift[i]:
+    # a rank-one column update.
+    shift = np.array([g.to_rows()[i] for i, g in enumerate(gens)], dtype=np.int16)
+    shift -= np.eye(n, dtype=np.int16)
 
     elements = np.empty((order, n, n), dtype=np.int8)
-    ident = np.eye(n, dtype=np.int8)
-    elements[0] = ident
-    count = 1
-    step = n * n
-
-    frontier = ident[None]
-    prev_void = _void_view(_pack_rows(ident.reshape(1, step)))
-
-    while frontier.shape[0]:
-        chunks = []
-        for lo in range(0, frontier.shape[0], _FRONTIER_CHUNK):
-            block = frontier[lo : lo + _FRONTIER_CHUNK].astype(np.int16)
-            for prod in _reflect_products(block, gen_arr):
-                chunks.append(prod.reshape(-1, step).astype(np.int8))
-        cand = np.concatenate(chunks)
-        keys = _pack_rows(cand)
-        sort_idx = np.lexsort(keys.T[::-1])
-        keys = keys[sort_idx]
-        cand = cand[sort_idx]
-        first = np.empty(keys.shape[0], dtype=bool)
-        first[0] = True
-        np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
-        keys = keys[first]
-        cand = cand[first]
-
-        cand_void = _void_view(keys)
-        pos = np.searchsorted(prev_void, cand_void)
-        pos_in = np.minimum(pos, len(prev_void) - 1)
-        is_old = prev_void[pos_in] == cand_void
-        new = cand[~is_old]
-        if new.shape[0] == 0:
-            break
-        if count + new.shape[0] > order:
-            raise AssertionError(f"enumeration of {spec.label} exceeded the predicted order")
-        elements[count : count + new.shape[0]] = new.reshape(-1, n, n)
-        count += new.shape[0]
-        prev_void = _void_view(_pack_rows(frontier.reshape(-1, step)))
-        frontier = new.reshape(-1, n, n)
-
-        del cand, keys, cand_void, chunks
+    elements[0] = np.eye(n, dtype=np.int8)
+    level_start, count = 0, 1
+    while level_start < count:
+        level_end = count
+        for lo in range(level_start, level_end, _FRONTIER_CHUNK):
+            block = elements[lo : min(lo + _FRONTIER_CHUNK, level_end)].astype(np.int16)
+            sums = block.sum(axis=1)  # sums[:, t] is the coordinate sum of w(alpha_t)
+            for s in range(n):
+                lead = sums[:, s : s + 1]
+                keep = (lead[:, 0] > 0) & (sums[:, :s] + lead * shift[s, :s] > 0).all(axis=1)
+                w = block[keep]
+                prod = w + w[:, :, s : s + 1] * shift[s]
+                if prod.size and (prod.min() < -_ENTRY_BOUND or prod.max() > _ENTRY_BOUND):
+                    raise AssertionError("group element entries exceeded the root-coordinate bound")
+                if count + prod.shape[0] > order:
+                    raise AssertionError(f"enumeration of {spec.label} exceeded the predicted order")
+                elements[count : count + prod.shape[0]] = prod
+                count += prod.shape[0]
+        level_start = level_end
 
     if count != order:
         raise AssertionError(

@@ -168,3 +168,21 @@ def test_analyze_over_generator_only_ceiling_exit_2():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert f"GENERATOR_ONLY_MAX_RANK = {GENERATOR_ONLY_MAX_RANK}" in proc.stderr
+
+
+def test_lemma_check_over_generator_only_ceiling_exit_2():
+    from roothk.hk_analysis import GENERATOR_ONLY_MAX_RANK
+
+    proc = run_cli(["lemma-check", "--max-rank", str(GENERATOR_ONLY_MAX_RANK + 1)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"GENERATOR_ONLY_MAX_RANK = {GENERATOR_ONLY_MAX_RANK}" in proc.stderr
+
+
+def test_group_cap_only_on_enumerating_subcommands():
+    proc = run_cli(["sublattices", "A", "3"], env_extra={"ROOTHK_GROUP_CAP": "many"})
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["checks"]
+    proc = run_cli(["lemma-check", "--max-rank", "1", "--group-cap", "5"])
+    assert proc.returncode == 2
+    assert "--group-cap" in proc.stderr

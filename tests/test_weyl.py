@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from roothk.errors import GroupTooLargeError, NotExhaustiveError
 from roothk.exact_linalg import IntMatrix
-from roothk.root_data import RootSystemSpec, build_root_datum
+from roothk.root_data import RootSystemSpec, ambient_to_root_basis, build_root_datum
 from roothk.weyl import (
     GroupCap,
     WeylGroup,
@@ -39,6 +40,33 @@ def test_group_order_formula(family, rank, order):
 def test_bfs_count_matches_formula(family, rank, groups):
     group = groups(family, rank)
     assert group.element_count() == group_order_formula(group.datum.spec)
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 4), ("B", 4), ("C", 4), ("D", 5), ("F", 4), ("G", 2), ("E", 6)]
+)
+def test_enumeration_oracle(family, rank, groups):
+    # Checks that use nothing of the enumeration: the stored elements are
+    # pairwise distinct, closed under right multiplication by each simple
+    # reflection, and stored in nondecreasing Coxeter length, counted as the
+    # number of positive roots an element sends to negative roots.
+    group = groups(family, rank)
+    flat = group.elements.reshape(group.order, rank * rank)
+    assert np.unique(flat, axis=0).shape[0] == group.order
+
+    for gen in group.generators:
+        gen_arr = np.array(gen.to_rows(), dtype=np.int16)
+        products = (group.elements @ gen_arr).reshape(group.order, rank * rank)
+        assert np.unique(np.concatenate([flat, products]), axis=0).shape[0] == group.order
+
+    coords = [ambient_to_root_basis(group.datum, r) for r in group.datum.all_roots]
+    positive = np.array([[int(x) for x in c] for c in coords if min(c) >= 0], dtype=np.int32)
+    assert 2 * positive.shape[0] == len(coords)
+    images = group.elements.astype(np.int32) @ positive.T  # (order, rank, #positive)
+    length = (images < 0).any(axis=1).sum(axis=1)
+    assert length[0] == 0
+    assert (np.diff(length) >= 0).all()
+    assert length[-1] == positive.shape[0]
 
 
 def test_group_too_large_raises():
