@@ -1,10 +1,11 @@
 """roothk: exact verification toolkit for Weyl-group quotient constructions.
 
 Builds root data and Weyl groups exactly, certifies that the invariant
-two-form space on a doubled lattice span is one-dimensional, checks freeness
-in codimension two by exhaustive enumeration, lists the group-stable lattices
-between a root lattice and its dual, and reports symplectic-resolution
-verdicts from the cited classification.
+two-form space on a doubled lattice span is one-dimensional, certifies
+freeness in codimension two by counting the reflections among the enumerated
+elements, lists the group-stable lattices between a root lattice and its
+dual, and reports symplectic-resolution verdicts from the cited
+classification.
 """
 
 __version__ = "0.1.0"

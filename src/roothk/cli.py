@@ -237,13 +237,18 @@ def cmd_report(suite: str, cap: GroupCap) -> ReportDocument:
     if suite != "default":
         raise UsageError(f"unknown suite {suite!r}; available: default")
     doc = ReportDocument(command={"command": "report", "suite": suite})
+    # Only the fixed-locus groups are used twice; every other group is dropped
+    # after its freeness row.
     group_cache: dict[tuple[str, int], object] = {}
 
     def get_group(spec: RootSystemSpec):
         key = (spec.family, spec.rank)
-        if key not in group_cache:
-            group_cache[key] = generate_group(build_root_datum(spec), cap)
-        return group_cache[key]
+        if key in group_cache:
+            return group_cache[key]
+        group = generate_group(build_root_datum(spec), cap)
+        if key in _FIXED_LOCUS_GROUPS:
+            group_cache[key] = group
+        return group
 
     # Invariant dimensions and irreducibility across the whole table.
     for spec in standard_table():

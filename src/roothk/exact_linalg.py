@@ -698,11 +698,3 @@ def stack_and_common_kernel(ms: Sequence[RatMatrix]) -> list[Vector]:
         if m.cols != ncols:
             raise ValueError("matrices must share the same column count")
     return integer_row_kernel((clear_denominators(row) for m in ms for row in _rows(m)), ncols)
-
-
-def apply_to_vector(m: RatMatrix, v: Sequence) -> Vector:
-    """Matrix-vector product over the rationals."""
-    if len(v) != m.cols:
-        raise ValueError("vector length mismatch")
-    vf = [Fraction(x) for x in v]
-    return tuple(sum((a * b for a, b in zip(m.row(i), vf)), Fraction(0)) for i in range(m.rows))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 
@@ -29,25 +28,16 @@ from .lattice_tower import bc_tower, invariant_intermediate_lattices
 from .root_data import RootDatum, RootSystemSpec, build_root_datum
 from .weyl import GroupCap, WeylGroup, generate_group, group_order_formula
 
-_MINOR_CHUNK = 20_000
-
 # Cost ceiling for analyze, whose generator-only work grows a little faster
 # than rank^4: the invariant two-form system on the doubled span has
 # rank(2 rank - 1) unknowns.  `analyze A 24` takes about 7 s and 310 MB on one
 # core of a 2-core Xeon, `analyze A 28` about twice both.
 GENERATOR_ONLY_MAX_RANK = 24
 
-# One-slot cache for the brute-force grid: consecutive oracle calls for the
-# elements of one group share the same denominator and dimension.
-_GRID_CACHE: dict = {}
-
-
-def _digit_grid(d: int, dim: int) -> np.ndarray:
-    key = (d, dim)
-    if key not in _GRID_CACHE:
-        _GRID_CACHE.clear()
-        _GRID_CACHE[key] = np.indices((d,) * dim, dtype=np.int8).reshape(dim, -1).T
-    return _GRID_CACHE[key]
+# Bounds on the brute-force grid (2n int64 words a point) and on the freeness
+# pass's temporaries.
+_GRID_MAX_POINTS = 1 << 16
+_FREENESS_CHUNK = 200_000
 
 
 # --- fixed loci on the torus model ---------------------------------------------
@@ -98,37 +88,23 @@ def fixed_locus_on_abelian(w: IntMatrix, element_id: str = "") -> FixedLocusEntr
 
 
 def brute_force_fixed_point_count(w: IntMatrix, denominator: int) -> int:
-    """Count torus points with coordinates in (1/denominator)Z fixed by w x id4.
+    """Count (1/d)Z-points of the 4n-torus fixed by w x id4, d = denominator.
 
-    Pure grid enumeration on the 4n-dimensional torus: a point x is counted
-    iff ((w - 1) (x) id4) x = 0 modulo 1.  When det(w - 1) is nonzero and
-    divides ``denominator``, every fixed point lies on this grid, so the count
-    is the full number of fixed points.  The grid is filtered one congruence
-    at a time (each row of the system touches few coordinates), all in exact
-    bounded-integer arithmetic.
+    The system ((w - 1) (x) id4) x = 0 mod 1 is four copies of (w - 1), so the
+    count is K^4, K = #{x in (Z/d)^n : (w - 1) x = 0 mod d}, by enumerating
+    the d^n grid.  If det(w - 1) != 0 divides d this is every fixed point; if
+    every torsion factor of coker(w - 1) divides d it is d^(4 fix_dim) times
+    the component count.
     """
     n = w.rows
     d = int(denominator)
     if d <= 0:
         raise ValueError("denominator must be positive")
-    diff = w - IntMatrix.identity(n)
-    m4 = np.kron(np.array(diff.to_rows(), dtype=np.int64), np.eye(4, dtype=np.int64))
-    dim = 4 * n
-    total = d**dim
-    if total > (1 << 28):
+    if d**n > _GRID_MAX_POINTS:
         raise ValueError("grid too large to enumerate")
-    survivors = _digit_grid(d, dim)
-    for r in range(dim):
-        row = [(j, int(m4[r, j]) % d) for j in range(dim) if m4[r, j] % d]
-        if not row:
-            continue
-        res = np.zeros(survivors.shape[0], dtype=np.int64)
-        for j, coeff in row:
-            res += survivors[:, j].astype(np.int64) * coeff
-        survivors = survivors[res % d == 0]
-        if survivors.shape[0] == 0:
-            return 0
-    return int(survivors.shape[0])
+    diff = np.array((w - IntMatrix.identity(n)).to_rows(), dtype=np.int64) % d
+    grid = np.indices((d,) * n, dtype=np.int64).reshape(n, -1)
+    return int(np.count_nonzero((diff @ grid % d == 0).all(axis=0))) ** 4
 
 
 # --- freeness in codimension two ------------------------------------------------
@@ -136,77 +112,28 @@ def brute_force_fixed_point_count(w: IntMatrix, denominator: int) -> int:
 
 @dataclass(frozen=True)
 class FreenessCheck:
-    """Result of the exhaustive fixed-space codimension scan."""
+    """Codimension-two freeness: ``verified`` means one identity and one
+    reflection per positive root (``reflections``), so min_codim_doubled = 2."""
 
     status: str  # "verified" or "skipped"
     min_codim_doubled: int | None = None
     reason: str = ""
+    reflections: int | None = None
 
     @property
     def verified_at_least_two(self) -> bool:
         return self.status == "verified" and self.min_codim_doubled is not None and self.min_codim_doubled >= 2
 
 
-def _rank_le_mask(diffs: np.ndarray, r: int) -> np.ndarray:
-    """Boolean mask of elements whose (w - 1) has rank <= r, via vanishing of
-    all (r+1) x (r+1) minors.  Exact int64 arithmetic on bounded entries."""
-    m, n, _ = diffs.shape
-    k = r + 1
-    if k > n:
-        return np.ones(m, dtype=bool)
-    mask = np.ones(m, dtype=bool)
-    row_sets = list(combinations(range(n), k))
-    col_sets = list(combinations(range(n), k))
-    for rows in row_sets:
-        sub_rows = diffs[:, rows, :]
-        for cols in col_sets:
-            sub = sub_rows[:, :, cols]
-            dets = _batch_det(sub)
-            mask &= dets == 0
-            if not mask.any():
-                return mask
-    return mask
-
-
-def _batch_det(mats: np.ndarray) -> np.ndarray:
-    """Exact determinants of a batch of k x k int64 matrices, k <= 4 by cofactors,
-    larger k by exact per-matrix elimination (never reached for Weyl groups)."""
-    k = mats.shape[1]
-    if k == 1:
-        return mats[:, 0, 0]
-    if k == 2:
-        return mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    if k == 3:
-        a = mats
-        return (
-            a[:, 0, 0] * (a[:, 1, 1] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 1])
-            - a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 0])
-            + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0])
-        )
-    if k == 4:
-        total = np.zeros(mats.shape[0], dtype=np.int64)
-        sign = 1
-        for j in range(4):
-            cols = [c for c in range(4) if c != j]
-            minor = mats[:, 1:, :][:, :, cols]
-            total += sign * mats[:, 0, j] * _batch_det(minor)
-            sign = -sign
-        return total
-    out = np.empty(mats.shape[0], dtype=np.int64)
-    for i in range(mats.shape[0]):
-        out[i] = IntMatrix.from_rows([[int(x) for x in row] for row in mats[i]]).det()
-    return out
-
-
 def freeness_codim_check(group: WeylGroup, cap: GroupCap | None = None) -> FreenessCheck:
-    """Minimum fixed-space codimension on the doubled space over all w != 1.
+    """Minimum fixed-space codimension 2 * rank(w - 1) over all w != 1.
 
-    Exhaustive over the enumerated group: the minimum of 2 * rank(w - 1) is
-    located by a minors ladder (rank <= r iff all (r+1)-minors vanish).  The
-    codimensions do not depend on which finite-index lattice in the tower the
-    group acts on (conjugate matrices have equal ranks).  For groups beyond the
-    cap the check reports skipped rather than certifying a universal claim from
-    generators.
+    Elements have finite order, so trace n means w = 1, and trace n - 2 with
+    w^2 = 1 means rank(w - 1) = 1 (and conversely).  One chunked pass counts
+    both and raises AssertionError unless it finds one identity and one
+    reflection per positive root.  As w != 1 forces rank >= 1, the minimum is
+    then 2, on every lattice of the tower (conjugates have equal ranks).
+    Groups beyond the cap report skipped instead of a claim from generators.
     """
     cap = cap if cap is not None else GroupCap()
     if group.elements is None or group.order > cap.max_elements:
@@ -217,27 +144,20 @@ def freeness_codim_check(group: WeylGroup, cap: GroupCap | None = None) -> Freen
             else "group not exhaustively enumerated",
         )
     n = group.rank
-    ident = np.eye(n, dtype=np.int64)
-    min_rank = n
-    found = False
-    nonid_total = 0
-    for lo in range(0, group.order, _MINOR_CHUNK):
-        diffs = group.elements[lo : lo + _MINOR_CHUNK].astype(np.int64) - ident
-        nonid = diffs.any(axis=(1, 2))
-        nonid_total += int(nonid.sum())
-        if found and min_rank == 1:
-            continue  # rank 1 is the floor for non-identity elements
-        for r in range(1, min_rank + 1):
-            candidates = _rank_le_mask(diffs, r) & nonid
-            if candidates.any():
-                min_rank = min(min_rank, r)
-                found = True
-                break
-    if nonid_total != group.order - 1:
-        raise AssertionError("identity appeared more than once in the element set")
-    if not found:
-        raise AssertionError("no non-identity elements found")
-    return FreenessCheck(status="verified", min_codim_doubled=2 * min_rank)
+    ident = np.eye(n, dtype=np.int32)
+    identities = reflections = 0
+    for lo in range(0, group.elements.shape[0], _FREENESS_CHUNK):
+        chunk = group.elements[lo : lo + _FREENESS_CHUNK]
+        trace = chunk.trace(axis1=1, axis2=2, dtype=np.int16)
+        identities += int(np.count_nonzero(trace == n))
+        candidates = chunk[trace == n - 2].astype(np.int32)  # int8 products fit int32
+        reflections += int(np.count_nonzero((candidates @ candidates == ident).all(axis=(1, 2))))
+    if identities != 1:
+        raise AssertionError(f"identity appeared {identities} times in the element set")
+    positive_roots = len(group.datum.all_roots) // 2
+    if reflections != positive_roots:
+        raise AssertionError(f"found {reflections} reflections, expected {positive_roots} positive roots")
+    return FreenessCheck(status="verified", min_codim_doubled=2, reflections=reflections)
 
 
 # --- verdict assembly -----------------------------------------------------------

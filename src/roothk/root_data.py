@@ -176,9 +176,6 @@ class RootDatum:
     def label(self) -> str:
         return self.spec.label
 
-    def root_set(self) -> frozenset[AmbientVector]:
-        return frozenset(self.all_roots)
-
 
 def cartan_matrix(spec: RootSystemSpec) -> IntMatrix:
     """Cartan matrix with entries 2(a_i, a_j)/(a_j, a_j)."""

@@ -83,10 +83,6 @@ class WeylGroup:
     def label(self) -> str:
         return f"W({self.datum.label})"
 
-    @property
-    def is_exhaustive(self) -> bool:
-        return self.elements is not None
-
     @classmethod
     def from_generators(cls, datum: RootDatum) -> "WeylGroup":
         """Generator-only group (no element enumeration)."""
@@ -100,12 +96,6 @@ class WeylGroup:
         if self.elements is None:
             raise NotExhaustiveError(f"{self.label} was not exhaustively generated")
         return self.elements.shape[0]
-
-    def element_matrix(self, index: int) -> IntMatrix:
-        if self.elements is None:
-            raise NotExhaustiveError(f"{self.label} was not exhaustively generated")
-        n = self.rank
-        return IntMatrix(n, n, (int(x) for x in self.elements[index].reshape(-1)))
 
     def pair_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached (sum of elements, sum of flattened tensor squares).

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from roothk.exact_linalg import IntMatrix, integer_rank
@@ -70,6 +72,34 @@ def test_brute_force_oracle_small_groups(family, rank, groups):
         assert brute_force_fixed_point_count(w, abs(det)) == entry.component_count
 
 
+def test_brute_force_fixed_dim_half(groups):
+    # Every element, singular det(w - 1) included: each component factor
+    # divides 12, so at d = 12 and d = 24 the grid count is d^(4 fix_dim)
+    # times the component count.
+    singular = 0
+    for family, rank in [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)]:
+        for w in element_iter(groups(family, rank)):
+            entry = fixed_locus_on_abelian(w)
+            assert all(12 % t == 0 for t in entry.component_invariant_factors)
+            singular += entry.fix_dim > 0
+            for d in (12, 24):
+                expected = d ** (4 * entry.fix_dim) * entry.component_count
+                assert brute_force_fixed_point_count(w, d) == expected
+    assert singular == 101
+
+
+def test_brute_force_rejects_oversized_grid_before_allocating():
+    # 2^17 points would fit in memory, so only the guard can raise here.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="grid too large"):
+            brute_force_fixed_point_count(IntMatrix.identity(17), 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 def test_codim_doubles_rank_on_each_element(groups):
     # The doubled fixed-space codimension is twice the rank of (w - 1): the
     # doubled action is two independent copies of the same lattice action.
@@ -89,10 +119,37 @@ def test_codim_doubles_rank_on_each_element(groups):
     [("A", 1, 2), ("A", 2, 2), ("B", 2, 2), ("A", 3, 2), ("D", 4, 2), ("F", 4, 2)],
 )
 def test_freeness_min_codim_is_two(family, rank, expected_min, groups):
-    check = freeness_codim_check(groups(family, rank))
+    group = groups(family, rank)
+    check = freeness_codim_check(group)
     assert check.status == "verified"
     assert check.min_codim_doubled == expected_min
     assert check.verified_at_least_two
+    assert check.reflections == len(group.datum.all_roots) // 2
+
+
+def _b3_with_overwrite(groups, source_is_reflection, replacement):
+    """Copy of W(B3) with the first (non-)reflection overwritten."""
+    group = groups("B", 3)
+    elements = group.elements.copy()
+    for i, w in enumerate(element_iter(group)):
+        is_reflection = fixed_locus_on_abelian(w).codim_doubled == 2
+        if i > 0 and is_reflection == source_is_reflection:
+            elements[i] = replacement
+            break
+    return WeylGroup(datum=group.datum, generators=group.generators, order=group.order, elements=elements)
+
+
+def test_freeness_rejects_extra_reflection(groups):
+    reflection = groups("B", 3).generators[0].to_rows()
+    mutated = _b3_with_overwrite(groups, False, reflection)
+    with pytest.raises(AssertionError, match="found 10 reflections"):
+        freeness_codim_check(mutated)
+
+
+def test_freeness_rejects_second_identity(groups):
+    mutated = _b3_with_overwrite(groups, True, IntMatrix.identity(3).to_rows())
+    with pytest.raises(AssertionError, match="identity appeared 2 times"):
+        freeness_codim_check(mutated)
 
 
 def test_freeness_skipped_over_cap():
