@@ -179,6 +179,41 @@ class IntMatrix:
             prev = pivot
         return sign * a[n - 1][n - 1]
 
+    def adjugate(self) -> tuple["IntMatrix", int]:
+        """``(x, d)`` with ``x @ self == d * I``, by fraction-free Gauss-Jordan.
+
+        Eliminates on ``[self | I]`` above and below each pivot, dividing
+        exactly by the previous pivot (Bareiss), so every entry stays an
+        integer minor.  The last pivot is the determinant of the row-swapped
+        matrix; the sign of the swaps is folded back in, so ``d == det(self)``
+        and ``x`` is the adjugate.  The inverse is ``x / d``.  Raises
+        ValueError when the matrix is singular.
+        """
+        if self.rows != self.cols:
+            raise ValueError("adjugate of a non-square matrix")
+        n = self.rows
+        a = [list(self.row(i)) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+        sign = 1
+        prev = 1
+        for k in range(n):
+            if a[k][k] == 0:
+                piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+                if piv is None:
+                    raise ValueError("matrix is singular")
+                a[k], a[piv] = a[piv], a[k]
+                sign = -sign
+            rowk = a[k]
+            pivot = rowk[k]
+            for i in range(n):
+                if i == k:
+                    continue
+                rowi = a[i]
+                aik = rowi[k]
+                a[i] = [(x * pivot - aik * y) // prev for x, y in zip(rowi, rowk)]
+            prev = pivot
+        d = sign * prev
+        return IntMatrix(n, n, (sign * x for row in a for x in row[n:])), d
+
     def to_rat(self) -> "RatMatrix":
         return RatMatrix(self.rows, self.cols, (Fraction(x) for x in self.data))
 

@@ -32,12 +32,17 @@ DEFAULT_DISC_CAP = 10**6
 
 def dual_lattice(datum: RootDatum) -> Lattice:
     """The dual lattice, carried by the inverse Gram form in the dual basis."""
-    gram_inv = datum.gram.to_rat().inverse()
+    gram_inv = _divided(*datum.gram.adjugate())
     return Lattice(rank=datum.rank, gram=_as_lattice_gram(gram_inv), label=f"{datum.label}*")
 
 
 def _as_lattice_gram(m: RatMatrix):
     return m.to_int() if m.is_integral() else m
+
+
+def _divided(m: IntMatrix, d: int) -> RatMatrix:
+    """The rational matrix m / d, entry by entry."""
+    return RatMatrix.from_flat_unchecked(m.rows, m.cols, tuple(Fraction(x, d) for x in m.data))
 
 
 def dual_index(datum: RootDatum) -> int:
@@ -100,10 +105,10 @@ def discriminant_group(datum: RootDatum) -> DiscriminantGroup:
     sf = smith_normal_form(gram)
     factors = sf.torsion_factors
     n = datum.rank
-    u_inv = sf.left.to_rat().inverse()
-    if not u_inv.is_integral():
+    u_adj, u_det = sf.left.adjugate()
+    if u_det not in (1, -1):
         raise AssertionError("left Smith transform is not unimodular")
-    u_inv_int = u_inv.to_int()
+    u_inv_int = u_adj if u_det == 1 else -u_adj
     nontrivial = [i for i, d in enumerate(sf.diag) if d > 1]
     lifts = tuple(
         tuple(u_inv_int[r, i] for r in range(n)) for i in nontrivial
@@ -118,37 +123,44 @@ def discriminant_group(datum: RootDatum) -> DiscriminantGroup:
     )
 
 
-def _dual_action_matrix(generator: IntMatrix, gram: IntMatrix) -> IntMatrix:
+def _dual_action_matrix(
+    generator: IntMatrix, gram: IntMatrix, gram_adjugate: tuple[IntMatrix, int]
+) -> IntMatrix:
     """Matrix of a lattice isometry on dual-basis coordinates.
 
     For a root-basis matrix M preserving the lattice, the dual action is the
     inverse transpose; it must be integral (the map preserves the dual
-    lattice) and must map the root-lattice rows into themselves.
+    lattice; for an integer M, exactly when det M = +-1) and must map the
+    root-lattice rows into themselves (G^-1 N G integral, tested as
+    adj(G) N G = 0 modulo det G).  ``gram_adjugate`` is ``gram.adjugate()``.
     """
-    inv = generator.to_rat().inverse()
-    n_action = inv.transpose()
-    if not n_action.is_integral():
+    inv_adj, inv_det = generator.adjugate()
+    if inv_det not in (1, -1):
         raise LatticeActionError("generator does not preserve the dual lattice")
-    n_int = n_action.to_int()
-    compat = gram.to_rat().inverse() @ n_int.to_rat() @ gram.to_rat()
-    if not compat.is_integral():
+    n_int = (inv_adj if inv_det == 1 else -inv_adj).transpose()
+    adj, det = gram_adjugate
+    if any(x % det for x in (adj @ n_int @ gram).data):
         raise LatticeActionError("generator does not preserve the root lattice rows")
     return n_int
 
 
 def induced_discriminant_action(
-    group_generators: tuple[IntMatrix, ...], disc: DiscriminantGroup, gram: IntMatrix
+    group_generators: tuple[IntMatrix, ...],
+    disc: DiscriminantGroup,
+    gram: IntMatrix,
+    gram_adjugate: tuple[IntMatrix, int],
 ) -> tuple[dict[tuple[int, ...], tuple[int, ...]], ...]:
     """Automorphism of the discriminant group induced by each generator.
 
     Each map is returned as a dictionary on invariant-factor coordinate
-    tuples.  Raises :class:`LatticeActionError` if a generator fails to
+    tuples.  ``gram_adjugate`` is ``gram.adjugate()``, computed once by the
+    caller.  Raises :class:`LatticeActionError` if a generator fails to
     preserve the lattice pair.
     """
     elements = disc.elements()
     maps = []
     for g in group_generators:
-        action = _dual_action_matrix(g, gram)
+        action = _dual_action_matrix(g, gram, gram_adjugate)
         n = action.rows
         table = {}
         for a in elements:
@@ -215,30 +227,29 @@ def minimal_generating_set(disc: DiscriminantGroup, subgroup: frozenset) -> tupl
     return tuple(gens)
 
 
-def annihilator_subgroup(disc: DiscriminantGroup, subgroup: frozenset, gram: IntMatrix) -> frozenset:
+def annihilator_subgroup(
+    disc: DiscriminantGroup, subgroup: frozenset, gram_adjugate: tuple[IntMatrix, int]
+) -> frozenset:
     """Elements pairing integrally with the whole subgroup.
 
-    The pairing of two classes is the rational inner product of dual-basis
-    lifts taken modulo 1; sending a subgroup to its annihilator is the
-    inclusion-reversing involution matching lattice duality.
+    The pairing of two classes is the rational inner product x G^-1 y of
+    dual-basis lifts taken modulo 1, tested as x adj(G) y = 0 modulo det G
+    with ``gram_adjugate == gram.adjugate()``; sending a subgroup to its
+    annihilator is the inclusion-reversing involution matching lattice
+    duality.
     """
-    gram_inv = gram.to_rat().inverse()
+    adj, det = gram_adjugate
+    n = adj.rows
     gens = minimal_generating_set(disc, subgroup)
-    lifted = [disc.lift(g) for g in gens]
+    # adj(G) y for each generator lift y.
+    images = [
+        tuple(sum(adj[i, j] * y[j] for j in range(n)) for i in range(n))
+        for y in (disc.lift(g) for g in gens)
+    ]
     out = []
     for a in disc.elements():
         x = disc.lift(a)
-        ok = True
-        for y in lifted:
-            val = sum(
-                Fraction(x[i]) * gram_inv[i, j] * y[j]
-                for i in range(gram.rows)
-                for j in range(gram.cols)
-            )
-            if val.denominator != 1:
-                ok = False
-                break
-        if ok:
+        if all(sum(xi * zi for xi, zi in zip(x, z)) % det == 0 for z in images):
             out.append(a)
     return frozenset(out)
 
@@ -263,12 +274,16 @@ class IntermediateLattice:
         prim, _ = self.gram.primitive_integer()
         return prim
 
-    def contains_dual_vector(self, v: tuple[int, ...], basis_inverse: RatMatrix | None = None) -> bool:
-        inv = basis_inverse if basis_inverse is not None else self.basis.to_rat().inverse()
-        coeffs = [
-            sum(Fraction(v[j]) * inv[j, i] for j in range(len(v))) for i in range(self.basis.rows)
-        ]
-        return all(c.denominator == 1 for c in coeffs)
+    def contains_dual_vector(
+        self, v: tuple[int, ...], basis_adjugate: tuple[IntMatrix, int] | None = None
+    ) -> bool:
+        """Whether v is an integer combination of the basis rows, i.e. v B^-1
+        is integral, tested as v adj(B) = 0 modulo det B.  Pass
+        ``self.basis.adjugate()`` to reuse it across calls."""
+        adj, det = basis_adjugate if basis_adjugate is not None else self.basis.adjugate()
+        return all(
+            sum(v[j] * adj[j, i] for j in range(len(v))) % det == 0 for i in range(adj.cols)
+        )
 
 
 @dataclass(frozen=True)
@@ -292,9 +307,11 @@ def _lattice_from_subgroup(
     disc: DiscriminantGroup,
     subgroup: frozenset,
     label: str,
+    gram_adjugate: tuple[IntMatrix, int],
 ) -> IntermediateLattice:
     n = datum.rank
     gram = datum.gram
+    gram_adj, gram_det = gram_adjugate
     rows = gram.to_rows()
     for e in sorted(subgroup):
         rows.append(list(disc.lift(e)))
@@ -302,11 +319,11 @@ def _lattice_from_subgroup(
     basis = IntMatrix.from_rows(h.to_rows()[:n])
     if basis.det() == 0:
         raise AssertionError("lattice basis is singular")
-    index = abs(gram.det()) // abs(basis.det())
+    index = abs(gram_det) // abs(basis.det())
     if index != len(subgroup):
         raise AssertionError("index does not match subgroup order")
-    gram_inv = gram.to_rat().inverse()
-    lattice_gram = basis.to_rat() @ gram_inv @ basis.to_rat().transpose()
+    # B G^-1 B^T, with G^-1 = adj(G) / det G.
+    lattice_gram = _divided(basis @ gram_adj @ basis.transpose(), gram_det)
     return IntermediateLattice(
         label=label,
         subgroup_generators=minimal_generating_set(disc, subgroup),
@@ -351,7 +368,8 @@ def invariant_intermediate_lattices(
     """
     gens = group_generators if group_generators is not None else simple_reflections(datum)
     disc = discriminant_group(datum)
-    actions = induced_discriminant_action(tuple(gens), disc, datum.gram)
+    gram_adjugate = datum.gram.adjugate()
+    actions = induced_discriminant_action(tuple(gens), disc, datum.gram, gram_adjugate)
     subgroups = all_subgroups(disc, cap)
     stable = []
     for s in subgroups:
@@ -362,7 +380,7 @@ def invariant_intermediate_lattices(
     lattices: list[IntermediateLattice] = []
     labels: list[str] = []
     for s in stable:
-        lat = _lattice_from_subgroup(datum, disc, s, label="")
+        lat = _lattice_from_subgroup(datum, disc, s, "", gram_adjugate)
         label = _recognize_label(datum, disc.order, s, lat.gram, datum.rank, labels)
         labels.append(label)
         lattices.append(
@@ -568,14 +586,21 @@ def lattice_isometric(
 
     norms_needed = [Fraction(target[i][i]) for i in range(n)]
     max_norm = max(norms_needed)
-    cands = short_vectors(g2.to_rat(), max_norm)
+    # Count first: the vector counts below max_norm must agree as well, and
+    # a mismatch at a small bound (Z^n has 2n vectors of norm 1) is found
+    # without enumerating both forms up to max_norm.
+    r1, r2 = g1.to_rat(), g2.to_rat()
+    for k in range(1, int(max_norm)):
+        if len(short_vectors(r1, k)) != len(short_vectors(r2, k)):
+            return False
+    cands = short_vectors(r2, max_norm)
     by_norm: dict[Fraction, list[tuple[int, ...]]] = {}
     for vec, norm in cands:
         by_norm.setdefault(norm, []).extend((vec, tuple(-v for v in vec)))
     for norm in list(by_norm):
         by_norm[norm].sort()
     # Vector counts by norm must agree (counting both signs).
-    cands1 = short_vectors(g1.to_rat(), max_norm)
+    cands1 = short_vectors(r1, max_norm)
     hist1: dict[Fraction, int] = {}
     for _, norm in cands1:
         hist1[norm] = hist1.get(norm, 0) + 2

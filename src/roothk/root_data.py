@@ -290,21 +290,31 @@ def simple_reflections(datum: RootDatum) -> tuple[IntMatrix, ...]:
     return tuple(simple_reflection(datum, i) for i in range(1, datum.rank + 1))
 
 
+def _root_coordinates(datum: RootDatum, vectors: list[AmbientVector]) -> list[tuple[Fraction, ...]]:
+    """Simple-root coordinates of each ambient vector, inverting the Gram once."""
+    # Solve sum_j c_j a_j = v via the raw Gram system raw_gram @ c = (a_i, v),
+    # where raw_gram = gram * gram_scale has inverse adj(gram) / (det * scale).
+    adj, det = datum.gram.adjugate()
+    den = det * datum.gram_scale
+    n = datum.rank
+    out = []
+    for v in vectors:
+        rhs = [_dot(a, v) for a in datum.simple_roots]
+        out.append(
+            tuple(sum((adj[i, j] * rhs[j] for j in range(n)), Fraction(0)) / den for i in range(n))
+        )
+    return out
+
+
 def ambient_to_root_basis(datum: RootDatum, vector: AmbientVector) -> tuple[Fraction, ...]:
     """Coordinates of an ambient lattice-span vector in the simple-root basis."""
-    # Solve sum_j c_j a_j = v via the raw Gram system: raw_gram @ c = (a_i, v).
-    raw = datum.gram.to_rat().scale(datum.gram_scale)
-    rhs = [_dot(a, vector) for a in datum.simple_roots]
-    inv = raw.inverse()
-    return tuple(
-        sum((inv[i, j] * rhs[j] for j in range(datum.rank)), Fraction(0)) for i in range(datum.rank)
-    )
+    return _root_coordinates(datum, [vector])[0]
 
 
 def ambient_matrix_in_root_basis(datum: RootDatum, images: list[AmbientVector]) -> RatMatrix:
     """Matrix (in the simple-root basis) of the linear map sending the i-th
     simple root to ``images[i]``."""
-    cols = [ambient_to_root_basis(datum, img) for img in images]
+    cols = _root_coordinates(datum, images)
     n = datum.rank
     return RatMatrix(n, n, (cols[j][i] for i in range(n) for j in range(n)))
 

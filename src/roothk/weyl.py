@@ -223,11 +223,11 @@ def check_signed_permutation_structure(n: int, cap: GroupCap | None = None) -> S
     basis_mat = IntMatrix.from_rows(
         [[alpha[i] for alpha in datum.simple_roots] for i in range(n)]
     )
-    inv_mat = basis_mat.to_rat().inverse()
-    if not inv_mat.is_integral():
+    adj, det = basis_mat.adjugate()
+    if det not in (1, -1):
         raise AssertionError("B_n simple-root basis is not unimodular")
     basis = np.array(basis_mat.to_rows(), dtype=np.int64)
-    basis_inv = np.array(inv_mat.to_int().to_rows(), dtype=np.int64)
+    basis_inv = np.array((adj if det == 1 else -adj).to_rows(), dtype=np.int64)
 
     ambient = basis[None] @ group.elements.astype(np.int64) @ basis_inv[None]
     absmats = np.abs(ambient)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -186,3 +187,32 @@ def test_group_cap_only_on_enumerating_subcommands():
     proc = run_cli(["lemma-check", "--max-rank", "1", "--group-cap", "5"])
     assert proc.returncode == 2
     assert "--group-cap" in proc.stderr
+
+
+# sha256 of the JSON stdout of `sublattices`.  The benchmark gate compares only
+# check names and statuses, so a changed Gram determinant or rescaling class
+# list would pass it; these pin every byte.
+SUBLATTICES_JSON_SHA256 = {
+    ("A", "15"): "d4356ce57ec7e62d4b6d3afb53be5bcd6ba66af175f4f441f07acaff5ef39162",
+    ("A", "23"): "3ad06eecee09d26977c75a1cda13f65269d8acca7d7340254f99a688a3eff342",
+    ("B", "10"): "f0eb6b4554cfc1357caa32f264c16cc8b7b733dbd95dcd634e1ee522c2f45f9a",
+    ("D", "8"): "0150b62a8a8b5d2188a018fff124fee2d23b0968c105f5bc2d5cf3ded8f3a779",
+}
+
+
+@pytest.mark.parametrize("family,rank", sorted(SUBLATTICES_JSON_SHA256))
+def test_sublattices_stdout_pinned(capsys, family, rank):
+    assert main(["sublattices", family, rank]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SUBLATTICES_JSON_SHA256[family, rank]
+
+
+def test_sublattices_a35_recognizes_unimodular_non_cube(capsys):
+    # A35+[6] is unimodular but has no norm-1 vectors, so it is not Z^35;
+    # the count-first isometry test settles this at norm bound 1.
+    assert main(["sublattices", "A", "35"]) == 0
+    checks = {c["name"]: c["values"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["sublattices/A35/count"]["lattices"] == 9
+    assert checks["sublattices/A35/A35+[6]"]["gram_det"] == 1
+    assert not any(name.startswith("sublattices/A35/Z^") for name in checks)
+    assert checks["sublattices/A35/rescaling-classes"]["inconclusive_pairs"] == 0

@@ -166,6 +166,35 @@ def test_rat_inverse_roundtrip(seed):
     assert m @ m.inverse() == RatMatrix.identity(n)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_adjugate_random(seed):
+    rng = random.Random(500 + seed)
+    n = rng.randint(1, 8)
+    while True:
+        # Sparse entries make zero leading pivots, so row swaps get exercised.
+        m = IntMatrix(n, n, (rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(n * n)))
+        if m.det() != 0:
+            break
+    x, d = m.adjugate()
+    scalar = IntMatrix(n, n, (d if i == j else 0 for i in range(n) for j in range(n)))
+    assert x @ m == scalar
+    assert m @ x == scalar
+    assert d == m.det()
+    # The adjugate over the determinant is the rational inverse.
+    assert x.to_rat().scale(Fraction(1, d)) == m.to_rat().inverse()
+
+
+def test_adjugate_pivot_swap_and_singular():
+    m = IntMatrix.from_rows([[0, 1], [1, 0]])
+    assert m.adjugate() == (IntMatrix.from_rows([[0, -1], [-1, 0]]), -1)
+    assert IntMatrix.zeros(0, 0).adjugate() == (IntMatrix.zeros(0, 0), 1)
+    for singular in ([[1, 2], [2, 4]], [[0, 0], [0, 3]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]):
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows(singular).adjugate()
+    with pytest.raises(ValueError):
+        IntMatrix.zeros(2, 3).adjugate()
+
+
 def test_primitive_integer_rescaling():
     m = RatMatrix.from_rows([[Fraction(1, 2), Fraction(-1, 4)], [Fraction(-1, 4), Fraction(1, 2)]])
     prim, scale = m.primitive_integer()

@@ -69,7 +69,9 @@ def test_weyl_group_acts_trivially_on_own_discriminant():
     for family, rank in [("A", 2), ("A", 4), ("D", 4), ("E", 6)]:
         datum = _datum(family, rank)
         disc = discriminant_group(datum)
-        maps = induced_discriminant_action(simple_reflections(datum), disc, datum.gram)
+        maps = induced_discriminant_action(
+            simple_reflections(datum), disc, datum.gram, datum.gram.adjugate()
+        )
         for table in maps:
             assert all(table[a] == a for a in disc.elements())
 
@@ -95,8 +97,7 @@ def test_a_tower_size_is_divisor_count(n):
     report = invariant_intermediate_lattices(_datum("A", n))
     assert len(report.lattices) == len(_divisors(n + 1))
     assert report.labels[0] == f"A{n}"
-    if n > 1 or True:
-        assert report.labels[-1] == f"A{n}*"
+    assert report.labels[-1] == f"A{n}*"
     # Indices multiply correctly through the tower.
     disc_order = n + 1
     for lat in report.lattices:
@@ -153,9 +154,41 @@ def test_bc_action_nontrivial_on_even_d_discriminant():
             c = 2 * sum((a * b for a, b in zip(alpha, beta)), Fraction(0)) / norm
             images.append(tuple(x - c * b for x, b in zip(alpha, beta)))
         gens.append(ambient_matrix_in_root_basis(d_datum, images).to_int())
-    maps = induced_discriminant_action(tuple(gens), disc, d_datum.gram)
+    maps = induced_discriminant_action(tuple(gens), disc, d_datum.gram, d_datum.gram.adjugate())
     moved = any(any(table[a] != a for a in disc.elements()) for table in maps)
     assert moved
+
+
+def test_dual_action_guards():
+    from roothk.errors import LatticeActionError
+    from roothk.lattice_tower import _dual_action_matrix
+
+    gram = _datum("A", 2).gram
+    gram_adjugate = gram.adjugate()
+    # det 2: the inverse transpose is not integral.
+    with pytest.raises(LatticeActionError, match="dual lattice"):
+        _dual_action_matrix(IntMatrix.from_rows([[2, 0], [0, 1]]), gram, gram_adjugate)
+    # A unimodular shear: its dual action is integral, but G^-1 N G is not.
+    with pytest.raises(LatticeActionError, match="root lattice rows"):
+        _dual_action_matrix(IntMatrix.from_rows([[1, 1], [0, 1]]), gram, gram_adjugate)
+    # A simple reflection passes both, with the rational inverse transpose.
+    s1 = simple_reflections(_datum("A", 2))[0]
+    action = _dual_action_matrix(s1, gram, gram_adjugate)
+    assert action.to_rat() == s1.to_rat().inverse().transpose()
+
+
+def test_discriminant_group_rejects_non_unimodular_smith_transform(monkeypatch):
+    import roothk.lattice_tower as lt
+    from roothk.exact_linalg import SmithForm, smith_normal_form
+
+    def doubled_left(m):
+        sf = smith_normal_form(m)
+        left = IntMatrix(sf.left.rows, sf.left.cols, (2 * x for x in sf.left.data))
+        return SmithForm(diag=sf.diag, left=left, right=sf.right)
+
+    monkeypatch.setattr(lt, "smith_normal_form", doubled_left)
+    with pytest.raises(AssertionError, match="left Smith transform is not unimodular"):
+        lt.discriminant_group(_datum("A", 3))
 
 
 def test_e8_tower_trivial():
@@ -178,16 +211,17 @@ def test_tower_lattices_are_group_stable_directly():
     d_datum = _datum("D", 3)
     from roothk.lattice_tower import _dual_action_matrix
 
+    gram_adjugate = d_datum.gram.adjugate()
     for lat in report.lattices:
-        inv = lat.basis.to_rat().inverse()
+        basis_adjugate = lat.basis.adjugate()
         for gen in simple_reflections(d_datum):
-            action = _dual_action_matrix(gen, d_datum.gram)
+            action = _dual_action_matrix(gen, d_datum.gram, gram_adjugate)
             for r in range(lat.basis.rows):
                 b = lat.basis.row(r)
                 image = tuple(
                     sum(action[i, j] * b[j] for j in range(len(b))) for i in range(action.rows)
                 )
-                assert lat.contains_dual_vector(image, inv)
+                assert lat.contains_dual_vector(image, basis_adjugate)
 
 
 def test_duality_involution_on_towers():
@@ -202,10 +236,11 @@ def test_duality_involution_on_towers():
             from roothk.lattice_tower import _close_subgroup
 
             subgroups.append(_close_subgroup(disc, frozenset(lat.subgroup_generators)))
-        ann = {s: annihilator_subgroup(disc, s, datum.gram) for s in subgroups}
+        gram_adjugate = datum.gram.adjugate()
+        ann = {s: annihilator_subgroup(disc, s, gram_adjugate) for s in subgroups}
         for s in subgroups:
             assert ann[s] in subgroups
-            assert annihilator_subgroup(disc, ann[s], datum.gram) == s
+            assert annihilator_subgroup(disc, ann[s], gram_adjugate) == s
             assert len(s) * len(ann[s]) == disc.order
 
 
@@ -230,6 +265,17 @@ def test_classify_z3_d3_distinct():
     z3 = IntMatrix.identity(3)
     d3 = _datum("D", 3).gram
     assert lattice_isometric(z3, d3) is False
+
+
+def test_count_first_rejects_unimodular_non_cube():
+    # Both forms are unimodular with equal Smith forms; only the vector
+    # counts tell them apart (no norm-1 vectors against 2n of them).
+    assert lattice_isometric(_datum("E", 8).gram, IntMatrix.identity(8)) is False
+    report = invariant_intermediate_lattices(_datum("A", 15))
+    middle = report.lattices[report.labels.index("A15+[4]")]
+    prim = middle.primitive_gram()
+    assert prim.det() == 1
+    assert lattice_isometric(prim, IntMatrix.identity(15)) is False
 
 
 def test_bc_tower_classes_all_distinct():
