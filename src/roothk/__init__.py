@@ -45,6 +45,7 @@ from .weyl import (
     element_iter,
     generate_group,
     group_order_formula,
+    iter_levels,
 )
 from .invariant_theory import (
     InvariantReport,

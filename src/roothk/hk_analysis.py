@@ -26,7 +26,7 @@ from .invariant_theory import (
 )
 from .lattice_tower import bc_tower, invariant_intermediate_lattices
 from .root_data import RootDatum, RootSystemSpec, build_root_datum
-from .weyl import GroupCap, WeylGroup, generate_group, group_order_formula
+from .weyl import GroupCap, WeylGroup, generate_group, group_order_formula, iter_levels
 
 # Cost ceiling for analyze, whose generator-only work grows a little faster
 # than rank^4: the invariant two-form system on the doubled span has
@@ -112,13 +112,15 @@ def brute_force_fixed_point_count(w: IntMatrix, denominator: int) -> int:
 
 @dataclass(frozen=True)
 class FreenessCheck:
-    """Codimension-two freeness: ``verified`` means one identity and one
-    reflection per positive root (``reflections``), so min_codim_doubled = 2."""
+    """Codimension-two freeness: ``verified`` means the pass saw ``elements``
+    elements (the group order), one identity and one reflection per positive
+    root (``reflections``), so min_codim_doubled = 2."""
 
     status: str  # "verified" or "skipped"
     min_codim_doubled: int | None = None
     reason: str = ""
     reflections: int | None = None
+    elements: int | None = None
 
     @property
     def verified_at_least_two(self) -> bool:
@@ -129,35 +131,39 @@ def freeness_codim_check(group: WeylGroup, cap: GroupCap | None = None) -> Freen
     """Minimum fixed-space codimension 2 * rank(w - 1) over all w != 1.
 
     Elements have finite order, so trace n means w = 1, and trace n - 2 with
-    w^2 = 1 means rank(w - 1) = 1 (and conversely).  One chunked pass counts
-    both and raises AssertionError unless it finds one identity and one
-    reflection per positive root.  As w != 1 forces rank >= 1, the minimum is
-    then 2, on every lattice of the tower (conjugates have equal ranks).
-    Groups beyond the cap report skipped instead of a claim from generators.
+    w^2 = 1 means rank(w - 1) = 1 (and conversely).  One pass over chunks
+    counts elements, identities and reflections, and raises AssertionError
+    unless it sees the group order, one identity and one reflection per
+    positive root.  As w != 1 forces rank >= 1, the minimum is then 2, on
+    every lattice of the tower (conjugates have equal ranks).  The chunks are
+    slices of ``group.elements`` when the group was stored, else the levels
+    of :func:`iter_levels`.  Groups beyond the cap report skipped.
     """
     cap = cap if cap is not None else GroupCap()
-    if group.elements is None or group.order > cap.max_elements:
-        return FreenessCheck(
-            status="skipped",
-            reason=f"order {group.order} exceeds cap {cap.max_elements}"
-            if group.order > cap.max_elements
-            else "group not exhaustively enumerated",
-        )
+    if group.order > cap.max_elements:
+        return FreenessCheck(status="skipped", reason=f"order {group.order} exceeds cap {cap.max_elements}")
+    if group.elements is None:
+        chunks = iter_levels(group.datum)
+    else:
+        stored = group.elements
+        chunks = (stored[lo : lo + _FREENESS_CHUNK] for lo in range(0, stored.shape[0], _FREENESS_CHUNK))
     n = group.rank
     ident = np.eye(n, dtype=np.int32)
-    identities = reflections = 0
-    for lo in range(0, group.elements.shape[0], _FREENESS_CHUNK):
-        chunk = group.elements[lo : lo + _FREENESS_CHUNK]
+    elements = identities = reflections = 0
+    for chunk in chunks:
+        elements += chunk.shape[0]
         trace = chunk.trace(axis1=1, axis2=2, dtype=np.int16)
         identities += int(np.count_nonzero(trace == n))
         candidates = chunk[trace == n - 2].astype(np.int32)  # int8 products fit int32
         reflections += int(np.count_nonzero((candidates @ candidates == ident).all(axis=(1, 2))))
+    if elements != group.order:
+        raise AssertionError(f"the pass saw {elements} elements, expected order {group.order}")
     if identities != 1:
         raise AssertionError(f"identity appeared {identities} times in the element set")
     positive_roots = len(group.datum.all_roots) // 2
     if reflections != positive_roots:
         raise AssertionError(f"found {reflections} reflections, expected {positive_roots} positive roots")
-    return FreenessCheck(status="verified", min_codim_doubled=2, reflections=reflections)
+    return FreenessCheck(status="verified", min_codim_doubled=2, reflections=reflections, elements=elements)
 
 
 # --- verdict assembly -----------------------------------------------------------

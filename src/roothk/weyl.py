@@ -1,12 +1,12 @@
 """Weyl groups as explicit sets of integer matrices in the simple-root basis.
 
-Exhaustive enumeration walks the canonical-parent tree of the group: each
-element is reached once, from its parent one Coxeter length down, by the
-smallest of its right descents.  Elements are kept in a compact numpy integer
-array; coefficients of Weyl matrices in the root basis are bounded by the
-largest root coordinate (at most 6 across the supported families), so
-fixed-width integer arithmetic is exact here — guards assert the bounds on
-every batch.
+Exhaustive enumeration walks the canonical-parent tree of the group one
+Coxeter length at a time: each element is reached once, from its parent one
+length down, by the smallest of its right descents.  Levels are compact
+numpy int8 arrays; coefficients of Weyl matrices in the root basis are
+bounded by the largest root coordinate (at most 6 across the supported
+families), so fixed-width integer arithmetic is exact here — guards assert
+the bounds on every level.
 All rational linear algebra elsewhere stays arbitrary-precision.
 """
 
@@ -27,9 +27,8 @@ DEFAULT_GROUP_CAP = 5_000_000
 # Root coordinates in the simple-root basis are bounded by the largest
 # highest-root coefficient across the supported families (6, attained by E8),
 # so every entry of every enumerated element lies in [-6, 6].  The bound is
-# asserted on each batch; it keeps int16 accumulation and int8 storage exact.
+# asserted on every product; it keeps int8 products and storage exact.
 _ENTRY_BOUND = 6
-_FRONTIER_CHUNK = 200_000
 
 _EXCEPTIONAL_ORDERS = {"G": 12, "F": 1152, "E6": 51840, "E7": 2903040, "E8": 696729600}
 
@@ -118,18 +117,90 @@ class WeylGroup:
         return self._pair_sums
 
 
-def generate_group(datum: RootDatum, cap: GroupCap | None = None) -> WeylGroup:
-    """Exhaustive Weyl group by canonical-parent enumeration.
+def iter_levels(datum: RootDatum) -> Iterator[np.ndarray]:
+    """Yield every element of W once, as one int8 array per Coxeter length.
 
-    Right multiplication by s raises the length exactly when w(alpha_s) is a
-    positive root, i.e. when column s of w has a positive coordinate sum.  A
-    product w*s is kept only when it raises the length and s is the smallest
-    right descent of w*s (every column t < s of w*s stays positive).  Every
-    element other than the identity has exactly one such parent, one level
-    down, so each element is produced exactly once with no comparison between
-    elements; the final count is checked against the closed-form order.
-    Raises :class:`GroupTooLargeError` when that order exceeds the cap,
-    signalling callers to fall back to generator-only methods.
+    The canonical-parent rule: right multiplication by s raises the length
+    exactly when w(alpha_s) is a positive root, i.e. when column s of w has a
+    positive coordinate sum.  A product w*s is kept only when it raises the
+    length and s is the smallest right descent of w*s (every column t < s of
+    w*s has a positive sum).  Every element other than the identity has
+    exactly one such parent, one level down, so level k + 1 is built from
+    level k alone and each element is produced exactly once, with no
+    comparison between elements.  Only two levels are alive at a time.
+
+    Levels come identity first, in nondecreasing length; each is a fresh
+    ``(count, n, n)`` array.  Raises AssertionError when an entry leaves the
+    root-coordinate bound, or when the running count passes or ends short of
+    the closed-form order.  Nothing is checked against a cap, and nothing
+    runs before the first ``next()``: a caller that needs a cap checks it
+    before iterating.
+    """
+    spec = datum.spec
+    n = spec.rank
+    order = group_order_formula(spec)
+    gens = simple_reflections(datum)
+    # s_i - 1 is zero outside row i, so w*s_i = w + (column i of w) * shift[i]:
+    # a rank-one update of column i and of its Dynkin neighbours, the only
+    # other columns where shift[i] is nonzero.  Entries of w are asserted to
+    # lie in [-6, 6] and |shift| <= 3, so every product entry lies in
+    # [-24, 24] and int8 arithmetic is exact.
+    shift = np.array([g.to_rows()[i] for i, g in enumerate(gens)], dtype=np.int64)
+    shift -= np.eye(n, dtype=np.int64)
+    if np.abs(shift).max() > 3:
+        raise AssertionError(f"simple reflections of {spec.label} move a coordinate by more than 3")
+    shift = shift.astype(np.int8)
+    moved = [np.flatnonzero(shift[s]) for s in range(n)]  # s and its neighbours
+
+    level = np.eye(n, dtype=np.int8)[None]
+    # sums[t, i] is the coordinate sum of w_i(alpha_t) for element i of the
+    # level; it is carried as sums(w*s) = sums(w) + sums(w)[s] * shift[s].
+    # Sums of n bounded entries stay far inside int16.
+    sums = np.ones((n, 1), dtype=np.int16)
+    count = 0
+    while level.shape[0]:
+        count += level.shape[0]
+        if count > order:
+            raise AssertionError(f"enumeration of {spec.label} exceeded the predicted order")
+        yield level
+        positive = sums > 0
+        parents = []
+        for s in range(n):
+            keep = positive[s].copy()
+            for t in range(s):
+                # Only the neighbours of s change their column sum.
+                keep &= sums[s] * shift[s, t] + sums[t] > 0 if shift[s, t] else positive[t]
+            parents.append(np.flatnonzero(keep))
+        # The next level is written in place, so at most two levels are alive.
+        child = np.empty((sum(p.size for p in parents), n, n), dtype=np.int8)
+        child_sums = []
+        lo = 0
+        for s, idx in enumerate(parents):
+            w = np.take(level, idx, axis=0, out=child[lo : lo + idx.size])
+            w_sums = sums.take(idx, axis=1)
+            w_s, lead = w[:, :, s].copy(), w_sums[s].copy()
+            for t in moved[s]:
+                col = w[:, :, t] + w_s * shift[s, t]
+                if col.size and (col.min() < -_ENTRY_BOUND or col.max() > _ENTRY_BOUND):
+                    raise AssertionError("group element entries exceeded the root-coordinate bound")
+                w[:, :, t] = col
+                w_sums[t] += lead * shift[s, t]
+            child_sums.append(w_sums)
+            lo += idx.size
+        level, sums = child, np.concatenate(child_sums, axis=1)
+
+    if count != order:
+        raise AssertionError(
+            f"enumeration of {spec.label} found {count} elements, expected {order}"
+        )
+
+
+def generate_group(datum: RootDatum, cap: GroupCap | None = None) -> WeylGroup:
+    """Exhaustive Weyl group: the levels of :func:`iter_levels`, stored.
+
+    Raises :class:`GroupTooLargeError` when the closed-form order exceeds the
+    cap, before anything is allocated, signalling callers to fall back to
+    generator-only methods.
     """
     cap = cap if cap is not None else GroupCap()
     spec = datum.spec
@@ -138,38 +209,12 @@ def generate_group(datum: RootDatum, cap: GroupCap | None = None) -> WeylGroup:
         raise GroupTooLargeError(spec.label, order, cap.max_elements)
 
     n = spec.rank
-    gens = simple_reflections(datum)
-    # s_i - 1 is zero outside row i, so w*s_i = w + (column i of w) * shift[i]:
-    # a rank-one column update.
-    shift = np.array([g.to_rows()[i] for i, g in enumerate(gens)], dtype=np.int16)
-    shift -= np.eye(n, dtype=np.int16)
-
     elements = np.empty((order, n, n), dtype=np.int8)
-    elements[0] = np.eye(n, dtype=np.int8)
-    level_start, count = 0, 1
-    while level_start < count:
-        level_end = count
-        for lo in range(level_start, level_end, _FRONTIER_CHUNK):
-            block = elements[lo : min(lo + _FRONTIER_CHUNK, level_end)].astype(np.int16)
-            sums = block.sum(axis=1)  # sums[:, t] is the coordinate sum of w(alpha_t)
-            for s in range(n):
-                lead = sums[:, s : s + 1]
-                keep = (lead[:, 0] > 0) & (sums[:, :s] + lead * shift[s, :s] > 0).all(axis=1)
-                w = block[keep]
-                prod = w + w[:, :, s : s + 1] * shift[s]
-                if prod.size and (prod.min() < -_ENTRY_BOUND or prod.max() > _ENTRY_BOUND):
-                    raise AssertionError("group element entries exceeded the root-coordinate bound")
-                if count + prod.shape[0] > order:
-                    raise AssertionError(f"enumeration of {spec.label} exceeded the predicted order")
-                elements[count : count + prod.shape[0]] = prod
-                count += prod.shape[0]
-        level_start = level_end
-
-    if count != order:
-        raise AssertionError(
-            f"enumeration of {spec.label} found {count} elements, expected {order}"
-        )
-    return WeylGroup(datum=datum, generators=gens, order=order, elements=elements)
+    count = 0
+    for level in iter_levels(datum):
+        elements[count : count + level.shape[0]] = level
+        count += level.shape[0]
+    return WeylGroup(datum=datum, generators=simple_reflections(datum), order=order, elements=elements)
 
 
 def element_iter(group: WeylGroup) -> Iterator[IntMatrix]:

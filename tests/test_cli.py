@@ -207,6 +207,22 @@ def test_sublattices_stdout_pinned(capsys, family, rank):
     assert hashlib.sha256(out.encode()).hexdigest() == SUBLATTICES_JSON_SHA256[family, rank]
 
 
+# sha256 of the stdout of `report --suite default`, derived from the commit
+# before the report streamed its freeness rows.
+REPORT_SHA256 = {
+    "json": "58b6c2bcefcf23d4fe4d61b03e5991da2ac9b8bd3507de6837e4aaf6c8b5dae8",
+    "tsv": "bddfda8cabd153a8178915c15da0153513fa70dc7f5126db255c086ed393b078",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(REPORT_SHA256))
+def test_report_stdout_pinned(capsys, monkeypatch, fmt):
+    monkeypatch.delenv("ROOTHK_GROUP_CAP", raising=False)
+    assert main(["report", "--suite", "default", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[fmt]
+
+
 def test_sublattices_a35_recognizes_unimodular_non_cube(capsys):
     # A35+[6] is unimodular but has no norm-1 vectors, so it is not Z^35;
     # the count-first isometry test settles this at norm bound 1.

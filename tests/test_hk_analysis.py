@@ -125,6 +125,16 @@ def test_freeness_min_codim_is_two(family, rank, expected_min, groups):
     assert check.min_codim_doubled == expected_min
     assert check.verified_at_least_two
     assert check.reflections == len(group.datum.all_roots) // 2
+    assert check.elements == group.order
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("F", 4), ("E", 6)])
+def test_streamed_freeness_matches_stored(family, rank, groups):
+    stored = groups(family, rank)
+    streamed = freeness_codim_check(WeylGroup.from_generators(stored.datum))
+    expected = freeness_codim_check(stored)
+    assert streamed.status == expected.status == "verified"
+    assert (streamed.elements, streamed.reflections) == (expected.elements, expected.reflections)
 
 
 def _b3_with_overwrite(groups, source_is_reflection, replacement):
@@ -150,6 +160,17 @@ def test_freeness_rejects_second_identity(groups):
     mutated = _b3_with_overwrite(groups, True, IntMatrix.identity(3).to_rows())
     with pytest.raises(AssertionError, match="identity appeared 2 times"):
         freeness_codim_check(mutated)
+
+
+def test_freeness_rejects_missing_element(groups):
+    # Dropping the longest element (-1, neither identity nor reflection)
+    # leaves only the element count to notice.
+    group = groups("B", 3)
+    truncated = WeylGroup(
+        datum=group.datum, generators=group.generators, order=group.order, elements=group.elements[:-1]
+    )
+    with pytest.raises(AssertionError, match="saw 47 elements"):
+        freeness_codim_check(truncated)
 
 
 def test_freeness_skipped_over_cap():

@@ -1,6 +1,10 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from roothk import weyl
 from roothk.errors import GroupTooLargeError, NotExhaustiveError
 from roothk.exact_linalg import IntMatrix
 from roothk.root_data import RootSystemSpec, ambient_to_root_basis, build_root_datum
@@ -11,6 +15,7 @@ from roothk.weyl import (
     element_iter,
     generate_group,
     group_order_formula,
+    iter_levels,
 )
 
 
@@ -69,10 +74,68 @@ def test_enumeration_oracle(family, rank, groups):
     assert length[-1] == positive.shape[0]
 
 
+def _exponents(datum):
+    """Exponents m_i from the height partition of the positive roots:
+    #{i : m_i >= k} is the number of positive roots of height k (Kostant 1959)."""
+    coords = [ambient_to_root_basis(datum, r) for r in datum.all_roots]
+    per_height = Counter(int(sum(c)) for c in coords if min(c) >= 0)
+    return sorted(k for k in per_height for _ in range(per_height[k] - per_height[k + 1]))
+
+
+def test_exponents_from_root_heights():
+    assert _exponents(build_root_datum(RootSystemSpec("E", 7))) == [1, 5, 7, 9, 11, 13, 17]
+    assert _exponents(build_root_datum(RootSystemSpec("G", 2))) == [1, 5]
+    assert _exponents(build_root_datum(RootSystemSpec("B", 4))) == [1, 3, 5, 7]
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 4), ("B", 4), ("C", 4), ("D", 5), ("F", 4), ("G", 2), ("E", 6), ("E", 7)],
+)
+def test_level_sizes_are_poincare_coefficients(family, rank):
+    # The number of elements of each Coxeter length is the coefficient of the
+    # Poincare polynomial prod_i (1 + q + ... + q^{m_i}); the exponents come
+    # from the roots alone, not from the enumeration.
+    datum = build_root_datum(RootSystemSpec(family, rank))
+    poincare = [1]
+    for m in _exponents(datum):
+        poincare = np.convolve(poincare, np.ones(m + 1, dtype=np.int64)).tolist()
+    assert [level.shape[0] for level in iter_levels(datum)] == poincare
+
+
+def test_entry_bound_is_asserted(monkeypatch):
+    # W(B3) has root coordinates 2 (the highest root is a1 + 2 a2 + 2 a3).
+    monkeypatch.setattr(weyl, "_ENTRY_BOUND", 1)
+    with pytest.raises(AssertionError, match="root-coordinate bound"):
+        generate_group(build_root_datum(RootSystemSpec("B", 3)))
+
+
+def test_shift_bound_is_asserted(monkeypatch):
+    # A generator moving a coordinate by 4 would break the int8 product bound.
+    fake = (IntMatrix.from_rows([[-1, 4], [0, 1]]), IntMatrix.from_rows([[1, 0], [1, -1]]))
+    monkeypatch.setattr(weyl, "simple_reflections", lambda datum: fake)
+    with pytest.raises(AssertionError, match="by more than 3"):
+        next(iter_levels(build_root_datum(RootSystemSpec("A", 2))))
+
+
+@pytest.mark.parametrize("delta,message", [(-1, "exceeded the predicted order"), (1, "found 48 elements")])
+def test_enumeration_count_is_asserted(monkeypatch, delta, message):
+    monkeypatch.setattr(weyl, "group_order_formula", lambda spec: 48 + delta)
+    with pytest.raises(AssertionError, match=message):
+        list(iter_levels(build_root_datum(RootSystemSpec("B", 3))))
+
+
 def test_group_too_large_raises():
+    # W(E8) would need 41.5 GiB; only the eager cap check keeps this small.
     datum = build_root_datum(RootSystemSpec("E", 8))
-    with pytest.raises(GroupTooLargeError):
-        generate_group(datum)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupTooLargeError):
+            generate_group(datum)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
     # A tiny custom cap trips on small groups too.
     datum_a3 = build_root_datum(RootSystemSpec("A", 3))
     with pytest.raises(GroupTooLargeError):
