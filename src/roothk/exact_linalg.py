@@ -599,53 +599,80 @@ def _bezout(p: int, v: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def _int_echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+SparseRow = dict[int, int]
+
+
+def _sparse(row: Sequence[int] | SparseRow) -> SparseRow:
+    """The nonzero entries of a dense or ``{col: value}`` row."""
+    if isinstance(row, dict):
+        return {c: x for c, x in row.items() if x}
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def _int_echelon(rows: Iterable[Sequence[int] | SparseRow]) -> tuple[list[SparseRow], list[int]]:
     """Fraction-free row echelon form with per-row content reduction.
 
-    Returns the nonzero echelon rows and their pivot columns.  Row content is
-    divided out after every elimination step, which keeps entries small for
-    the sparse reflection-representation systems this package produces.
+    Rows are dense sequences or ``{col: value}`` dicts; every row is held as a
+    dict of its nonzero entries, and each column maps to the set of unpivoted
+    rows that are nonzero there, so an elimination step touches only the rows
+    and entries it changes.  The pivot of a column is the entry of smallest
+    magnitude, the first in current row order on a tie, swapped into place;
+    an eliminated row is divided by its content.  Returns the nonzero echelon
+    rows, as dicts, and their pivot columns.
     """
-    work = [list(row) for row in rows if any(row)]
+    work = [r for r in map(_sparse, rows) if r]
     if not work:
         return [], []
-    ncols = len(work[0])
+    ncols = 1 + max(max(r) for r in work)
+    # order[k] is the row at position k; pos is its inverse.
+    order = list(range(len(work)))
+    pos = list(order)
+    index: dict[int, set[int]] = {}
+    for i, r in enumerate(work):
+        for c in r:
+            index.setdefault(c, set()).add(i)
     pivots: list[int] = []
     rank = 0
     for c in range(ncols):
-        piv = None
-        best = None
-        for i in range(rank, len(work)):
-            v = work[i][c]
-            if v and (best is None or abs(v) < best):
-                piv, best = i, abs(v)
-                if best == 1:
-                    break
-        if piv is None:
+        live = index.pop(c, None)
+        if not live:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        p = work[rank][c]
-        prow = work[rank]
-        for i in range(rank + 1, len(work)):
-            v = work[i][c]
-            if v:
-                g = gcd(p, v)
-                pm, vm = p // g, v // g
-                new = [pm * x - vm * y for x, y in zip(work[i], prow)]
-                cg = 0
-                for x in new:
-                    if x:
-                        cg = gcd(cg, x)
-                        if cg == 1:
-                            break
-                if cg > 1:
-                    new = [x // cg for x in new]
-                work[i] = new
+        piv = min(live, key=lambda i: (abs(work[i][c]), pos[i]))
+        k = pos[piv]
+        other = order[rank]
+        order[rank], order[k] = piv, other
+        pos[piv], pos[other] = rank, k
+        live.discard(piv)
+        prow = work[piv]
+        p = prow[c]
+        for col in prow:
+            if col != c:
+                index[col].discard(piv)
+        for i in live:
+            row = work[i]
+            v = row[c]
+            g = gcd(p, v)
+            pm, vm = p // g, v // g
+            if pm != 1:
+                for col in row:
+                    row[col] *= pm
+            for col, y in prow.items():
+                x = row.get(col, 0) - vm * y
+                if x:
+                    if col not in row:
+                        index.setdefault(col, set()).add(i)
+                    row[col] = x
+                else:
+                    del row[col]
+                    if col != c:
+                        index[col].discard(i)
+            cg = gcd(*row.values())
+            if cg > 1:
+                for col in row:
+                    row[col] //= cg
         pivots.append(c)
         rank += 1
-        if rank == len(work):
-            break
-    return work[:rank], pivots
+    return [work[i] for i in order[:rank]], pivots
 
 
 def _rows(m):
@@ -667,16 +694,21 @@ def clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
     return [int(x * mlt) for x in row]
 
 
-def integer_row_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank over the rationals of the matrix with the given integer rows."""
+def integer_row_rank(rows: Iterable[Sequence[int] | SparseRow]) -> int:
+    """Rank over the rationals of the matrix with the given integer rows.
+
+    Each row is a dense sequence or a ``{col: value}`` dict of its nonzero
+    entries.
+    """
     _, pivots = _int_echelon(rows)
     return len(pivots)
 
 
-def integer_row_kernel(rows: Iterable[Sequence[int]], ncols: int) -> list[Vector]:
+def integer_row_kernel(rows: Iterable[Sequence[int] | SparseRow], ncols: int) -> list[Vector]:
     """Echelon-normalized basis of { v : row . v = 0 for every given row }.
 
-    Zero rows may be left out: the basis depends only on the row space.
+    Rows are dense sequences or ``{col: value}`` dicts.  Zero rows may be left
+    out: the basis depends only on the row space.
     """
     echelon, pivots = _int_echelon(rows)
     return _kernel_from_echelon(echelon, pivots, ncols)
@@ -692,7 +724,7 @@ def integer_rank(m: IntMatrix) -> int:
     return integer_row_rank(_rows(m))
 
 
-def _kernel_from_echelon(echelon: list[list[int]], pivots: list[int], ncols: int) -> list[Vector]:
+def _kernel_from_echelon(echelon: list[SparseRow], pivots: list[int], ncols: int) -> list[Vector]:
     """Canonical kernel basis from an integer echelon form.
 
     One basis vector per free column, carrying 1 there and 0 at the other
@@ -710,9 +742,9 @@ def _kernel_from_echelon(echelon: list[list[int]], pivots: list[int], ncols: int
             p = pivots[r]
             row = echelon[r]
             s = Fraction(0)
-            for c in range(p + 1, ncols):
-                if row[c] and v[c]:
-                    s += row[c] * v[c]
+            for c, x in row.items():
+                if c != p and v[c]:
+                    s += x * v[c]
             if s:
                 v[p] = -s / row[p]
         basis.append(tuple(v))

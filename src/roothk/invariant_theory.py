@@ -11,9 +11,10 @@ Weyl matrices in the simple-root basis are integral, and so are their
 doubles, symmetric and alternating squares: those images are ``IntMatrix``
 and only non-integral explicit input is carried as ``RatMatrix``.  A simple
 reflection differs from the identity in one row, so the constructions
-compute only the image rows that move, and every linear system here (fixed
-points, commutant, invariant forms) is assembled from the moved rows alone,
-as integer rows for one exact echelon kernel.
+compute only the image rows that move, each from the nonzero entries of the
+rows it depends on, and every linear system here (fixed points, commutant,
+invariant forms) is assembled from the moved rows alone, as sparse
+``{col: value}`` integer rows for one exact echelon kernel.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .errors import FormSpaceError, NotExhaustiveError
 from .exact_linalg import (
     IntMatrix,
     RatMatrix,
+    SparseRow,
     Vector,
     clear_denominators,
     integer_rank,
@@ -152,38 +155,77 @@ def _double_matrix(m: Matrix) -> Matrix:
     return _identity_except(m, 2 * n, rows)
 
 
+def _nonzero_entries(m: Matrix) -> list[list[tuple[int, int | Fraction]]]:
+    """Per row of m, its nonzero entries as (column, value)."""
+    return [[(a, x) for a, x in enumerate(m.row(i)) if x] for i in range(m.rows)]
+
+
 def _sym2_matrix(m: Matrix) -> Matrix:
     """Induced action on degree-two monomials, basis x_i x_j with i <= j.
 
-    Row (k, l) is an identity row unless row k or row l of m moves.
+    Row (k, l) is an identity row unless row k or row l of m moves; a moved
+    row has entry a_k[i] a_l[j] + a_l[i] a_k[j] at (i, j) (a_k[i] a_k[j] when
+    k == l), built from the nonzero entries of rows k and l alone.
     """
     n = m.rows
     moved = {k for k, _ in _moved_rows(m)}
     pw = pairs_weak(n)
+    zero = _zero(m)
+    nz = _nonzero_entries(m)
+
+    def col(i, j):
+        # Position of (i, j), i <= j, in pairs_weak(n).
+        return i * n - i * (i - 1) // 2 + j - i
+
     rows = []
     for r, (k, l) in enumerate(pw):
         if k in moved or l in moved:
-            ak, al = m.row(k), m.row(l)
+            ak, al = nz[k], nz[l]
+            row = [zero] * len(pw)
             if k == l:
-                rows.append((r, [ak[i] * ak[j] for i, j in pw]))
+                for t, (a, x) in enumerate(ak):
+                    for b, y in ak[t:]:
+                        row[col(a, b)] = x * y
             else:
-                rows.append((r, [ak[i] * al[j] + al[i] * ak[j] for i, j in pw]))
+                for a, x in ak:
+                    for b, y in al:
+                        if a == b:
+                            row[col(a, a)] += 2 * x * y
+                        else:
+                            row[col(min(a, b), max(a, b))] += x * y
+            rows.append((r, row))
     return _identity_except(m, len(pw), rows)
 
 
 def _wedge2_matrix(m: Matrix) -> Matrix:
     """Induced action on elementary alternating tensors, basis e_i ^ e_j, i < j.
 
-    Row (k, l) is an identity row unless row k or row l of m moves.
+    Row (k, l) is an identity row unless row k or row l of m moves; a moved
+    row has entry a_k[i] a_l[j] - a_l[i] a_k[j] at (i, j), built from the
+    nonzero entries of rows k and l alone.
     """
     n = m.rows
     moved = {k for k, _ in _moved_rows(m)}
     ps = pairs_strict(n)
+    zero = _zero(m)
+    nz = _nonzero_entries(m)
+
+    def col(i, j):
+        # Position of (i, j), i < j, in pairs_strict(n).
+        return i * n - i * (i + 1) // 2 + j - i - 1
+
     rows = []
     for r, (k, l) in enumerate(ps):
         if k in moved or l in moved:
-            ak, al = m.row(k), m.row(l)
-            rows.append((r, [ak[i] * al[j] - al[i] * ak[j] for i, j in ps]))
+            ak, al = nz[k], nz[l]
+            row = [zero] * len(ps)
+            for a, x in ak:
+                for b, y in al:
+                    if a < b:
+                        row[col(a, b)] += x * y
+                    elif a > b:
+                        row[col(b, a)] -= x * y
+            rows.append((r, row))
     return _identity_except(m, len(ps), rows)
 
 
@@ -220,21 +262,30 @@ def rep_wedge2(rep: Representation) -> Representation:
 # --- generator-only linear systems ---------------------------------------------
 
 
-def _integer_rows(g: Matrix, rows: list[list]) -> list[list[int]]:
-    """Rows built from the entries of g, with denominators cleared per row."""
+def _integer_rows(g: Matrix, rows: list[dict]) -> list[SparseRow]:
+    """Sparse rows built from the entries of g, with denominators cleared per row."""
     if isinstance(g, IntMatrix):
         return rows
-    return [clear_denominators(row) for row in rows]
+    return [dict(zip(row, clear_denominators(list(row.values())))) for row in rows]
 
 
-def _fixed_point_rows(rep: Representation) -> list[list[int]]:
-    """The nonzero rows of (g - 1) over all generators g."""
+def _add(row: dict, col: int, x) -> None:
+    """row[col] += x, keeping only nonzero entries."""
+    x += row.get(col, 0)
+    if x:
+        row[col] = x
+    else:
+        row.pop(col, None)
+
+
+def _fixed_point_rows(rep: Representation) -> list[SparseRow]:
+    """The nonzero rows of (g - 1) over all generators g, as {col: value}."""
     out = []
     for g in rep.generator_images:
         rows = []
         for k, row in _moved_rows(g):
-            row = list(row)
-            row[k] -= 1
+            row = {c: row[c] for c in compress(range(g.cols), row)}
+            _add(row, k, -1)
             rows.append(row)
         out.extend(_integer_rows(g, rows))
     return out
@@ -469,17 +520,12 @@ def invariant_report(datum: RootDatum) -> InvariantReport:
     )
 
 
-def _nonzero_entries(m: Matrix) -> list[list[tuple[int, int | Fraction]]]:
-    """Per row of m, its nonzero entries as (column, value)."""
-    return [[(a, x) for a, x in enumerate(m.row(i)) if x] for i in range(m.rows)]
-
-
-def commutant_dimension(rep: Representation) -> int:
-    """Dimension of { X : X commutes with every generator image }.
+def _commutant_rows(rep: Representation) -> list[SparseRow]:
+    """The equations gX = Xg over all generators g, on X flattened row-major.
 
     Entry (i, j) of gX - Xg is sum_a g[i, a] X[a, j] - sum_b X[i, b] g[b, j];
     it vanishes identically unless row i or column j of g moves, so only
-    those equations are emitted.
+    those equations are emitted, each as the sparse row of its coefficients.
     """
     n = rep.dim
     rows = []
@@ -492,14 +538,19 @@ def commutant_dimension(rep: Representation) -> int:
         for i in range(n):
             for j in range(n):
                 if i in moved_rows or j in moved_cols:
-                    row = [0] * (n * n)
+                    row = {}
                     for a, x in g_rows[i]:
-                        row[a * n + j] += x
+                        _add(row, a * n + j, x)
                     for b, x in g_cols[j]:
-                        row[i * n + b] -= x
+                        _add(row, i * n + b, -x)
                     eqs.append(row)
         rows.extend(_integer_rows(g, eqs))
-    return n * n - integer_row_rank(rows)
+    return rows
+
+
+def commutant_dimension(rep: Representation) -> int:
+    """Dimension of { X : X commutes with every generator image }."""
+    return rep.dim * rep.dim - integer_row_rank(_commutant_rows(rep))
 
 
 def irreducibility_check(rep: Representation) -> bool:
@@ -533,11 +584,11 @@ def invariant_bilinear_form(rep: Representation) -> RatMatrix:
         for i in range(n):
             for j in range(n):
                 if i in moved_cols or j in moved_cols:
-                    row = [0] * (n * n)
+                    row = {}
                     for p, x in g_cols[i]:
                         for q, y in g_cols[j]:
-                            row[p * n + q] += x * y
-                    row[i * n + j] -= 1
+                            _add(row, p * n + q, x * y)
+                    _add(row, i * n + j, -1)
                     eqs.append(row)
         rows.extend(_integer_rows(g, eqs))
     basis = integer_row_kernel(rows, n * n)

@@ -142,13 +142,10 @@ def _simple_roots(spec: RootSystemSpec) -> tuple[AmbientVector, ...]:
     return tuple(tuple(v) for v in roots)
 
 
-def _dot(u: AmbientVector, v: AmbientVector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def _reflect(v: AmbientVector, alpha: AmbientVector, alpha_norm: Fraction) -> AmbientVector:
-    c = 2 * _dot(v, alpha) / alpha_norm
-    return tuple(x - c * a for x, a in zip(v, alpha))
+def _int_gram(scaled: IntMatrix) -> list[list[int]]:
+    """Integer dot products of the rows of ``scaled``."""
+    rows = scaled.to_rows()
+    return [[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows]
 
 
 @dataclass(frozen=True)
@@ -179,16 +176,21 @@ class RootDatum:
 
 def cartan_matrix(spec: RootSystemSpec) -> IntMatrix:
     """Cartan matrix with entries 2(a_i, a_j)/(a_j, a_j)."""
-    simple = _simple_roots(spec)
+    scaled, _ = RatMatrix.from_rows(_simple_roots(spec)).integral_rescale()
+    return _cartan_from_gram(spec, _int_gram(scaled))
+
+
+def _cartan_from_gram(spec: RootSystemSpec, dots: list[list[int]]) -> IntMatrix:
+    """The Cartan matrix from the Gram of integer multiples of the simple
+    roots; a common positive factor cancels from 2(a_i, a_j)/(a_j, a_j)."""
     n = spec.rank
-    norms = [_dot(a, a) for a in simple]
     entries = []
     for i in range(n):
         for j in range(n):
-            c = 2 * _dot(simple[i], simple[j]) / norms[j]
-            if c.denominator != 1:
+            c, r = divmod(2 * dots[i][j], dots[j][j])
+            if r:
                 raise AssertionError("Cartan entry is not an integer")
-            entries.append(c.numerator)
+            entries.append(c)
     m = IntMatrix(n, n, entries)
     if m.det() != spec.cartan_determinant:
         raise AssertionError(f"Cartan determinant mismatch for {spec.label}")
@@ -199,7 +201,9 @@ def cartan_matrix(spec: RootSystemSpec) -> IntMatrix:
 def build_root_datum(spec: RootSystemSpec) -> RootDatum:
     """Construct the full root datum: roots by reflection closure, Gram form, Cartan."""
     simple = _simple_roots(spec)
-    cartan = cartan_matrix(spec)
+    scaled, scale = RatMatrix.from_rows(simple).integral_rescale()
+    dots = _int_gram(scaled)
+    cartan = _cartan_from_gram(spec, dots)
     n = spec.rank
 
     # Closure in simple-root coordinates, where everything is an integer:
@@ -221,7 +225,6 @@ def build_root_datum(spec: RootSystemSpec) -> RootDatum:
         frontier = new
     # Ambient coordinates, once per root, in integers scaled by the common
     # denominator of the simple roots; the positive scale keeps the sort order.
-    scaled, scale = RatMatrix.from_rows(simple).integral_rescale()
     den = scale.denominator
     ambient = []
     for v in coords:
@@ -236,7 +239,7 @@ def build_root_datum(spec: RootSystemSpec) -> RootDatum:
     if len(all_roots) != spec.root_count:
         raise AssertionError(f"root count mismatch for {spec.label}: {len(all_roots)}")
 
-    raw_gram = RatMatrix(spec.rank, spec.rank, (_dot(a, b) for a in simple for b in simple))
+    raw_gram = RatMatrix(n, n, (Fraction(x, den * den) for row in dots for x in row))
     # Minimal integral rescaling only (x2 for F4, identity elsewhere).  Dividing
     # out a common content as well would turn the A1 form [2] into [1] and
     # collapse its order-2 discriminant group, contradicting the dual-lattice
@@ -257,8 +260,9 @@ def simple_reflection(datum: RootDatum, i: int) -> IntMatrix:
     """Matrix of the i-th simple reflection (1-based) in the simple-root basis.
 
     The reflection fixes every basis vector except the i-th coordinate row:
-    s_i(a_j) = a_j - (2(a_j, a_i)/(a_i, a_i)) a_i, so the matrix is the
-    identity with row i replaced by those integer coefficients.
+    s_i(a_j) = a_j - (2(a_j, a_i)/(a_i, a_i)) a_i = a_j - cartan[j, i] a_i, so
+    the matrix is the identity with row i replaced by those integer
+    coefficients.
     """
     n = datum.rank
     if not 1 <= i <= n:
@@ -266,21 +270,10 @@ def simple_reflection(datum: RootDatum, i: int) -> IntMatrix:
     cached = datum._reflection_cache.get(i)
     if cached is not None:
         return cached
-    simple = datum.simple_roots
-    norm_i = _dot(simple[i - 1], simple[i - 1])
-    entries = []
-    for r in range(n):
-        for c in range(n):
-            if r != c and r != i - 1:
-                entries.append(0)
-            elif r == c and r != i - 1:
-                entries.append(1)
-            else:
-                coeff = (1 if r == c else 0) - 2 * _dot(simple[c], simple[i - 1]) / norm_i
-                if coeff.denominator != 1:
-                    raise AssertionError("reflection matrix entry is not an integer")
-                entries.append(coeff.numerator)
-    m = IntMatrix(n, n, entries)
+    data = [0] * (n * n)
+    data[:: n + 1] = [1] * n
+    data[(i - 1) * n : i * n] = [int(c == i - 1) - datum.cartan[c, i - 1] for c in range(n)]
+    m = IntMatrix.from_flat_unchecked(n, n, tuple(data))
     datum._reflection_cache[i] = m
     return m
 
@@ -294,15 +287,16 @@ def _root_coordinates(datum: RootDatum, vectors: list[AmbientVector]) -> list[tu
     """Simple-root coordinates of each ambient vector, inverting the Gram once."""
     # Solve sum_j c_j a_j = v via the raw Gram system raw_gram @ c = (a_i, v),
     # where raw_gram = gram * gram_scale has inverse adj(gram) / (det * scale).
+    # The simple roots are a_i = s * r_i with integer rows r_i, so
+    # (a_i, v) = s * (r_i, v).
+    scaled, s = RatMatrix.from_rows(datum.simple_roots).integral_rescale()
     adj, det = datum.gram.adjugate()
-    den = det * datum.gram_scale
+    den = det * datum.gram_scale / s
     n = datum.rank
     out = []
     for v in vectors:
-        rhs = [_dot(a, v) for a in datum.simple_roots]
-        out.append(
-            tuple(sum((adj[i, j] * rhs[j] for j in range(n)), Fraction(0)) / den for i in range(n))
-        )
+        rhs = [sum(x * y for x, y in zip(r, v) if x) for r in scaled]
+        out.append(tuple(sum(adj[i, j] * rhs[j] for j in range(n)) / den for i in range(n)))
     return out
 
 

@@ -223,6 +223,25 @@ def test_report_stdout_pinned(capsys, monkeypatch, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[fmt]
 
 
+# sha256 of the JSON stdout of the generator-only commands (invariant
+# dimensions, commutant and form from the simple reflections alone), derived
+# from the commit before their linear systems became sparse.
+GENERATOR_ONLY_SHA256 = {
+    ("analyze", "A", "12", "--lattice", "dual"): "dae61270056c9af47e5027ba77f804e0bf5f4800fb3a9ad789108c6a128e111f",
+    ("analyze", "A", "14", "--lattice", "dual"): "4639eeec268242850a70e452b8772b9e0268d7e71dd0da89412e77cd8fa4fa24",
+    ("analyze", "A", "16", "--lattice", "dual"): "3f4cf84858a7ea4b2c2b87e2739bceee550bcb902f51b49e140c7069c3cef7ce",
+    ("lemma-check",): "30aebacf7219c4e19e09dae6f22f85f83e7f4dc3f9910bf087bb1fefbaae9d6d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GENERATOR_ONLY_SHA256), ids=" ".join)
+def test_generator_only_stdout_pinned(capsys, monkeypatch, argv):
+    monkeypatch.delenv("ROOTHK_GROUP_CAP", raising=False)
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERATOR_ONLY_SHA256[argv]
+
+
 def test_sublattices_a35_recognizes_unimodular_non_cube(capsys):
     # A35+[6] is unimodular but has no norm-1 vectors, so it is not Z^35;
     # the count-first isometry test settles this at norm bound 1.

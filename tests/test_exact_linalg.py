@@ -1,18 +1,29 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from roothk.exact_linalg import (
     IntMatrix,
     RatMatrix,
+    _int_echelon,
     hermite_normal_form,
     integer_rank,
+    integer_row_kernel,
     rational_kernel,
     rational_rank,
     smith_normal_form,
     stack_and_common_kernel,
 )
+from roothk.invariant_theory import (
+    _commutant_rows,
+    _fixed_point_rows,
+    rep_double,
+    rep_reflection,
+    rep_wedge2,
+)
+from roothk.root_data import RootSystemSpec, build_root_datum
 
 
 def test_snf_a2_gram():
@@ -209,3 +220,116 @@ def test_matmul_and_transpose():
     assert (a @ b).to_rows() == [[2, 1], [4, 3]]
     assert a.transpose().to_rows() == [[1, 3], [2, 4]]
 
+
+
+def _dense_echelon(rows):
+    """Reference: the dense fraction-free echelon the sparse one replaced.
+
+    Same pivot rule (smallest magnitude, first in current order on a tie,
+    swapped into place) and per-row content reduction, on dense lists.
+    """
+    work = [list(row) for row in rows if any(row)]
+    if not work:
+        return [], []
+    ncols = len(work[0])
+    pivots = []
+    rank = 0
+    for c in range(ncols):
+        piv = None
+        best = None
+        for i in range(rank, len(work)):
+            v = work[i][c]
+            if v and (best is None or abs(v) < best):
+                piv, best = i, abs(v)
+                if best == 1:
+                    break
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        p = work[rank][c]
+        prow = work[rank]
+        for i in range(rank + 1, len(work)):
+            v = work[i][c]
+            if v:
+                g = gcd(p, v)
+                pm, vm = p // g, v // g
+                new = [pm * x - vm * y for x, y in zip(work[i], prow)]
+                cg = 0
+                for x in new:
+                    if x:
+                        cg = gcd(cg, x)
+                if cg > 1:
+                    new = [x // cg for x in new]
+                work[i] = new
+        pivots.append(c)
+        rank += 1
+        if rank == len(work):
+            break
+    return work[:rank], pivots
+
+
+def _dense(row, ncols):
+    out = [0] * ncols
+    for c, x in row.items():
+        out[c] = x
+    return out
+
+
+def _assert_echelon_matches_dense(dense_rows, sparse_rows, ncols):
+    ref_rows, ref_pivots = _dense_echelon(dense_rows)
+    for rows in (sparse_rows, dense_rows):
+        echelon, pivots = _int_echelon(rows)
+        assert pivots == ref_pivots
+        assert [_dense(r, ncols) for r in echelon] == ref_rows
+        # Only nonzero entries are stored.
+        assert all(all(echelon_row.values()) for echelon_row in echelon)
+    kernel = integer_row_kernel(sparse_rows, ncols)
+    assert len(kernel) == ncols - len(ref_pivots)
+    free = [c for c in range(ncols) if c not in set(ref_pivots)]
+    for f, v in zip(free, kernel):
+        assert [v[c] for c in free] == [int(c == f) for c in free]
+        for row in dense_rows:
+            assert sum(x * y for x, y in zip(row, v) if x) == 0
+
+
+def _random_sparse_rows(rng, nrows, ncols):
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for c in rng.sample(range(ncols), rng.randint(1, min(3, ncols))):
+            row[c] = rng.choice((1, -1, 2, -3, 4, rng.randint(-9, 9)))
+        rows.append({c: x for c, x in row.items() if x})
+    extra = []
+    for _ in range(nrows // 3):
+        a, b = rng.choice(rows), rng.choice(rows)
+        extra.append(dict(a))  # duplicate row
+        k = rng.choice((2, 3, -6))
+        extra.append({c: k * x for c, x in a.items()})  # content > 1
+        # A combination of two rows: cancels exactly to zero in elimination.
+        combo = {c: 2 * a.get(c, 0) - 3 * b.get(c, 0) for c in set(a) | set(b)}
+        extra.append({c: x for c, x in combo.items() if x})
+    rows += extra
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_sparse_echelon_matches_dense_reference(seed):
+    rng = random.Random(600 + seed)
+    ncols = rng.randint(2, 14)
+    rows = _random_sparse_rows(rng, rng.randint(1, 18), ncols)
+    dense_rows = [_dense(r, ncols) for r in rows]
+    _assert_echelon_matches_dense(dense_rows, rows, ncols)
+
+
+def test_sparse_echelon_matches_dense_reference_on_a16_systems():
+    v = rep_reflection(build_root_datum(RootSystemSpec("A", 16)))
+    w2d = rep_wedge2(rep_double(v))
+    for rows, ncols in ((_fixed_point_rows(w2d), w2d.dim), (_commutant_rows(v), v.dim * v.dim)):
+        _assert_echelon_matches_dense([_dense(r, ncols) for r in rows], rows, ncols)
+
+
+def test_echelon_empty_and_zero_rows():
+    assert _int_echelon([]) == ([], [])
+    assert _int_echelon([[0, 0], {}, {1: 0}]) == ([], [])
+    assert _int_echelon([{3: 6, 5: -4}]) == ([{3: 6, 5: -4}], [3])

@@ -6,6 +6,7 @@ import pytest
 from roothk.errors import FormSpaceError, NotExhaustiveError
 from roothk.exact_linalg import IntMatrix, RatMatrix
 from roothk.invariant_theory import (
+    Representation,
     batch_images,
     commutant_dimension,
     decomposition_check,
@@ -150,6 +151,23 @@ def test_batch_images_match_generator_images(groups):
             assert (imgs[idx] == expected).all()
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_square_images_match_batch_formula(seed):
+    # Every row of a random matrix moves, so the sparse row construction of
+    # Sym2 and Wedge2 is compared entry by entry with the dense batch formula.
+    rng = np.random.default_rng(700 + seed)
+    n = int(rng.integers(2, 6))
+    m = rng.choice([0, 0, -2, -1, 1, 3], size=(n, n))
+    g = IntMatrix.from_rows(m.tolist())
+    base = Representation(dim=n, generator_images=(g,), label="m", chain=("defining",))
+    rational = rep_explicit((g.to_rat().scale(Fraction(1, 2)),), "m/2")
+    for build in (rep_sym2, rep_wedge2):
+        image = build(base).generator_images[0]
+        assert image.to_rows() == batch_images(build(base), m[None])[0].tolist()
+        # The same rows over the rationals: Sym2 and Wedge2 are quadratic.
+        assert build(rational).generator_images[0] == image.to_rat().scale(Fraction(1, 4))
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("G", 2), ("D", 4)])
 def test_decomposition_check(family, rank):
     assert decomposition_check(_datum(family, rank))
@@ -255,7 +273,7 @@ def _conjugated(v):
     return rep_explicit(tuple(p @ g.to_rat() @ p_inv for g in v.generator_images), f"P{v.label}P^-1"), p
 
 
-@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
 def test_rational_conjugate_matches_integral(family, rank):
     v = rep_reflection(_datum(family, rank))
     w, p = _conjugated(v)

@@ -14,6 +14,15 @@ from roothk.root_data import (
     standard_table,
 )
 
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _reflect(v, alpha, alpha_norm):
+    c = 2 * _dot(v, alpha) / alpha_norm
+    return tuple(x - c * a for x, a in zip(v, alpha))
+
+
 SMALL_TABLE = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
     ("B", 2), ("B", 3), ("C", 2), ("C", 3),
@@ -129,8 +138,6 @@ def test_gram_relates_to_cartan_by_half_norms(family, rank):
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("D", 4), ("G", 2), ("F", 4)])
 def test_roots_single_orbit_per_length(family, rank):
-    from roothk.root_data import _dot, _reflect  # noqa: internal helpers as oracle
-
     datum = build_root_datum(RootSystemSpec(family, rank))
     simple = datum.simple_roots
     norms = [_dot(a, a) for a in simple]
@@ -153,6 +160,30 @@ def test_roots_single_orbit_per_length(family, rank):
         norm = _dot(alpha, alpha)
         assert orbit == {r for r in datum.all_roots if _dot(r, r) == norm}
     assert covered == set(datum.all_roots)
+
+
+@pytest.mark.parametrize("spec", standard_table(), ids=lambda s: s.label)
+def test_integer_root_data_matches_fraction_dots(spec):
+    # Cartan, Gram and reflections come from integer dot products of the
+    # rescaled simple roots; recompute each from Fraction dot products of the
+    # ambient simple roots.
+    datum = build_root_datum(spec)
+    simple, n = datum.simple_roots, spec.rank
+    cartan = [[2 * _dot(a, b) / _dot(b, b) for b in simple] for a in simple]
+    assert cartan_matrix(spec).to_rows() == datum.cartan.to_rows() == cartan
+    assert datum.gram.to_rat().scale(datum.gram_scale).to_rows() == [
+        [_dot(a, b) for b in simple] for a in simple
+    ]
+    for i, alpha in enumerate(simple, start=1):
+        # Column j holds the simple-root coordinates of s_i(a_j), which is a_j
+        # minus a multiple of a_i: row i carries that multiple, the rest is I.
+        expected = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+        for j, beta in enumerate(simple):
+            moved = _reflect(beta, alpha, _dot(alpha, alpha))
+            expected[i - 1][j] += next(
+                (x - y) / a for x, y, a in zip(moved, beta, alpha) if a
+            )
+        assert simple_reflection(datum, i).to_rows() == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
