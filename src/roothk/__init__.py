@@ -23,9 +23,7 @@ from .exact_linalg import (
     RatMatrix,
     SmithForm,
     hermite_normal_form,
-    rational_kernel,
     smith_normal_form,
-    stack_and_common_kernel,
 )
 from .root_data import (
     Lattice,

@@ -24,22 +24,6 @@ def _as_int(x) -> int:
     return int(x)
 
 
-def _from_flat_unchecked(cls, rows: int, cols: int, data: tuple):
-    """Wrap a row-major tuple whose entries already have the class's entry
-    type (``int`` for IntMatrix, ``Fraction`` for RatMatrix).
-
-    For callers that build the entries exactly themselves; the public
-    constructors coerce and validate every entry.
-    """
-    if len(data) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-    m = object.__new__(cls)
-    object.__setattr__(m, "rows", rows)
-    object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "data", data)
-    return m
-
-
 class IntMatrix:
     """Immutable dense matrix with arbitrary-precision integer entries.
 
@@ -58,8 +42,6 @@ class IntMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
-
-    from_flat_unchecked = classmethod(_from_flat_unchecked)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "IntMatrix":
@@ -245,8 +227,6 @@ class RatMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
-
-    from_flat_unchecked = classmethod(_from_flat_unchecked)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
@@ -675,10 +655,6 @@ def _int_echelon(rows: Iterable[Sequence[int] | SparseRow]) -> tuple[list[Sparse
     return [work[i] for i in order[:rank]], pivots
 
 
-def _rows(m):
-    return (m.row(i) for i in range(m.rows))
-
-
 def clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
     """The row scaled by the lcm of its entry denominators, as integers.
 
@@ -714,14 +690,9 @@ def integer_row_kernel(rows: Iterable[Sequence[int] | SparseRow], ncols: int) ->
     return _kernel_from_echelon(echelon, pivots, ncols)
 
 
-def rational_rank(m: RatMatrix) -> int:
-    """Exact rank over the rationals."""
-    return integer_row_rank(clear_denominators(row) for row in _rows(m))
-
-
 def integer_rank(m: IntMatrix) -> int:
     """Exact rank of an integer matrix over the rationals."""
-    return integer_row_rank(_rows(m))
+    return integer_row_rank(m.row(i) for i in range(m.rows))
 
 
 def _kernel_from_echelon(echelon: list[SparseRow], pivots: list[int], ncols: int) -> list[Vector]:
@@ -749,19 +720,3 @@ def _kernel_from_echelon(echelon: list[SparseRow], pivots: list[int], ncols: int
                 v[p] = -s / row[p]
         basis.append(tuple(v))
     return basis
-
-
-def rational_kernel(m: RatMatrix) -> list[Vector]:
-    """Basis of the right kernel { v : m @ v = 0 }, echelon-normalized."""
-    return integer_row_kernel((clear_denominators(row) for row in _rows(m)), m.cols)
-
-
-def stack_and_common_kernel(ms: Sequence[RatMatrix]) -> list[Vector]:
-    """Basis of the intersection of the kernels, via the vertical stack."""
-    if not ms:
-        raise ValueError("need at least one matrix")
-    ncols = ms[0].cols
-    for m in ms:
-        if m.cols != ncols:
-            raise ValueError("matrices must share the same column count")
-    return integer_row_kernel((clear_denominators(row) for m in ms for row in _rows(m)), ncols)

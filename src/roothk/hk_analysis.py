@@ -30,8 +30,9 @@ from .weyl import GroupCap, WeylGroup, generate_group, group_order_formula, iter
 
 # Cost ceiling for analyze, whose generator-only work grows a little faster
 # than rank^4: the invariant two-form system on the doubled span has
-# rank(2 rank - 1) unknowns.  `analyze A 24` takes about 7 s and 310 MB on one
-# core of a 2-core Xeon, `analyze A 28` about twice both.
+# rank(2 rank - 1) unknowns.  On a 2-core Xeon, `analyze A 24 --lattice dual`
+# takes about 0.35 s and 32 MB, interpreter start included; A 28, run through
+# the API with the ceiling lifted, about 0.5 s and 33 MB.
 GENERATOR_ONLY_MAX_RANK = 24
 
 # Bounds on the brute-force grid (2n int64 words a point) and on the freeness

@@ -7,14 +7,15 @@ common kernel of (image - identity) over the generators alone, so no group
 enumeration is ever required; Reynolds averaging over an exhaustive group is
 kept as an independent cross-check for small groups.
 
-Weyl matrices in the simple-root basis are integral, and so are their
-doubles, symmetric and alternating squares: those images are ``IntMatrix``
-and only non-integral explicit input is carried as ``RatMatrix``.  A simple
-reflection differs from the identity in one row, so the constructions
-compute only the image rows that move, each from the nonzero entries of the
-rows it depends on, and every linear system here (fixed points, commutant,
-invariant forms) is assembled from the moved rows alone, as sparse
-``{col: value}`` integer rows for one exact echelon kernel.
+A simple reflection differs from the identity in one row, so a generator
+image is held as its moved rows only, ``{row: {col: value}}``; dense input
+is converted once, at ``rep_reflection`` and ``rep_explicit``.  The double,
+symmetric and alternating squares compute only the rows that move, each from
+the entries of the rows it depends on, and every linear system here (fixed
+points, commutant, invariant forms) is assembled from the moved rows alone,
+as sparse ``{col: value}`` integer rows for one exact echelon kernel.  Weyl
+matrices in the simple-root basis are integral, so their values are ``int``;
+only non-integral explicit input carries ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 
 import numpy as np
 
@@ -43,6 +43,8 @@ from .weyl import WeylGroup
 _REYNOLDS_CHUNK = 50_000
 
 Matrix = IntMatrix | RatMatrix
+# Rows that differ from the identity, as {row: {col: value}}.
+Image = dict[int, dict[int, int | Fraction]]
 
 
 @lru_cache(maxsize=None)
@@ -61,9 +63,11 @@ def pairs_weak(n: int) -> tuple[tuple[int, int], ...]:
 class Representation:
     """A finite-dimensional rational representation given on the generators.
 
-    Integral generator images are ``IntMatrix`` (every construction from a
-    Weyl group's reflection representation is); ``RatMatrix`` appears only
-    for non-integral explicitly supplied images.
+    A generator image is held as ``{row: {col: value}}`` over the rows that
+    differ from the identity; every other row is the identity row, and a
+    held row may happen to equal it.  Values are ``int`` (every construction
+    from a Weyl group's reflection representation is integral), or
+    ``Fraction`` for non-integral explicitly supplied images.
 
     ``chain`` records how the representation was built from the defining
     (reflection) representation, e.g. ("wedge2", ("double", ("defining",))).
@@ -72,201 +76,61 @@ class Representation:
     """
 
     dim: int
-    generator_images: tuple[Matrix, ...]
+    generator_images: tuple[Image, ...]
     label: str
     chain: tuple
 
     def __post_init__(self):
         for g in self.generator_images:
-            if g.rows != self.dim or g.cols != self.dim:
-                raise ValueError("generator image has wrong dimensions")
+            for k, row in g.items():
+                if not (0 <= k < self.dim and all(0 <= c < self.dim for c in row)):
+                    raise ValueError("generator image has an index out of range")
+
+
+def _image(m: Matrix) -> Image:
+    """The rows of a square matrix that differ from the identity, as {col: value}."""
+    n = m.cols
+    image = {}
+    for k in range(m.rows):
+        row = m.data[k * n : (k + 1) * n]
+        if row[k] != 1 or row.count(0) != n - 1:
+            image[k] = {c: x for c, x in enumerate(row) if x}
+    return image
 
 
 def rep_reflection(datum: RootDatum) -> Representation:
     """The rank-dimensional reflection representation, with integer images."""
     return Representation(
         dim=datum.rank,
-        generator_images=simple_reflections(datum),
+        generator_images=tuple(_image(s) for s in simple_reflections(datum)),
         label=f"V({datum.label})",
         chain=("defining",),
     )
 
 
 def rep_explicit(generator_images: tuple[Matrix, ...], label: str) -> Representation:
-    """Representation from given generator images; integral ones become ``IntMatrix``."""
+    """Representation from given square generator images; integral ones get ``int`` values."""
+    dim = generator_images[0].rows if generator_images else 0
+    if any(g.rows != dim or g.cols != dim for g in generator_images):
+        raise ValueError("generator images must be square of one size")
     images = tuple(
-        g.to_int() if isinstance(g, RatMatrix) and g.is_integral() else g for g in generator_images
+        _image(g.to_int() if isinstance(g, RatMatrix) and g.is_integral() else g)
+        for g in generator_images
     )
-    dim = images[0].rows if images else 0
     return Representation(dim=dim, generator_images=images, label=label, chain=("explicit",))
 
 
 def rep_trivial(n_generators: int, dim: int = 1) -> Representation:
     """Trivial action: every element acts as the identity."""
-    ident = IntMatrix.identity(dim)
     return Representation(
         dim=dim,
-        generator_images=(ident,) * n_generators,
+        generator_images=({},) * n_generators,
         label=f"triv^{dim}",
         chain=("trivial", dim),
     )
 
 
 # --- row-sparse constructions ------------------------------------------------
-
-
-def _moved_rows(g: Matrix) -> list[tuple[int, tuple]]:
-    """(k, row k) for every row of g that differs from the identity row."""
-    d = g.cols
-    data = g.data
-    moved = []
-    for k in range(g.rows):
-        row = data[k * d : (k + 1) * d]
-        if row[k] != 1 or row.count(0) != d - 1:
-            moved.append((k, row))
-    return moved
-
-
-def _zero(m: Matrix) -> int | Fraction:
-    return 0 if isinstance(m, IntMatrix) else Fraction(0)
-
-
-def _identity_except(like: Matrix, d: int, rows: list[tuple[int, tuple | list]]) -> Matrix:
-    """The d x d identity, of the same matrix type as ``like``, with the given
-    rows replaced.  Entries are exact values of that type already, so the
-    flat data is assembled without per-entry coercion."""
-    zero = _zero(like)
-    one = zero + 1
-    data = [zero] * (d * d)
-    data[:: d + 1] = [one] * d
-    for k, row in rows:
-        data[k * d : (k + 1) * d] = row
-    return type(like).from_flat_unchecked(d, d, tuple(data))
-
-
-def _double_matrix(m: Matrix) -> Matrix:
-    """Block-diagonal diag(m, m); row i moves in both copies iff row i of m moves."""
-    n = m.rows
-    pad = (_zero(m),) * n
-    rows = []
-    for i, r in _moved_rows(m):
-        rows.append((i, r + pad))
-        rows.append((i + n, pad + r))
-    return _identity_except(m, 2 * n, rows)
-
-
-def _nonzero_entries(m: Matrix) -> list[list[tuple[int, int | Fraction]]]:
-    """Per row of m, its nonzero entries as (column, value)."""
-    return [[(a, x) for a, x in enumerate(m.row(i)) if x] for i in range(m.rows)]
-
-
-def _sym2_matrix(m: Matrix) -> Matrix:
-    """Induced action on degree-two monomials, basis x_i x_j with i <= j.
-
-    Row (k, l) is an identity row unless row k or row l of m moves; a moved
-    row has entry a_k[i] a_l[j] + a_l[i] a_k[j] at (i, j) (a_k[i] a_k[j] when
-    k == l), built from the nonzero entries of rows k and l alone.
-    """
-    n = m.rows
-    moved = {k for k, _ in _moved_rows(m)}
-    pw = pairs_weak(n)
-    zero = _zero(m)
-    nz = _nonzero_entries(m)
-
-    def col(i, j):
-        # Position of (i, j), i <= j, in pairs_weak(n).
-        return i * n - i * (i - 1) // 2 + j - i
-
-    rows = []
-    for r, (k, l) in enumerate(pw):
-        if k in moved or l in moved:
-            ak, al = nz[k], nz[l]
-            row = [zero] * len(pw)
-            if k == l:
-                for t, (a, x) in enumerate(ak):
-                    for b, y in ak[t:]:
-                        row[col(a, b)] = x * y
-            else:
-                for a, x in ak:
-                    for b, y in al:
-                        if a == b:
-                            row[col(a, a)] += 2 * x * y
-                        else:
-                            row[col(min(a, b), max(a, b))] += x * y
-            rows.append((r, row))
-    return _identity_except(m, len(pw), rows)
-
-
-def _wedge2_matrix(m: Matrix) -> Matrix:
-    """Induced action on elementary alternating tensors, basis e_i ^ e_j, i < j.
-
-    Row (k, l) is an identity row unless row k or row l of m moves; a moved
-    row has entry a_k[i] a_l[j] - a_l[i] a_k[j] at (i, j), built from the
-    nonzero entries of rows k and l alone.
-    """
-    n = m.rows
-    moved = {k for k, _ in _moved_rows(m)}
-    ps = pairs_strict(n)
-    zero = _zero(m)
-    nz = _nonzero_entries(m)
-
-    def col(i, j):
-        # Position of (i, j), i < j, in pairs_strict(n).
-        return i * n - i * (i + 1) // 2 + j - i - 1
-
-    rows = []
-    for r, (k, l) in enumerate(ps):
-        if k in moved or l in moved:
-            ak, al = nz[k], nz[l]
-            row = [zero] * len(ps)
-            for a, x in ak:
-                for b, y in al:
-                    if a < b:
-                        row[col(a, b)] += x * y
-                    elif a > b:
-                        row[col(b, a)] -= x * y
-            rows.append((r, row))
-    return _identity_except(m, len(ps), rows)
-
-
-def rep_double(rep: Representation) -> Representation:
-    """Block-diagonal doubling: two copies of the input side by side."""
-    return Representation(
-        dim=2 * rep.dim,
-        generator_images=tuple(_double_matrix(g) for g in rep.generator_images),
-        label=f"({rep.label})^2",
-        chain=("double", rep.chain),
-    )
-
-
-def rep_sym2(rep: Representation) -> Representation:
-    """Symmetric square, dimension n(n+1)/2."""
-    return Representation(
-        dim=rep.dim * (rep.dim + 1) // 2,
-        generator_images=tuple(_sym2_matrix(g) for g in rep.generator_images),
-        label=f"Sym2({rep.label})",
-        chain=("sym2", rep.chain),
-    )
-
-
-def rep_wedge2(rep: Representation) -> Representation:
-    """Alternating square, dimension n(n-1)/2."""
-    return Representation(
-        dim=rep.dim * (rep.dim - 1) // 2,
-        generator_images=tuple(_wedge2_matrix(g) for g in rep.generator_images),
-        label=f"Wedge2({rep.label})",
-        chain=("wedge2", rep.chain),
-    )
-
-
-# --- generator-only linear systems ---------------------------------------------
-
-
-def _integer_rows(g: Matrix, rows: list[dict]) -> list[SparseRow]:
-    """Sparse rows built from the entries of g, with denominators cleared per row."""
-    if isinstance(g, IntMatrix):
-        return rows
-    return [dict(zip(row, clear_denominators(list(row.values())))) for row in rows]
 
 
 def _add(row: dict, col: int, x) -> None:
@@ -278,16 +142,133 @@ def _add(row: dict, col: int, x) -> None:
         row.pop(col, None)
 
 
+def _double_matrix(g: Image, n: int) -> Image:
+    """Block-diagonal diag(g, g); row i moves in both copies iff row i of g moves."""
+    image = {k: dict(row) for k, row in g.items()}
+    image.update((k + n, {c + n: x for c, x in row.items()}) for k, row in g.items())
+    return image
+
+
+def _sym2_matrix(g: Image, n: int) -> Image:
+    """Induced action on degree-two monomials, basis x_i x_j with i <= j.
+
+    Row (k, l) moves only if row k or row l of g moves; it has entry
+    a_k[i] a_l[j] + a_l[i] a_k[j] at (i, j) (a_k[i] a_k[j] when k == l),
+    built from the entries of rows k and l alone.
+    """
+
+    def col(i, j):
+        # Position of (i, j), i <= j, in pairs_weak(n).
+        return i * n - i * (i - 1) // 2 + j - i
+
+    image = {}
+    for r, (k, l) in enumerate(pairs_weak(n)):
+        if k in g or l in g:
+            ak = list(g.get(k, {k: 1}).items())
+            row = {}
+            if k == l:
+                for t, (a, x) in enumerate(ak):
+                    for b, y in ak[t:]:
+                        row[col(min(a, b), max(a, b))] = x * y
+            else:
+                for a, x in ak:
+                    for b, y in g.get(l, {l: 1}).items():
+                        if a == b:
+                            _add(row, col(a, a), 2 * x * y)
+                        else:
+                            _add(row, col(min(a, b), max(a, b)), x * y)
+            image[r] = row
+    return image
+
+
+def _wedge2_matrix(g: Image, n: int) -> Image:
+    """Induced action on elementary alternating tensors, basis e_i ^ e_j, i < j.
+
+    Row (k, l) moves only if row k or row l of g moves; it has entry
+    a_k[i] a_l[j] - a_l[i] a_k[j] at (i, j), built from the entries of rows k
+    and l alone.
+    """
+
+    def col(i, j):
+        # Position of (i, j), i < j, in pairs_strict(n).
+        return i * n - i * (i + 1) // 2 + j - i - 1
+
+    image = {}
+    for r, (k, l) in enumerate(pairs_strict(n)):
+        if k in g or l in g:
+            row = {}
+            for a, x in g.get(k, {k: 1}).items():
+                for b, y in g.get(l, {l: 1}).items():
+                    if a < b:
+                        _add(row, col(a, b), x * y)
+                    elif a > b:
+                        _add(row, col(b, a), -x * y)
+            image[r] = row
+    return image
+
+
+def rep_double(rep: Representation) -> Representation:
+    """Block-diagonal doubling: two copies of the input side by side."""
+    return Representation(
+        dim=2 * rep.dim,
+        generator_images=tuple(_double_matrix(g, rep.dim) for g in rep.generator_images),
+        label=f"({rep.label})^2",
+        chain=("double", rep.chain),
+    )
+
+
+def rep_sym2(rep: Representation) -> Representation:
+    """Symmetric square, dimension n(n+1)/2."""
+    return Representation(
+        dim=rep.dim * (rep.dim + 1) // 2,
+        generator_images=tuple(_sym2_matrix(g, rep.dim) for g in rep.generator_images),
+        label=f"Sym2({rep.label})",
+        chain=("sym2", rep.chain),
+    )
+
+
+def rep_wedge2(rep: Representation) -> Representation:
+    """Alternating square, dimension n(n-1)/2."""
+    return Representation(
+        dim=rep.dim * (rep.dim - 1) // 2,
+        generator_images=tuple(_wedge2_matrix(g, rep.dim) for g in rep.generator_images),
+        label=f"Wedge2({rep.label})",
+        chain=("wedge2", rep.chain),
+    )
+
+
+# --- generator-only linear systems ---------------------------------------------
+
+
+def _integer_rows(rows: list[dict]) -> list[SparseRow]:
+    """The sparse rows with denominators cleared per row (integer rows stay)."""
+    return [dict(zip(row, clear_denominators(list(row.values())))) for row in rows]
+
+
+def _columns(g: Image, n: int) -> list[dict]:
+    """Every column of g as {row: value}.
+
+    Column j has an entry at each moved row that is nonzero there, plus the
+    identity's 1 at row j when row j does not move; a column whose row moved
+    and which no moved row touches is zero.
+    """
+    cols = [{} if j in g else {j: 1} for j in range(n)]
+    for k, row in g.items():
+        for j, x in row.items():
+            cols[j][k] = x
+    return cols
+
+
 def _fixed_point_rows(rep: Representation) -> list[SparseRow]:
-    """The nonzero rows of (g - 1) over all generators g, as {col: value}."""
+    """The moved rows of (g - 1) over all generators g, as {col: value}."""
     out = []
     for g in rep.generator_images:
         rows = []
-        for k, row in _moved_rows(g):
-            row = {c: row[c] for c in compress(range(g.cols), row)}
+        for k, row in g.items():
+            row = dict(row)
             _add(row, k, -1)
             rows.append(row)
-        out.extend(_integer_rows(g, rows))
+        out.extend(_integer_rows(rows))
     return out
 
 
@@ -530,21 +511,19 @@ def _commutant_rows(rep: Representation) -> list[SparseRow]:
     n = rep.dim
     rows = []
     for g in rep.generator_images:
-        gt = g.transpose()
-        g_rows, g_cols = _nonzero_entries(g), _nonzero_entries(gt)
-        moved_rows = {k for k, _ in _moved_rows(g)}
-        moved_cols = {k for k, _ in _moved_rows(gt)}
+        cols = _columns(g, n)
+        moved_cols = sorted(j for j, col in enumerate(cols) if col != {j: 1})
         eqs = []
         for i in range(n):
-            for j in range(n):
-                if i in moved_rows or j in moved_cols:
-                    row = {}
-                    for a, x in g_rows[i]:
-                        _add(row, a * n + j, x)
-                    for b, x in g_cols[j]:
-                        _add(row, i * n + b, -x)
-                    eqs.append(row)
-        rows.extend(_integer_rows(g, eqs))
+            g_row = g.get(i, {i: 1})
+            for j in range(n) if i in g else moved_cols:
+                row = {}
+                for a, x in g_row.items():
+                    _add(row, a * n + j, x)
+                for b, x in cols[j].items():
+                    _add(row, i * n + b, -x)
+                eqs.append(row)
+        rows.extend(_integer_rows(eqs))
     return rows
 
 
@@ -562,6 +541,31 @@ def irreducibility_check(rep: Representation) -> bool:
     return commutant_dimension(rep) == 1
 
 
+def _form_rows(rep: Representation) -> list[SparseRow]:
+    """The equations g^T B g = B over all generators g, on B flattened row-major.
+
+    Entry (i, j) of g^T B g - B is sum_{p,q} g[p, i] g[q, j] B[p, q] - B[i, j],
+    identically zero unless column i or column j of g moves.
+    """
+    n = rep.dim
+    rows = []
+    for g in rep.generator_images:
+        cols = _columns(g, n)
+        moved_cols = {j for j, col in enumerate(cols) if col != {j: 1}}
+        eqs = []
+        for i in range(n):
+            for j in range(n):
+                if i in moved_cols or j in moved_cols:
+                    row = {}
+                    for p, x in cols[i].items():
+                        for q, y in cols[j].items():
+                            _add(row, p * n + q, x * y)
+                    _add(row, i * n + j, -1)
+                    eqs.append(row)
+        rows.extend(_integer_rows(eqs))
+    return rows
+
+
 def invariant_bilinear_form(rep: Representation) -> RatMatrix:
     """The group-invariant bilinear form, as a primitive integer matrix.
 
@@ -573,25 +577,7 @@ def invariant_bilinear_form(rep: Representation) -> RatMatrix:
     n = rep.dim
     if n == 0:
         raise FormSpaceError(0)
-    rows = []
-    for g in rep.generator_images:
-        gt = g.transpose()
-        g_cols = _nonzero_entries(gt)
-        moved_cols = {k for k, _ in _moved_rows(gt)}
-        eqs = []
-        # Entry (i, j) of g^T B g - B is sum_{p,q} g[p, i] g[q, j] B[p, q] - B[i, j],
-        # identically zero unless column i or column j of g moves.
-        for i in range(n):
-            for j in range(n):
-                if i in moved_cols or j in moved_cols:
-                    row = {}
-                    for p, x in g_cols[i]:
-                        for q, y in g_cols[j]:
-                            _add(row, p * n + q, x * y)
-                    _add(row, i * n + j, -1)
-                    eqs.append(row)
-        rows.extend(_integer_rows(g, eqs))
-    basis = integer_row_kernel(rows, n * n)
+    basis = integer_row_kernel(_form_rows(rep), n * n)
     if len(basis) != 1:
         raise FormSpaceError(len(basis))
     vec = basis[0]

@@ -10,7 +10,7 @@ discriminant group, which is a finite, exactly decidable condition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 
@@ -42,7 +42,7 @@ def _as_lattice_gram(m: RatMatrix):
 
 def _divided(m: IntMatrix, d: int) -> RatMatrix:
     """The rational matrix m / d, entry by entry."""
-    return RatMatrix.from_flat_unchecked(m.rows, m.cols, tuple(Fraction(x, d) for x in m.data))
+    return RatMatrix(m.rows, m.cols, (Fraction(x, d) for x in m.data))
 
 
 def dual_index(datum: RootDatum) -> int:
@@ -383,16 +383,7 @@ def invariant_intermediate_lattices(
         lat = _lattice_from_subgroup(datum, disc, s, "", gram_adjugate)
         label = _recognize_label(datum, disc.order, s, lat.gram, datum.rank, labels)
         labels.append(label)
-        lattices.append(
-            IntermediateLattice(
-                label=label,
-                subgroup_generators=lat.subgroup_generators,
-                subgroup_order=lat.subgroup_order,
-                index_over_root=lat.index_over_root,
-                basis=lat.basis,
-                gram=lat.gram,
-            )
-        )
+        lattices.append(replace(lat, label=label))
 
     classes, flagged = classify_up_to_rescaling(lattices)
     return TowerReport(
@@ -599,15 +590,10 @@ def lattice_isometric(
         by_norm.setdefault(norm, []).extend((vec, tuple(-v for v in vec)))
     for norm in list(by_norm):
         by_norm[norm].sort()
-    # Vector counts by norm must agree (counting both signs).
-    cands1 = short_vectors(r1, max_norm)
-    hist1: dict[Fraction, int] = {}
-    for _, norm in cands1:
-        hist1[norm] = hist1.get(norm, 0) + 2
-    hist2: dict[Fraction, int] = {norm: len(v) for norm, v in by_norm.items()}
-    for norm in set(hist1) | set(hist2):
-        if hist1.get(norm, 0) != hist2.get(norm, 0):
-            return False
+    # Integer forms have integer norms and the counts below max_norm already
+    # agree, so equal totals at max_norm mean equal counts at every norm.
+    if len(short_vectors(r1, max_norm)) != len(cands):
+        return False
 
     g2_arr = np.array(g2.to_rows(), dtype=np.int64)
     cand_arrays: dict[Fraction, np.ndarray] = {

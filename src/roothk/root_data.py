@@ -273,7 +273,7 @@ def simple_reflection(datum: RootDatum, i: int) -> IntMatrix:
     data = [0] * (n * n)
     data[:: n + 1] = [1] * n
     data[(i - 1) * n : i * n] = [int(c == i - 1) - datum.cartan[c, i - 1] for c in range(n)]
-    m = IntMatrix.from_flat_unchecked(n, n, tuple(data))
+    m = IntMatrix(n, n, data)
     datum._reflection_cache[i] = m
     return m
 

@@ -225,11 +225,13 @@ def test_report_stdout_pinned(capsys, monkeypatch, fmt):
 
 # sha256 of the JSON stdout of the generator-only commands (invariant
 # dimensions, commutant and form from the simple reflections alone), derived
-# from the commit before their linear systems became sparse.
+# from the commit before their linear systems became sparse (A 24: before the
+# generator images held their moved rows only).
 GENERATOR_ONLY_SHA256 = {
     ("analyze", "A", "12", "--lattice", "dual"): "dae61270056c9af47e5027ba77f804e0bf5f4800fb3a9ad789108c6a128e111f",
     ("analyze", "A", "14", "--lattice", "dual"): "4639eeec268242850a70e452b8772b9e0268d7e71dd0da89412e77cd8fa4fa24",
     ("analyze", "A", "16", "--lattice", "dual"): "3f4cf84858a7ea4b2c2b87e2739bceee550bcb902f51b49e140c7069c3cef7ce",
+    ("analyze", "A", "24", "--lattice", "dual"): "44dd5fd7aa53122c3518ea285f43def54d3fce7f4f52a2cbc527922a327ab664",
     ("lemma-check",): "30aebacf7219c4e19e09dae6f22f85f83e7f4dc3f9910bf087bb1fefbaae9d6d",
 }
 

@@ -9,12 +9,11 @@ from roothk.exact_linalg import (
     RatMatrix,
     _int_echelon,
     hermite_normal_form,
+    clear_denominators,
     integer_rank,
     integer_row_kernel,
-    rational_kernel,
-    rational_rank,
+    integer_row_rank,
     smith_normal_form,
-    stack_and_common_kernel,
 )
 from roothk.invariant_theory import (
     _commutant_rows,
@@ -100,18 +99,18 @@ def test_hnf_random_properties(seed):
 
 
 def test_kernel_zero_matrix():
-    basis = rational_kernel(RatMatrix.zeros(2, 2))
+    basis = integer_row_kernel([[0, 0], [0, 0]], 2)
     assert len(basis) == 2
     assert basis[0] == (Fraction(1), Fraction(0))
     assert basis[1] == (Fraction(0), Fraction(1))
 
 
 def test_kernel_identity_empty():
-    assert rational_kernel(RatMatrix.identity(3)) == []
+    assert integer_row_kernel(IntMatrix.identity(3).to_rows(), 3) == []
 
 
 def test_kernel_rank_one_row():
-    basis = rational_kernel(RatMatrix.from_rows([[1, 1]]))
+    basis = integer_row_kernel([[1, 1]], 2)
     assert len(basis) == 1
     v = basis[0]
     assert v[0] + v[1] == 0 and v != (0, 0)
@@ -125,8 +124,9 @@ def test_kernel_annihilates_and_rank_nullity(seed):
     m = RatMatrix(
         rows, cols, (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rows * cols))
     )
-    basis = rational_kernel(m)
-    assert len(basis) == cols - rational_rank(m)
+    cleared = [clear_denominators(m.row(i)) for i in range(rows)]
+    basis = integer_row_kernel(cleared, cols)
+    assert len(basis) == cols - integer_row_rank(cleared)
     for v in basis:
         image = [sum((a * b for a, b in zip(m.row(i), v)), Fraction(0)) for i in range(rows)]
         assert all(x == 0 for x in image)
@@ -138,24 +138,22 @@ def test_kernel_annihilates_and_rank_nullity(seed):
             assert v[f] == (1 if i == j else 0)
 
 
+# Common kernels of several matrices: the kernel of their concatenated rows.
+
+
 def test_common_kernel_identity_is_empty():
-    assert stack_and_common_kernel([RatMatrix.identity(2)]) == []
+    assert integer_row_kernel(IntMatrix.identity(2).to_rows(), 2) == []
 
 
 def test_common_kernel_of_zeros_is_full():
-    basis = stack_and_common_kernel([RatMatrix.zeros(1, 3), RatMatrix.zeros(2, 3)])
+    basis = integer_row_kernel(IntMatrix.zeros(1, 3).to_rows() + IntMatrix.zeros(2, 3).to_rows(), 3)
     assert len(basis) == 3
 
 
 def test_common_kernel_complementary_projections():
-    m1 = RatMatrix.from_rows([[1, 0], [0, 0]])
-    m2 = RatMatrix.from_rows([[0, 0], [0, 1]])
-    assert stack_and_common_kernel([m1, m2]) == []
-
-
-def test_common_kernel_rejects_mismatched_columns():
-    with pytest.raises(ValueError):
-        stack_and_common_kernel([RatMatrix.zeros(1, 2), RatMatrix.zeros(1, 3)])
+    m1 = IntMatrix.from_rows([[1, 0], [0, 0]])
+    m2 = IntMatrix.from_rows([[0, 0], [0, 1]])
+    assert integer_row_kernel(m1.to_rows() + m2.to_rows(), 2) == []
 
 
 def test_det_and_rank():

@@ -1,12 +1,23 @@
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from roothk.errors import FormSpaceError, NotExhaustiveError
-from roothk.exact_linalg import IntMatrix, RatMatrix
+from roothk.exact_linalg import (
+    IntMatrix,
+    RatMatrix,
+    clear_denominators,
+    integer_row_kernel,
+    integer_row_rank,
+)
 from roothk.invariant_theory import (
     Representation,
+    _form_rows,
+    _image,
+    _sym2_matrix,
     batch_images,
     commutant_dimension,
     decomposition_check,
@@ -30,11 +41,21 @@ def _datum(family, rank):
     return build_root_datum(RootSystemSpec(family, rank))
 
 
+def _dense(image, dim):
+    # The dim x dim matrix of a moved-rows image: IntMatrix, or RatMatrix
+    # when any value is a Fraction.
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for k, row in image.items():
+        rows[k] = [row.get(j, 0) for j in range(dim)]
+    rational = any(isinstance(x, Fraction) for row in image.values() for x in row.values())
+    return (RatMatrix if rational else IntMatrix)(dim, dim, (x for row in rows for x in row))
+
+
 def test_reflection_rep_dims():
     assert rep_reflection(_datum("A", 1)).dim == 1
     assert rep_reflection(_datum("A", 2)).dim == 2
     assert rep_reflection(_datum("E", 8)).dim == 8
-    assert rep_reflection(_datum("A", 1)).generator_images[0] == IntMatrix.from_rows([[-1]])
+    assert _dense(rep_reflection(_datum("A", 1)).generator_images[0], 1) == IntMatrix.from_rows([[-1]])
 
 
 def test_double_blocks_and_involution():
@@ -43,6 +64,7 @@ def test_double_blocks_and_involution():
     assert d.dim == 4
     ident = IntMatrix.identity(4)
     for g, base in zip(d.generator_images, v.generator_images):
+        g, base = _dense(g, 4), _dense(base, 2)
         assert g @ g == ident
         for i in range(2):
             for j in range(2):
@@ -67,6 +89,7 @@ def test_sym2_preserves_induced_form():
     s = rep_sym2(v)
     ident = IntMatrix.identity(3)
     for g in s.generator_images:
+        g = _dense(g, 3)
         assert g @ g == ident
 
 
@@ -79,6 +102,15 @@ def test_invariant_dims_small(family, rank, sym2, wedge2, doubled):
     assert invariant_dim(rep_sym2(v)) == sym2
     assert invariant_dim(rep_wedge2(v)) == wedge2
     assert invariant_dim(rep_wedge2(rep_double(v))) == doubled
+
+
+def test_images_must_fit_the_dimension():
+    with pytest.raises(ValueError):
+        rep_explicit((RatMatrix.zeros(2, 3),), "not square")
+    with pytest.raises(ValueError):
+        rep_explicit((RatMatrix.identity(2), RatMatrix.identity(3)), "two sizes")
+    with pytest.raises(ValueError):
+        Representation(dim=2, generator_images=({0: {2: 1}},), label="column 2", chain=("explicit",))
 
 
 def test_invariant_dim_trivial_rep():
@@ -102,12 +134,10 @@ def test_reynolds_explicit_average_a2(groups):
     assert invariant_dim_reynolds(s2, group) == 1
     total = reynolds_sum(s2, group)
     # Cross-check the fast assembly against an explicit sum over elements.
-    from roothk.invariant_theory import _sym2_matrix
-
-    direct = RatMatrix.zeros(3, 3)
+    direct = IntMatrix.zeros(3, 3)
     for w in element_iter(group):
-        direct = direct + _sym2_matrix(w.to_rat())
-    assert direct == total.to_rat()
+        direct = direct + _dense(_sym2_matrix(_image(w), 2), 3)
+    assert direct == total
 
 
 def test_reynolds_trivial_rep_average(groups):
@@ -147,8 +177,7 @@ def test_batch_images_match_generator_images(groups):
         gens = np.array([g.to_rows() for g in group.generators], dtype=np.int8)
         imgs = batch_images(rep, gens)
         for idx, g in enumerate(rep.generator_images):
-            expected = np.array([[int(g[i, j]) for j in range(rep.dim)] for i in range(rep.dim)])
-            assert (imgs[idx] == expected).all()
+            assert imgs[idx].tolist() == _dense(g, rep.dim).to_rows()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -159,13 +188,15 @@ def test_square_images_match_batch_formula(seed):
     n = int(rng.integers(2, 6))
     m = rng.choice([0, 0, -2, -1, 1, 3], size=(n, n))
     g = IntMatrix.from_rows(m.tolist())
-    base = Representation(dim=n, generator_images=(g,), label="m", chain=("defining",))
+    base = Representation(dim=n, generator_images=(_image(g),), label="m", chain=("defining",))
     rational = rep_explicit((g.to_rat().scale(Fraction(1, 2)),), "m/2")
     for build in (rep_sym2, rep_wedge2):
-        image = build(base).generator_images[0]
-        assert image.to_rows() == batch_images(build(base), m[None])[0].tolist()
+        rep = build(base)
+        image = _dense(rep.generator_images[0], rep.dim)
+        assert image.to_rows() == batch_images(rep, m[None])[0].tolist()
         # The same rows over the rationals: Sym2 and Wedge2 are quadratic.
-        assert build(rational).generator_images[0] == image.to_rat().scale(Fraction(1, 4))
+        halved = _dense(build(rational).generator_images[0], rep.dim)
+        assert halved.to_rows() == image.to_rat().scale(Fraction(1, 4)).to_rows()
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("G", 2), ("D", 4)])
@@ -270,14 +301,18 @@ def _conjugated(v):
         [[Fraction(1, i + j + 2) if j > i else int(i == j) for j in range(n)] for i in range(n)]
     )
     p_inv = p.inverse()
-    return rep_explicit(tuple(p @ g.to_rat() @ p_inv for g in v.generator_images), f"P{v.label}P^-1"), p
+    images = tuple(p @ _dense(g, n).to_rat() @ p_inv for g in v.generator_images)
+    return rep_explicit(images, f"P{v.label}P^-1"), p
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
 def test_rational_conjugate_matches_integral(family, rank):
     v = rep_reflection(_datum(family, rank))
     w, p = _conjugated(v)
-    assert all(isinstance(g, RatMatrix) and not g.is_integral() for g in w.generator_images)
+    for g in w.generator_images:
+        values = [x for row in g.values() for x in row.values()]
+        assert all(isinstance(x, Fraction) for x in values)
+        assert any(x.denominator != 1 for x in values)
     for build in (rep_sym2, rep_wedge2, lambda r: rep_wedge2(rep_double(r))):
         assert invariant_dim(build(w)) == invariant_dim(build(v))
     assert commutant_dimension(w) == commutant_dimension(v) == 1
@@ -295,7 +330,7 @@ def test_commutant_of_one_reflection():
     # Eigenvalues -1, 1, ..., 1: the commutant is gl(1) + gl(rank - 1).  Both
     # halves of gX = Xg (moved rows and moved columns) are needed for this.
     for family, rank in [("A", 3), ("B", 3), ("G", 2)]:
-        s = rep_reflection(_datum(family, rank)).generator_images[0]
+        s = _dense(rep_reflection(_datum(family, rank)).generator_images[0], rank)
         assert commutant_dimension(rep_explicit((s,), "one reflection")) == 1 + (rank - 1) ** 2
         assert commutant_dimension(rep_explicit((s.transpose(),), "transposed")) == 1 + (rank - 1) ** 2
 
@@ -308,5 +343,108 @@ def test_commutant_of_four_copies():
 def test_integral_constructions_stay_integer():
     v = rep_reflection(_datum("A", 4))
     w2d = rep_wedge2(rep_double(v))
-    assert all(isinstance(g, IntMatrix) for g in w2d.generator_images)
+    assert all(type(x) is int for g in w2d.generator_images for row in g.values() for x in row.values())
     assert invariant_dim(w2d) == 1
+
+
+def test_integral_images_hold_moved_rows_only():
+    # A reflection moves about 4 * rank of the rank(2 rank - 1) rows of its
+    # Wedge2(V + V) image; the dense A16 images took 31.5 MB.
+    v = rep_reflection(_datum("A", 16))
+    tracemalloc.start()
+    try:
+        w2d = rep_wedge2(rep_double(v))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w2d.dim == 496
+    assert held < 2_000_000
+
+
+# Dense reference systems: every equation (i, j), from the full matrices.
+
+
+def _dense_fixed_rows(mats):
+    n = mats[0].rows
+    return [[g[i, j] - (i == j) for j in range(n)] for g in mats for i in range(n)]
+
+
+def _dense_commutant_rows(mats):
+    # Entry (i, j) of gX - Xg, on X flattened row-major.
+    n = mats[0].rows
+    rows = []
+    for g in mats:
+        for i in range(n):
+            for j in range(n):
+                row = [0] * (n * n)
+                for a in range(n):
+                    row[a * n + j] += g[i, a]
+                for b in range(n):
+                    row[i * n + b] -= g[b, j]
+                rows.append(row)
+    return rows
+
+
+def _dense_form_rows(mats):
+    # Entry (i, j) of g^T B g - B, on B flattened row-major.
+    n = mats[0].rows
+    rows = []
+    for g in mats:
+        for i in range(n):
+            for j in range(n):
+                row = [0] * (n * n)
+                for p in range(n):
+                    for q in range(n):
+                        row[p * n + q] += g[p, i] * g[q, j]
+                row[i * n + j] -= 1
+                rows.append(row)
+    return rows
+
+
+def _cleared(rows):
+    return [clear_denominators(row) for row in rows]
+
+
+def _random_images(seed):
+    # Random generators over small values.  The first moves two rows: row 0
+    # only off its diagonal, into column 2, and row 1, whose column is zero.
+    rng = random.Random(900 + seed)
+    n = rng.randint(3, 5)
+    values = [0, 0, 0, 1, -1, 2, -3]
+    if seed % 2:
+        values += [Fraction(1, 2), Fraction(-2, 3)]
+    first = [[int(i == j) for j in range(n)] for i in range(n)]
+    first[0][2] = rng.choice([1, -1, 2, Fraction(1, 3)])
+    first[1] = [0] + [0] + [rng.choice(values) for _ in range(n - 2)]
+    mats = [first]
+    for _ in range(rng.randint(0, 2)):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for k in rng.sample(range(n), rng.randint(1, n)):
+            rows[k] = [rng.choice(values) for _ in range(n)]
+        mats.append(rows)
+    return [RatMatrix.from_rows(m) for m in mats]
+
+
+def _block_double(m):
+    n = m.rows
+    return RatMatrix.from_rows(
+        [[m[i % n, j % n] if i // n == j // n else 0 for j in range(2 * n)] for i in range(2 * n)]
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_systems_match_dense_reference(seed):
+    mats = _random_images(seed)
+    rep = rep_explicit(tuple(mats), "random")
+    first = rep.generator_images[0]
+    assert set(first) == {0, 1} and set(first[0]) == {0, 2} and first[0][0] == 1
+    assert not any(1 in row for row in first.values())
+    cases = [(rep, mats), (rep_explicit(tuple(mats[:1]), "first"), mats[:1])]
+    cases += [(rep_double(r), [_block_double(m) for m in ms]) for r, ms in cases]
+    for r, dense in cases:
+        n = r.dim
+        assert invariant_dim(r) == n - integer_row_rank(_cleared(_dense_fixed_rows(dense)))
+        assert commutant_dimension(r) == n * n - integer_row_rank(_cleared(_dense_commutant_rows(dense)))
+        assert integer_row_kernel(_form_rows(r), n * n) == integer_row_kernel(
+            _cleared(_dense_form_rows(dense)), n * n
+        )
