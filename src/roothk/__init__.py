@@ -26,7 +26,6 @@ from .exact_linalg import (
     smith_normal_form,
 )
 from .root_data import (
-    Lattice,
     RootDatum,
     RootSystemSpec,
     build_root_datum,
@@ -68,7 +67,6 @@ from .lattice_tower import (
     bc_tower,
     classify_up_to_rescaling,
     discriminant_group,
-    dual_lattice,
     induced_discriminant_action,
     invariant_intermediate_lattices,
 )

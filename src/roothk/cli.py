@@ -30,7 +30,7 @@ from .hk_analysis import (
     freeness_codim_check,
 )
 from .invariant_theory import invariant_report
-from .lattice_tower import bc_tower, invariant_intermediate_lattices
+from .lattice_tower import tower_for_spec
 from .root_data import (
     RootSystemSpec,
     build_root_datum,
@@ -189,22 +189,11 @@ def cmd_lemma_check(max_rank: int) -> ReportDocument:
     return doc
 
 
-def _tower_for(spec: RootSystemSpec, cap_elements: int = 10**6):
-    if spec.family in ("B", "C"):
-        if spec.rank < 3:
-            raise UsageError(
-                f"sublattice tower for {spec.label} needs the rank-{spec.rank} D lattice, "
-                "which requires rank >= 3"
-            )
-        return bc_tower(spec, cap_elements)
-    return invariant_intermediate_lattices(build_root_datum(spec), cap=cap_elements)
-
-
 def cmd_sublattices(family: str, rank: int) -> ReportDocument:
     spec = RootSystemSpec(family, rank)
     doc = ReportDocument(command={"command": "sublattices", "family": family, "rank": rank})
     try:
-        tower = _tower_for(spec)
+        tower = tower_for_spec(spec)
     except DiscriminantTooLargeError as exc:
         doc.add(f"sublattices/{spec.label}", "fail", {"reason": str(exc)})
         return doc
@@ -266,7 +255,7 @@ def cmd_report(suite: str, cap: GroupCap) -> ReportDocument:
 
     # Sublattice towers.
     for n in range(1, 9):
-        tower = _tower_for(RootSystemSpec("A", n))
+        tower = tower_for_spec(RootSystemSpec("A", n))
         divisors = sum(1 for d in range(1, n + 2) if (n + 1) % d == 0)
         doc.add(
             f"towers/A{n}",
@@ -274,14 +263,14 @@ def cmd_report(suite: str, cap: GroupCap) -> ReportDocument:
             {"lattices": len(tower.lattices), "expected": divisors},
         )
     for n in range(3, 8):
-        tower = _tower_for(RootSystemSpec("B", n))
+        tower = tower_for_spec(RootSystemSpec("B", n))
         expected = (f"D{n}", f"Z^{n}", f"D{n}*")
         doc.add(
             f"towers/B{n}:D{n}",
             "pass" if tower.labels == expected else "fail",
             {"labels": ",".join(tower.labels)},
         )
-    tower_e8 = _tower_for(RootSystemSpec("E", 8))
+    tower_e8 = tower_for_spec(RootSystemSpec("E", 8))
     doc.add(
         "towers/E8",
         "pass" if tower_e8.labels == ("E8",) else "fail",

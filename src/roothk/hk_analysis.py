@@ -24,7 +24,7 @@ from .invariant_theory import (
     rep_reflection,
     rep_wedge2,
 )
-from .lattice_tower import bc_tower, invariant_intermediate_lattices
+from .lattice_tower import tower_for_spec
 from .root_data import RootDatum, RootSystemSpec, build_root_datum
 from .weyl import GroupCap, WeylGroup, generate_group, group_order_formula, iter_levels
 
@@ -261,10 +261,7 @@ def _select_lattice_label(spec: RootSystemSpec, selector: str) -> str:
         return f"{spec.label}*"
     if selector.startswith("index:"):
         k = int(selector.split(":", 1)[1])
-        if spec.family in ("B", "C"):
-            report = bc_tower(spec)
-        else:
-            report = invariant_intermediate_lattices(build_root_datum(spec))
+        report = tower_for_spec(spec)
         if not 0 <= k < len(report.lattices):
             raise ValueError(
                 f"tower of {spec.label} has {len(report.lattices)} lattices; index {k} is out of range"

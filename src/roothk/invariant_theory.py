@@ -31,7 +31,6 @@ from .exact_linalg import (
     IntMatrix,
     RatMatrix,
     SparseRow,
-    Vector,
     clear_denominators,
     integer_rank,
     integer_row_kernel,
@@ -279,11 +278,6 @@ def invariant_dim(rep: Representation) -> int:
     which equals the full invariant subspace because the generators generate.
     """
     return rep.dim - integer_row_rank(_fixed_point_rows(rep))
-
-
-def invariant_subspace(rep: Representation) -> list[Vector]:
-    """Echelon-normalized basis of the invariant subspace."""
-    return integer_row_kernel(_fixed_point_rows(rep), rep.dim)
 
 
 # --- batch images over numpy element arrays (exact bounded integers) ---------

@@ -1,5 +1,5 @@
-"""Dual lattices, discriminant groups, and the towers of group-stable lattices
-between a root lattice and its dual.
+"""Discriminant groups and the towers of group-stable lattices between a root
+lattice and its dual.
 
 A lattice L with root lattice <= L <= dual lattice corresponds to a subgroup
 of the finite discriminant group (dual modulo root); L is stable under a group
@@ -17,37 +17,27 @@ from math import isqrt
 import numpy as np
 
 from .errors import DiscriminantTooLargeError, LatticeActionError
-from .exact_linalg import IntMatrix, RatMatrix, hermite_normal_form, smith_normal_form
+from .exact_linalg import (
+    IntMatrix,
+    RatMatrix,
+    clear_denominators,
+    hermite_normal_form,
+    smith_normal_form,
+)
 from .root_data import (
+    AmbientVector,
     RootDatum,
     RootSystemSpec,
-    ambient_matrix_in_root_basis,
+    ambient_to_root_basis,
     build_root_datum,
-    simple_reflections,
-    Lattice,
 )
 
 DEFAULT_DISC_CAP = 10**6
 
 
-def dual_lattice(datum: RootDatum) -> Lattice:
-    """The dual lattice, carried by the inverse Gram form in the dual basis."""
-    gram_inv = _divided(*datum.gram.adjugate())
-    return Lattice(rank=datum.rank, gram=_as_lattice_gram(gram_inv), label=f"{datum.label}*")
-
-
-def _as_lattice_gram(m: RatMatrix):
-    return m.to_int() if m.is_integral() else m
-
-
 def _divided(m: IntMatrix, d: int) -> RatMatrix:
     """The rational matrix m / d, entry by entry."""
     return RatMatrix(m.rows, m.cols, (Fraction(x, d) for x in m.data))
-
-
-def dual_index(datum: RootDatum) -> int:
-    """Index of the root lattice inside its dual: the Gram determinant."""
-    return datum.gram.det()
 
 
 @dataclass(frozen=True)
@@ -123,56 +113,36 @@ def discriminant_group(datum: RootDatum) -> DiscriminantGroup:
     )
 
 
-def _dual_action_matrix(
-    generator: IntMatrix, gram: IntMatrix, gram_adjugate: tuple[IntMatrix, int]
-) -> IntMatrix:
-    """Matrix of a lattice isometry on dual-basis coordinates.
-
-    For a root-basis matrix M preserving the lattice, the dual action is the
-    inverse transpose; it must be integral (the map preserves the dual
-    lattice; for an integer M, exactly when det M = +-1) and must map the
-    root-lattice rows into themselves (G^-1 N G integral, tested as
-    adj(G) N G = 0 modulo det G).  ``gram_adjugate`` is ``gram.adjugate()``.
-    """
-    inv_adj, inv_det = generator.adjugate()
-    if inv_det not in (1, -1):
-        raise LatticeActionError("generator does not preserve the dual lattice")
-    n_int = (inv_adj if inv_det == 1 else -inv_adj).transpose()
-    adj, det = gram_adjugate
-    if any(x % det for x in (adj @ n_int @ gram).data):
-        raise LatticeActionError("generator does not preserve the root lattice rows")
-    return n_int
-
-
 def induced_discriminant_action(
-    group_generators: tuple[IntMatrix, ...],
+    reflections: tuple[tuple[int, ...], ...],
     disc: DiscriminantGroup,
     gram: IntMatrix,
-    gram_adjugate: tuple[IntMatrix, int],
 ) -> tuple[dict[tuple[int, ...], tuple[int, ...]], ...]:
-    """Automorphism of the discriminant group induced by each generator.
+    """Automorphism of the discriminant group induced by each reflection.
 
-    Each map is returned as a dictionary on invariant-factor coordinate
-    tuples.  ``gram_adjugate`` is ``gram.adjugate()``, computed once by the
-    caller.  Raises :class:`LatticeActionError` if a generator fails to
-    preserve the lattice pair.
+    Each reflection is given by an integer root-basis vector b of its root
+    beta.  In dual-basis coordinates (x, beta) = x.b, beta is v = G b and
+    (beta, beta) = N = b.v, so s_beta(x) = x - (2 x.b / N) v.  That is integral
+    on every dual vector exactly when N divides every 2 b_j v_k, checked once
+    per reflection; otherwise :class:`LatticeActionError` is raised.  An
+    isometric involution that preserves the dual lattice also preserves its
+    dual, the root lattice, so each induced map is an automorphism of the
+    discriminant group.  Each map is returned as a dictionary on
+    invariant-factor coordinate tuples.
     """
     elements = disc.elements()
+    n = gram.rows
     maps = []
-    for g in group_generators:
-        action = _dual_action_matrix(g, gram, gram_adjugate)
-        n = action.rows
+    for b in reflections:
+        v = [sum(gram[k, j] * b[j] for j in range(n)) for k in range(n)]
+        norm = sum(x * y for x, y in zip(b, v))
+        if any(2 * bj * vk % norm for bj in b for vk in v):
+            raise LatticeActionError(f"reflection in {tuple(b)} does not preserve the dual lattice")
         table = {}
         for a in elements:
             x = disc.lift(a)
-            y = tuple(sum(action[i, j] * x[j] for j in range(n)) for i in range(n))
-            table[a] = disc.reduce(y)
-        if sorted(table.values()) != sorted(elements):
-            raise LatticeActionError("induced map on the discriminant group is not a bijection")
-        for a in elements:
-            for b in elements:
-                if table[disc.add(a, b)] != disc.add(table[a], table[b]):
-                    raise LatticeActionError("induced map is not additive")
+            c = 2 * sum(xi * bi for xi, bi in zip(x, b))
+            table[a] = disc.reduce(tuple(xi - c * vi // norm for xi, vi in zip(x, v)))
         maps.append(table)
     return tuple(maps)
 
@@ -291,7 +261,6 @@ class TowerReport:
     """All group-stable intermediate lattices for one root datum."""
 
     datum_label: str
-    group_label: str
     disc: DiscriminantGroup
     lattices: tuple[IntermediateLattice, ...]
     rescaling_classes: tuple[tuple[int, ...], ...]
@@ -356,20 +325,25 @@ def _recognize_label(datum: RootDatum, disc_order: int, subgroup: frozenset, gra
 
 def invariant_intermediate_lattices(
     datum: RootDatum,
-    group_generators: tuple[IntMatrix, ...] | None = None,
+    reflections: tuple[tuple[int, ...], ...] | None = None,
     cap: int = DEFAULT_DISC_CAP,
 ) -> TowerReport:
     """Enumerate all group-stable lattices between the root lattice and its dual.
 
-    Subgroups of the discriminant group are enumerated exhaustively, filtered
-    by the induced action of the generators, and lifted back to lattices with
-    their inherited Gram forms.  Output is sorted by index over the root
-    lattice, then by subgroup elements.
+    The group is generated by the reflections in ``reflections``, integer
+    root-basis vectors of their roots; the default is the simple roots (the
+    unit vectors), so the group is the Weyl group of the datum.  Subgroups of
+    the discriminant group are enumerated exhaustively, filtered by the
+    induced action of the reflections, and lifted back to lattices with their
+    inherited Gram forms.  Output is sorted by index over the root lattice,
+    then by subgroup elements.
     """
-    gens = group_generators if group_generators is not None else simple_reflections(datum)
+    n = datum.rank
+    if reflections is None:
+        reflections = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     disc = discriminant_group(datum)
     gram_adjugate = datum.gram.adjugate()
-    actions = induced_discriminant_action(tuple(gens), disc, datum.gram, gram_adjugate)
+    actions = induced_discriminant_action(reflections, disc, datum.gram)
     subgroups = all_subgroups(disc, cap)
     stable = []
     for s in subgroups:
@@ -381,14 +355,13 @@ def invariant_intermediate_lattices(
     labels: list[str] = []
     for s in stable:
         lat = _lattice_from_subgroup(datum, disc, s, "", gram_adjugate)
-        label = _recognize_label(datum, disc.order, s, lat.gram, datum.rank, labels)
+        label = _recognize_label(datum, disc.order, s, lat.gram, n, labels)
         labels.append(label)
         lattices.append(replace(lat, label=label))
 
     classes, flagged = classify_up_to_rescaling(lattices)
     return TowerReport(
         datum_label=datum.label,
-        group_label="W(" + datum.label + ")" if group_generators is None else "custom",
         disc=disc,
         lattices=tuple(lattices),
         rescaling_classes=classes,
@@ -396,40 +369,36 @@ def invariant_intermediate_lattices(
     )
 
 
+def _primitive_roots(
+    datum: RootDatum, roots: tuple[AmbientVector, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Integer root-basis vectors of ``datum`` along the ambient ``roots``."""
+    return tuple(tuple(clear_denominators(c)) for c in ambient_to_root_basis(datum, roots))
+
+
 def bc_tower(spec: RootSystemSpec, cap: int = DEFAULT_DISC_CAP) -> TowerReport:
     """The tower of W(B_n) = W(C_n)-stable lattices between D_n and its dual.
 
     The B/C root lattices themselves have trivial or rigid discriminant
     groups; the interesting tower for these Weyl groups lives over D_n, on
-    which the full signed-permutation group acts.
+    which the full signed-permutation group acts, generated by the
+    reflections in the B/C simple roots.
     """
     if spec.family not in ("B", "C"):
         raise ValueError("bc_tower expects a B or C spec")
     if spec.rank < 3:
         raise ValueError("the D-lattice tower needs rank >= 3")
     d_datum = build_root_datum(RootSystemSpec("D", spec.rank))
-    bc_datum = build_root_datum(spec)
-    gens = []
-    for i in range(1, spec.rank + 1):
-        beta = bc_datum.simple_roots[i - 1]
-        norm = sum((x * x for x in beta), Fraction(0))
-        images = []
-        for alpha in d_datum.simple_roots:
-            c = 2 * sum((a * b for a, b in zip(alpha, beta)), Fraction(0)) / norm
-            images.append(tuple(x - c * b for x, b in zip(alpha, beta)))
-        mat = ambient_matrix_in_root_basis(d_datum, images)
-        if not mat.is_integral():
-            raise LatticeActionError("signed-permutation generator does not preserve the D lattice")
-        gens.append(mat.to_int())
-    report = invariant_intermediate_lattices(d_datum, tuple(gens), cap)
-    return TowerReport(
-        datum_label=report.datum_label,
-        group_label=f"W({spec.label})",
-        disc=report.disc,
-        lattices=report.lattices,
-        rescaling_classes=report.rescaling_classes,
-        inconclusive_pairs=report.inconclusive_pairs,
-    )
+    reflections = _primitive_roots(d_datum, build_root_datum(spec).simple_roots)
+    return invariant_intermediate_lattices(d_datum, reflections, cap)
+
+
+def tower_for_spec(spec: RootSystemSpec, cap: int = DEFAULT_DISC_CAP) -> TowerReport:
+    """The sublattice tower of a spec: over D_n for B/C (:func:`bc_tower`),
+    over the spec's own root lattice under its Weyl group otherwise."""
+    if spec.family in ("B", "C"):
+        return bc_tower(spec, cap)
+    return invariant_intermediate_lattices(build_root_datum(spec), cap=cap)
 
 
 # --- exact short vectors and isometry testing ---------------------------------

@@ -8,6 +8,7 @@ expressed in the simple-root basis, where they are integral.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -77,10 +78,6 @@ class RootSystemSpec:
 
 
 AmbientVector = tuple[Fraction, ...]
-
-
-def _vec(*entries) -> AmbientVector:
-    return tuple(Fraction(e) for e in entries)
 
 
 def _unit(dim: int, i: int, value=1) -> list[Fraction]:
@@ -283,8 +280,11 @@ def simple_reflections(datum: RootDatum) -> tuple[IntMatrix, ...]:
     return tuple(simple_reflection(datum, i) for i in range(1, datum.rank + 1))
 
 
-def _root_coordinates(datum: RootDatum, vectors: list[AmbientVector]) -> list[tuple[Fraction, ...]]:
-    """Simple-root coordinates of each ambient vector, inverting the Gram once."""
+def ambient_to_root_basis(
+    datum: RootDatum, vectors: Sequence[AmbientVector]
+) -> list[tuple[Fraction, ...]]:
+    """Simple-root coordinates of each ambient lattice-span vector, inverting
+    the Gram once."""
     # Solve sum_j c_j a_j = v via the raw Gram system raw_gram @ c = (a_i, v),
     # where raw_gram = gram * gram_scale has inverse adj(gram) / (det * scale).
     # The simple roots are a_i = s * r_i with integer rows r_i, so
@@ -298,36 +298,6 @@ def _root_coordinates(datum: RootDatum, vectors: list[AmbientVector]) -> list[tu
         rhs = [sum(x * y for x, y in zip(r, v) if x) for r in scaled]
         out.append(tuple(sum(adj[i, j] * rhs[j] for j in range(n)) / den for i in range(n)))
     return out
-
-
-def ambient_to_root_basis(datum: RootDatum, vector: AmbientVector) -> tuple[Fraction, ...]:
-    """Coordinates of an ambient lattice-span vector in the simple-root basis."""
-    return _root_coordinates(datum, [vector])[0]
-
-
-def ambient_matrix_in_root_basis(datum: RootDatum, images: list[AmbientVector]) -> RatMatrix:
-    """Matrix (in the simple-root basis) of the linear map sending the i-th
-    simple root to ``images[i]``."""
-    cols = _root_coordinates(datum, images)
-    n = datum.rank
-    return RatMatrix(n, n, (cols[j][i] for i in range(n) for j in range(n)))
-
-
-@dataclass(frozen=True)
-class Lattice:
-    """A finite-rank lattice carried by its Gram form."""
-
-    rank: int
-    gram: IntMatrix
-    label: str
-
-    @property
-    def determinant(self) -> int:
-        return self.gram.det()
-
-
-def root_lattice(datum: RootDatum) -> Lattice:
-    return Lattice(rank=datum.rank, gram=datum.gram, label=datum.label)
 
 
 @dataclass(frozen=True)

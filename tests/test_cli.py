@@ -197,6 +197,9 @@ SUBLATTICES_JSON_SHA256 = {
     ("A", "23"): "3ad06eecee09d26977c75a1cda13f65269d8acca7d7340254f99a688a3eff342",
     ("B", "10"): "f0eb6b4554cfc1357caa32f264c16cc8b7b733dbd95dcd634e1ee522c2f45f9a",
     ("D", "8"): "0150b62a8a8b5d2188a018fff124fee2d23b0968c105f5bc2d5cf3ded8f3a779",
+    ("F", "4"): "df948156ed5f0bd64b5d2140e728a748976508be038b575d6504db803a9e9293",
+    ("G", "2"): "1ea2d193ab3e892eb628a562ef8a4f407e672ee8f40b34c3e8238e4a80f3d339",
+    ("C", "5"): "3c5524f11e296c475788d909fcdb53e8a42add308448542409e8fbeb9844e576",
 }
 
 

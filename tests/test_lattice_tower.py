@@ -2,21 +2,25 @@ from fractions import Fraction
 
 import pytest
 
-from roothk.errors import DiscriminantTooLargeError
+from roothk.errors import DiscriminantTooLargeError, LatticeActionError
 from roothk.exact_linalg import IntMatrix, RatMatrix
 from roothk.lattice_tower import (
+    _primitive_roots,
     all_subgroups,
     annihilator_subgroup,
     bc_tower,
     discriminant_group,
-    dual_index,
-    dual_lattice,
     induced_discriminant_action,
     invariant_intermediate_lattices,
     lattice_isometric,
     short_vectors,
 )
-from roothk.root_data import RootSystemSpec, build_root_datum, simple_reflections
+from roothk.root_data import (
+    RootSystemSpec,
+    ambient_to_root_basis,
+    build_root_datum,
+    simple_reflections,
+)
 
 
 def _datum(family, rank):
@@ -27,13 +31,41 @@ def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def test_dual_lattice_gram_and_index():
-    a1 = _datum("A", 1)
-    dual = dual_lattice(a1)
-    assert dual.gram == RatMatrix.from_rows([[Fraction(1, 2)]])
-    assert dual_index(a1) == 2
-    assert dual_index(_datum("D", 4)) == 4
-    assert dual_index(_datum("E", 8)) == 1
+def _units(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _bc_on_d(family, n):
+    """D_n with the root-basis vectors of the B/C simple roots, as bc_tower
+    builds them."""
+    d_datum = _datum("D", n)
+    return d_datum, _primitive_roots(d_datum, _datum(family, n).simple_roots)
+
+
+def _bc_reference_matrices(spec):
+    """The B/C simple reflections as root-basis matrices of D_n, column j the
+    image of the j-th D_n simple root, built in ambient coordinates."""
+    n = spec.rank
+    d_datum = _datum("D", n)
+    mats = []
+    for beta in build_root_datum(spec).simple_roots:
+        norm = sum((x * x for x in beta), Fraction(0))
+        images = []
+        for alpha in d_datum.simple_roots:
+            c = 2 * sum((a * b for a, b in zip(alpha, beta)), Fraction(0)) / norm
+            images.append(tuple(x - c * b for x, b in zip(alpha, beta)))
+        cols = ambient_to_root_basis(d_datum, images)
+        mats.append(RatMatrix(n, n, (cols[j][i] for i in range(n) for j in range(n))).to_int())
+    return tuple(mats)
+
+
+def _dual_image(m, x):
+    """The dual action of a root-basis matrix m, its inverse transpose, on the
+    dual-coordinate vector x; an integer vector when m preserves the dual."""
+    dual = m.to_rat().inverse().transpose()
+    image = [sum(dual[i, j] * x[j] for j in range(len(x))) for i in range(dual.rows)]
+    assert all(y.denominator == 1 for y in image)
+    return tuple(int(y) for y in image)
 
 
 @pytest.mark.parametrize(
@@ -49,6 +81,7 @@ def test_dual_lattice_gram_and_index():
         ("E", 8, ()),
         ("B", 3, ()),
         ("C", 3, (4,)),
+        ("A", 1, (2,)),
     ],
 )
 def test_discriminant_groups(family, rank, factors):
@@ -69,9 +102,7 @@ def test_weyl_group_acts_trivially_on_own_discriminant():
     for family, rank in [("A", 2), ("A", 4), ("D", 4), ("E", 6)]:
         datum = _datum(family, rank)
         disc = discriminant_group(datum)
-        maps = induced_discriminant_action(
-            simple_reflections(datum), disc, datum.gram, datum.gram.adjugate()
-        )
+        maps = induced_discriminant_action(_units(rank), disc, datum.gram)
         for table in maps:
             assert all(table[a] == a for a in disc.elements())
 
@@ -135,46 +166,59 @@ def test_bc_tower_excludes_half_spin_for_even_rank():
 def test_bc_action_nontrivial_on_even_d_discriminant():
     # At least one W(B_n) generator moves the discriminant classes of D_n for
     # even n (the odd sign change swaps the two half-spin classes).
-    from roothk.lattice_tower import _dual_action_matrix  # noqa: internal
-
     report = bc_tower(RootSystemSpec("B", 4))
     assert report.disc.invariant_factors == (2, 2)
-    d_datum = _datum("D", 4)
+    d_datum, reflections = _bc_on_d("B", 4)
     disc = discriminant_group(d_datum)
-    # Rebuild the generators the same way bc_tower does.
-    bc_datum = _datum("B", 4)
-    from roothk.root_data import ambient_matrix_in_root_basis
-
-    gens = []
-    for i in range(1, 5):
-        beta = bc_datum.simple_roots[i - 1]
-        norm = sum((x * x for x in beta), Fraction(0))
-        images = []
-        for alpha in d_datum.simple_roots:
-            c = 2 * sum((a * b for a, b in zip(alpha, beta)), Fraction(0)) / norm
-            images.append(tuple(x - c * b for x, b in zip(alpha, beta)))
-        gens.append(ambient_matrix_in_root_basis(d_datum, images).to_int())
-    maps = induced_discriminant_action(tuple(gens), disc, d_datum.gram, d_datum.gram.adjugate())
+    maps = induced_discriminant_action(reflections, disc, d_datum.gram)
     moved = any(any(table[a] != a for a in disc.elements()) for table in maps)
     assert moved
 
 
 def test_dual_action_guards():
-    from roothk.errors import LatticeActionError
-    from roothk.lattice_tower import _dual_action_matrix
-
-    gram = _datum("A", 2).gram
-    gram_adjugate = gram.adjugate()
-    # det 2: the inverse transpose is not integral.
+    # The reflection in b = (3, 1) of A2 (norm 14) does not map the dual
+    # lattice into itself: 2 b_1 v_1 = 30 is not a multiple of 14.
+    datum = _datum("A", 2)
     with pytest.raises(LatticeActionError, match="dual lattice"):
-        _dual_action_matrix(IntMatrix.from_rows([[2, 0], [0, 1]]), gram, gram_adjugate)
-    # A unimodular shear: its dual action is integral, but G^-1 N G is not.
-    with pytest.raises(LatticeActionError, match="root lattice rows"):
-        _dual_action_matrix(IntMatrix.from_rows([[1, 1], [0, 1]]), gram, gram_adjugate)
-    # A simple reflection passes both, with the rational inverse transpose.
-    s1 = simple_reflections(_datum("A", 2))[0]
-    action = _dual_action_matrix(s1, gram, gram_adjugate)
-    assert action.to_rat() == s1.to_rat().inverse().transpose()
+        induced_discriminant_action(((3, 1),), discriminant_group(datum), datum.gram)
+
+
+def _assert_tables_match(datum, reflections, matrices):
+    """Compare each reflection table with the dense dual action (inverse
+    transpose of the root-basis matrix) on every lift; return whether some
+    class moves, so a case can show it tells a wrong action from the identity."""
+    disc = discriminant_group(datum)
+    maps = induced_discriminant_action(reflections, disc, datum.gram)
+    assert len(maps) == len(matrices)
+    for table, m in zip(maps, matrices):
+        assert table == {a: disc.reduce(_dual_image(m, disc.lift(a))) for a in disc.elements()}
+    return any(table[a] != a for table in maps for a in disc.elements())
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", n) for n in (1, 2, 3, 5, 7)]
+    + [("B", n) for n in (2, 3, 4)]
+    + [("C", n) for n in (2, 3, 4, 5, 6)]
+    + [("D", n) for n in (4, 5, 6)]
+    + [("E", n) for n in (6, 7, 8)]
+    + [("F", 4), ("G", 2)],
+)
+def test_own_reflection_tables_match_dense_reference(family, rank):
+    # Classes move exactly where 2(x, beta)/(beta, beta) is not integral on
+    # the dual lattice: the long simple roots of C_n, F4 and G2.
+    datum = _datum(family, rank)
+    moved = _assert_tables_match(datum, _units(rank), simple_reflections(datum))
+    assert moved == (family in ("C", "F", "G"))
+
+
+@pytest.mark.parametrize("family", ["B", "C"])
+@pytest.mark.parametrize("rank", [3, 4, 5, 6])
+def test_bc_reflection_tables_match_dense_reference(family, rank):
+    # The sign change e_n is not in D_n, so it moves classes for every n.
+    d_datum, reflections = _bc_on_d(family, rank)
+    matrices = _bc_reference_matrices(RootSystemSpec(family, rank))
+    assert _assert_tables_match(d_datum, reflections, matrices)
 
 
 def test_discriminant_group_rejects_non_unimodular_smith_transform(monkeypatch):
@@ -203,25 +247,31 @@ def test_bc_tower_rejects_small_rank():
         bc_tower(RootSystemSpec("A", 3))
 
 
+def _stable_under(lat, matrices):
+    basis_adjugate = lat.basis.adjugate()
+    return all(
+        lat.contains_dual_vector(_dual_image(m, lat.basis.row(r)), basis_adjugate)
+        for m in matrices
+        for r in range(lat.basis.rows)
+    )
+
+
 def test_tower_lattices_are_group_stable_directly():
     # End-to-end oracle: each basis vector's image under each generator stays
-    # in the lattice, checked by exact membership, independently of the
-    # discriminant filtering.
-    report = bc_tower(RootSystemSpec("B", 3))
-    d_datum = _datum("D", 3)
-    from roothk.lattice_tower import _dual_action_matrix
-
-    gram_adjugate = d_datum.gram.adjugate()
+    # in the lattice, checked by exact membership with the dense reference
+    # matrices of W(B4), independently of the discriminant filtering.
+    matrices = _bc_reference_matrices(RootSystemSpec("B", 4))
+    report = bc_tower(RootSystemSpec("B", 4))
+    assert len(report.lattices) == 3
     for lat in report.lattices:
-        basis_adjugate = lat.basis.adjugate()
-        for gen in simple_reflections(d_datum):
-            action = _dual_action_matrix(gen, d_datum.gram, gram_adjugate)
-            for r in range(lat.basis.rows):
-                b = lat.basis.row(r)
-                image = tuple(
-                    sum(action[i, j] * b[j] for j in range(len(b))) for i in range(action.rows)
-                )
-                assert lat.contains_dual_vector(image, basis_adjugate)
+        assert _stable_under(lat, matrices)
+    # The two half-spin lattices of the unfiltered D4 tower are not W(B4)-stable.
+    unfiltered = invariant_intermediate_lattices(_datum("D", 4))
+    kept = {lat.basis for lat in report.lattices}
+    dropped = [lat for lat in unfiltered.lattices if lat.basis not in kept]
+    assert len(dropped) == 2
+    for lat in dropped:
+        assert not _stable_under(lat, matrices)
 
 
 def test_duality_involution_on_towers():

@@ -64,7 +64,7 @@ def test_enumeration_oracle(family, rank, groups):
         products = (group.elements @ gen_arr).reshape(group.order, rank * rank)
         assert np.unique(np.concatenate([flat, products]), axis=0).shape[0] == group.order
 
-    coords = [ambient_to_root_basis(group.datum, r) for r in group.datum.all_roots]
+    coords = ambient_to_root_basis(group.datum, group.datum.all_roots)
     positive = np.array([[int(x) for x in c] for c in coords if min(c) >= 0], dtype=np.int32)
     assert 2 * positive.shape[0] == len(coords)
     images = group.elements.astype(np.int32) @ positive.T  # (order, rank, #positive)
@@ -77,7 +77,7 @@ def test_enumeration_oracle(family, rank, groups):
 def _exponents(datum):
     """Exponents m_i from the height partition of the positive roots:
     #{i : m_i >= k} is the number of positive roots of height k (Kostant 1959)."""
-    coords = [ambient_to_root_basis(datum, r) for r in datum.all_roots]
+    coords = ambient_to_root_basis(datum, datum.all_roots)
     per_height = Counter(int(sum(c)) for c in coords if min(c) >= 0)
     return sorted(k for k in per_height for _ in range(per_height[k] - per_height[k + 1]))
 
@@ -200,9 +200,7 @@ def test_roots_closed_under_group(groups):
 
     group = groups("B", 2)
     datum = group.datum
-    root_coords = {
-        tuple(ambient_to_root_basis(datum, r)) for r in datum.all_roots
-    }
+    root_coords = set(ambient_to_root_basis(datum, datum.all_roots))
     for g in element_iter(group):
         gr = g.to_rat()
         for v in root_coords:
