@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import GroupTooLargeError
 from .exact_linalg import IntMatrix, smith_normal_form
 from .invariant_theory import (
@@ -97,6 +95,8 @@ def brute_force_fixed_point_count(w: IntMatrix, denominator: int) -> int:
     every torsion factor of coker(w - 1) divides d it is d^(4 fix_dim) times
     the component count.
     """
+    import numpy as np
+
     n = w.rows
     d = int(denominator)
     if d <= 0:
@@ -143,6 +143,8 @@ def freeness_codim_check(group: WeylGroup, cap: GroupCap | None = None) -> Freen
     cap = cap if cap is not None else GroupCap()
     if group.order > cap.max_elements:
         return FreenessCheck(status="skipped", reason=f"order {group.order} exceeds cap {cap.max_elements}")
+    import numpy as np
+
     if group.elements is None:
         chunks = iter_levels(group.datum)
     else:

@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import FormSpaceError, NotExhaustiveError
 from .exact_linalg import (
@@ -38,6 +37,9 @@ from .exact_linalg import (
 )
 from .root_data import RootDatum, simple_reflections
 from .weyl import WeylGroup
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _REYNOLDS_CHUNK = 50_000
 
@@ -284,6 +286,8 @@ def invariant_dim(rep: Representation) -> int:
 
 
 def _batch_double(images: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     m, n, _ = images.shape
     out = np.zeros((m, 2 * n, 2 * n), dtype=np.int64)
     out[:, :n, :n] = images
@@ -293,6 +297,8 @@ def _batch_double(images: np.ndarray) -> np.ndarray:
 
 def _batch_images(chain: tuple, elements: np.ndarray) -> np.ndarray:
     """Images of defining-representation elements under a construction chain."""
+    import numpy as np
+
     if chain == ("defining",):
         return elements.astype(np.int64)
     if chain[0] == "trivial":
@@ -341,6 +347,8 @@ def _sum_from_pair_matrix(chain: tuple, group: WeylGroup) -> np.ndarray | None:
     the defining matrix entries; returns None for chains that need the generic
     per-element path.
     """
+    import numpy as np
+
     n0 = group.rank
 
     def position_map(chain_part):
@@ -411,6 +419,8 @@ def reynolds_sum(rep: Representation, group: WeylGroup) -> IntMatrix:
     The averaged projector is this sum divided by the group order; rank and
     fixed space are unchanged by the scaling, so the sum is returned.
     """
+    import numpy as np
+
     if group.elements is None:
         raise NotExhaustiveError(f"{group.label} was not exhaustively generated")
     fast = _sum_from_pair_matrix(rep.chain, group)

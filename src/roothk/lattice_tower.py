@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from math import isqrt
-
-import numpy as np
+from operator import mul
 
 from .errors import DiscriminantTooLargeError, LatticeActionError
 from .exact_linalg import (
@@ -90,7 +90,8 @@ def discriminant_group(datum: RootDatum) -> DiscriminantGroup:
     columns of U^{-1}.
     """
     gram = datum.gram
-    if gram.det() == 0:
+    det = gram.det()
+    if det == 0:
         raise ValueError("gram matrix is singular")
     sf = smith_normal_form(gram)
     factors = sf.torsion_factors
@@ -108,7 +109,7 @@ def discriminant_group(datum: RootDatum) -> DiscriminantGroup:
         rank=n,
         invariant_factors=factors,
         generator_lifts=lifts,
-        order=gram.det(),
+        order=det,
         _to_invariant_rows=rows,
     )
 
@@ -286,9 +287,10 @@ def _lattice_from_subgroup(
         rows.append(list(disc.lift(e)))
     h, _ = hermite_normal_form(IntMatrix.from_rows(rows))
     basis = IntMatrix.from_rows(h.to_rows()[:n])
-    if basis.det() == 0:
+    basis_det = basis.det()
+    if basis_det == 0:
         raise AssertionError("lattice basis is singular")
-    index = abs(gram_det) // abs(basis.det())
+    index = abs(gram_det) // abs(basis_det)
     if index != len(subgroup):
         raise AssertionError("index does not match subgroup order")
     # B G^-1 B^T, with G^-1 = adj(G) / det G.
@@ -310,7 +312,8 @@ def _recognize_label(datum: RootDatum, disc_order: int, subgroup: frozenset, gra
         return f"{datum.label}*"
     if gram.is_integral():
         g = gram.to_int()
-        if g.det() == 1 and lattice_isometric(g, IntMatrix.identity(rank)) is True:
+        # Determinant 1 leaves no Smith invariant to compare with the cube's.
+        if g.det() == 1 and _isometry_search(g, IntMatrix.identity(rank)) is True:
             base = f"Z^{rank}"
             if base not in seen:
                 return base
@@ -504,26 +507,39 @@ def _greedy_reduce(g: IntMatrix) -> IntMatrix:
     return IntMatrix(n, n, (a[order[i]][order[j]] for i in range(n) for j in range(n)))
 
 
+def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return sum(map(mul, a, b))
+
+
 def lattice_isometric(
     g1: IntMatrix, g2: IntMatrix, node_cap: int = 1_000_000
 ) -> bool | None:
     """Decide whether two positive definite integer forms are unimodularly
-    equivalent, by backtracking over short-vector candidates.
+    equivalent: equal ranks, determinants and Smith forms, then
+    :func:`_isometry_search`.  Returns True/False, or None when the search
+    exceeds ``node_cap`` nodes (callers must treat None as inconclusive,
+    never as a match).
+    """
+    if (g1.rows, g1.det()) != (g2.rows, g2.det()):
+        return False
+    if smith_normal_form(g1).diag != smith_normal_form(g2).diag:
+        return False
+    return _isometry_search(g1, g2, node_cap)
+
+
+def _isometry_search(
+    g1: IntMatrix, g2: IntMatrix, node_cap: int = 1_000_000
+) -> bool | None:
+    """Backtracking isometry test for forms of equal rank whose determinants
+    and Smith forms already agree.
 
     Both forms are first greedily size-reduced, so the candidate vectors live
     at small norms; the basis of the first form is then reordered
     most-constrained-first, so each new vector is pruned by as many
-    inner-product constraints as possible.  Returns True/False, or None when
-    the search exceeds ``node_cap`` nodes (callers must treat None as
-    inconclusive, never as a match).
+    inner-product constraints as possible.  Every column visited adds its
+    candidate count to the node total; past ``node_cap`` the verdict is None.
     """
     n = g1.rows
-    if n != g2.rows:
-        return False
-    if g1.det() != g2.det():
-        return False
-    if smith_normal_form(g1).diag != smith_normal_form(g2).diag:
-        return False
     if n == 0:
         return True
     # Greedy reduction is not canonical, so differing reduced diagonals prove
@@ -564,35 +580,36 @@ def lattice_isometric(
     if len(short_vectors(r1, max_norm)) != len(cands):
         return False
 
-    g2_arr = np.array(g2.to_rows(), dtype=np.int64)
-    cand_arrays: dict[Fraction, np.ndarray] = {
-        norm: np.array(vecs, dtype=np.int64) for norm, vecs in by_norm.items()
+    # The pairing of candidate c with a chosen vector v is (c G2) . v, so each
+    # candidate is stored with its row c G2.
+    g2_cols = list(zip(*g2.to_rows()))
+    pairing_rows = {
+        norm: [tuple(_dot(vec, col) for col in g2_cols) for vec in vecs]
+        for norm, vecs in by_norm.items()
     }
-    # Rows of (candidates @ g2): pairing of candidate i with vector v is
-    # pairings[norm][i] . v.
-    pairing_rows = {norm: arr @ g2_arr for norm, arr in cand_arrays.items()}
 
-    chosen = np.zeros((n, n), dtype=np.int64)
+    chosen: list[tuple[int, ...]] = [()] * n
     nodes = 0
 
     def backtrack(col: int) -> bool | None:
         nonlocal nodes
         norm = norms_needed[col]
-        if norm not in cand_arrays:
+        if norm not in by_norm:
             return False
         rows = pairing_rows[norm]
-        mask = np.ones(rows.shape[0], dtype=bool)
-        for k in range(col):
-            mask &= rows @ chosen[k] == target[col][k]
-        idxs = np.nonzero(mask)[0]
-        nodes += int(rows.shape[0])
+        nodes += len(rows)
         if nodes > node_cap:
             return None
+        need = target[col]
+        fits = (
+            i for i, row in enumerate(rows)
+            if all(_dot(row, chosen[k]) == need[k] for k in range(col))
+        )
         if col == n - 1:
-            return bool(idxs.size)
-        arr = cand_arrays[norm]
-        for i in idxs:
-            chosen[col] = arr[i]
+            return next(fits, None) is not None
+        vecs = by_norm[norm]
+        for i in fits:
+            chosen[col] = vecs[i]
             result = backtrack(col + 1)
             if result:
                 return True
@@ -614,6 +631,9 @@ def classify_up_to_rescaling(
     """
     m = len(lattices)
     prims = [lat.primitive_gram() for lat in lattices]
+    # The checks of lattice_isometric, each form's invariants taken once.
+    rank_det = [(g.rows, g.det()) for g in prims]
+    smith_diag = cache(lambda i: smith_normal_form(prims[i]).diag)
     parent = list(range(m))
 
     def find(i):
@@ -627,7 +647,9 @@ def classify_up_to_rescaling(
         for j in range(i + 1, m):
             if find(i) == find(j):
                 continue
-            verdict = lattice_isometric(prims[i], prims[j])
+            if rank_det[i] != rank_det[j] or smith_diag(i) != smith_diag(j):
+                continue
+            verdict = _isometry_search(prims[i], prims[j])
             if verdict is True:
                 parent[find(j)] = find(i)
             elif verdict is None:

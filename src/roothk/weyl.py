@@ -6,7 +6,9 @@ length down, by the smallest of its right descents.  Levels are compact
 numpy int8 arrays; coefficients of Weyl matrices in the root basis are
 bounded by the largest root coordinate (at most 6 across the supported
 families), so fixed-width integer arithmetic is exact here — guards assert
-the bounds on every level.
+the bounds on every level.  numpy is imported by the functions that build or
+read element arrays, not at module load, so generator-only callers never load
+it.
 All rational linear algebra elsewhere stays arbitrary-precision.
 """
 
@@ -14,13 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import GroupTooLargeError, NotExhaustiveError
 from .exact_linalg import IntMatrix
 from .root_data import RootDatum, RootSystemSpec, simple_reflections
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_GROUP_CAP = 5_000_000
 
@@ -103,6 +106,8 @@ class WeylGroup:
         w[k,i] * w[l,j]; every quadratic-in-w group average used by the
         Reynolds cross-checks assembles from it by pure indexing.
         """
+        import numpy as np
+
         if self.elements is None:
             raise NotExhaustiveError(f"{self.label} was not exhaustively generated")
         if self._pair_sums is None:
@@ -136,6 +141,8 @@ def iter_levels(datum: RootDatum) -> Iterator[np.ndarray]:
     runs before the first ``next()``: a caller that needs a cap checks it
     before iterating.
     """
+    import numpy as np
+
     spec = datum.spec
     n = spec.rank
     order = group_order_formula(spec)
@@ -207,6 +214,8 @@ def generate_group(datum: RootDatum, cap: GroupCap | None = None) -> WeylGroup:
     order = group_order_formula(spec)
     if order > cap.max_elements:
         raise GroupTooLargeError(spec.label, order, cap.max_elements)
+    # Imported past the cap: generator-only callers land on the error above.
+    import numpy as np
 
     n = spec.rank
     elements = np.empty((order, n, n), dtype=np.int8)
@@ -255,6 +264,8 @@ def check_signed_permutation_structure(n: int, cap: GroupCap | None = None) -> S
     permutation: n! distinct permutations, each decorated by all 2^n sign
     patterns.
     """
+    import numpy as np
+
     if n < 2:
         raise ValueError("signed permutation check needs n >= 2")
     from .root_data import build_root_datum  # local import to avoid cycle at module load

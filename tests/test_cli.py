@@ -7,17 +7,19 @@ import pytest
 
 from roothk.cli import main
 
-CLI = [sys.executable, "-m", "roothk.cli"]
 
-
-def run_cli(args, env_extra=None):
+def run_python(args, env_extra=None):
     import os
 
     env = dict(os.environ)
     env.pop("ROOTHK_GROUP_CAP", None)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run(CLI + args, capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(args, env_extra=None):
+    return run_python(["-m", "roothk.cli", *args], env_extra)
 
 
 def test_analyze_json_pass(capsys):
@@ -256,3 +258,33 @@ def test_sublattices_a35_recognizes_unimodular_non_cube(capsys):
     assert checks["sublattices/A35/A35+[6]"]["gram_det"] == 1
     assert not any(name.startswith("sublattices/A35/Z^") for name in checks)
     assert checks["sublattices/A35/rescaling-classes"]["inconclusive_pairs"] == 0
+
+
+# Runs main(argv) in a fresh interpreter, then prints whether numpy is loaded.
+NUMPY_PROBE = """
+import contextlib, io, sys
+from roothk.cli import main
+
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        ((), False),
+        (("analyze", "A", "12", "--lattice", "dual"), False),
+        (("sublattices", "B", "3"), False),
+        (("sublattices", "D", "4"), False),
+        (("lemma-check",), False),
+        (("analyze", "A", "3"), True),  # enumerates W
+    ],
+    ids=lambda v: " ".join(v) or "import" if isinstance(v, tuple) else str(v),
+)
+def test_numpy_loaded_only_where_w_is_enumerated(argv, loads_numpy):
+    proc = run_python(["-c", NUMPY_PROBE, *argv])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{loads_numpy}\n"

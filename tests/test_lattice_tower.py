@@ -311,6 +311,14 @@ def test_classify_d3_a3_same_class():
     assert lattice_isometric(a3, d3) is True
 
 
+def test_isometry_search_past_node_cap_is_inconclusive():
+    # The first column of A3 against D3 already visits D3's 12 roots.
+    a3 = _datum("A", 3).gram
+    d3 = _datum("D", 3).gram
+    assert lattice_isometric(a3, d3, node_cap=1) is None
+    assert lattice_isometric(a3, d3) is True
+
+
 def test_classify_z3_d3_distinct():
     z3 = IntMatrix.identity(3)
     d3 = _datum("D", 3).gram
