@@ -43,6 +43,7 @@ from .weyl import (
     generate_group,
     group_order_formula,
     iter_levels,
+    min_coset_representatives,
 )
 from .invariant_theory import (
     InvariantReport,

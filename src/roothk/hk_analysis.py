@@ -24,7 +24,15 @@ from .invariant_theory import (
 )
 from .lattice_tower import tower_for_spec
 from .root_data import RootDatum, RootSystemSpec, build_root_datum
-from .weyl import GroupCap, WeylGroup, generate_group, group_order_formula, iter_levels
+from .weyl import (
+    _ENTRY_BOUND,
+    GroupCap,
+    WeylGroup,
+    generate_group,
+    group_order_formula,
+    iter_levels,
+    min_coset_representatives,
+)
 
 # Cost ceiling for analyze, whose generator-only work grows a little faster
 # than rank^4: the invariant two-form system on the doubled span has
@@ -132,33 +140,59 @@ def freeness_codim_check(group: WeylGroup, cap: GroupCap | None = None) -> Freen
     """Minimum fixed-space codimension 2 * rank(w - 1) over all w != 1.
 
     Elements have finite order, so trace n means w = 1, and trace n - 2 with
-    w^2 = 1 means rank(w - 1) = 1 (and conversely).  One pass over chunks
-    counts elements, identities and reflections, and raises AssertionError
-    unless it sees the group order, one identity and one reflection per
-    positive root.  As w != 1 forces rank >= 1, the minimum is then 2, on
-    every lattice of the tower (conjugates have equal ranks).  The chunks are
-    slices of ``group.elements`` when the group was stored, else the levels
-    of :func:`iter_levels`.  Groups beyond the cap report skipped.
+    w^2 = 1 means rank(w - 1) = 1 (and conversely).  One pass counts
+    elements, identities and reflections, and raises AssertionError unless it
+    sees the group order, one identity and one reflection per positive root,
+    then the character sums of the reflection representation, which is
+    irreducible and nontrivial: sum tr(w) = 0 and sum tr(w)^2 = |W|.  As
+    w != 1 forces rank >= 1, the minimum is then 2, on every lattice of the
+    tower (conjugates have equal ranks).
+
+    The pass reads W as every product u * v of a representative u and an
+    element v of a chunk.  A stored group is the identity times slices of
+    ``group.elements``.  Otherwise W = W^J * W_J with J every simple
+    reflection but the last (Bjorner-Brenti, GTM 231, §2.4): the
+    representatives are :func:`min_coset_representatives` and the chunks are
+    the levels of :func:`iter_levels` over J.  As tr(u v) = <vec(u^T), vec(v)>,
+    the traces of a chunk against every representative are one integer
+    product, and only the pairs of trace n - 2 are multiplied out.  Groups
+    beyond the cap report skipped.
     """
     cap = cap if cap is not None else GroupCap()
     if group.order > cap.max_elements:
         return FreenessCheck(status="skipped", reason=f"order {group.order} exceeds cap {cap.max_elements}")
     import numpy as np
 
+    n = group.rank
     if group.elements is None:
-        chunks = iter_levels(group.datum)
+        reps = min_coset_representatives(group.datum, n - 1)
+        chunks = iter_levels(group.datum, range(n - 1))
     else:
+        reps = (IntMatrix.identity(n),)
         stored = group.elements
         chunks = (stored[lo : lo + _FREENESS_CHUNK] for lo in range(0, stored.shape[0], _FREENESS_CHUNK))
-    n = group.rank
+    # Entries of u and v lie in [-6, 6], so a trace is a sum of n^2 products
+    # of absolute value at most 36, which int16 holds exactly up to n = 8.
+    if n * n * _ENTRY_BOUND**2 >= 1 << 15:
+        raise AssertionError(f"traces of rank {n} could overflow the int16 accumulator")
+    u = np.array([r.to_rows() for r in reps], dtype=np.int32)
+    if np.abs(u).max() > _ENTRY_BOUND:
+        raise AssertionError("coset representative entries exceeded the root-coordinate bound")
+    u_t = u.transpose(0, 2, 1).reshape(len(reps), n * n).astype(np.int16)
     ident = np.eye(n, dtype=np.int32)
-    elements = identities = reflections = 0
+    elements = identities = reflections = trace_sum = trace_square_sum = 0
     for chunk in chunks:
-        elements += chunk.shape[0]
-        trace = chunk.trace(axis1=1, axis2=2, dtype=np.int16)
-        identities += int(np.count_nonzero(trace == n))
-        candidates = chunk[trace == n - 2].astype(np.int32)  # int8 products fit int32
-        reflections += int(np.count_nonzero((candidates @ candidates == ident).all(axis=(1, 2))))
+        elements += len(reps) * chunk.shape[0]
+        # Element-last and C-contiguous: with the transposed strides that a
+        # plain astype keeps, einsum runs about four times slower.
+        v = chunk.reshape(-1, n * n).T.astype(np.int16, order="C")
+        traces = np.einsum("ux,xk->uk", u_t, v)
+        identities += int(np.count_nonzero(traces == n))
+        ui, vi = np.nonzero(traces == n - 2)
+        w = u[ui] @ chunk[vi].astype(np.int32)  # int8 entries; products fit int32
+        reflections += int(np.count_nonzero((w @ w == ident).all(axis=(1, 2))))
+        trace_sum += int(traces.sum(dtype=np.int64))
+        trace_square_sum += int(np.einsum("uk,uk->", traces, traces, dtype=np.int64))
     if elements != group.order:
         raise AssertionError(f"the pass saw {elements} elements, expected order {group.order}")
     if identities != 1:
@@ -166,6 +200,10 @@ def freeness_codim_check(group: WeylGroup, cap: GroupCap | None = None) -> Freen
     positive_roots = len(group.datum.all_roots) // 2
     if reflections != positive_roots:
         raise AssertionError(f"found {reflections} reflections, expected {positive_roots} positive roots")
+    if trace_sum != 0 or trace_square_sum != group.order:
+        raise AssertionError(
+            f"character sums {trace_sum} and {trace_square_sum}, expected 0 and {group.order}"
+        )
     return FreenessCheck(status="verified", min_codim_doubled=2, reflections=reflections, elements=elements)
 
 

@@ -1,14 +1,16 @@
 """Weyl groups as explicit sets of integer matrices in the simple-root basis.
 
-Exhaustive enumeration walks the canonical-parent tree of the group one
-Coxeter length at a time: each element is reached once, from its parent one
-length down, by the smallest of its right descents.  Levels are compact
-numpy int8 arrays; coefficients of Weyl matrices in the root basis are
-bounded by the largest root coordinate (at most 6 across the supported
-families), so fixed-width integer arithmetic is exact here — guards assert
-the bounds on every level.  numpy is imported by the functions that build or
-read element arrays, not at module load, so generator-only callers never load
-it.
+Exhaustive enumeration walks the canonical-parent tree of the group, or of a
+parabolic subgroup W_J, one Coxeter length at a time: each element is reached
+once, from its parent one length down, by the smallest of its right descents.
+The minimal coset representatives W^J come from a second duplicate-free walk,
+over the orbit of a fundamental weight, so W = W^J * W_J can be visited
+without ever holding W.  Levels are compact numpy int8 arrays; coefficients
+of Weyl matrices in the root basis are bounded by the largest root coordinate
+(at most 6 across the supported families), so fixed-width integer arithmetic
+is exact here — guards assert the bounds on every level.  numpy is imported
+by the functions that build or read element arrays, not at module load, so
+generator-only callers never load it.
 All rational linear algebra elsewhere stays arbitrary-precision.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import GroupTooLargeError, NotExhaustiveError
 from .exact_linalg import IntMatrix
@@ -38,7 +40,12 @@ _EXCEPTIONAL_ORDERS = {"G": 12, "F": 1152, "E6": 51840, "E7": 2903040, "E8": 696
 
 @dataclass(frozen=True)
 class GroupCap:
-    """Upper bound on how many elements exhaustive enumeration may hold."""
+    """Upper bound on the order of a group enumerated exhaustively.
+
+    ``generate_group`` stores that many elements; the streamed freeness pass
+    visits that many, holding only the coset representatives and two levels
+    of W_J.
+    """
 
     max_elements: int = DEFAULT_GROUP_CAP
 
@@ -122,22 +129,26 @@ class WeylGroup:
         return self._pair_sums
 
 
-def iter_levels(datum: RootDatum) -> Iterator[np.ndarray]:
-    """Yield every element of W once, as one int8 array per Coxeter length.
+def iter_levels(datum: RootDatum, subset: Sequence[int] | None = None) -> Iterator[np.ndarray]:
+    """Yield every element of W_J once, as one int8 array per Coxeter length.
 
-    The canonical-parent rule: right multiplication by s raises the length
-    exactly when w(alpha_s) is a positive root, i.e. when column s of w has a
-    positive coordinate sum.  A product w*s is kept only when it raises the
-    length and s is the smallest right descent of w*s (every column t < s of
-    w*s has a positive sum).  Every element other than the identity has
-    exactly one such parent, one level down, so level k + 1 is built from
-    level k alone and each element is produced exactly once, with no
-    comparison between elements.  Only two levels are alive at a time.
+    J is ``subset``, a set of 0-based simple-reflection indices; ``None``
+    means all of them, so W_J = W.  The canonical-parent rule: right
+    multiplication by s raises the length exactly when w(alpha_s) is a
+    positive root, i.e. when column s of w has a positive coordinate sum.  A
+    product w*s (s in J) is kept only when it raises the length and s is the
+    smallest right descent of w*s in J (every column t < s, t in J, of w*s has
+    a positive sum).  Every element of W_J other than the identity has exactly
+    one such parent, one level down, so level k + 1 is built from level k
+    alone and each element is produced exactly once, with no comparison
+    between elements.  Only two levels are alive at a time.  Lengths in W_J
+    are lengths in W (Bjorner-Brenti, GTM 231, §2.4).
 
     Levels come identity first, in nondecreasing length; each is a fresh
     ``(count, n, n)`` array.  Raises AssertionError when an entry leaves the
-    root-coordinate bound, or when the running count passes or ends short of
-    the closed-form order.  Nothing is checked against a cap, and nothing
+    root-coordinate bound, or when the running count passes the closed-form
+    order of W; for J = all it must also end at that order (a proper W_J is
+    counted by its caller).  Nothing is checked against a cap, and nothing
     runs before the first ``next()``: a caller that needs a cap checks it
     before iterating.
     """
@@ -147,6 +158,7 @@ def iter_levels(datum: RootDatum) -> Iterator[np.ndarray]:
     n = spec.rank
     order = group_order_formula(spec)
     gens = simple_reflections(datum)
+    subset = range(n) if subset is None else sorted(subset)
     # s_i - 1 is zero outside row i, so w*s_i = w + (column i of w) * shift[i]:
     # a rank-one update of column i and of its Dynkin neighbours, the only
     # other columns where shift[i] is nonzero.  Entries of w are asserted to
@@ -172,19 +184,21 @@ def iter_levels(datum: RootDatum) -> Iterator[np.ndarray]:
         yield level
         positive = sums > 0
         parents = []
-        for s in range(n):
+        for s in subset:
             keep = positive[s].copy()
-            for t in range(s):
+            for t in subset:
+                if t >= s:
+                    break
                 # Only the neighbours of s change their column sum.
                 keep &= sums[s] * shift[s, t] + sums[t] > 0 if shift[s, t] else positive[t]
-            parents.append(np.flatnonzero(keep))
+            parents.append((s, np.flatnonzero(keep)))
         # The next level is written in place, so at most two levels are alive.
-        child = np.empty((sum(p.size for p in parents), n, n), dtype=np.int8)
-        child_sums = []
+        child = np.empty((sum(p.size for _, p in parents), n, n), dtype=np.int8)
+        child_sums = np.empty((n, child.shape[0]), dtype=np.int16)
         lo = 0
-        for s, idx in enumerate(parents):
+        for s, idx in parents:
             w = np.take(level, idx, axis=0, out=child[lo : lo + idx.size])
-            w_sums = sums.take(idx, axis=1)
+            w_sums = sums.take(idx, axis=1, out=child_sums[:, lo : lo + idx.size])
             w_s, lead = w[:, :, s].copy(), w_sums[s].copy()
             for t in moved[s]:
                 col = w[:, :, t] + w_s * shift[s, t]
@@ -192,14 +206,49 @@ def iter_levels(datum: RootDatum) -> Iterator[np.ndarray]:
                     raise AssertionError("group element entries exceeded the root-coordinate bound")
                 w[:, :, t] = col
                 w_sums[t] += lead * shift[s, t]
-            child_sums.append(w_sums)
             lo += idx.size
-        level, sums = child, np.concatenate(child_sums, axis=1)
+        level, sums = child, child_sums
 
-    if count != order:
+    if len(subset) == n and count != order:
         raise AssertionError(
             f"enumeration of {spec.label} found {count} elements, expected {order}"
         )
+
+
+def min_coset_representatives(datum: RootDatum, k: int) -> tuple[IntMatrix, ...]:
+    """The minimal-length representatives W^J of W / W_J, J = all but s_k.
+
+    ``k`` is 0-based.  W^J is in bijection with the W-orbit of the
+    fundamental weight omega_k (its stabilizer is W_J), walked in Dynkin
+    labels: for a label m_i > 0 the weight mu - m_i * (row i of the Cartan
+    matrix) is s_i(mu), one length further from omega_k, and it is kept only
+    when i is its smallest negative label.  Negative labels of u(omega_k) are
+    the left descents of u, so each representative other than the identity
+    has exactly one parent s_i * u and the walk is duplicate-free, with no
+    sort and no set.  The matrix steps are left multiplications by s_i, which
+    change row i only.  Right multiplication cannot do this: W^J is not
+    prefix-closed (in A2 with J = {s1}, s1 s2 is in W^J but s1 is not).
+
+    Returned identity first, in nondecreasing length.  Pure Python integers.
+    """
+    n = datum.rank
+    if not 0 <= k < n:
+        raise IndexError(f"simple reflection {k} out of range 0..{n - 1}")
+    cartan = [list(datum.cartan.row(i)) for i in range(n)]
+    refl = [g.row(i) for i, g in enumerate(simple_reflections(datum))]
+    walk = [([int(j == k) for j in range(n)], IntMatrix.identity(n).to_rows())]
+    # The loop reads the entries it appends: breadth first, so by length.
+    for mu, u in walk:
+        for i, m in enumerate(mu):
+            if m <= 0:
+                continue
+            nu = [a - m * c for a, c in zip(mu, cartan[i])]
+            if any(x < 0 for x in nu[:i]):
+                continue
+            v = [row[:] for row in u]
+            v[i] = [sum(refl[i][c] * u[c][j] for c in range(n)) for j in range(n)]
+            walk.append((nu, v))
+    return tuple(IntMatrix.from_rows(u) for _, u in walk)
 
 
 def generate_group(datum: RootDatum, cap: GroupCap | None = None) -> WeylGroup:

@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+from roothk import hk_analysis, weyl
 from roothk.exact_linalg import IntMatrix, integer_rank
 from roothk.hk_analysis import (
     FreenessCheck,
@@ -128,7 +129,7 @@ def test_freeness_min_codim_is_two(family, rank, expected_min, groups):
     assert check.elements == group.order
 
 
-@pytest.mark.parametrize("family,rank", [("B", 3), ("F", 4), ("E", 6)])
+@pytest.mark.parametrize("family,rank", [("A", 1), ("G", 2), ("B", 3), ("D", 4), ("F", 4), ("E", 6)])
 def test_streamed_freeness_matches_stored(family, rank, groups):
     stored = groups(family, rank)
     streamed = freeness_codim_check(WeylGroup.from_generators(stored.datum))
@@ -171,6 +172,47 @@ def test_freeness_rejects_missing_element(groups):
     )
     with pytest.raises(AssertionError, match="saw 47 elements"):
         freeness_codim_check(truncated)
+
+
+def test_freeness_rejects_wrong_character_sums(groups):
+    # Overwriting the longest element (-1, trace -3) with the rotation s1 s2
+    # (trace 0) keeps the element count, the single identity and the nine
+    # reflections; only the character sums notice.
+    group = groups("B", 3)
+    elements = group.elements.copy()
+    assert elements[-1].tolist() == [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+    elements[-1] = (group.generators[0] @ group.generators[1]).to_rows()
+    mutated = WeylGroup(datum=group.datum, generators=group.generators, order=group.order, elements=elements)
+    with pytest.raises(AssertionError, match="character sums 3 and 39, expected 0 and 48"):
+        freeness_codim_check(mutated)
+
+
+@pytest.mark.parametrize("edit", ["drop", "duplicate"])
+def test_freeness_rejects_wrong_coset_representatives(monkeypatch, edit):
+    # W(B3) streams as 8 representatives times the 6 elements of W(A2).
+    real = weyl.min_coset_representatives
+
+    def edited(datum, k):
+        reps = real(datum, k)
+        return reps[:-1] if edit == "drop" else reps + reps[-1:]
+
+    monkeypatch.setattr(hk_analysis, "min_coset_representatives", edited)
+    group = WeylGroup.from_generators(build_root_datum(RootSystemSpec("B", 3)))
+    with pytest.raises(AssertionError, match=f"saw {42 if edit == 'drop' else 54} elements"):
+        freeness_codim_check(group)
+
+
+@pytest.mark.parametrize(
+    "bound,message",
+    [(1, "coset representative entries exceeded"), (61, "overflow the int16 accumulator")],
+)
+def test_freeness_bounds_are_asserted(monkeypatch, bound, message):
+    # The representatives of W(B3) have entries 2, over a bound of 1.  With
+    # entries up to 61 a rank-3 trace could reach 9 * 61^2 = 33489 >= 2^15.
+    monkeypatch.setattr(hk_analysis, "_ENTRY_BOUND", bound)
+    group = WeylGroup.from_generators(build_root_datum(RootSystemSpec("B", 3)))
+    with pytest.raises(AssertionError, match=message):
+        freeness_codim_check(group)
 
 
 def test_freeness_skipped_over_cap():

@@ -74,33 +74,97 @@ def test_enumeration_oracle(family, rank, groups):
     assert length[-1] == positive.shape[0]
 
 
-def _exponents(datum):
+def _exponents(datum, k=None):
     """Exponents m_i from the height partition of the positive roots:
-    #{i : m_i >= k} is the number of positive roots of height k (Kostant 1959)."""
+    #{i : m_i >= k} is the number of positive roots of height k (Kostant 1959).
+
+    With ``k``, only the roots whose k-th root coordinate is 0: the root
+    system of the parabolic subgroup W_J, J = all simple reflections but s_k
+    (the partition adds up over its components)."""
     coords = ambient_to_root_basis(datum, datum.all_roots)
-    per_height = Counter(int(sum(c)) for c in coords if min(c) >= 0)
+    per_height = Counter(int(sum(c)) for c in coords if min(c) >= 0 and (k is None or c[k] == 0))
     return sorted(k for k in per_height for _ in range(per_height[k] - per_height[k + 1]))
+
+
+def _poincare(exponents):
+    """Coefficients of prod_i (1 + q + ... + q^{m_i})."""
+    poly = [1]
+    for m in exponents:
+        poly = np.convolve(poly, np.ones(m + 1, dtype=np.int64)).tolist()
+    return poly
+
+
+def _divide_exactly(num, den):
+    """Quotient of integer polynomials (coefficient lists), asserting that
+    the division is exact over the integers."""
+    num, quotient = list(num), []
+    for i in range(len(num) - len(den) + 1):
+        q, r = divmod(num[i], den[0])
+        assert r == 0
+        quotient.append(q)
+        for j, d in enumerate(den):
+            num[i + j] -= q * d
+    assert not any(num)
+    return quotient
+
+
+def _lengths(datum, elements):
+    """Coxeter length of each element: the positive roots it sends negative."""
+    coords = ambient_to_root_basis(datum, datum.all_roots)
+    positive = np.array([[int(x) for x in c] for c in coords if min(c) >= 0], dtype=np.int32)
+    images = np.asarray(elements, dtype=np.int32) @ positive.T
+    return (images < 0).any(axis=1).sum(axis=1).tolist()
 
 
 def test_exponents_from_root_heights():
     assert _exponents(build_root_datum(RootSystemSpec("E", 7))) == [1, 5, 7, 9, 11, 13, 17]
     assert _exponents(build_root_datum(RootSystemSpec("G", 2))) == [1, 5]
     assert _exponents(build_root_datum(RootSystemSpec("B", 4))) == [1, 3, 5, 7]
+    # E7 without its last node is E6; B4 without its last node is A3.
+    assert _exponents(build_root_datum(RootSystemSpec("E", 7)), 6) == [1, 4, 5, 7, 8, 11]
+    assert _exponents(build_root_datum(RootSystemSpec("B", 4)), 3) == [1, 2, 3]
 
 
 @pytest.mark.parametrize(
     "family,rank",
-    [("A", 4), ("B", 4), ("C", 4), ("D", 5), ("F", 4), ("G", 2), ("E", 6), ("E", 7)],
+    [("A", 1), ("A", 4), ("B", 4), ("C", 4), ("D", 5), ("F", 4), ("G", 2), ("E", 6), ("E", 7)],
 )
 def test_level_sizes_are_poincare_coefficients(family, rank):
     # The number of elements of each Coxeter length is the coefficient of the
     # Poincare polynomial prod_i (1 + q + ... + q^{m_i}); the exponents come
-    # from the roots alone, not from the enumeration.
+    # from the roots alone, not from the enumeration.  The same holds for the
+    # parabolic subgroup W_J (J = all but the last simple reflection) and its
+    # levels, and the minimal coset representatives W^J, counted by length,
+    # give P_W / P_{W_J} (Bjorner-Brenti, GTM 231, §2.4).
     datum = build_root_datum(RootSystemSpec(family, rank))
-    poincare = [1]
-    for m in _exponents(datum):
-        poincare = np.convolve(poincare, np.ones(m + 1, dtype=np.int64)).tolist()
+    k = rank - 1
+    poincare, parabolic = _poincare(_exponents(datum)), _poincare(_exponents(datum, k))
     assert [level.shape[0] for level in iter_levels(datum)] == poincare
+    assert [level.shape[0] for level in iter_levels(datum, range(k))] == parabolic
+    reps = weyl.min_coset_representatives(datum, k)
+    per_length = Counter(_lengths(datum, [u.to_rows() for u in reps]))
+    assert [per_length[i] for i in range(max(per_length) + 1)] == _divide_exactly(poincare, parabolic)
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 2), ("A", 5), ("B", 3), ("C", 4), ("D", 4), ("D", 8), ("F", 4), ("G", 2), ("E", 6), ("E", 8)],
+)
+def test_min_coset_representatives_are_minimal(family, rank):
+    # u is minimal in u W_J exactly when u(alpha_j) is positive for each j in
+    # J, i.e. when column j of u has a positive coordinate sum.  Distinct
+    # minimal elements lie in distinct cosets, so |W^J| = |W| / |W_J|.
+    datum = build_root_datum(RootSystemSpec(family, rank))
+    k = rank - 1
+    reps = weyl.min_coset_representatives(datum, k)
+    assert reps[0] == IntMatrix.identity(rank)
+    assert len(set(reps)) == len(reps)
+    for u in reps:
+        assert all(sum(u[i, j] for i in range(rank)) > 0 for j in range(k))
+    lengths = _lengths(datum, [u.to_rows() for u in reps])
+    assert lengths == sorted(lengths)
+    parabolic = _poincare(_exponents(datum, k))
+    assert len(reps) * sum(parabolic) == group_order_formula(datum.spec)
 
 
 def test_entry_bound_is_asserted(monkeypatch):
