@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every constructor argument is passed on to ``Exception.__init__`` and the
+message is built in ``__str__``, so each error pickles and unpickles to an
+equal one (``report`` sends its worker's errors through a pipe).
+"""
 
 
 class RootHKError(Exception):
@@ -9,11 +14,14 @@ class GroupTooLargeError(RootHKError):
     """Raised when exhaustive group enumeration would exceed the element cap."""
 
     def __init__(self, label: str, predicted: int, cap: int):
+        super().__init__(label, predicted, cap)
         self.label = label
         self.predicted = predicted
         self.cap = cap
-        super().__init__(
-            f"group {label} has {predicted} elements, exceeding the cap of {cap}; "
+
+    def __str__(self) -> str:
+        return (
+            f"group {self.label} has {self.predicted} elements, exceeding the cap of {self.cap}; "
             "use generator-only methods"
         )
 
@@ -22,9 +30,12 @@ class DiscriminantTooLargeError(RootHKError):
     """Raised when a discriminant group is too large for subgroup enumeration."""
 
     def __init__(self, order: int, cap: int):
+        super().__init__(order, cap)
         self.order = order
         self.cap = cap
-        super().__init__(f"discriminant group of order {order} exceeds the cap of {cap}")
+
+    def __str__(self) -> str:
+        return f"discriminant group of order {self.order} exceeds the cap of {self.cap}"
 
 
 class NotExhaustiveError(RootHKError):
@@ -35,8 +46,11 @@ class FormSpaceError(RootHKError):
     """Raised when the space of invariant bilinear forms is not one-dimensional."""
 
     def __init__(self, dim: int):
+        super().__init__(dim)
         self.dim = dim
-        super().__init__(f"invariant bilinear form space has dimension {dim}, expected 1")
+
+    def __str__(self) -> str:
+        return f"invariant bilinear form space has dimension {self.dim}, expected 1"
 
 
 class LatticeActionError(RootHKError):

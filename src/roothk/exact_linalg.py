@@ -17,6 +17,8 @@ Vector = tuple[Fraction, ...]
 
 
 def _as_int(x) -> int:
+    if type(x) is int:  # the common case, ahead of the slower ABC check below
+        return x
     if isinstance(x, Fraction):
         if x.denominator != 1:
             raise ValueError(f"entry {x} is not an integer")

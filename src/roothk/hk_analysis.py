@@ -42,9 +42,11 @@ from .weyl import (
 GENERATOR_ONLY_MAX_RANK = 24
 
 # Bounds on the brute-force grid (2n int64 words a point) and on the freeness
-# pass's temporaries.
+# pass's temporaries: elements v per block, so a block's traces against the
+# 240 representatives of E8 over E7 take 240 * 8192 int16 words.  No level of
+# a default run is that large (A8 over A7 peaks at 3836).
 _GRID_MAX_POINTS = 1 << 16
-_FREENESS_CHUNK = 200_000
+_FREENESS_BLOCK = 8192
 
 
 # --- fixed loci on the torus model ---------------------------------------------
@@ -149,13 +151,14 @@ def freeness_codim_check(group: WeylGroup, cap: GroupCap | None = None) -> Freen
     tower (conjugates have equal ranks).
 
     The pass reads W as every product u * v of a representative u and an
-    element v of a chunk.  A stored group is the identity times slices of
-    ``group.elements``.  Otherwise W = W^J * W_J with J every simple
-    reflection but the last (Bjorner-Brenti, GTM 231, §2.4): the
-    representatives are :func:`min_coset_representatives` and the chunks are
-    the levels of :func:`iter_levels` over J.  As tr(u v) = <vec(u^T), vec(v)>,
-    the traces of a chunk against every representative are one integer
-    product, and only the pairs of trace n - 2 are multiplied out.  Groups
+    element v of a chunk, in blocks of ``_FREENESS_BLOCK`` elements v.  A
+    stored group is the identity times ``group.elements``.  Otherwise
+    W = W^J * W_J with J every simple reflection but the last
+    (Bjorner-Brenti, GTM 231, §2.4): the representatives are
+    :func:`min_coset_representatives` and the chunks are the levels of
+    :func:`iter_levels` over J.  As tr(u v) = <vec(u^T), vec(v)>, the traces
+    of a block against every representative are one integer product, and
+    only the pairs of trace n - 2 are multiplied out.  Groups
     beyond the cap report skipped.
     """
     cap = cap if cap is not None else GroupCap()
@@ -169,8 +172,7 @@ def freeness_codim_check(group: WeylGroup, cap: GroupCap | None = None) -> Freen
         chunks = iter_levels(group.datum, range(n - 1))
     else:
         reps = (IntMatrix.identity(n),)
-        stored = group.elements
-        chunks = (stored[lo : lo + _FREENESS_CHUNK] for lo in range(0, stored.shape[0], _FREENESS_CHUNK))
+        chunks = (group.elements,)
     # Entries of u and v lie in [-6, 6], so a trace is a sum of n^2 products
     # of absolute value at most 36, which int16 holds exactly up to n = 8.
     if n * n * _ENTRY_BOUND**2 >= 1 << 15:
@@ -181,15 +183,16 @@ def freeness_codim_check(group: WeylGroup, cap: GroupCap | None = None) -> Freen
     u_t = u.transpose(0, 2, 1).reshape(len(reps), n * n).astype(np.int16)
     ident = np.eye(n, dtype=np.int32)
     elements = identities = reflections = trace_sum = trace_square_sum = 0
-    for chunk in chunks:
-        elements += len(reps) * chunk.shape[0]
+    blocks = (c[lo : lo + _FREENESS_BLOCK] for c in chunks for lo in range(0, c.shape[0], _FREENESS_BLOCK))
+    for block in blocks:
+        elements += len(reps) * block.shape[0]
         # Element-last and C-contiguous: with the transposed strides that a
         # plain astype keeps, einsum runs about four times slower.
-        v = chunk.reshape(-1, n * n).T.astype(np.int16, order="C")
+        v = block.reshape(-1, n * n).T.astype(np.int16, order="C")
         traces = np.einsum("ux,xk->uk", u_t, v)
         identities += int(np.count_nonzero(traces == n))
         ui, vi = np.nonzero(traces == n - 2)
-        w = u[ui] @ chunk[vi].astype(np.int32)  # int8 entries; products fit int32
+        w = u[ui] @ block[vi].astype(np.int32)  # int8 entries; products fit int32
         reflections += int(np.count_nonzero((w @ w == ident).all(axis=(1, 2))))
         trace_sum += int(traces.sum(dtype=np.int64))
         trace_square_sum += int(np.einsum("uk,uk->", traces, traces, dtype=np.int64))

@@ -1,16 +1,19 @@
 import hashlib
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
+from roothk import cli
 from roothk.cli import main
+from roothk.errors import GroupTooLargeError, RootHKError
 
 
 def run_python(args, env_extra=None):
-    import os
-
     env = dict(os.environ)
     env.pop("ROOTHK_GROUP_CAP", None)
     if env_extra:
@@ -281,6 +284,7 @@ print("numpy" in sys.modules)
         (("sublattices", "D", "4"), False),
         (("lemma-check",), False),
         (("analyze", "A", "3"), True),  # enumerates W
+        (("report", "--suite", "default"), False),  # W is enumerated in a forked worker
     ],
     ids=lambda v: " ".join(v) or "import" if isinstance(v, tuple) else str(v),
 )
@@ -288,3 +292,108 @@ def test_numpy_loaded_only_where_w_is_enumerated(argv, loads_numpy):
     proc = run_python(["-c", NUMPY_PROBE, *argv])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{loads_numpy}\n"
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_report_reaps_its_worker(capsys, monkeypatch):
+    monkeypatch.delenv("ROOTHK_GROUP_CAP", raising=False)
+    assert main(["report", "--format", "tsv"]) == 0
+    _assert_no_child_left()
+    assert "(worker " in capsys.readouterr().err
+
+
+def test_report_without_fork_runs_the_worker_inline(capsys, monkeypatch):
+    monkeypatch.delenv("ROOTHK_GROUP_CAP", raising=False)
+    monkeypatch.delattr(os, "fork")
+    assert main(["report", "--format", "tsv"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256["tsv"]
+
+
+def test_report_reraises_a_worker_assertion(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("boom")
+
+    monkeypatch.setattr(cli, "freeness_codim_check", boom)
+    with pytest.raises(AssertionError, match="boom") as excinfo:
+        main(["report"])
+    _assert_no_child_left()
+    if sys.version_info >= (3, 11):
+        # The worker's traceback travels as a note.
+        assert "_enumerated_checks" in "".join(excinfo.value.__notes__)
+
+
+def test_report_worker_error_exits_1(capsys, monkeypatch):
+    def too_large(*args, **kwargs):
+        raise GroupTooLargeError("E7", 2903040, 10)
+
+    monkeypatch.setattr(cli, "freeness_codim_check", too_large)
+    assert main(["report"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "group E7 has 2903040 elements, exceeding the cap of 10" in captured.err
+    _assert_no_child_left()
+
+
+def test_report_killed_worker_exits_1(capsys, monkeypatch):
+    def killed(*args, **kwargs):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(cli, "freeness_codim_check", killed)
+    assert main(["report"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"report worker ended without a result (wait status {signal.SIGKILL})" in captured.err
+    _assert_no_child_left()
+
+
+def test_report_unpicklable_worker_error_exits_1(capsys, monkeypatch):
+    class LocalError(Exception):  # a class local to a function does not pickle
+        pass
+
+    def fails(*args, **kwargs):
+        raise LocalError("unpicklable")
+
+    monkeypatch.setattr(cli, "freeness_codim_check", fails)
+    assert main(["report"]) == 1
+    assert "report worker ended without a result (wait status 0)" in capsys.readouterr().err
+    _assert_no_child_left()
+
+
+def test_report_parent_error_kills_the_worker(capsys, monkeypatch):
+    def fails(*args, **kwargs):
+        raise RootHKError("parent side failed")
+
+    # A worker that would run for a minute: only a kill ends it in time.
+    monkeypatch.setattr(cli, "freeness_codim_check", lambda *args, **kwargs: time.sleep(60))
+    monkeypatch.setattr(cli, "invariant_report", fails)
+    started = time.monotonic()
+    assert main(["report"]) == 1
+    assert time.monotonic() - started < 30
+    assert "parent side failed" in capsys.readouterr().err
+    _assert_no_child_left()
+
+
+# Runs report in a fresh interpreter and prints, from a `finally` around
+# main, whether the process leaving main is the one that called it.
+UNWIND_PROBE = """
+import contextlib, io, os
+from roothk.cli import main
+
+caller = os.getpid()
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["report"])
+finally:
+    print(os.getpid() == caller)
+"""
+
+
+def test_report_worker_never_returns_into_the_caller():
+    proc = run_python(["-c", UNWIND_PROBE])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"

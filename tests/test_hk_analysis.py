@@ -138,6 +138,17 @@ def test_streamed_freeness_matches_stored(family, rank, groups):
     assert (streamed.elements, streamed.reflections) == (expected.elements, expected.reflections)
 
 
+
+@pytest.mark.parametrize("stored", [False, True], ids=["streamed", "stored"])
+def test_freeness_blocks_split_chunks(monkeypatch, groups, stored):
+    # Blocks of 5 elements split most W(A3) levels of the streamed W(D4) and
+    # the stored group into several blocks, the last one short; the counts
+    # and character sums must not notice.
+    monkeypatch.setattr(hk_analysis, "_FREENESS_BLOCK", 5)
+    group = groups("D", 4)
+    check = freeness_codim_check(group if stored else WeylGroup.from_generators(group.datum))
+    assert (check.status, check.elements, check.reflections) == ("verified", 192, 12)
+
 def _b3_with_overwrite(groups, source_is_reflection, replacement):
     """Copy of W(B3) with the first (non-)reflection overwritten."""
     group = groups("B", 3)
