@@ -217,8 +217,8 @@ def cmd_sublattices(family: str, rank: int) -> ReportDocument:
             {
                 "index_over_root": lat.index_over_root,
                 "subgroup_order": lat.subgroup_order,
-                "gram_det": lat.gram.det(),
-                "primitive_gram_det": lat.primitive_gram().det(),
+                "gram_det": lat.gram_det,
+                "primitive_gram_det": lat.primitive_gram_det,
             },
         )
     classes = "|".join(",".join(str(i) for i in cls) for cls in tower.rescaling_classes)

@@ -200,7 +200,7 @@ def freeness_codim_check(group: WeylGroup, cap: GroupCap | None = None) -> Freen
         raise AssertionError(f"the pass saw {elements} elements, expected order {group.order}")
     if identities != 1:
         raise AssertionError(f"identity appeared {identities} times in the element set")
-    positive_roots = len(group.datum.all_roots) // 2
+    positive_roots = len(group.datum.root_coords) // 2
     if reflections != positive_roots:
         raise AssertionError(f"found {reflections} reflections, expected {positive_roots} positive roots")
     if trace_sum != 0 or trace_square_sum != group.order:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import DiscriminantTooLargeError, LatticeActionError
@@ -33,6 +33,10 @@ from .root_data import (
 )
 
 DEFAULT_DISC_CAP = 10**6
+
+
+def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return sum(map(mul, a, b))
 
 
 def _divided(m: IntMatrix, d: int) -> RatMatrix:
@@ -124,50 +128,63 @@ def induced_discriminant_action(
     Each reflection is given by an integer root-basis vector b of its root
     beta.  In dual-basis coordinates (x, beta) = x.b, beta is v = G b and
     (beta, beta) = N = b.v, so s_beta(x) = x - (2 x.b / N) v.  That is integral
-    on every dual vector exactly when N divides every 2 b_j v_k, checked once
-    per reflection; otherwise :class:`LatticeActionError` is raised.  An
-    isometric involution that preserves the dual lattice also preserves its
-    dual, the root lattice, so each induced map is an automorphism of the
-    discriminant group.  Each map is returned as a dictionary on
-    invariant-factor coordinate tuples.
+    on every dual vector exactly when N divides every 2 b_j v_k, that is
+    2 gcd(b) gcd(v), checked once per reflection; otherwise
+    :class:`LatticeActionError` is raised.  An isometric involution that
+    preserves the dual lattice also preserves its dual, the root lattice, so
+    each induced map is an automorphism of the discriminant group.  It is
+    computed on the generator lifts and extended additively; each map is
+    returned as a dictionary on invariant-factor coordinate tuples.
     """
     elements = disc.elements()
-    n = gram.rows
+    factors = disc.invariant_factors
+    gram_rows = gram.to_rows()
     maps = []
     for b in reflections:
-        v = [sum(gram[k, j] * b[j] for j in range(n)) for k in range(n)]
-        norm = sum(x * y for x, y in zip(b, v))
-        if any(2 * bj * vk % norm for bj in b for vk in v):
+        v = [_dot(row, b) for row in gram_rows]
+        norm = _dot(b, v)
+        if 2 * gcd(*b) * gcd(*v) % norm:
             raise LatticeActionError(f"reflection in {tuple(b)} does not preserve the dual lattice")
-        table = {}
-        for a in elements:
-            x = disc.lift(a)
-            c = 2 * sum(xi * bi for xi, bi in zip(x, b))
-            table[a] = disc.reduce(tuple(xi - c * vi // norm for xi, vi in zip(x, v)))
-        maps.append(table)
+        images = []
+        for x in disc.generator_lifts:
+            c = 2 * _dot(x, b)
+            images.append(disc.reduce(tuple(xi - c * vi // norm for xi, vi in zip(x, v))))
+        maps.append({
+            a: tuple(
+                sum(ak * img[i] for ak, img in zip(a, images)) % d for i, d in enumerate(factors)
+            )
+            for a in elements
+        })
     return tuple(maps)
 
 
+def _extend_subgroup(disc: DiscriminantGroup, h: frozenset, g: tuple[int, ...]) -> frozenset:
+    """The subgroup generated by the subgroup h and g: the union of the cosets
+    h + k·g for k = 0, 1, ... up to the first multiple k·g that lies in h."""
+    out = set(h)
+    kg = g
+    while kg not in h:
+        out.update(disc.add(x, kg) for x in h)
+        kg = disc.add(kg, g)
+    return frozenset(out)
+
+
 def _close_subgroup(disc: DiscriminantGroup, seed: frozenset) -> frozenset:
-    closed = set(seed)
-    closed.add(disc.zero())
-    frontier = list(closed)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(closed):
-                c = disc.add(a, b)
-                if c not in closed:
-                    closed.add(c)
-                    new.append(c)
-        frontier = new
-    return frozenset(closed)
+    """The subgroup generated by ``seed``, one generator at a time."""
+    closed = frozenset({disc.zero()})
+    for g in seed:
+        if g not in closed:
+            closed = _extend_subgroup(disc, closed, g)
+    return closed
 
 
 def all_subgroups(disc: DiscriminantGroup, cap: int = DEFAULT_DISC_CAP) -> tuple[frozenset, ...]:
-    """Every subgroup of the discriminant group, by closure of element subsets.
+    """Every subgroup of the discriminant group: starting from the trivial
+    subgroup, each one found is extended by every element outside it.
 
-    Deterministic order: by subgroup order, then by the sorted element tuples.
+    Every subgroup is reached, since it is the trivial subgroup extended by
+    its generators one at a time.  Deterministic order: by subgroup order,
+    then by the sorted element tuples.
     """
     if disc.order > cap:
         raise DiscriminantTooLargeError(disc.order, cap)
@@ -178,7 +195,7 @@ def all_subgroups(disc: DiscriminantGroup, cap: int = DEFAULT_DISC_CAP) -> tuple
         s = worklist.pop()
         for e in elements:
             if e not in s:
-                t = _close_subgroup(disc, s | {e})
+                t = _extend_subgroup(disc, s, e)
                 if t not in found:
                     found.add(t)
                     worklist.append(t)
@@ -192,7 +209,7 @@ def minimal_generating_set(disc: DiscriminantGroup, subgroup: frozenset) -> tupl
     for e in sorted(subgroup):
         if e not in span:
             gens.append(e)
-            span = _close_subgroup(disc, span | {e})
+            span = _extend_subgroup(disc, span, e)
             if span == subgroup:
                 break
     return tuple(gens)
@@ -230,8 +247,10 @@ class IntermediateLattice:
     """A group-stable lattice between the root lattice and its dual.
 
     ``basis`` rows are dual-basis coordinates (Hermite normal form, so the
-    representation is canonical); ``gram`` is the form inherited from the
-    ambient rational span.
+    representation is canonical).  The form inherited from the ambient
+    rational span is B G^-1 B^T, kept in integers as ``scaled_gram`` =
+    B adj(G) B^T over ``gram_denominator`` = det G, with ``scaled_gram_det``
+    its determinant; ``gram`` is the rational form itself.
     """
 
     label: str
@@ -239,11 +258,26 @@ class IntermediateLattice:
     subgroup_order: int
     index_over_root: int
     basis: IntMatrix
-    gram: RatMatrix
+    scaled_gram: IntMatrix
+    gram_denominator: int
+    scaled_gram_det: int
+
+    @property
+    def gram(self) -> RatMatrix:
+        return _divided(self.scaled_gram, self.gram_denominator)
+
+    @property
+    def gram_det(self) -> Fraction:
+        return Fraction(self.scaled_gram_det, self.gram_denominator**self.basis.rows)
 
     def primitive_gram(self) -> IntMatrix:
-        prim, _ = self.gram.primitive_integer()
-        return prim
+        """The inherited form rescaled to integer entries of content 1."""
+        c = self.scaled_gram.content()
+        return IntMatrix(self.basis.rows, self.basis.rows, (x // c for x in self.scaled_gram.data))
+
+    @property
+    def primitive_gram_det(self) -> int:
+        return self.scaled_gram_det // self.scaled_gram.content() ** self.basis.rows
 
     def contains_dual_vector(
         self, v: tuple[int, ...], basis_adjugate: tuple[IntMatrix, int] | None = None
@@ -280,44 +314,55 @@ def _lattice_from_subgroup(
     gram_adjugate: tuple[IntMatrix, int],
 ) -> IntermediateLattice:
     n = datum.rank
-    gram = datum.gram
     gram_adj, gram_det = gram_adjugate
-    rows = gram.to_rows()
-    for e in sorted(subgroup):
-        rows.append(list(disc.lift(e)))
+    gens = minimal_generating_set(disc, subgroup)
+    # The root lattice (the Gram rows) and the generator lifts span the lattice.
+    rows = datum.gram.to_rows()
+    rows.extend(list(disc.lift(g)) for g in gens)
     h, _ = hermite_normal_form(IntMatrix.from_rows(rows))
     basis = IntMatrix.from_rows(h.to_rows()[:n])
-    basis_det = basis.det()
+    # A full-rank row HNF is upper triangular: det B is its pivot product.
+    basis_det = 1
+    for i in range(n):
+        basis_det *= basis[i, i]
     if basis_det == 0:
         raise AssertionError("lattice basis is singular")
-    index = abs(gram_det) // abs(basis_det)
+    index = abs(gram_det) // basis_det
     if index != len(subgroup):
         raise AssertionError("index does not match subgroup order")
-    # B G^-1 B^T, with G^-1 = adj(G) / det G.
-    lattice_gram = _divided(basis @ gram_adj @ basis.transpose(), gram_det)
+    # B G^-1 B^T = B adj(G) B^T / det G.
+    scaled = basis @ gram_adj @ basis.transpose()
+    scaled_det = scaled.det()
+    if scaled_det != basis_det**2 * gram_det ** (n - 1):
+        raise AssertionError("det of B adj(G) B^T is not det(B)^2 det(G)^(n-1)")
     return IntermediateLattice(
         label=label,
-        subgroup_generators=minimal_generating_set(disc, subgroup),
+        subgroup_generators=gens,
         subgroup_order=len(subgroup),
         index_over_root=index,
         basis=basis,
-        gram=lattice_gram,
+        scaled_gram=scaled,
+        gram_denominator=gram_det,
+        scaled_gram_det=scaled_det,
     )
 
 
-def _recognize_label(datum: RootDatum, disc_order: int, subgroup: frozenset, gram: RatMatrix, rank: int, seen: list[str]) -> str:
-    if len(subgroup) == 1:
+def _recognize_label(datum: RootDatum, disc_order: int, lat: IntermediateLattice, seen: list[str]) -> str:
+    order = lat.subgroup_order
+    if order == 1:
         return datum.label
-    if len(subgroup) == disc_order:
+    if order == disc_order:
         return f"{datum.label}*"
-    if gram.is_integral():
-        g = gram.to_int()
-        # Determinant 1 leaves no Smith invariant to compare with the cube's.
-        if g.det() == 1 and _isometry_search(g, IntMatrix.identity(rank)) is True:
+    d = lat.gram_denominator
+    # Determinant 1 leaves no Smith invariant to compare with the cube's.
+    if all(x % d == 0 for x in lat.scaled_gram.data) and lat.gram_det == 1:
+        rank = datum.rank
+        g = IntMatrix(rank, rank, (x // d for x in lat.scaled_gram.data))
+        if _isometry_search(g, IntMatrix.identity(rank)) is True:
             base = f"Z^{rank}"
             if base not in seen:
                 return base
-    base = f"{datum.label}+[{len(subgroup)}]"
+    base = f"{datum.label}+[{order}]"
     candidate = base
     k = 2
     while candidate in seen:
@@ -358,7 +403,7 @@ def invariant_intermediate_lattices(
     labels: list[str] = []
     for s in stable:
         lat = _lattice_from_subgroup(datum, disc, s, "", gram_adjugate)
-        label = _recognize_label(datum, disc.order, s, lat.gram, n, labels)
+        label = _recognize_label(datum, disc.order, lat, labels)
         labels.append(label)
         lattices.append(replace(lat, label=label))
 
@@ -407,72 +452,75 @@ def tower_for_spec(spec: RootSystemSpec, cap: int = DEFAULT_DISC_CAP) -> TowerRe
 # --- exact short vectors and isometry testing ---------------------------------
 
 
-def _rational_cholesky(g: RatMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Diagonal d and unit-upper-triangular u with Q(x) = sum d_i (x_i + sum_{j>i} u_ij x_j)^2."""
-    n = g.rows
-    a = [[g[i, j] for j in range(n)] for i in range(n)]
-    d: list[Fraction] = []
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        if a[i][i] <= 0:
-            raise ValueError("form is not positive definite")
-        d.append(a[i][i])
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / a[i][i]
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                a[j][k] -= a[i][j] * a[i][k] / a[i][i]
-                a[k][j] = a[j][k]
-    return d, u
-
-
-def _floor_sqrt(x: Fraction) -> int:
-    if x < 0:
-        raise ValueError("negative radicand")
-    return isqrt(x.numerator * x.denominator) // x.denominator
-
-
 def short_vectors(g: RatMatrix, bound: Fraction) -> list[tuple[tuple[int, ...], Fraction]]:
     """All lattice vectors (up to sign) with 0 < Q(x) <= bound, exactly.
 
-    Standard recursive enumeration on the rational Cholesky decomposition;
-    integer ranges are located with exact integer square roots and filtered by
-    the exact quadratic form.  Only one of each +-pair is returned, with the
-    first nonzero coordinate positive.
+    Fincke-Pohst enumeration in integers (Cohen, GTM 138, Alg. 2.7.5, made
+    fraction-free).  Bareiss elimination of the form scaled to integers gives
+    its leading minors D_0 = 1, D_1, ..., D_n and integer rows b_i with
+
+        Q(x) = sum_i (D_{i+1} x_i + p_i)^2 / (D_i D_{i+1}),  p_i = sum_{j>i} b_ij x_j.
+
+    Scaling by L = lcm_i(D_i D_{i+1}) makes every level an integer weight times
+    a square, so the range of each x_i is an exact integer square root and
+    every comparison is on integers.  Only one of each +-pair is returned,
+    with the first nonzero coordinate positive; the list is sorted.  Raises
+    ValueError when a leading minor is not positive (the form is not positive
+    definite).
     """
     n = g.rows
     bound = Fraction(bound)
-    d, u = _rational_cholesky(g)
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    den = 1
+    for v in g.data:
+        den = lcm(den, v.denominator)
+    # Upper triangle of den * g, eliminated in place (Bareiss).
+    b = [[int(g[i, j] * den) for j in range(n)] for i in range(n)]
+    minors = [1]
+    for k in range(n):
+        pivot = b[k][k]
+        if pivot <= 0:
+            raise ValueError("form is not positive definite")
+        prev = minors[-1]
+        minors.append(pivot)
+        for i in range(k + 1, n):
+            bki = b[k][i]
+            row = b[i]
+            for j in range(i, n):
+                row[j] = (pivot * row[j] - bki * b[k][j]) // prev
+    scale = 1
+    for i in range(n):
+        scale = lcm(scale, minors[i] * minors[i + 1])
+    weights = [scale // (minors[i] * minors[i + 1]) for i in range(n)]
+    tails = [[(j, b[i][j]) for j in range(i + 1, n) if b[i][j]] for i in range(n)]
+    total = scale * (bound.numerator * den // bound.denominator)
+    norm_den = scale * den
     out: list[tuple[tuple[int, ...], Fraction]] = []
     x = [0] * n
 
-    def recurse(i: int, remaining: Fraction):
-        if i < 0:
-            if any(x):
-                used = bound - remaining
+    # Each +-pair is enumerated once, with its last nonzero coordinate
+    # positive; the sign is moved to the first nonzero one on output.
+    def recurse(i: int, remaining: int, started: bool) -> None:
+        d, w = minors[i + 1], weights[i]
+        p = sum(bij * x[j] for j, bij in tails[i])
+        s = isqrt(remaining // w)
+        lo = -((s + p) // d) if started else 0
+        for xi in range(lo, (s - p) // d + 1):
+            y = d * xi + p
+            x[i] = xi
+            rest = remaining - w * y * y
+            if i:
+                recurse(i - 1, rest, started or xi != 0)
+            elif started or xi:
                 vec = tuple(x)
-                for v in vec:
-                    if v > 0:
-                        out.append((vec, used))
-                        return
-                    if v < 0:
-                        return
-            return
-        c = sum((u[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        radius = remaining / d[i]
-        s = _floor_sqrt(radius)
-        lo = -s - 1
-        hi = s + 1
-        center = -c
-        base = center.numerator // center.denominator  # floor
-        for xi in range(base + lo, base + hi + 2):
-            val = d[i] * (xi + c) ** 2
-            if val <= remaining:
-                x[i] = xi
-                recurse(i - 1, remaining - val)
+                if next(v for v in vec if v) < 0:
+                    vec = tuple(-v for v in vec)
+                out.append((vec, Fraction(total - rest, norm_den)))
         x[i] = 0
 
-    recurse(n - 1, bound)
+    if n:
+        recurse(n - 1, total, False)
     return sorted(out)
 
 
@@ -505,10 +553,6 @@ def _greedy_reduce(g: IntMatrix) -> IntMatrix:
                     changed = True
     order = sorted(range(n), key=lambda i: (a[i][i], a[i]))
     return IntMatrix(n, n, (a[order[i]][order[j]] for i in range(n) for j in range(n)))
-
-
-def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return sum(map(mul, a, b))
 
 
 def lattice_isometric(
@@ -632,7 +676,7 @@ def classify_up_to_rescaling(
     m = len(lattices)
     prims = [lat.primitive_gram() for lat in lattices]
     # The checks of lattice_isometric, each form's invariants taken once.
-    rank_det = [(g.rows, g.det()) for g in prims]
+    rank_det = [(g.rows, lat.primitive_gram_det) for g, lat in zip(prims, lattices)]
     smith_diag = cache(lambda i: smith_normal_form(prims[i]).diag)
     parent = list(range(m))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .exact_linalg import IntMatrix, RatMatrix, smith_normal_form
 
@@ -149,6 +149,8 @@ def _int_gram(scaled: IntMatrix) -> list[list[int]]:
 class RootDatum:
     """A root system with its Cartan matrix, full root set, and lattice Gram form.
 
+    ``root_coords`` holds every root in simple-root coordinates, sorted;
+    ``all_roots`` is the same set in ambient coordinates, built on first use.
     ``gram`` is the Gram matrix of the simple roots rescaled to the primitive
     integral form (integer entries of content 1); ``gram_scale`` recovers the
     ambient inner product: raw Gram = gram * gram_scale.
@@ -157,7 +159,7 @@ class RootDatum:
     spec: RootSystemSpec
     cartan: IntMatrix
     simple_roots: tuple[AmbientVector, ...]
-    all_roots: tuple[AmbientVector, ...]
+    root_coords: tuple[tuple[int, ...], ...]
     gram: IntMatrix
     gram_scale: Fraction
     _reflection_cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -165,6 +167,24 @@ class RootDatum:
     @property
     def rank(self) -> int:
         return self.spec.rank
+
+    @cached_property
+    def all_roots(self) -> tuple[AmbientVector, ...]:
+        """Every root in ambient coordinates, sorted."""
+        # Integers scaled by the common denominator of the simple roots; the
+        # positive scale keeps the sort order.
+        scaled, scale = RatMatrix.from_rows(self.simple_roots).integral_rescale()
+        den = scale.denominator
+        ambient = []
+        for v in self.root_coords:
+            acc = [0] * scaled.cols
+            for c, a in zip(v, scaled):
+                if c:
+                    acc = [x + c * y for x, y in zip(acc, a)]
+            ambient.append(tuple(acc))
+        ambient.sort()
+        entry = {x: Fraction(x, den) for u in ambient for x in u}
+        return tuple(tuple(entry[x] for x in u) for u in ambient)
 
     @property
     def label(self) -> str:
@@ -205,7 +225,7 @@ def build_root_datum(spec: RootSystemSpec) -> RootDatum:
 
     # Closure in simple-root coordinates, where everything is an integer:
     # s_j(v) = v - <v, a_j^vee> a_j with <v, a_j^vee> = sum_i v_i cartan[i, j].
-    columns = [[(i, c) for i, c in enumerate(cartan.transpose().row(j)) if c] for j in range(n)]
+    columns = [[(i, c) for i, c in enumerate(col) if c] for col in cartan.transpose()]
     units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     coords = set(units) | {tuple(-x for x in v) for v in units}
     frontier = list(coords)
@@ -220,22 +240,9 @@ def build_root_datum(spec: RootSystemSpec) -> RootDatum:
                         coords.add(w)
                         new.append(w)
         frontier = new
-    # Ambient coordinates, once per root, in integers scaled by the common
-    # denominator of the simple roots; the positive scale keeps the sort order.
+    if len(coords) != spec.root_count:
+        raise AssertionError(f"root count mismatch for {spec.label}: {len(coords)}")
     den = scale.denominator
-    ambient = []
-    for v in coords:
-        acc = [0] * scaled.cols
-        for c, a in zip(v, scaled):
-            if c:
-                acc = [x + c * y for x, y in zip(acc, a)]
-        ambient.append(tuple(acc))
-    ambient.sort()
-    entry = {x: Fraction(x, den) for u in ambient for x in u}
-    all_roots = tuple(tuple(entry[x] for x in u) for u in ambient)
-    if len(all_roots) != spec.root_count:
-        raise AssertionError(f"root count mismatch for {spec.label}: {len(all_roots)}")
-
     raw_gram = RatMatrix(n, n, (Fraction(x, den * den) for row in dots for x in row))
     # Minimal integral rescaling only (x2 for F4, identity elsewhere).  Dividing
     # out a common content as well would turn the A1 form [2] into [1] and
@@ -247,7 +254,7 @@ def build_root_datum(spec: RootSystemSpec) -> RootDatum:
         spec=spec,
         cartan=cartan,
         simple_roots=simple,
-        all_roots=all_roots,
+        root_coords=tuple(sorted(coords)),
         gram=gram,
         gram_scale=scale,
     )

@@ -355,3 +355,203 @@ def test_short_vectors_z2_norm_one():
     g = RatMatrix.identity(2)
     vecs = short_vectors(g, Fraction(1))
     assert sorted(v for v, _ in vecs) == [(0, 1), (1, 0)]
+
+
+# --- short vectors against brute force ---------------------------------------
+
+
+def _box_radii(g, bound):
+    """Radii of a box holding every x with Q(x) <= bound: by Cauchy-Schwarz,
+    x_i^2 = (e_i . x)^2 <= (G^-1)_ii Q(x)."""
+    from math import isqrt
+
+    inv = g.inverse()
+    return [isqrt(int(bound * inv[i, i])) for i in range(g.rows)]
+
+
+def _brute_short_vectors(g, bound):
+    """Every x with 0 < Q(x) <= bound, up to sign, by scanning that box."""
+    import itertools
+    from math import lcm
+
+    n = g.rows
+    den = lcm(*(x.denominator for x in g.data))
+    q = [[int(g[i, j] * den) for j in range(n)] for i in range(n)]
+    out = []
+    for x in itertools.product(*(range(-r, r + 1) for r in _box_radii(g, bound))):
+        if next((v for v in x if v), 0) <= 0:
+            continue
+        norm = Fraction(sum(x[i] * sum(map(int.__mul__, q[i], x)) for i in range(n)), den)
+        if norm <= bound:
+            out.append((x, norm))
+    return sorted(out)
+
+
+def test_short_vectors_match_brute_force_on_random_forms():
+    # Random positive definite Grams A^T A of rank 1-4, integral and divided
+    # by 2-5, at rational bounds; a case whose box exceeds 20,000 points is
+    # drawn again, so the scan stays short.
+    import random
+
+    rng = random.Random(20161)
+    cases = 0
+    while cases < 60:
+        n = rng.randint(1, 4)
+        a = IntMatrix(n, n, (rng.randint(-2, 2) for _ in range(n * n)))
+        if not a.det():
+            continue
+        divisor = rng.choice((1, rng.randint(2, 5)))
+        g = RatMatrix(n, n, (Fraction(x, divisor) for x in (a.transpose() @ a).data))
+        bound = Fraction(rng.randint(1, 10), rng.randint(1, 3))
+        box = 1
+        for r in _box_radii(g, bound):
+            box *= 2 * r + 1
+        if box > 20_000:
+            continue
+        assert short_vectors(g, bound) == _brute_short_vectors(g, bound)
+        cases += 1
+
+
+@pytest.mark.parametrize(
+    "family,rank,counts",
+    # Vectors of norm 2 and of norm 4, up to sign: the theta series of A2
+    # (no norm 4), D4 (24 roots and 24 vectors of norm 4) and E8 (240, 2160).
+    [("A", 2, (3, 0)), ("D", 4, (12, 12)), ("E", 8, (120, 1080))],
+)
+def test_short_vectors_root_lattices(family, rank, counts):
+    g = _datum(family, rank).gram.to_rat()
+    at_two = short_vectors(g, Fraction(2))
+    at_four = short_vectors(g, Fraction(4))
+    assert len(at_two) == counts[0]
+    assert sum(1 for _, norm in at_four if norm == 4) == counts[1]
+    assert [v for v in at_four if v[1] <= 2] == at_two
+    if rank <= 4:
+        assert at_four == _brute_short_vectors(g, Fraction(4))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1], [1, 1]],  # first leading minor 0
+        [[1, 1], [1, 1]],  # second leading minor 0
+        [[1, 2], [2, 1]],  # second leading minor -3
+        [[-1]],
+    ],
+)
+def test_short_vectors_rejects_forms_that_are_not_positive_definite(rows):
+    with pytest.raises(ValueError, match="not positive definite"):
+        short_vectors(RatMatrix.from_rows(rows), Fraction(3))
+
+
+# --- subgroups ---------------------------------------------------------------
+
+
+def _abelian(*factors):
+    """A hand-built group with the given invariant factors; only its group
+    operations are used."""
+    from roothk.lattice_tower import DiscriminantGroup
+
+    units = tuple(tuple(int(i == j) for j in range(len(factors))) for i in range(len(factors)))
+    order = 1
+    for d in factors:
+        order *= d
+    return DiscriminantGroup(
+        rank=len(factors),
+        invariant_factors=factors,
+        generator_lifts=units,
+        order=order,
+        _to_invariant_rows=units,
+    )
+
+
+def _naive_closure(disc, seed):
+    closed = set(seed) | {disc.zero()}
+    while True:
+        sums = {disc.add(a, b) for a in closed for b in closed}
+        if sums <= closed:
+            return frozenset(closed)
+        closed |= sums
+
+
+@pytest.mark.parametrize("factors", [(2, 4), (2, 2, 2), (4, 4), (3, 9)])
+def test_close_subgroup_matches_naive_closure(factors):
+    import random
+
+    from roothk.lattice_tower import _close_subgroup
+
+    disc = _abelian(*factors)
+    elements = disc.elements()
+    rng = random.Random(hash(factors) & 0xFFFF)
+    for size in range(5):
+        for _ in range(20):
+            seed = frozenset(rng.sample(elements, size))
+            assert _close_subgroup(disc, seed) == _naive_closure(disc, seed)
+
+
+@pytest.mark.parametrize(
+    "factors,count",
+    # (2,2,2,2): the Gaussian binomials 1 + 15 + 35 + 15 + 1.
+    [((2, 4), 8), ((2, 2, 2), 16), ((4, 4), 15), ((3, 9), 10), ((2, 2, 4), 27), ((2, 2, 2, 2), 67)],
+)
+def test_all_subgroups_known_counts(factors, count):
+    disc = _abelian(*factors)
+    subgroups = all_subgroups(disc)
+    assert len(subgroups) == count
+    assert all(_naive_closure(disc, s) == s for s in subgroups)
+
+
+def _report_towers():
+    """The towers of ``report`` (A1-A8, B3-B7 over D, E8) and A15, A23, D8."""
+    from roothk.lattice_tower import tower_for_spec
+
+    specs = [RootSystemSpec("A", n) for n in range(1, 9)]
+    specs += [RootSystemSpec("B", n) for n in range(3, 8)]
+    specs += [RootSystemSpec(*s) for s in (("E", 8), ("A", 15), ("A", 23), ("D", 8))]
+    for spec in specs:
+        datum = _datum("D", spec.rank) if spec.family == "B" else build_root_datum(spec)
+        yield datum, tower_for_spec(spec)
+
+
+def test_hnf_from_generator_lifts_matches_all_lifts():
+    from roothk.exact_linalg import hermite_normal_form
+    from roothk.lattice_tower import _close_subgroup
+
+    for datum, tower in _report_towers():
+        for lat in tower.lattices:
+            subgroup = _close_subgroup(tower.disc, frozenset(lat.subgroup_generators))
+            assert len(subgroup) == lat.subgroup_order
+            rows = datum.gram.to_rows() + [list(tower.disc.lift(e)) for e in sorted(subgroup)]
+            h, _ = hermite_normal_form(IntMatrix.from_rows(rows))
+            assert lat.basis == IntMatrix.from_rows(h.to_rows()[: datum.rank])
+
+
+# --- integral lattice Grams --------------------------------------------------
+
+
+def test_integral_grams_match_rational_reference():
+    for datum, tower in _report_towers():
+        inverse = datum.gram.to_rat().inverse()
+        for lat in tower.lattices:
+            b = lat.basis.to_rat()
+            reference = b @ inverse @ b.transpose()
+            prim, _ = reference.primitive_integer()
+            assert lat.gram == reference
+            assert lat.primitive_gram() == prim
+            assert lat.gram_det == reference.det()
+            assert lat.primitive_gram_det == prim.det()
+
+
+def test_scaled_gram_determinant_is_asserted(monkeypatch):
+    import roothk.lattice_tower as lt
+
+    datum = _datum("A", 3)
+    disc = discriminant_group(datum)
+    subgroup = all_subgroups(disc)[1]
+    adjugate = datum.gram.adjugate()
+    # The identity det(B adj(G) B^T) = det(B)^2 det(G)^(n-1) holds...
+    lt._lattice_from_subgroup(datum, disc, subgroup, "", adjugate)
+    # ...and a wrong determinant of the product is caught.
+    true_det = IntMatrix.det
+    monkeypatch.setattr(IntMatrix, "det", lambda m: true_det(m) + 1)
+    with pytest.raises(AssertionError, match="det of B adj"):
+        lt._lattice_from_subgroup(datum, disc, subgroup, "", adjugate)

@@ -186,6 +186,28 @@ def test_integer_root_data_matches_fraction_dots(spec):
         assert simple_reflection(datum, i).to_rows() == expected
 
 
+def test_ambient_roots_are_built_on_first_use():
+    # A fresh datum, not the cached one, which other tests may have read.
+    datum = build_root_datum.__wrapped__(RootSystemSpec("E", 7))
+    assert "all_roots" not in vars(datum)
+    assert len(datum.root_coords) == 126
+    assert len(datum.all_roots) == 126
+    assert "all_roots" in vars(datum)
+
+
+@pytest.mark.parametrize("spec", standard_table(), ids=lambda s: s.label)
+def test_all_roots_are_the_ambient_image_of_root_coords(spec):
+    datum = build_root_datum(spec)
+    simple = datum.simple_roots
+    dim = len(simple[0])
+    image = sorted(
+        tuple(sum((c * a[k] for c, a in zip(v, simple)), Fraction(0)) for k in range(dim))
+        for v in datum.root_coords
+    )
+    assert datum.all_roots == tuple(image)
+    assert datum.root_coords == tuple(sorted(set(datum.root_coords)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_dual_quotient_check_examples(n):
     report = dual_lattice_quotient_check(n)
