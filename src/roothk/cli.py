@@ -180,20 +180,25 @@ def cmd_analyze(family: str, rank: int, lattice: str, cap: GroupCap) -> ReportDo
     return doc
 
 
+def _add_lemma_row(doc: ReportDocument, spec: RootSystemSpec) -> None:
+    """The ``lemma/*`` row of a spec: its invariant dimensions and irreducibility."""
+    report = invariant_report(build_root_datum(spec))
+    doc.add(
+        f"lemma/{spec.label}",
+        "pass" if report.passed else "fail",
+        {
+            "sym2_inv": report.dim_sym2_inv,
+            "wedge2_inv": report.dim_wedge2_inv,
+            "wedge2_doubled_inv": report.dim_wedge2_doubled_inv,
+            "irreducible": report.irreducible,
+        },
+    )
+
+
 def cmd_lemma_check(max_rank: int) -> ReportDocument:
     doc = ReportDocument(command={"command": "lemma-check", "max_rank": max_rank})
     for spec in specs_up_to_rank(max_rank):
-        report = invariant_report(build_root_datum(spec))
-        doc.add(
-            f"lemma/{spec.label}",
-            "pass" if report.passed else "fail",
-            {
-                "sym2_inv": report.dim_sym2_inv,
-                "wedge2_inv": report.dim_wedge2_inv,
-                "wedge2_doubled_inv": report.dim_wedge2_doubled_inv,
-                "irreducible": report.irreducible,
-            },
-        )
+        _add_lemma_row(doc, spec)
     return doc
 
 
@@ -332,17 +337,7 @@ def cmd_report(suite: str, cap: GroupCap) -> ReportDocument:
     try:
         # Invariant dimensions and irreducibility across the whole table.
         for spec in standard_table():
-            report = invariant_report(build_root_datum(spec))
-            doc.add(
-                f"lemma/{spec.label}",
-                "pass" if report.passed else "fail",
-                {
-                    "sym2_inv": report.dim_sym2_inv,
-                    "wedge2_inv": report.dim_wedge2_inv,
-                    "wedge2_doubled_inv": report.dim_wedge2_doubled_inv,
-                    "irreducible": report.irreducible,
-                },
-            )
+            _add_lemma_row(doc, spec)
 
         # Dual-lattice quotient model for type A.
         for n in range(1, 7):

@@ -1,13 +1,19 @@
 """Exact integer and rational matrix arithmetic.
 
-Everything here runs on arbitrary-precision Python integers and
-``fractions.Fraction`` entries; there is no floating point. The module
+Everything here runs on arbitrary-precision Python integers; there is no
+floating point.  ``IntMatrix`` holds ``int`` entries and is what every
+integral object of the package (Cartan and Gram matrices, Weyl group
+elements, lattice bases) is built as.  ``RatMatrix`` holds
+``fractions.Fraction`` entries and serves only explicitly rational data:
+non-integral generator images, the inherited rational form of a tower
+lattice, and independent test oracles (inverse, determinant).  The module
 provides the small set of primitives the rest of the package is built on:
 products, determinants, kernels, and Hermite / Smith normal forms.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -16,26 +22,18 @@ from typing import Iterable, Iterator, Sequence
 Vector = tuple[Fraction, ...]
 
 
-def _as_int(x) -> int:
-    if type(x) is int:  # the common case, ahead of the slower ABC check below
-        return x
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            raise ValueError(f"entry {x} is not an integer")
-        return x.numerator
-    return int(x)
-
-
 class IntMatrix:
     """Immutable dense matrix with arbitrary-precision integer entries.
 
-    Entries are stored row-major in a flat tuple.
+    Entries are stored row-major in a flat tuple of ``int``.  Anything with
+    ``__index__`` is accepted (``int``, ``bool``, numpy integers); floats and
+    ``Fraction`` values raise TypeError, never truncate.
     """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        data = tuple(_as_int(e) for e in entries)
+        data = tuple(map(operator.index, entries))
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
         object.__setattr__(self, "rows", rows)
@@ -317,7 +315,10 @@ class RatMatrix:
         return all(x.denominator == 1 for x in self.data)
 
     def to_int(self) -> IntMatrix:
-        return IntMatrix(self.rows, self.cols, self.data)
+        """The same matrix as an IntMatrix; ValueError unless it is integral."""
+        if not self.is_integral():
+            raise ValueError("matrix has non-integer entries")
+        return IntMatrix(self.rows, self.cols, (x.numerator for x in self.data))
 
     def inverse(self) -> "RatMatrix":
         """Exact inverse by Gauss-Jordan elimination."""
@@ -359,19 +360,6 @@ class RatMatrix:
             denom *= m
             scaled_rows.append([int(x * m) for x in row])
         return Fraction(IntMatrix.from_rows(scaled_rows).det(), 1) / denom
-
-    def integral_rescale(self) -> tuple[IntMatrix, Fraction]:
-        """Smallest positive multiple of self with integer entries.
-
-        Returns ``(m, c)`` with ``self == m.to_rat().scale(c)`` and ``c`` the
-        reciprocal of the lcm of the entry denominators.  Unlike
-        :meth:`primitive_integer` this never divides out a common integer
-        content, so an already-integral matrix is returned unchanged.
-        """
-        lcm_den = 1
-        for x in self.data:
-            lcm_den = lcm_den * x.denominator // gcd(lcm_den, x.denominator)
-        return IntMatrix(self.rows, self.cols, (x * lcm_den for x in self.data)), Fraction(1, lcm_den)
 
     def primitive_integer(self) -> tuple[IntMatrix, Fraction]:
         """Smallest positive multiple of self with integer entries of content 1.

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import TYPE_CHECKING
 
 from .errors import FormSpaceError, NotExhaustiveError
@@ -570,7 +571,7 @@ def _form_rows(rep: Representation) -> list[SparseRow]:
     return rows
 
 
-def invariant_bilinear_form(rep: Representation) -> RatMatrix:
+def invariant_bilinear_form(rep: Representation) -> IntMatrix:
     """The group-invariant bilinear form, as a primitive integer matrix.
 
     Solves g^T B g = B over all generators; the solution space must be
@@ -584,16 +585,15 @@ def invariant_bilinear_form(rep: Representation) -> RatMatrix:
     basis = integer_row_kernel(_form_rows(rep), n * n)
     if len(basis) != 1:
         raise FormSpaceError(len(basis))
-    vec = basis[0]
-    form = RatMatrix(n, n, vec)
-    prim, _ = form.primitive_integer()
-    lead = next(x for x in prim.data if x)
-    if lead < 0:
-        prim = -prim
+    vec = clear_denominators(basis[0])
+    c = gcd(*vec)
+    if next(x for x in vec if x) < 0:
+        c = -c
+    prim = IntMatrix(n, n, (x // c for x in vec))
     if not prim.is_symmetric():
         raise AssertionError("invariant form is not symmetric")
     for k in range(1, n + 1):
         minor = IntMatrix(k, k, (prim[i, j] for i in range(k) for j in range(k)))
         if minor.det() <= 0:
             raise AssertionError("invariant form is not positive definite")
-    return prim.to_rat()
+    return prim

@@ -17,31 +17,14 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import DiscriminantTooLargeError, LatticeActionError
-from .exact_linalg import (
-    IntMatrix,
-    RatMatrix,
-    clear_denominators,
-    hermite_normal_form,
-    smith_normal_form,
-)
-from .root_data import (
-    AmbientVector,
-    RootDatum,
-    RootSystemSpec,
-    ambient_to_root_basis,
-    build_root_datum,
-)
+from .exact_linalg import IntMatrix, RatMatrix, hermite_normal_form, smith_normal_form
+from .root_data import RootDatum, RootSystemSpec, build_root_datum
 
 DEFAULT_DISC_CAP = 10**6
 
 
 def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(map(mul, a, b))
-
-
-def _divided(m: IntMatrix, d: int) -> RatMatrix:
-    """The rational matrix m / d, entry by entry."""
-    return RatMatrix(m.rows, m.cols, (Fraction(x, d) for x in m.data))
 
 
 @dataclass(frozen=True)
@@ -264,7 +247,8 @@ class IntermediateLattice:
 
     @property
     def gram(self) -> RatMatrix:
-        return _divided(self.scaled_gram, self.gram_denominator)
+        m, d = self.scaled_gram, self.gram_denominator
+        return RatMatrix(m.rows, m.cols, (Fraction(x, d) for x in m.data))
 
     @property
     def gram_det(self) -> Fraction:
@@ -418,10 +402,23 @@ def invariant_intermediate_lattices(
 
 
 def _primitive_roots(
-    datum: RootDatum, roots: tuple[AmbientVector, ...]
+    datum: RootDatum, rows: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], ...]:
-    """Integer root-basis vectors of ``datum`` along the ambient ``roots``."""
-    return tuple(tuple(clear_denominators(c)) for c in ambient_to_root_basis(datum, roots))
+    """Primitive root-basis vectors of ``datum`` along the ambient integer
+    ``rows``, which may be any positive multiples of the roots.
+
+    The root-basis coordinates of v are a positive multiple of adj(G) times
+    the dot products of v with the simple rows of ``datum``; dividing by the
+    gcd leaves the primitive vector.
+    """
+    adj = datum.gram.adjugate()[0].to_rows()
+    out = []
+    for v in rows:
+        dots = [_dot(r, v) for r in datum.simple_rows]
+        c = [_dot(a, dots) for a in adj]
+        g = gcd(*c)
+        out.append(tuple(x // g for x in c))
+    return tuple(out)
 
 
 def bc_tower(spec: RootSystemSpec, cap: int = DEFAULT_DISC_CAP) -> TowerReport:
@@ -437,7 +434,7 @@ def bc_tower(spec: RootSystemSpec, cap: int = DEFAULT_DISC_CAP) -> TowerReport:
     if spec.rank < 3:
         raise ValueError("the D-lattice tower needs rank >= 3")
     d_datum = build_root_datum(RootSystemSpec("D", spec.rank))
-    reflections = _primitive_roots(d_datum, build_root_datum(spec).simple_roots)
+    reflections = _primitive_roots(d_datum, build_root_datum(spec).simple_rows)
     return invariant_intermediate_lattices(d_datum, reflections, cap)
 
 
@@ -452,31 +449,27 @@ def tower_for_spec(spec: RootSystemSpec, cap: int = DEFAULT_DISC_CAP) -> TowerRe
 # --- exact short vectors and isometry testing ---------------------------------
 
 
-def short_vectors(g: RatMatrix, bound: Fraction) -> list[tuple[tuple[int, ...], Fraction]]:
+def short_vectors(g: IntMatrix, bound: int) -> list[tuple[tuple[int, ...], int]]:
     """All lattice vectors (up to sign) with 0 < Q(x) <= bound, exactly.
 
     Fincke-Pohst enumeration in integers (Cohen, GTM 138, Alg. 2.7.5, made
-    fraction-free).  Bareiss elimination of the form scaled to integers gives
-    its leading minors D_0 = 1, D_1, ..., D_n and integer rows b_i with
+    fraction-free).  Bareiss elimination of the integer form gives its
+    leading minors D_0 = 1, D_1, ..., D_n and integer rows b_i with
 
         Q(x) = sum_i (D_{i+1} x_i + p_i)^2 / (D_i D_{i+1}),  p_i = sum_{j>i} b_ij x_j.
 
     Scaling by L = lcm_i(D_i D_{i+1}) makes every level an integer weight times
     a square, so the range of each x_i is an exact integer square root and
     every comparison is on integers.  Only one of each +-pair is returned,
-    with the first nonzero coordinate positive; the list is sorted.  Raises
-    ValueError when a leading minor is not positive (the form is not positive
-    definite).
+    with the first nonzero coordinate positive, together with its integer
+    norm Q(x); the list is sorted.  Raises ValueError when a leading minor is
+    not positive (the form is not positive definite).
     """
     n = g.rows
-    bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    den = 1
-    for v in g.data:
-        den = lcm(den, v.denominator)
-    # Upper triangle of den * g, eliminated in place (Bareiss).
-    b = [[int(g[i, j] * den) for j in range(n)] for i in range(n)]
+    # Upper triangle of g, eliminated in place (Bareiss).
+    b = g.to_rows()
     minors = [1]
     for k in range(n):
         pivot = b[k][k]
@@ -494,9 +487,8 @@ def short_vectors(g: RatMatrix, bound: Fraction) -> list[tuple[tuple[int, ...], 
         scale = lcm(scale, minors[i] * minors[i + 1])
     weights = [scale // (minors[i] * minors[i + 1]) for i in range(n)]
     tails = [[(j, b[i][j]) for j in range(i + 1, n) if b[i][j]] for i in range(n)]
-    total = scale * (bound.numerator * den // bound.denominator)
-    norm_den = scale * den
-    out: list[tuple[tuple[int, ...], Fraction]] = []
+    total = scale * bound
+    out: list[tuple[tuple[int, ...], int]] = []
     x = [0] * n
 
     # Each +-pair is enumerated once, with its last nonzero coordinate
@@ -516,7 +508,7 @@ def short_vectors(g: RatMatrix, bound: Fraction) -> list[tuple[tuple[int, ...], 
                 vec = tuple(x)
                 if next(v for v in vec if v) < 0:
                     vec = tuple(-v for v in vec)
-                out.append((vec, Fraction(total - rest, norm_den)))
+                out.append((vec, (total - rest) // scale))
         x[i] = 0
 
     if n:
@@ -604,24 +596,23 @@ def _isometry_search(
         remaining.discard(pick)
     target = [[g1[order[i], order[j]] for j in range(n)] for i in range(n)]
 
-    norms_needed = [Fraction(target[i][i]) for i in range(n)]
+    norms_needed = [target[i][i] for i in range(n)]
     max_norm = max(norms_needed)
     # Count first: the vector counts below max_norm must agree as well, and
     # a mismatch at a small bound (Z^n has 2n vectors of norm 1) is found
     # without enumerating both forms up to max_norm.
-    r1, r2 = g1.to_rat(), g2.to_rat()
-    for k in range(1, int(max_norm)):
-        if len(short_vectors(r1, k)) != len(short_vectors(r2, k)):
+    for k in range(1, max_norm):
+        if len(short_vectors(g1, k)) != len(short_vectors(g2, k)):
             return False
-    cands = short_vectors(r2, max_norm)
-    by_norm: dict[Fraction, list[tuple[int, ...]]] = {}
+    cands = short_vectors(g2, max_norm)
+    by_norm: dict[int, list[tuple[int, ...]]] = {}
     for vec, norm in cands:
         by_norm.setdefault(norm, []).extend((vec, tuple(-v for v in vec)))
     for norm in list(by_norm):
         by_norm[norm].sort()
     # Integer forms have integer norms and the counts below max_norm already
     # agree, so equal totals at max_norm mean equal counts at every norm.
-    if len(short_vectors(r1, max_norm)) != len(cands):
+    if len(short_vectors(g1, max_norm)) != len(cands):
         return False
 
     # The pairing of candidate c with a chosen vector v is (c G2) . v, so each

@@ -2,8 +2,9 @@
 
 Simple roots use the standard ambient coordinate realizations (type A in the
 sum-zero hyperplane of Q^(n+1), types B/C/D in Q^n, E in Q^8, F in Q^4, G in
-the sum-zero plane of Q^3).  All group-theoretic matrices downstream are
-expressed in the simple-root basis, where they are integral.
+the sum-zero plane of Q^3), kept as integer rows over their least common
+denominator (2 for E and F, 1 otherwise).  All group-theoretic matrices
+downstream are expressed in the simple-root basis, where they are integral.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 
-from .exact_linalg import IntMatrix, RatMatrix, smith_normal_form
+from .exact_linalg import IntMatrix, smith_normal_form
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -80,68 +82,42 @@ class RootSystemSpec:
 AmbientVector = tuple[Fraction, ...]
 
 
-def _unit(dim: int, i: int, value=1) -> list[Fraction]:
-    v = [Fraction(0)] * dim
-    v[i] = Fraction(value)
-    return v
+def _vec(dim: int, *terms: tuple[int, int]) -> tuple[int, ...]:
+    """The integer vector sum of c * e_i over the (i, c) terms."""
+    v = [0] * dim
+    for i, c in terms:
+        v[i] += c
+    return tuple(v)
 
 
-def _simple_roots(spec: RootSystemSpec) -> tuple[AmbientVector, ...]:
+def _simple_roots(spec: RootSystemSpec) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows r_i and their least common denominator d: the ambient
+    simple roots are r_i / d, with d = 2 for E and F and 1 otherwise."""
     fam, n = spec.family, spec.rank
-    roots: list[list[Fraction]] = []
     if fam == "A":
-        dim = n + 1
-        for i in range(n):
-            v = _unit(dim, i)
-            v[i + 1] = Fraction(-1)
-            roots.append(v)
-    elif fam in ("B", "C", "D"):
-        dim = n
-        for i in range(n - 1):
-            v = _unit(dim, i)
-            v[i + 1] = Fraction(-1)
-            roots.append(v)
-        if fam == "B":
-            roots.append(_unit(dim, n - 1))
-        elif fam == "C":
-            roots.append(_unit(dim, n - 1, 2))
-        else:
-            v = _unit(dim, n - 2)
-            v[n - 1] = Fraction(1)
-            roots.append(v)
-    elif fam == "E":
-        # Simple roots of E8; E6 and E7 take the leading subchains.
-        half = Fraction(1, 2)
-        e8 = [
-            [half, -half, -half, -half, -half, -half, -half, half],
-            [Fraction(1), Fraction(1)] + [Fraction(0)] * 6,
-        ]
-        for i in range(6):
-            v = _unit(8, i + 1)
-            v[i] = Fraction(-1)
-            e8.append(v)
-        roots = e8[:n]
-    elif fam == "F":
-        half = Fraction(1, 2)
-        roots = [
-            _unit(4, 1),
-            _unit(4, 2),
-            _unit(4, 3),
-            [half, -half, -half, -half],
-        ]
-        roots[0][2] = Fraction(-1)  # e2 - e3
-        roots[1][3] = Fraction(-1)  # e3 - e4
-    else:  # G2
-        roots = [
-            [Fraction(1), Fraction(-1), Fraction(0)],
-            [Fraction(-2), Fraction(1), Fraction(1)],
-        ]
-    return tuple(tuple(v) for v in roots)
+        return tuple(_vec(n + 1, (i, 1), (i + 1, -1)) for i in range(n)), 1
+    if fam in ("B", "C", "D"):
+        chain = tuple(_vec(n, (i, 1), (i + 1, -1)) for i in range(n - 1))
+        last = {"B": ((n - 1, 1),), "C": ((n - 1, 2),), "D": ((n - 2, 1), (n - 1, 1))}[fam]
+        return (*chain, _vec(n, *last)), 1
+    if fam == "E":
+        # Simple roots of E8, doubled; E6 and E7 take the leading subchains.
+        e8 = [(1, -1, -1, -1, -1, -1, -1, 1), _vec(8, (0, 2), (1, 2))]
+        e8 += [_vec(8, (i, -2), (i + 1, 2)) for i in range(6)]
+        return tuple(e8[:n]), 2
+    if fam == "F":
+        # e2 - e3, e3 - e4, e4 and (e1 - e2 - e3 - e4) / 2, doubled.
+        return (
+            _vec(4, (1, 2), (2, -2)),
+            _vec(4, (2, 2), (3, -2)),
+            _vec(4, (3, 2)),
+            (1, -1, -1, -1),
+        ), 2
+    return ((1, -1, 0), (-2, 1, 1)), 1  # G2
 
 
-def _int_gram(scaled: IntMatrix) -> list[list[int]]:
-    """Integer dot products of the rows of ``scaled``."""
-    rows = scaled.to_rows()
+def _int_gram(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Integer dot products of the given rows."""
     return [[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows]
 
 
@@ -149,16 +125,20 @@ def _int_gram(scaled: IntMatrix) -> list[list[int]]:
 class RootDatum:
     """A root system with its Cartan matrix, full root set, and lattice Gram form.
 
-    ``root_coords`` holds every root in simple-root coordinates, sorted;
-    ``all_roots`` is the same set in ambient coordinates, built on first use.
-    ``gram`` is the Gram matrix of the simple roots rescaled to the primitive
-    integral form (integer entries of content 1); ``gram_scale`` recovers the
-    ambient inner product: raw Gram = gram * gram_scale.
+    The ambient simple roots are ``simple_rows[i] / denominator``, integer
+    rows over their least common denominator; ``simple_roots`` is the same
+    as ``Fraction`` vectors, built on first use.  ``root_coords`` holds every
+    root in simple-root coordinates, sorted; ``all_roots`` is the same set in
+    ambient coordinates, built on first use.  ``gram`` is the Gram matrix of
+    the simple roots rescaled to the smallest integral multiple;
+    ``gram_scale`` recovers the ambient inner product: raw Gram = gram *
+    gram_scale.
     """
 
     spec: RootSystemSpec
     cartan: IntMatrix
-    simple_roots: tuple[AmbientVector, ...]
+    simple_rows: tuple[tuple[int, ...], ...]
+    denominator: int
     root_coords: tuple[tuple[int, ...], ...]
     gram: IntMatrix
     gram_scale: Fraction
@@ -169,21 +149,26 @@ class RootDatum:
         return self.spec.rank
 
     @cached_property
+    def simple_roots(self) -> tuple[AmbientVector, ...]:
+        """The simple roots in ambient coordinates."""
+        d = self.denominator
+        return tuple(tuple(Fraction(x, d) for x in r) for r in self.simple_rows)
+
+    @cached_property
     def all_roots(self) -> tuple[AmbientVector, ...]:
         """Every root in ambient coordinates, sorted."""
-        # Integers scaled by the common denominator of the simple roots; the
-        # positive scale keeps the sort order.
-        scaled, scale = RatMatrix.from_rows(self.simple_roots).integral_rescale()
-        den = scale.denominator
+        # Sorted as integer combinations of the integer rows; the positive
+        # common denominator keeps the sort order.
+        rows = self.simple_rows
         ambient = []
         for v in self.root_coords:
-            acc = [0] * scaled.cols
-            for c, a in zip(v, scaled):
+            acc = [0] * len(rows[0])
+            for c, a in zip(v, rows):
                 if c:
                     acc = [x + c * y for x, y in zip(acc, a)]
             ambient.append(tuple(acc))
         ambient.sort()
-        entry = {x: Fraction(x, den) for u in ambient for x in u}
+        entry = {x: Fraction(x, self.denominator) for u in ambient for x in u}
         return tuple(tuple(entry[x] for x in u) for u in ambient)
 
     @property
@@ -193,8 +178,7 @@ class RootDatum:
 
 def cartan_matrix(spec: RootSystemSpec) -> IntMatrix:
     """Cartan matrix with entries 2(a_i, a_j)/(a_j, a_j)."""
-    scaled, _ = RatMatrix.from_rows(_simple_roots(spec)).integral_rescale()
-    return _cartan_from_gram(spec, _int_gram(scaled))
+    return build_root_datum(spec).cartan
 
 
 def _cartan_from_gram(spec: RootSystemSpec, dots: list[list[int]]) -> IntMatrix:
@@ -217,9 +201,8 @@ def _cartan_from_gram(spec: RootSystemSpec, dots: list[list[int]]) -> IntMatrix:
 @lru_cache(maxsize=None)
 def build_root_datum(spec: RootSystemSpec) -> RootDatum:
     """Construct the full root datum: roots by reflection closure, Gram form, Cartan."""
-    simple = _simple_roots(spec)
-    scaled, scale = RatMatrix.from_rows(simple).integral_rescale()
-    dots = _int_gram(scaled)
+    rows, den = _simple_roots(spec)
+    dots = _int_gram(rows)
     cartan = _cartan_from_gram(spec, dots)
     n = spec.rank
 
@@ -242,21 +225,21 @@ def build_root_datum(spec: RootSystemSpec) -> RootDatum:
         frontier = new
     if len(coords) != spec.root_count:
         raise AssertionError(f"root count mismatch for {spec.label}: {len(coords)}")
-    den = scale.denominator
-    raw_gram = RatMatrix(n, n, (Fraction(x, den * den) for row in dots for x in row))
-    # Minimal integral rescaling only (x2 for F4, identity elsewhere).  Dividing
-    # out a common content as well would turn the A1 form [2] into [1] and
-    # collapse its order-2 discriminant group, contradicting the dual-lattice
-    # and quotient-model checks; content-1 primitivization is reserved for the
-    # rescaling classification of lattice towers.
-    gram, scale = raw_gram.integral_rescale()
+    # The raw Gram is dots / den^2.  Its smallest integral multiple is
+    # dots / g with g = gcd(den^2, dots): x2 for F4, the raw Gram elsewhere.
+    # Dividing out a common content as well would turn the A1 form [2] into
+    # [1] and collapse its order-2 discriminant group, contradicting the
+    # dual-lattice and quotient-model checks; content-1 primitivization is
+    # reserved for the rescaling classification of lattice towers.
+    g = gcd(den * den, *(x for row in dots for x in row))
     return RootDatum(
         spec=spec,
         cartan=cartan,
-        simple_roots=simple,
+        simple_rows=rows,
+        denominator=den,
         root_coords=tuple(sorted(coords)),
-        gram=gram,
-        gram_scale=scale,
+        gram=IntMatrix(n, n, (x // g for row in dots for x in row)),
+        gram_scale=Fraction(g, den * den),
     )
 
 
@@ -294,15 +277,14 @@ def ambient_to_root_basis(
     the Gram once."""
     # Solve sum_j c_j a_j = v via the raw Gram system raw_gram @ c = (a_i, v),
     # where raw_gram = gram * gram_scale has inverse adj(gram) / (det * scale).
-    # The simple roots are a_i = s * r_i with integer rows r_i, so
-    # (a_i, v) = s * (r_i, v).
-    scaled, s = RatMatrix.from_rows(datum.simple_roots).integral_rescale()
+    # The simple roots are a_i = r_i / d with integer rows r_i, so
+    # (a_i, v) = (r_i, v) / d.
     adj, det = datum.gram.adjugate()
-    den = det * datum.gram_scale / s
+    den = det * datum.gram_scale * datum.denominator
     n = datum.rank
     out = []
     for v in vectors:
-        rhs = [sum(x * y for x, y in zip(r, v) if x) for r in scaled]
+        rhs = [sum(x * y for x, y in zip(r, v) if x) for r in datum.simple_rows]
         out.append(tuple(sum(adj[i, j] * rhs[j] for j in range(n)) / den for i in range(n)))
     return out
 
@@ -315,15 +297,20 @@ class DualQuotientReport:
     projection to the sum-zero hyperplane; the projected standard basis
     vectors have pairwise inner products delta_ij - 1/(n+1), and the partial
     sums of the first i of them realize the fundamental weights, whose Gram
-    matrix is the inverse of the Cartan matrix.
+    matrix is the inverse of the Cartan matrix.  Every matrix is kept in
+    integers, multiplied by ``scale`` = n+1: ``model_gram`` is (n+1)I - J,
+    ``weight_basis_gram`` its partial sums, and ``inverse_gram`` the
+    adjugate of the Gram matrix, which is (n+1) times its inverse exactly
+    when its determinant is n+1.
     """
 
     n: int
     invariant_factors: tuple[int, ...]
     cyclic_of_expected_order: bool
-    model_gram: RatMatrix
-    weight_basis_gram: RatMatrix
-    inverse_gram: RatMatrix
+    scale: int
+    model_gram: IntMatrix
+    weight_basis_gram: IntMatrix
+    inverse_gram: IntMatrix
     grams_match: bool
 
     @property
@@ -347,29 +334,22 @@ def dual_lattice_quotient_check(n: int) -> DualQuotientReport:
     cyclic = factors == (n + 1,)
 
     k = n + 1
-    model = RatMatrix(
-        k, k, (Fraction(1 if i == j else 0) - Fraction(1, k) for i in range(k) for j in range(k))
-    )
+    model = IntMatrix(k, k, (k * (i == j) - 1 for i in range(k) for j in range(k)))
     # Partial sums of the first i projected basis vectors, i = 1..n.
-    weight_gram_entries = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            s = Fraction(0)
-            for a in range(i):
-                for b in range(j):
-                    s += model[a, b]
-            weight_gram_entries.append(s)
-    weight_gram = RatMatrix(n, n, weight_gram_entries)
-    inverse_gram = datum.gram.to_rat().inverse()
+    weight_gram = IntMatrix(
+        n, n, (sum(model[a, b] for a in range(i) for b in range(j)) for i in range(1, k) for j in range(1, k))
+    )
+    adj, det = datum.gram.adjugate()
 
     return DualQuotientReport(
         n=n,
         invariant_factors=factors,
         cyclic_of_expected_order=cyclic,
+        scale=k,
         model_gram=model,
         weight_basis_gram=weight_gram,
-        inverse_gram=inverse_gram,
-        grams_match=weight_gram == inverse_gram,
+        inverse_gram=adj,
+        grams_match=det == k and weight_gram == adj,
     )
 
 

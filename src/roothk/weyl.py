@@ -11,7 +11,6 @@ of Weyl matrices in the root basis are bounded by the largest root coordinate
 is exact here — guards assert the bounds on every level.  numpy is imported
 by the functions that build or read element arrays, not at module load, so
 generator-only callers never load it.
-All rational linear algebra elsewhere stays arbitrary-precision.
 """
 
 from __future__ import annotations
@@ -325,8 +324,10 @@ def check_signed_permutation_structure(n: int, cap: GroupCap | None = None) -> S
     # Change of basis from root coordinates to the ambient orthonormal basis.
     # The B_n simple roots form a unimodular integer matrix, so the inverse is
     # integral; it is computed exactly.
+    if datum.denominator != 1:
+        raise AssertionError("B_n simple roots are not integral")
     basis_mat = IntMatrix.from_rows(
-        [[alpha[i] for alpha in datum.simple_roots] for i in range(n)]
+        [[alpha[i] for alpha in datum.simple_rows] for i in range(n)]
     )
     adj, det = basis_mat.adjugate()
     if det not in (1, -1):

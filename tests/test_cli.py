@@ -205,6 +205,9 @@ SUBLATTICES_JSON_SHA256 = {
     ("F", "4"): "df948156ed5f0bd64b5d2140e728a748976508be038b575d6504db803a9e9293",
     ("G", "2"): "1ea2d193ab3e892eb628a562ef8a4f407e672ee8f40b34c3e8238e4a80f3d339",
     ("C", "5"): "3c5524f11e296c475788d909fcdb53e8a42add308448542409e8fbeb9844e576",
+    # E6 and E7: simple roots with denominator 2.
+    ("E", "6"): "496b0a48f41bd483241edd35f54453345102f83840378ffe51c052da1217fa17",
+    ("E", "7"): "f2832f862b716c3c32248a38b6a831e31d28ebd7af616c97dbefaa86ef8e4500",
 }
 
 

@@ -212,6 +212,29 @@ def test_primitive_integer_rescaling():
     assert prim.to_rat().scale(scale) == m
 
 
+def test_int_matrix_rejects_non_integers():
+    # A float used to be truncated to its integer part; it is refused now.
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[1.5]])
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[1, 2.0]])
+    with pytest.raises(TypeError):
+        IntMatrix(1, 1, [Fraction(1, 2)])
+    with pytest.raises(TypeError):
+        IntMatrix(1, 1, [Fraction(2)])
+    # Anything with __index__ is an integer: numpy integers and bools.
+    np = pytest.importorskip("numpy")
+    m = IntMatrix(1, 3, [np.int8(3), True, np.int64(-7)])
+    assert m.data == (3, 1, -7)
+    assert all(type(x) is int for x in m.data)
+
+
+def test_rat_matrix_to_int_checks_integrality():
+    assert RatMatrix.from_rows([[Fraction(4, 2), -3]]).to_int() == IntMatrix.from_rows([[2, -3]])
+    with pytest.raises(ValueError, match="non-integer"):
+        RatMatrix.from_rows([[1, Fraction(1, 3)]]).to_int()
+
+
 def test_matmul_and_transpose():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
     b = IntMatrix.from_rows([[0, 1], [1, 0]])

@@ -228,7 +228,7 @@ def test_doubled_rep_is_reducible():
 def test_invariant_form_a1_any_form_invariant():
     v = rep_reflection(_datum("A", 1))
     form = invariant_bilinear_form(v)
-    assert form == RatMatrix.from_rows([[1]])
+    assert form == IntMatrix.from_rows([[1]])
 
 
 def test_invariant_form_proportional_to_gram():

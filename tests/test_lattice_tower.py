@@ -39,7 +39,7 @@ def _bc_on_d(family, n):
     """D_n with the root-basis vectors of the B/C simple roots, as bc_tower
     builds them."""
     d_datum = _datum("D", n)
-    return d_datum, _primitive_roots(d_datum, _datum(family, n).simple_roots)
+    return d_datum, _primitive_roots(d_datum, _datum(family, n).simple_rows)
 
 
 def _bc_reference_matrices(spec):
@@ -344,16 +344,16 @@ def test_bc_tower_classes_all_distinct():
 
 
 def test_short_vectors_a2():
-    g = _datum("A", 2).gram.to_rat()
-    vecs = short_vectors(g, Fraction(2))
+    g = _datum("A", 2).gram
+    vecs = short_vectors(g, 2)
     # A2 has 6 roots of norm 2, i.e. 3 up to sign.
     assert len(vecs) == 3
     assert all(norm == 2 for _, norm in vecs)
 
 
 def test_short_vectors_z2_norm_one():
-    g = RatMatrix.identity(2)
-    vecs = short_vectors(g, Fraction(1))
+    g = IntMatrix.identity(2)
+    vecs = short_vectors(g, 1)
     assert sorted(v for v, _ in vecs) == [(0, 1), (1, 0)]
 
 
@@ -362,35 +362,33 @@ def test_short_vectors_z2_norm_one():
 
 def _box_radii(g, bound):
     """Radii of a box holding every x with Q(x) <= bound: by Cauchy-Schwarz,
-    x_i^2 = (e_i . x)^2 <= (G^-1)_ii Q(x)."""
+    x_i^2 = (e_i . x)^2 <= (G^-1)_ii Q(x) = adj(G)_ii Q(x) / det G."""
     from math import isqrt
 
-    inv = g.inverse()
-    return [isqrt(int(bound * inv[i, i])) for i in range(g.rows)]
+    adj, det = g.adjugate()
+    return [isqrt(bound * adj[i, i] // det) for i in range(g.rows)]
 
 
 def _brute_short_vectors(g, bound):
     """Every x with 0 < Q(x) <= bound, up to sign, by scanning that box."""
     import itertools
-    from math import lcm
 
     n = g.rows
-    den = lcm(*(x.denominator for x in g.data))
-    q = [[int(g[i, j] * den) for j in range(n)] for i in range(n)]
+    q = g.to_rows()
     out = []
     for x in itertools.product(*(range(-r, r + 1) for r in _box_radii(g, bound))):
         if next((v for v in x if v), 0) <= 0:
             continue
-        norm = Fraction(sum(x[i] * sum(map(int.__mul__, q[i], x)) for i in range(n)), den)
+        norm = sum(x[i] * sum(map(int.__mul__, q[i], x)) for i in range(n))
         if norm <= bound:
             out.append((x, norm))
     return sorted(out)
 
 
 def test_short_vectors_match_brute_force_on_random_forms():
-    # Random positive definite Grams A^T A of rank 1-4, integral and divided
-    # by 2-5, at rational bounds; a case whose box exceeds 20,000 points is
-    # drawn again, so the scan stays short.
+    # Random positive definite integer Grams A^T A of rank 1-4 at integer
+    # bounds; a case whose box exceeds 20,000 points is drawn again, so the
+    # scan stays short.
     import random
 
     rng = random.Random(20161)
@@ -400,9 +398,8 @@ def test_short_vectors_match_brute_force_on_random_forms():
         a = IntMatrix(n, n, (rng.randint(-2, 2) for _ in range(n * n)))
         if not a.det():
             continue
-        divisor = rng.choice((1, rng.randint(2, 5)))
-        g = RatMatrix(n, n, (Fraction(x, divisor) for x in (a.transpose() @ a).data))
-        bound = Fraction(rng.randint(1, 10), rng.randint(1, 3))
+        g = a.transpose() @ a
+        bound = rng.randint(1, 12)
         box = 1
         for r in _box_radii(g, bound):
             box *= 2 * r + 1
@@ -419,14 +416,14 @@ def test_short_vectors_match_brute_force_on_random_forms():
     [("A", 2, (3, 0)), ("D", 4, (12, 12)), ("E", 8, (120, 1080))],
 )
 def test_short_vectors_root_lattices(family, rank, counts):
-    g = _datum(family, rank).gram.to_rat()
-    at_two = short_vectors(g, Fraction(2))
-    at_four = short_vectors(g, Fraction(4))
+    g = _datum(family, rank).gram
+    at_two = short_vectors(g, 2)
+    at_four = short_vectors(g, 4)
     assert len(at_two) == counts[0]
     assert sum(1 for _, norm in at_four if norm == 4) == counts[1]
     assert [v for v in at_four if v[1] <= 2] == at_two
     if rank <= 4:
-        assert at_four == _brute_short_vectors(g, Fraction(4))
+        assert at_four == _brute_short_vectors(g, 4)
 
 
 @pytest.mark.parametrize(
@@ -440,7 +437,7 @@ def test_short_vectors_root_lattices(family, rank, counts):
 )
 def test_short_vectors_rejects_forms_that_are_not_positive_definite(rows):
     with pytest.raises(ValueError, match="not positive definite"):
-        short_vectors(RatMatrix.from_rows(rows), Fraction(3))
+        short_vectors(IntMatrix.from_rows(rows), 3)
 
 
 # --- subgroups ---------------------------------------------------------------

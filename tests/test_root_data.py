@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -186,6 +187,40 @@ def test_integer_root_data_matches_fraction_dots(spec):
         assert simple_reflection(datum, i).to_rows() == expected
 
 
+@pytest.mark.parametrize("spec", standard_table(), ids=lambda s: s.label)
+def test_simple_rows_over_least_denominator(spec):
+    datum = build_root_datum(spec)
+    den = datum.denominator
+    assert den == (2 if spec.family in ("E", "F") else 1)
+    assert gcd(den, *(x for row in datum.simple_rows for x in row)) == 1
+    assert datum.simple_roots == tuple(
+        tuple(Fraction(x, den) for x in row) for row in datum.simple_rows
+    )
+
+
+def test_integral_objects_build_without_rat_matrix(monkeypatch):
+    # Root data, towers and invariant forms are integral from construction to
+    # use: none of them may build a RatMatrix on the way.
+    from roothk.invariant_theory import invariant_bilinear_form, rep_reflection
+    from roothk.lattice_tower import tower_for_spec
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("RatMatrix built on an integer path")
+
+    monkeypatch.setattr(RatMatrix, "__init__", refuse)
+    build_root_datum.cache_clear()
+    try:
+        for spec in standard_table():
+            build_root_datum(spec)
+        for family, rank in [("A", 15), ("B", 10), ("D", 8), ("E", 6), ("F", 4)]:
+            assert tower_for_spec(RootSystemSpec(family, rank)).lattices
+        for family, rank in [("A", 3), ("B", 3), ("G", 2)]:
+            datum = build_root_datum(RootSystemSpec(family, rank))
+            assert invariant_bilinear_form(rep_reflection(datum)).rows == rank
+    finally:
+        build_root_datum.cache_clear()
+
+
 def test_ambient_roots_are_built_on_first_use():
     # A fresh datum, not the cached one, which other tests may have read.
     datum = build_root_datum.__wrapped__(RootSystemSpec("E", 7))
@@ -215,8 +250,41 @@ def test_dual_quotient_check_examples(n):
     assert report.cyclic_of_expected_order
     assert report.grams_match
     assert report.passed
-    if n == 1:
-        assert report.weight_basis_gram == RatMatrix.from_rows([[Fraction(1, 2)]])
+    # Every Gram is kept times n+1: divided by it, they are the projected
+    # model and the inverse of the A_n Gram, recomputed over the rationals.
+    k = report.scale
+    assert k == n + 1
+    gram = build_root_datum(RootSystemSpec("A", n)).gram.to_rat()
+    assert report.weight_basis_gram.to_rat().scale(Fraction(1, k)) == gram.inverse()
+    assert report.model_gram.to_rat().scale(Fraction(1, k)) == RatMatrix(
+        k, k, (int(i == j) - Fraction(1, k) for i in range(k) for j in range(k))
+    )
+    if n == 1:  # the weight Gram (1/2) is [1] at scale 2
+        assert report.weight_basis_gram == IntMatrix.from_rows([[1]])
+        assert report.model_gram == IntMatrix.from_rows([[1, -1], [-1, 1]])
+
+
+@pytest.mark.parametrize(
+    "n,rows",
+    [
+        (1, [[4]]),  # the A1 form doubled: det 4, not 2
+        (2, [[2, 1], [1, 2]]),  # det 3, but its adjugate is not the weight Gram
+    ],
+)
+def test_dual_quotient_check_rejects_a_wrong_gram(monkeypatch, n, rows):
+    import dataclasses
+
+    from roothk import root_data
+
+    real = root_data.build_root_datum
+
+    def wrong_gram(spec):
+        return dataclasses.replace(real(spec), gram=IntMatrix.from_rows(rows))
+
+    monkeypatch.setattr(root_data, "build_root_datum", wrong_gram)
+    report = dual_lattice_quotient_check(n)
+    assert not report.grams_match
+    assert not report.passed
 
 
 def test_dual_quotient_check_rejects_bad_rank():
