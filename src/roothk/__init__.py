@@ -39,6 +39,7 @@ from .weyl import (
     GroupCap,
     WeylGroup,
     check_signed_permutation_structure,
+    coset_halves,
     element_iter,
     generate_group,
     group_order_formula,

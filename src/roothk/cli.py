@@ -80,8 +80,10 @@ class ReportDocument:
     command: dict
     checks: list[CheckRecord] = field(default_factory=list)
     tool_version: str = __version__
-    # Time spent in report's worker, for the closing diagnostic line only.
+    # Time spent in report's worker and on the parent's own rows, for the
+    # closing diagnostic line only.
     worker_ms: int | None = None
+    parent_ms: int | None = None
 
     def add(self, name: str, status: str, values: dict, citation: str = "") -> None:
         self.checks.append(CheckRecord(name=name, status=status, values=values, citation=citation))
@@ -250,7 +252,7 @@ def _enumerated_checks(cap: GroupCap) -> list[CheckRecord]:
                 {"order": order, "reason": f"order exceeds cap {cap.max_elements}"},
             )
             continue
-        # Streamed one Coxeter length at a time; no element array is kept.
+        # Read as the products of two halves of about sqrt(|W|) elements; W is never held.
         check = freeness_codim_check(WeylGroup.from_generators(build_root_datum(spec)), cap=cap)
         doc.add(
             name,
@@ -334,6 +336,7 @@ def cmd_report(suite: str, cap: GroupCap) -> ReportDocument:
         os.close(write_fd)
         pipe = os.fdopen(read_fd, "rb")
 
+    started = time.monotonic_ns()
     try:
         # Invariant dimensions and irreducibility across the whole table.
         for spec in standard_table():
@@ -376,6 +379,7 @@ def cmd_report(suite: str, cap: GroupCap) -> ReportDocument:
             {"lattices": len(tower_e8.lattices)},
         )
 
+        doc.parent_ms = (time.monotonic_ns() - started) // 1_000_000
         data = pipe.read() if pipe else None
     except BaseException:
         if pid:
@@ -484,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     sys.stdout.write(doc.render(args.format))
     elapsed_ms = (time.monotonic_ns() - started) // 1_000_000
-    worker = "" if doc.worker_ms is None else f" (worker {doc.worker_ms} ms)"
+    worker = "" if doc.worker_ms is None else f" (worker {doc.worker_ms} ms, parent {doc.parent_ms} ms)"
     print(f"roothk: {args.subcommand} finished in {elapsed_ms} ms{worker}", file=sys.stderr)
     return 1 if doc.failed else 0
 

@@ -28,10 +28,9 @@ from .weyl import (
     _ENTRY_BOUND,
     GroupCap,
     WeylGroup,
+    coset_halves,
     generate_group,
     group_order_formula,
-    iter_levels,
-    min_coset_representatives,
 )
 
 # Cost ceiling for analyze, whose generator-only work grows a little faster
@@ -42,11 +41,13 @@ from .weyl import (
 GENERATOR_ONLY_MAX_RANK = 24
 
 # Bounds on the brute-force grid (2n int64 words a point) and on the freeness
-# pass's temporaries: elements v per block, so a block's traces against the
-# 240 representatives of E8 over E7 take 240 * 8192 int16 words.  No level of
-# a default run is that large (A8 over A7 peaks at 3836).
+# pass's trace tiles: at most 2^18 int16 traces, 8,192 elements of V wide, so
+# W(E7)'s 1512 * 1920 traces take twelve tiles of at most 136 rows and W(E8)'s
+# 13,440 * 51,840 take tiles of 32 rows.  An untiled trace array would be
+# 5.8 MB for W(E7) and 1.4 GB for W(E8).
 _GRID_MAX_POINTS = 1 << 16
-_FREENESS_BLOCK = 8192
+_FREENESS_TILE = 1 << 18
+_FREENESS_COLUMNS = 8192
 
 
 # --- fixed loci on the torus model ---------------------------------------------
@@ -150,15 +151,13 @@ def freeness_codim_check(group: WeylGroup, cap: GroupCap | None = None) -> Freen
     w != 1 forces rank >= 1, the minimum is then 2, on every lattice of the
     tower (conjugates have equal ranks).
 
-    The pass reads W as every product u * v of a representative u and an
-    element v of a chunk, in blocks of ``_FREENESS_BLOCK`` elements v.  A
-    stored group is the identity times ``group.elements``.  Otherwise
-    W = W^J * W_J with J every simple reflection but the last
-    (Bjorner-Brenti, GTM 231, §2.4): the representatives are
-    :func:`min_coset_representatives` and the chunks are the levels of
-    :func:`iter_levels` over J.  As tr(u v) = <vec(u^T), vec(v)>, the traces
-    of a block against every representative are one integer product, and
-    only the pairs of trace n - 2 are multiplied out.  Groups
+    The pass reads W as every product u * v of an element u of U and an
+    element v of V.  A stored group is the identity times ``group.elements``;
+    otherwise U and V are the two halves of :func:`coset_halves`, of about
+    sqrt(|W|) elements each.  As tr(u v) = <vec(u^T), vec(v)>, the traces of
+    a tile of rows of U against a block of V are one integer product, tiles
+    of at most ``_FREENESS_TILE`` traces and ``_FREENESS_COLUMNS`` elements
+    of V, and only the pairs of trace n - 2 are multiplied out.  Groups
     beyond the cap report skipped.
     """
     cap = cap if cap is not None else GroupCap()
@@ -168,34 +167,35 @@ def freeness_codim_check(group: WeylGroup, cap: GroupCap | None = None) -> Freen
 
     n = group.rank
     if group.elements is None:
-        reps = min_coset_representatives(group.datum, n - 1)
-        chunks = iter_levels(group.datum, range(n - 1))
+        u, v = coset_halves(group.datum)
     else:
-        reps = (IntMatrix.identity(n),)
-        chunks = (group.elements,)
+        u, v = np.eye(n, dtype=np.int8)[None], group.elements
     # Entries of u and v lie in [-6, 6], so a trace is a sum of n^2 products
     # of absolute value at most 36, which int16 holds exactly up to n = 8.
     if n * n * _ENTRY_BOUND**2 >= 1 << 15:
         raise AssertionError(f"traces of rank {n} could overflow the int16 accumulator")
-    u = np.array([r.to_rows() for r in reps], dtype=np.int32)
     if np.abs(u).max() > _ENTRY_BOUND:
         raise AssertionError("coset representative entries exceeded the root-coordinate bound")
-    u_t = u.transpose(0, 2, 1).reshape(len(reps), n * n).astype(np.int16)
+    u_t = u.transpose(0, 2, 1).reshape(len(u), n * n).astype(np.int16)
+    u = u.astype(np.int32)
     ident = np.eye(n, dtype=np.int32)
+    width = min(v.shape[0], _FREENESS_COLUMNS, _FREENESS_TILE)
+    height = _FREENESS_TILE // width
     elements = identities = reflections = trace_sum = trace_square_sum = 0
-    blocks = (c[lo : lo + _FREENESS_BLOCK] for c in chunks for lo in range(0, c.shape[0], _FREENESS_BLOCK))
-    for block in blocks:
-        elements += len(reps) * block.shape[0]
+    for lo in range(0, v.shape[0], width):
+        block = v[lo : lo + width]
         # Element-last and C-contiguous: with the transposed strides that a
         # plain astype keeps, einsum runs about four times slower.
-        v = block.reshape(-1, n * n).T.astype(np.int16, order="C")
-        traces = np.einsum("ux,xk->uk", u_t, v)
-        identities += int(np.count_nonzero(traces == n))
-        ui, vi = np.nonzero(traces == n - 2)
-        w = u[ui] @ block[vi].astype(np.int32)  # int8 entries; products fit int32
-        reflections += int(np.count_nonzero((w @ w == ident).all(axis=(1, 2))))
-        trace_sum += int(traces.sum(dtype=np.int64))
-        trace_square_sum += int(np.einsum("uk,uk->", traces, traces, dtype=np.int64))
+        v_t = block.reshape(-1, n * n).T.astype(np.int16, order="C")
+        for top in range(0, len(u), height):
+            traces = np.einsum("ux,xk->uk", u_t[top : top + height], v_t)
+            elements += traces.size
+            identities += int(np.count_nonzero(traces == n))
+            ui, vi = np.divmod(np.flatnonzero(traces == n - 2), traces.shape[1])
+            w = u[top + ui] @ block[vi].astype(np.int32)  # int8 entries; products fit int32
+            reflections += int(np.count_nonzero((w @ w == ident).all(axis=(1, 2))))
+            trace_sum += int(traces.sum(dtype=np.int64))
+            trace_square_sum += int(np.einsum("uk,uk->", traces, traces, dtype=np.int64))
     if elements != group.order:
         raise AssertionError(f"the pass saw {elements} elements, expected order {group.order}")
     if identities != 1:

@@ -1,23 +1,25 @@
 """Weyl groups as explicit sets of integer matrices in the simple-root basis.
 
-Exhaustive enumeration walks the canonical-parent tree of the group, or of a
-parabolic subgroup W_J, one Coxeter length at a time: each element is reached
-once, from its parent one length down, by the smallest of its right descents.
-The minimal coset representatives W^J come from a second duplicate-free walk,
-over the orbit of a fundamental weight, so W = W^J * W_J can be visited
-without ever holding W.  Levels are compact numpy int8 arrays; coefficients
-of Weyl matrices in the root basis are bounded by the largest root coordinate
-(at most 6 across the supported families), so fixed-width integer arithmetic
-is exact here — guards assert the bounds on every level.  numpy is imported
-by the functions that build or read element arrays, not at module load, so
+Exhaustive enumeration walks the canonical-parent tree of the group one
+Coxeter length at a time: each element is reached once, from its parent one
+length down, by the smallest of its right descents.  Minimal coset
+representatives come from a second duplicate-free walk, over the orbit of a
+fundamental weight, one step of the parabolic chain at a time, and W is the
+product R_1 ... R_n of those steps, so W can be visited as two halves of
+about sqrt(|W|) elements each without ever holding it.  Element arrays are
+compact numpy int8; coefficients of Weyl matrices in the root basis are
+bounded by the largest root coordinate (at most 6 across the supported
+families), so fixed-width integer arithmetic is exact here — guards assert
+the bounds on every level and every partial product.  numpy is imported by
+the functions that build or read element arrays, not at module load, so
 generator-only callers never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
-from typing import TYPE_CHECKING, Iterator, Sequence
+from math import factorial, prod
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import GroupTooLargeError, NotExhaustiveError
 from .exact_linalg import IntMatrix
@@ -41,9 +43,9 @@ _EXCEPTIONAL_ORDERS = {"G": 12, "F": 1152, "E6": 51840, "E7": 2903040, "E8": 696
 class GroupCap:
     """Upper bound on the order of a group enumerated exhaustively.
 
-    ``generate_group`` stores that many elements; the streamed freeness pass
-    visits that many, holding only the coset representatives and two levels
-    of W_J.
+    ``generate_group`` stores that many elements; the freeness pass visits
+    that many, holding only the two halves of :func:`coset_halves` and one
+    bounded tile of traces.
     """
 
     max_elements: int = DEFAULT_GROUP_CAP
@@ -128,28 +130,24 @@ class WeylGroup:
         return self._pair_sums
 
 
-def iter_levels(datum: RootDatum, subset: Sequence[int] | None = None) -> Iterator[np.ndarray]:
-    """Yield every element of W_J once, as one int8 array per Coxeter length.
+def iter_levels(datum: RootDatum) -> Iterator[np.ndarray]:
+    """Yield every element of W once, as one int8 array per Coxeter length.
 
-    J is ``subset``, a set of 0-based simple-reflection indices; ``None``
-    means all of them, so W_J = W.  The canonical-parent rule: right
-    multiplication by s raises the length exactly when w(alpha_s) is a
-    positive root, i.e. when column s of w has a positive coordinate sum.  A
-    product w*s (s in J) is kept only when it raises the length and s is the
-    smallest right descent of w*s in J (every column t < s, t in J, of w*s has
-    a positive sum).  Every element of W_J other than the identity has exactly
-    one such parent, one level down, so level k + 1 is built from level k
-    alone and each element is produced exactly once, with no comparison
-    between elements.  Only two levels are alive at a time.  Lengths in W_J
-    are lengths in W (Bjorner-Brenti, GTM 231, §2.4).
+    The canonical-parent rule: right multiplication by s raises the length
+    exactly when w(alpha_s) is a positive root, i.e. when column s of w has a
+    positive coordinate sum.  A product w*s is kept only when it raises the
+    length and s is the smallest right descent of w*s (every column t < s of
+    w*s has a positive sum).  Every element other than the identity has
+    exactly one such parent, one level down, so level k + 1 is built from
+    level k alone and each element is produced exactly once, with no
+    comparison between elements.  Only two levels are alive at a time.
 
     Levels come identity first, in nondecreasing length; each is a fresh
     ``(count, n, n)`` array.  Raises AssertionError when an entry leaves the
-    root-coordinate bound, or when the running count passes the closed-form
-    order of W; for J = all it must also end at that order (a proper W_J is
-    counted by its caller).  Nothing is checked against a cap, and nothing
-    runs before the first ``next()``: a caller that needs a cap checks it
-    before iterating.
+    root-coordinate bound, or when the count differs from the closed-form
+    order of W.  Nothing is checked against a cap, and nothing runs before
+    the first ``next()``: a caller that needs a cap checks it before
+    iterating.
     """
     import numpy as np
 
@@ -157,7 +155,6 @@ def iter_levels(datum: RootDatum, subset: Sequence[int] | None = None) -> Iterat
     n = spec.rank
     order = group_order_formula(spec)
     gens = simple_reflections(datum)
-    subset = range(n) if subset is None else sorted(subset)
     # s_i - 1 is zero outside row i, so w*s_i = w + (column i of w) * shift[i]:
     # a rank-one update of column i and of its Dynkin neighbours, the only
     # other columns where shift[i] is nonzero.  Entries of w are asserted to
@@ -183,11 +180,9 @@ def iter_levels(datum: RootDatum, subset: Sequence[int] | None = None) -> Iterat
         yield level
         positive = sums > 0
         parents = []
-        for s in subset:
+        for s in range(n):
             keep = positive[s].copy()
-            for t in subset:
-                if t >= s:
-                    break
+            for t in range(s):
                 # Only the neighbours of s change their column sum.
                 keep &= sums[s] * shift[s, t] + sums[t] > 0 if shift[s, t] else positive[t]
             parents.append((s, np.flatnonzero(keep)))
@@ -208,34 +203,43 @@ def iter_levels(datum: RootDatum, subset: Sequence[int] | None = None) -> Iterat
             lo += idx.size
         level, sums = child, child_sums
 
-    if len(subset) == n and count != order:
+    if count != order:
         raise AssertionError(
             f"enumeration of {spec.label} found {count} elements, expected {order}"
         )
 
 
-def min_coset_representatives(datum: RootDatum, k: int) -> tuple[IntMatrix, ...]:
-    """The minimal-length representatives W^J of W / W_J, J = all but s_k.
+def min_coset_representatives(datum: RootDatum, k: int) -> np.ndarray:
+    """The minimal-length representatives of W_K / W_J, where K holds the
+    first k + 1 simple reflections and J = K without s_k.
 
-    ``k`` is 0-based.  W^J is in bijection with the W-orbit of the
-    fundamental weight omega_k (its stabilizer is W_J), walked in Dynkin
-    labels: for a label m_i > 0 the weight mu - m_i * (row i of the Cartan
-    matrix) is s_i(mu), one length further from omega_k, and it is kept only
-    when i is its smallest negative label.  Negative labels of u(omega_k) are
-    the left descents of u, so each representative other than the identity
-    has exactly one parent s_i * u and the walk is duplicate-free, with no
-    sort and no set.  The matrix steps are left multiplications by s_i, which
-    change row i only.  Right multiplication cannot do this: W^J is not
-    prefix-closed (in A2 with J = {s1}, s1 s2 is in W^J but s1 is not).
+    ``k`` is 0-based; k = n - 1 gives W^J, the representatives of W / W_J.
+    They are in bijection with the W_K-orbit of the fundamental weight
+    omega_k (its stabilizer in W_K is W_J), walked in the Dynkin labels of K:
+    for a label m_i > 0 the weight mu - m_i * (row i of the Cartan matrix) is
+    s_i(mu), one length further from omega_k, and it is kept only when i is
+    its smallest negative label.  Negative labels of u(omega_k) are the left
+    descents of u in K, so each representative other than the identity has
+    exactly one parent s_i * u and the walk is duplicate-free, with no sort
+    and no set.  The matrix steps are left multiplications by s_i, which
+    change row i only.  Right multiplication cannot do this: the
+    representatives are not prefix-closed (in A2 with J = {s1}, s1 s2 is one
+    but s1 is not).
 
-    Returned identity first, in nondecreasing length.  Pure Python integers.
+    Returned identity first, in nondecreasing length, as a ``(count, n, n)``
+    int8 array; the walk itself runs on Python integers, and raises
+    AssertionError when an entry leaves the root-coordinate bound.
     """
+    import numpy as np
+
     n = datum.rank
     if not 0 <= k < n:
         raise IndexError(f"simple reflection {k} out of range 0..{n - 1}")
-    cartan = [list(datum.cartan.row(i)) for i in range(n)]
-    refl = [g.row(i) for i, g in enumerate(simple_reflections(datum))]
-    walk = [([int(j == k) for j in range(n)], IntMatrix.identity(n).to_rows())]
+    # Labels outside K never enter a step within K, so they are not carried.
+    cartan = [list(datum.cartan.row(i))[: k + 1] for i in range(k + 1)]
+    # Row i of s_i is sparse: s_i * u combines row i of u with its neighbours.
+    moved = [[(c, r) for c, r in enumerate(g.row(i)) if r] for i, g in enumerate(simple_reflections(datum))]
+    walk = [([int(j == k) for j in range(k + 1)], IntMatrix.identity(n).to_rows())]
     # The loop reads the entries it appends: breadth first, so by length.
     for mu, u in walk:
         for i, m in enumerate(mu):
@@ -244,10 +248,47 @@ def min_coset_representatives(datum: RootDatum, k: int) -> tuple[IntMatrix, ...]
             nu = [a - m * c for a, c in zip(mu, cartan[i])]
             if any(x < 0 for x in nu[:i]):
                 continue
-            v = [row[:] for row in u]
-            v[i] = [sum(refl[i][c] * u[c][j] for c in range(n)) for j in range(n)]
+            v = u[:]
+            v[i] = [sum(col) for col in zip(*([r * x for x in u[c]] for c, r in moved[i]))]
+            if max(map(abs, v[i])) > _ENTRY_BOUND:
+                raise AssertionError("coset representative entries exceeded the root-coordinate bound")
             walk.append((nu, v))
-    return tuple(IntMatrix.from_rows(u) for _, u in walk)
+    return np.array([u for _, u in walk], dtype=np.int8)
+
+
+def coset_halves(datum: RootDatum) -> tuple[np.ndarray, np.ndarray]:
+    """W as the products u * v of two arrays U and V, each element once.
+
+    Down the chain of parabolic subgroups W_{J_i}, J_i the first n - i simple
+    reflections, W = R_1 R_2 ... R_n, where R_i holds the minimal
+    representatives of W_{J_{i-1}} / W_{J_i} (:func:`min_coset_representatives`
+    with k = n - i) and every element is one product u_1 ... u_n, u_i in R_i
+    (Bjorner-Brenti, GTM 231, §2.4, applied at each step).  The chain is
+    multiplied out in two halves, U = R_1 ... R_d and V = R_{d+1} ... R_n,
+    with d chosen to minimise |U| + |V|: W(E7) factors as
+    56 * 27 * 16 * 10 * 3 * 2 * 2 and splits as 1512 * 1920.
+
+    Both are ``(count, n, n)`` int8 arrays.  Raises AssertionError when an
+    entry of a representative or of a partial product leaves the
+    root-coordinate bound.
+    """
+    import numpy as np
+
+    n = datum.rank
+    chain = [min_coset_representatives(datum, k).astype(np.int16) for k in reversed(range(n))]
+    sizes = [len(reps) for reps in chain]
+    d = min(range(n + 1), key=lambda d: prod(sizes[:d]) + prod(sizes[d:]))
+    halves = []
+    for factors in (chain[:d], chain[d:]):
+        # Factors with entries in [-6, 6] keep every product entry within
+        # 36 n in absolute value, far inside int16.
+        product = np.eye(n, dtype=np.int16)[None]
+        for reps in factors:
+            product = np.matmul(product[:, None], reps[None]).reshape(-1, n, n)
+            if np.abs(product).max() > _ENTRY_BOUND:
+                raise AssertionError("coset products exceeded the root-coordinate bound")
+        halves.append(product.astype(np.int8))
+    return halves[0], halves[1]
 
 
 def generate_group(datum: RootDatum, cap: GroupCap | None = None) -> WeylGroup:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -306,7 +307,9 @@ def test_report_reaps_its_worker(capsys, monkeypatch):
     monkeypatch.delenv("ROOTHK_GROUP_CAP", raising=False)
     assert main(["report", "--format", "tsv"]) == 0
     _assert_no_child_left()
-    assert "(worker " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "(worker " in err
+    assert re.fullmatch(r"roothk: report finished in \d+ ms \(worker \d+ ms, parent \d+ ms\)\n", err)
 
 
 def test_report_without_fork_runs_the_worker_inline(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from roothk import hk_analysis, weyl
@@ -141,13 +142,25 @@ def test_streamed_freeness_matches_stored(family, rank, groups):
 
 @pytest.mark.parametrize("stored", [False, True], ids=["streamed", "stored"])
 def test_freeness_blocks_split_chunks(monkeypatch, groups, stored):
-    # Blocks of 5 elements split most W(A3) levels of the streamed W(D4) and
-    # the stored group into several blocks, the last one short; the counts
-    # and character sums must not notice.
-    monkeypatch.setattr(hk_analysis, "_FREENESS_BLOCK", 5)
+    # Blocks of 5 elements split the 24 elements of the streamed W(D4)'s
+    # second half, and the stored group, into several blocks, the last one
+    # short; the counts and character sums must not notice.
+    monkeypatch.setattr(hk_analysis, "_FREENESS_COLUMNS", 5)
     group = groups("D", 4)
     check = freeness_codim_check(group if stored else WeylGroup.from_generators(group.datum))
     assert (check.status, check.elements, check.reflections) == ("verified", 192, 12)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("F", 4)])
+def test_freeness_ragged_tiles_match(monkeypatch, family, rank):
+    # Tiles of 7 rows by 5 columns leave a short last tile both ways: W(B3)
+    # is 8 * 6 and W(F4) is 24 * 48.
+    group = WeylGroup.from_generators(build_root_datum(RootSystemSpec(family, rank)))
+    expected = freeness_codim_check(group)
+    monkeypatch.setattr(hk_analysis, "_FREENESS_COLUMNS", 5)
+    monkeypatch.setattr(hk_analysis, "_FREENESS_TILE", 35)
+    assert freeness_codim_check(group) == expected
+
 
 def _b3_with_overwrite(groups, source_is_reflection, replacement):
     """Copy of W(B3) with the first (non-)reflection overwritten."""
@@ -200,17 +213,22 @@ def test_freeness_rejects_wrong_character_sums(groups):
 
 @pytest.mark.parametrize("edit", ["drop", "duplicate"])
 def test_freeness_rejects_wrong_coset_representatives(monkeypatch, edit):
-    # W(B3) streams as 8 representatives times the 6 elements of W(A2).
+    # W(B3) streams as the chain R_1 R_2 R_3 = 8 * 3 * 2: one representative
+    # dropped or duplicated, first in R_1 and then in R_2 alone, leaves only
+    # the element count to notice.
     real = weyl.min_coset_representatives
-
-    def edited(datum, k):
-        reps = real(datum, k)
-        return reps[:-1] if edit == "drop" else reps + reps[-1:]
-
-    monkeypatch.setattr(hk_analysis, "min_coset_representatives", edited)
     group = WeylGroup.from_generators(build_root_datum(RootSystemSpec("B", 3)))
-    with pytest.raises(AssertionError, match=f"saw {42 if edit == 'drop' else 54} elements"):
-        freeness_codim_check(group)
+    for edited_k, seen in ((2, {"drop": 42, "duplicate": 54}), (1, {"drop": 32, "duplicate": 64})):
+
+        def edited(datum, k, edited_k=edited_k):
+            reps = real(datum, k)
+            if k != edited_k:
+                return reps
+            return reps[:-1] if edit == "drop" else np.concatenate([reps, reps[-1:]])
+
+        monkeypatch.setattr(weyl, "min_coset_representatives", edited)
+        with pytest.raises(AssertionError, match=f"saw {seen[edit]} elements"):
+            freeness_codim_check(group)
 
 
 @pytest.mark.parametrize(

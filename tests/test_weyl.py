@@ -7,7 +7,7 @@ import pytest
 from roothk import weyl
 from roothk.errors import GroupTooLargeError, NotExhaustiveError
 from roothk.exact_linalg import IntMatrix
-from roothk.root_data import RootSystemSpec, ambient_to_root_basis, build_root_datum
+from roothk.root_data import RootSystemSpec, ambient_to_root_basis, build_root_datum, standard_table
 from roothk.weyl import (
     GroupCap,
     WeylGroup,
@@ -76,14 +76,14 @@ def test_enumeration_oracle(family, rank, groups):
 
 def _exponents(datum, k=None):
     """Exponents m_i from the height partition of the positive roots:
-    #{i : m_i >= k} is the number of positive roots of height k (Kostant 1959).
+    #{i : m_i >= h} is the number of positive roots of height h (Kostant 1959).
 
-    With ``k``, only the roots whose k-th root coordinate is 0: the root
-    system of the parabolic subgroup W_J, J = all simple reflections but s_k
-    (the partition adds up over its components)."""
+    With ``k``, only the roots supported on the first k simple roots: the
+    root system of the parabolic subgroup W_J, J = {s_0, ..., s_(k-1)} (the
+    partition adds up over its components)."""
     coords = ambient_to_root_basis(datum, datum.all_roots)
-    per_height = Counter(int(sum(c)) for c in coords if min(c) >= 0 and (k is None or c[k] == 0))
-    return sorted(k for k in per_height for _ in range(per_height[k] - per_height[k + 1]))
+    per_height = Counter(int(sum(c)) for c in coords if min(c) >= 0 and (k is None or not any(c[k:])))
+    return sorted(h for h in per_height for _ in range(per_height[h] - per_height[h + 1]))
 
 
 def _poincare(exponents):
@@ -92,20 +92,6 @@ def _poincare(exponents):
     for m in exponents:
         poly = np.convolve(poly, np.ones(m + 1, dtype=np.int64)).tolist()
     return poly
-
-
-def _divide_exactly(num, den):
-    """Quotient of integer polynomials (coefficient lists), asserting that
-    the division is exact over the integers."""
-    num, quotient = list(num), []
-    for i in range(len(num) - len(den) + 1):
-        q, r = divmod(num[i], den[0])
-        assert r == 0
-        quotient.append(q)
-        for j, d in enumerate(den):
-            num[i + j] -= q * d
-    assert not any(num)
-    return quotient
 
 
 def _lengths(datum, elements):
@@ -132,18 +118,18 @@ def test_exponents_from_root_heights():
 def test_level_sizes_are_poincare_coefficients(family, rank):
     # The number of elements of each Coxeter length is the coefficient of the
     # Poincare polynomial prod_i (1 + q + ... + q^{m_i}); the exponents come
-    # from the roots alone, not from the enumeration.  The same holds for the
-    # parabolic subgroup W_J (J = all but the last simple reflection) and its
-    # levels, and the minimal coset representatives W^J, counted by length,
-    # give P_W / P_{W_J} (Bjorner-Brenti, GTM 231, §2.4).
+    # from the roots alone, not from the enumeration.  Down the parabolic
+    # chain W = R_1 ... R_n every element is one product u_1 ... u_n whose
+    # lengths add (Bjorner-Brenti, GTM 231, §2.4), so the counts of the coset
+    # representatives by length multiply to the same polynomial.
     datum = build_root_datum(RootSystemSpec(family, rank))
-    k = rank - 1
-    poincare, parabolic = _poincare(_exponents(datum)), _poincare(_exponents(datum, k))
+    poincare = _poincare(_exponents(datum))
     assert [level.shape[0] for level in iter_levels(datum)] == poincare
-    assert [level.shape[0] for level in iter_levels(datum, range(k))] == parabolic
-    reps = weyl.min_coset_representatives(datum, k)
-    per_length = Counter(_lengths(datum, [u.to_rows() for u in reps]))
-    assert [per_length[i] for i in range(max(per_length) + 1)] == _divide_exactly(poincare, parabolic)
+    product = [1]
+    for k in range(rank):
+        per_length = Counter(_lengths(datum, weyl.min_coset_representatives(datum, k)))
+        product = np.convolve(product, [per_length[h] for h in range(max(per_length) + 1)]).tolist()
+    assert product == poincare
 
 
 @pytest.mark.parametrize(
@@ -151,27 +137,59 @@ def test_level_sizes_are_poincare_coefficients(family, rank):
     [("A", 2), ("A", 5), ("B", 3), ("C", 4), ("D", 4), ("D", 8), ("F", 4), ("G", 2), ("E", 6), ("E", 8)],
 )
 def test_min_coset_representatives_are_minimal(family, rank):
-    # u is minimal in u W_J exactly when u(alpha_j) is positive for each j in
-    # J, i.e. when column j of u has a positive coordinate sum.  Distinct
-    # minimal elements lie in distinct cosets, so |W^J| = |W| / |W_J|.
+    # With K the first k + 1 simple reflections and J the first k, u is
+    # minimal in u W_J exactly when u(alpha_j) is positive for each j in J,
+    # i.e. when column j of u has a positive coordinate sum.  Distinct
+    # minimal elements lie in distinct cosets, so |R| = |W_K| / |W_J|.
     datum = build_root_datum(RootSystemSpec(family, rank))
-    k = rank - 1
-    reps = weyl.min_coset_representatives(datum, k)
-    assert reps[0] == IntMatrix.identity(rank)
-    assert len(set(reps)) == len(reps)
-    for u in reps:
-        assert all(sum(u[i, j] for i in range(rank)) > 0 for j in range(k))
-    lengths = _lengths(datum, [u.to_rows() for u in reps])
-    assert lengths == sorted(lengths)
-    parabolic = _poincare(_exponents(datum, k))
-    assert len(reps) * sum(parabolic) == group_order_formula(datum.spec)
+    for k in range(rank):
+        reps = weyl.min_coset_representatives(datum, k)
+        assert (reps[0] == np.eye(rank)).all()
+        assert np.unique(reps.reshape(len(reps), -1), axis=0).shape[0] == len(reps)
+        assert (reps.sum(axis=1, dtype=np.int64)[:, :k] > 0).all()
+        lengths = _lengths(datum, reps)
+        assert lengths == sorted(lengths)
+        parabolic = _poincare(_exponents(datum, k))
+        assert len(reps) * sum(parabolic) == sum(_poincare(_exponents(datum, k + 1)))
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in standard_table() if group_order_formula(s) <= 51_840], ids=lambda s: s.label
+)
+def test_coset_halves_multiply_to_the_group(spec, groups):
+    # Every product u * v of the two halves, against the canonical-parent
+    # enumeration: the same elements, each once.
+    n = spec.rank
+    u, v = weyl.coset_halves(build_root_datum(spec))
+    products = (u[:, None].astype(np.int16) @ v[None].astype(np.int16)).reshape(-1, n * n)
+    stored = groups(spec.family, spec.rank).elements.reshape(-1, n * n).astype(np.int16)
+    assert sorted(w.tobytes() for w in products) == sorted(w.tobytes() for w in stored)
+
+
+def test_coset_product_bound_is_asserted(monkeypatch):
+    # A shear with entry 6 keeps the bound, but its square has an entry 12.
+    # Appended to every factor of W(A3) = 4 * 3 * 2, it meets itself in the
+    # half R_2 R_3.
+    real = weyl.min_coset_representatives
+    shear = np.eye(3, dtype=np.int8)
+    shear[0, 1] = 6
+
+    def appended(datum, k):
+        return np.concatenate([real(datum, k), shear[None]])
+
+    monkeypatch.setattr(weyl, "min_coset_representatives", appended)
+    with pytest.raises(AssertionError, match="coset products exceeded the root-coordinate bound"):
+        weyl.coset_halves(build_root_datum(RootSystemSpec("A", 3)))
 
 
 def test_entry_bound_is_asserted(monkeypatch):
     # W(B3) has root coordinates 2 (the highest root is a1 + 2 a2 + 2 a3).
     monkeypatch.setattr(weyl, "_ENTRY_BOUND", 1)
-    with pytest.raises(AssertionError, match="root-coordinate bound"):
-        generate_group(build_root_datum(RootSystemSpec("B", 3)))
+    datum = build_root_datum(RootSystemSpec("B", 3))
+    with pytest.raises(AssertionError, match="group element entries exceeded the root-coordinate bound"):
+        generate_group(datum)
+    with pytest.raises(AssertionError, match="coset representative entries exceeded"):
+        weyl.min_coset_representatives(datum, 2)
 
 
 def test_shift_bound_is_asserted(monkeypatch):
