@@ -1,14 +1,20 @@
 """Exact integer and rational matrix arithmetic.
 
 Everything here runs on arbitrary-precision Python integers; there is no
-floating point.  ``IntMatrix`` holds ``int`` entries and is what every
-integral object of the package (Cartan and Gram matrices, Weyl group
-elements, lattice bases) is built as.  ``RatMatrix`` holds
-``fractions.Fraction`` entries and serves only explicitly rational data:
-non-integral generator images, the inherited rational form of a tower
-lattice, and independent test oracles (inverse, determinant).  The module
-provides the small set of primitives the rest of the package is built on:
-products, determinants, kernels, and Hermite / Smith normal forms.
+floating point.  One dense, immutable, row-major implementation serves both
+entry types: ``IntMatrix`` holds ``int`` entries and is what every integral
+object of the package (Cartan and Gram matrices, Weyl group elements,
+lattice bases) is built as; ``RatMatrix`` holds ``fractions.Fraction``
+entries and serves only explicitly rational data: non-integral generator
+images, the inherited rational form of a tower lattice, and independent test
+oracles (inverse, determinant).  The two differ in how they coerce entries
+and in their type-specific methods; storage, equality and arithmetic are
+shared, and a result keeps its operands' class.
+
+The normal forms return what their callers read: ``smith_normal_form`` the
+invariant factors and the unimodular left transform (the discriminant group
+reads its rows), ``hermite_normal_form`` the echelon basis alone.  Kernels
+and ranks come from a sparse fraction-free echelon.
 """
 
 from __future__ import annotations
@@ -17,23 +23,24 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 Vector = tuple[Fraction, ...]
+_M = TypeVar("_M", bound="_Matrix")
 
 
-class IntMatrix:
-    """Immutable dense matrix with arbitrary-precision integer entries.
+class _Matrix:
+    """Immutable dense matrix, stored row-major in a flat tuple.
 
-    Entries are stored row-major in a flat tuple of ``int``.  Anything with
-    ``__index__`` is accepted (``int``, ``bool``, numpy integers); floats and
-    ``Fraction`` values raise TypeError, never truncate.
+    A subclass names the entry coercion ``_coerce``, applied once to every
+    entry on construction.  Matrices of different classes are never equal,
+    and every result has its operands' class.
     """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        data = tuple(map(operator.index, entries))
+        data = tuple(map(self._coerce, entries))
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
         object.__setattr__(self, "rows", rows)
@@ -41,38 +48,38 @@ class IntMatrix:
         object.__setattr__(self, "data", data)
 
     def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "IntMatrix":
+    def from_rows(cls: type[_M], rows: Sequence[Sequence]) -> _M:
         r = len(rows)
         c = len(rows[0]) if r else 0
         return cls(r, c, (x for row in rows for x in row))
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
+    def identity(cls: type[_M], n: int) -> _M:
         return cls(n, n, (1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
+    def zeros(cls: type[_M], rows: int, cols: int) -> _M:
         return cls(rows, cols, (0,) * (rows * cols))
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
+    def __getitem__(self, ij: tuple[int, int]):
         i, j = ij
         return self.data[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[int, ...]:
+    def row(self, i: int) -> tuple:
         return self.data[i * self.cols : (i + 1) * self.cols]
 
-    def to_rows(self) -> list[list[int]]:
+    def to_rows(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
+    def __iter__(self) -> Iterator[tuple]:
         return (self.row(i) for i in range(self.rows))
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, IntMatrix)
+            type(other) is type(self)
             and self.rows == other.rows
             and self.cols == other.cols
             and self.data == other.data
@@ -82,24 +89,24 @@ class IntMatrix:
         return hash((self.rows, self.cols, self.data))
 
     def __repr__(self) -> str:
-        return f"IntMatrix({self.to_rows()!r})"
+        return f"{type(self).__name__}({self.to_rows()!r})"
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, (-x for x in self.data))
+    def __neg__(self: _M) -> _M:
+        return type(self)(self.rows, self.cols, (-x for x in self.data))
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+    def __add__(self: _M, other: _M) -> _M:
         self._check_same_shape(other)
-        return IntMatrix(self.rows, self.cols, (a + b for a, b in zip(self.data, other.data)))
+        return type(self)(self.rows, self.cols, (a + b for a, b in zip(self.data, other.data)))
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+    def __sub__(self: _M, other: _M) -> _M:
         self._check_same_shape(other)
-        return IntMatrix(self.rows, self.cols, (a - b for a, b in zip(self.data, other.data)))
+        return type(self)(self.rows, self.cols, (a - b for a, b in zip(self.data, other.data)))
 
-    def _check_same_shape(self, other: "IntMatrix") -> None:
+    def _check_same_shape(self, other: "_Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+    def __matmul__(self: _M, other: _M) -> _M:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         n, k, m = self.rows, self.cols, other.cols
@@ -114,22 +121,33 @@ class IntMatrix:
                     brow = b[t * m : (t + 1) * m]
                     for j in range(m):
                         orow[base + j] += av * brow[j]
-        return IntMatrix(n, m, out)
+        return type(self)(n, m, out)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
+    def transpose(self: _M) -> _M:
+        return type(self)(
             self.cols, self.rows, (self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
         )
-
-    def trace(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum(self.data[i * self.cols + i] for i in range(self.rows))
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
             self[i, j] == self[j, i] for i in range(self.rows) for j in range(i)
         )
+
+
+class IntMatrix(_Matrix):
+    """Dense matrix with arbitrary-precision integer entries.
+
+    Anything with ``__index__`` is accepted (``int``, ``bool``, numpy
+    integers); floats and ``Fraction`` values raise TypeError, never truncate.
+    """
+
+    __slots__ = ()
+    _coerce = operator.index
+
+    def trace(self) -> int:
+        if self.rows != self.cols:
+            raise ValueError("trace of a non-square matrix")
+        return sum(self.data[i * self.cols + i] for i in range(self.rows))
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -197,7 +215,7 @@ class IntMatrix:
         return IntMatrix(n, n, (sign * x for row in a for x in row[n:])), d
 
     def to_rat(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, (Fraction(x) for x in self.data))
+        return RatMatrix(self.rows, self.cols, self.data)
 
     def content(self) -> int:
         """Gcd of all entries (0 for the zero matrix)."""
@@ -208,108 +226,22 @@ class IntMatrix:
         return g
 
 
-class RatMatrix:
-    """Immutable dense matrix with exact rational entries.
+class RatMatrix(_Matrix):
+    """Dense matrix with exact rational entries.
 
     ``Fraction`` keeps every entry in canonical reduced form (positive
     denominator, gcd(numerator, denominator) = 1).
     """
 
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: int, cols: int, entries: Iterable):
-        data = tuple(Fraction(e) for e in entries)
-        if len(data) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        return cls(r, c, (x for row in rows for x in row))
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, (Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.data[i * self.cols + j]
-
-    def row(self, i: int) -> Vector:
-        return self.data[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
+    __slots__ = ()
+    _coerce = Fraction
 
     def __repr__(self) -> str:
         return f"RatMatrix({[[str(x) for x in row] for row in self.to_rows()]!r})"
 
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, (-x for x in self.data))
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return RatMatrix(self.rows, self.cols, (a + b for a, b in zip(self.data, other.data)))
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return RatMatrix(self.rows, self.cols, (a - b for a, b in zip(self.data, other.data)))
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self.data, other.data
-        zero = Fraction(0)
-        out = [zero] * (n * m)
-        for i in range(n):
-            base = i * m
-            for t in range(k):
-                av = a[i * k + t]
-                if av:
-                    brow = b[t * m : (t + 1) * m]
-                    for j in range(m):
-                        if brow[j]:
-                            out[base + j] += av * brow[j]
-        return RatMatrix(n, m, out)
-
     def scale(self, c) -> "RatMatrix":
         c = Fraction(c)
         return RatMatrix(self.rows, self.cols, (c * x for x in self.data))
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols, self.rows, (self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
-        )
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self[i, j] == self[j, i] for i in range(self.rows) for j in range(i)
-        )
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for x in self.data)
@@ -382,20 +314,16 @@ class RatMatrix:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """Smith decomposition ``left @ m @ right == diag`` with unimodular transforms.
+    """Smith decomposition ``left @ m @ right == diag`` for some unimodular
+    ``right``, which is not kept.
 
     ``diag`` holds the nonnegative invariant factors d1 | d2 | ... | dr followed
-    by zeros, with length min(rows, cols) of the input.
+    by zeros, with length min(rows, cols) of the input.  ``left`` is unimodular,
+    and row i of ``left @ m`` is divisible by ``diag[i]`` (zero past the rank).
     """
 
     diag: tuple[int, ...]
     left: IntMatrix
-    right: IntMatrix
-
-    def diagonal_matrix(self, rows: int, cols: int) -> IntMatrix:
-        return IntMatrix(
-            rows, cols, (self.diag[i] if i == j and i < len(self.diag) else 0 for i in range(rows) for j in range(cols))
-        )
 
     @property
     def torsion_factors(self) -> tuple[int, ...]:
@@ -408,7 +336,7 @@ class SmithForm:
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Smith normal form with unimodular left/right transforms.
+    """Smith normal form with its unimodular left transform.
 
     Standard pivoting elimination: repeatedly move a smallest-magnitude entry
     to the pivot position, clear its row and column by exact division steps,
@@ -418,7 +346,6 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     nrows, ncols = m.rows, m.cols
     a = m.to_rows()
     left = IntMatrix.identity(nrows).to_rows()
-    right = IntMatrix.identity(ncols).to_rows()
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -426,8 +353,6 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
     def swap_cols(i, j):
         for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, q):
@@ -437,8 +362,6 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
     def add_col(src, dst, q):
         for row in a:
-            row[dst] -= q * row[src]
-        for row in right:
             row[dst] -= q * row[src]
 
     def negate_row(i):
@@ -503,29 +426,25 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
         t += 1
 
     diag = tuple(a[i][i] if i < ncols else 0 for i in range(limit))
-    return SmithForm(diag=diag, left=IntMatrix.from_rows(left), right=IntMatrix.from_rows(right))
+    return SmithForm(diag=diag, left=IntMatrix.from_rows(left))
 
 
-def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
+def hermite_normal_form(m: IntMatrix) -> IntMatrix:
+    """Row-style Hermite normal form ``h`` of ``m``.
 
-    Returns ``(h, left)`` with ``left @ m == h``, ``left`` unimodular, ``h`` in
-    row echelon form with positive pivots and entries above each pivot reduced
-    to the range ``[0, pivot)``.  Zero rows sink to the bottom, so the nonzero
-    rows of ``h`` are a canonical basis of the row lattice of ``m``.
+    ``h`` is ``m`` times a unimodular matrix on the left, in row echelon form
+    with positive pivots and entries above each pivot reduced to the range
+    ``[0, pivot)``.  Zero rows sink to the bottom, so the nonzero rows of ``h``
+    are a canonical basis of the row lattice of ``m``.
     """
     nrows, ncols = m.rows, m.cols
     a = m.to_rows()
-    left = IntMatrix.identity(nrows).to_rows()
 
     def combine(i, j, u, v, s, t):
         # (row_i, row_j) <- (u*row_i + v*row_j, s*row_i + t*row_j)
         ai, aj = a[i], a[j]
         a[i] = [u * x + v * y for x, y in zip(ai, aj)]
         a[j] = [s * x + t * y for x, y in zip(ai, aj)]
-        li, lj = left[i], left[j]
-        left[i] = [u * x + v * y for x, y in zip(li, lj)]
-        left[j] = [s * x + t * y for x, y in zip(li, lj)]
 
     r = 0
     for c in range(ncols):
@@ -535,7 +454,6 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        left[r], left[piv] = left[piv], left[r]
         for i in range(r + 1, nrows):
             while a[i][c]:
                 p, v = a[r][c], a[i][c]
@@ -545,15 +463,13 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 combine(r, i, u0, v0, -(v // g), p // g)
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
-            left[r] = [-x for x in left[r]]
         p = a[r][c]
         for i in range(r):
             q = a[i][c] // p
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                left[i] = [x - q * y for x, y in zip(left[i], left[r])]
         r += 1
-    return IntMatrix.from_rows(a), IntMatrix.from_rows(left)
+    return IntMatrix.from_rows(a)
 
 
 def _bezout(p: int, v: int) -> tuple[int, int]:

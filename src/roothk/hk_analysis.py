@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import GroupTooLargeError
 from .exact_linalg import IntMatrix, smith_normal_form
 from .invariant_theory import (
     Representation,
@@ -30,7 +29,6 @@ from .weyl import (
     WeylGroup,
     coset_halves,
     generate_group,
-    group_order_formula,
 )
 
 # Cost ceiling for analyze, whose generator-only work grows a little faster
@@ -317,14 +315,13 @@ def analyze(
     spec: RootSystemSpec,
     lattice_selector: str = "root",
     cap: GroupCap | None = None,
-    group: WeylGroup | None = None,
 ) -> HKVerdict:
     """Run the full verdict pipeline for one spec and lattice selection.
 
-    Group enumeration failures only downgrade the freeness field to skipped;
-    every other field is generator-only and always computed.  A pre-generated
-    ``group`` may be supplied to share enumerations across calls.  Ranks above
-    ``GENERATOR_ONLY_MAX_RANK`` raise ValueError before any work.
+    Within the cap, W is enumerated and the freeness pass reads its stored
+    elements; beyond it, the pass gets the generator-only group and reports
+    skipped.  Every other field is generator-only and always computed.  Ranks
+    above ``GENERATOR_ONLY_MAX_RANK`` raise ValueError before any work.
     """
     if spec.rank > GENERATOR_ONLY_MAX_RANK:
         raise ValueError(
@@ -339,17 +336,10 @@ def analyze(
     irreducible = irreducibility_check(base)
     form_dim = symplectic_form_dim(base)
 
-    if group is not None and group.elements is not None:
-        freeness = freeness_codim_check(group, cap=cap)
-    else:
-        try:
-            generated = generate_group(datum, cap)
-            freeness = freeness_codim_check(generated, cap=cap)
-        except GroupTooLargeError:
-            freeness = FreenessCheck(
-                status="skipped",
-                reason=f"order {group_order_formula(spec)} exceeds cap {cap.max_elements}",
-            )
+    group = WeylGroup.from_generators(datum)
+    if group.order <= cap.max_elements:
+        group = generate_group(datum, cap)
+    freeness = freeness_codim_check(group, cap=cap)
 
     return HKVerdict(
         spec=spec,

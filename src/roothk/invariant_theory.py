@@ -42,8 +42,6 @@ from .weyl import WeylGroup
 if TYPE_CHECKING:
     import numpy as np
 
-_REYNOLDS_CHUNK = 50_000
-
 Matrix = IntMatrix | RatMatrix
 # Rows that differ from the identity, as {row: {col: value}}.
 Image = dict[int, dict[int, int | Fraction]]
@@ -345,8 +343,7 @@ def _sum_from_pair_matrix(chain: tuple, group: WeylGroup) -> np.ndarray | None:
     """Assemble the summed images over the whole group from cached pair sums.
 
     Covers the construction chains whose entries are linear or quadratic in
-    the defining matrix entries; returns None for chains that need the generic
-    per-element path.
+    the defining matrix entries; returns None for any other chain.
     """
     import numpy as np
 
@@ -418,22 +415,15 @@ def reynolds_sum(rep: Representation, group: WeylGroup) -> IntMatrix:
     """Sum of the images of all group elements, as an exact integer matrix.
 
     The averaged projector is this sum divided by the group order; rank and
-    fixed space are unchanged by the scaling, so the sum is returned.
+    fixed space are unchanged by the scaling, so the sum is returned.  It is
+    assembled from the group's cached pair sums; a chain with no such
+    assembly, explicit representations among them, raises ValueError.
     """
-    import numpy as np
-
     if group.elements is None:
         raise NotExhaustiveError(f"{group.label} was not exhaustively generated")
-    fast = _sum_from_pair_matrix(rep.chain, group)
-    if fast is not None:
-        total = fast
-    else:
-        if rep.chain == ("explicit",):
-            raise ValueError("explicit representations carry no element-wise images")
-        total = np.zeros((rep.dim, rep.dim), dtype=np.int64)
-        for lo in range(0, group.order, _REYNOLDS_CHUNK):
-            chunk = group.elements[lo : lo + _REYNOLDS_CHUNK]
-            total += batch_images(rep, chunk).sum(axis=0)
+    total = _sum_from_pair_matrix(rep.chain, group)
+    if total is None:
+        raise ValueError(f"{rep.label} has no Reynolds sum from pair sums")
     return IntMatrix(rep.dim, rep.dim, (int(x) for x in total.reshape(-1)))
 
 

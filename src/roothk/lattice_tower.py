@@ -303,7 +303,7 @@ def _lattice_from_subgroup(
     # The root lattice (the Gram rows) and the generator lifts span the lattice.
     rows = datum.gram.to_rows()
     rows.extend(list(disc.lift(g)) for g in gens)
-    h, _ = hermite_normal_form(IntMatrix.from_rows(rows))
+    h = hermite_normal_form(IntMatrix.from_rows(rows))
     basis = IntMatrix.from_rows(h.to_rows()[:n])
     # A full-rank row HNF is upper triangular: det B is its pivot product.
     basis_det = 1

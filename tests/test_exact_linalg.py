@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
@@ -47,6 +48,15 @@ def test_snf_zero_matrix():
     assert sf.diag == (0, 0)
 
 
+def _minors_gcd(m, k):
+    """Gcd of all k x k minors of m: its k-th determinantal divisor."""
+    g = 0
+    for rows in combinations(range(m.rows), k):
+        for cols in combinations(range(m.cols), k):
+            g = gcd(g, IntMatrix.from_rows([[m[i, j] for j in cols] for i in rows]).det())
+    return g
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_snf_reconstruction_on_random_matrices(seed):
     rng = random.Random(seed)
@@ -54,10 +64,18 @@ def test_snf_reconstruction_on_random_matrices(seed):
     cols = rng.randint(1, 5)
     m = IntMatrix(rows, cols, (rng.randint(-6, 6) for _ in range(rows * cols)))
     sf = smith_normal_form(m)
-    # Reconstruction identity, unimodular transforms, nonnegative chain.
-    assert sf.left @ m @ sf.right == sf.diagonal_matrix(rows, cols)
+    # d_1 ... d_k is the gcd of the k x k minors (0 past the rank).
+    for k in range(1, len(sf.diag) + 1):
+        assert prod(sf.diag[:k]) == _minors_gcd(m, k)
+    # A unimodular left transform whose rows of left @ m are multiples of d_i.
     assert abs(sf.left.det()) == 1
-    assert abs(sf.right.det()) == 1
+    reduced = sf.left @ m
+    for i in range(rows):
+        d = sf.diag[i] if i < len(sf.diag) else 0
+        if d:
+            assert all(x % d == 0 for x in reduced.row(i))
+        else:
+            assert not any(reduced.row(i))
     nonzero = [d for d in sf.diag if d]
     assert all(d > 0 for d in nonzero)
     for a, b in zip(nonzero, nonzero[1:]):
@@ -66,11 +84,37 @@ def test_snf_reconstruction_on_random_matrices(seed):
     assert smith_normal_form(m.transpose()).diag == sf.diag
 
 
+def _in_row_lattice(v, h):
+    """Whether v is an integer combination of the echelon rows of h.
+
+    Back-substitution along the pivots, with exact division.
+    """
+    v = list(v)
+    for row in h:
+        piv = next((j for j, x in enumerate(row) if x), None)
+        if piv is None:
+            break
+        q, r = divmod(v[piv], row[piv])
+        if r:
+            return False
+        v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
+
+
+def _assert_same_row_lattice(m, h):
+    # L(m) is inside L(h), and both have the same rank and the same index in
+    # their common saturation: the product of the nonzero invariant factors.
+    assert all(_in_row_lattice(row, h) for row in m)
+    factors_m = [d for d in smith_normal_form(m).diag if d]
+    factors_h = [d for d in smith_normal_form(h).diag if d]
+    assert len(factors_m) == len(factors_h)
+    assert prod(factors_m) == prod(factors_h)
+
+
 def test_hnf_row_lattice_basis():
     m = IntMatrix.from_rows([[2, 0], [1, 1], [3, 1]])
-    h, left = hermite_normal_form(m)
-    assert left @ m == h
-    assert abs(left.det()) == 1
+    h = hermite_normal_form(m)
+    _assert_same_row_lattice(m, h)
     assert h.to_rows() == [[1, 1], [0, 2], [0, 0]]
 
 
@@ -80,9 +124,9 @@ def test_hnf_random_properties(seed):
     rows = rng.randint(1, 5)
     cols = rng.randint(1, 5)
     m = IntMatrix(rows, cols, (rng.randint(-5, 5) for _ in range(rows * cols)))
-    h, left = hermite_normal_form(m)
-    assert left @ m == h
-    assert abs(left.det()) == 1
+    h = hermite_normal_form(m)
+    assert (h.rows, h.cols) == (m.rows, m.cols)
+    _assert_same_row_lattice(m, h)
     # Echelon structure with positive pivots and reduced entries above them.
     last = -1
     for i in range(h.rows):
@@ -233,6 +277,39 @@ def test_rat_matrix_to_int_checks_integrality():
     assert RatMatrix.from_rows([[Fraction(4, 2), -3]]).to_int() == IntMatrix.from_rows([[2, -3]])
     with pytest.raises(ValueError, match="non-integer"):
         RatMatrix.from_rows([[1, Fraction(1, 3)]]).to_int()
+
+
+_SHARED_OPERATIONS = {
+    "from_rows": lambda a, b: type(a).from_rows(a.to_rows()),
+    "identity": lambda a, b: type(a).identity(a.rows),
+    "zeros": lambda a, b: type(a).zeros(a.rows, a.cols),
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "neg": lambda a, b: -a,
+    "matmul": lambda a, b: a @ b.transpose(),
+    "transpose": lambda a, b: a.transpose(),
+    "is_symmetric": lambda a, b: (a.is_symmetric(), (a @ a.transpose()).is_symmetric()),
+    "hash": lambda a, b: hash(a),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_SHARED_OPERATIONS))
+def test_shared_operations_agree_on_both_entry_types(op):
+    rng = random.Random(800)
+    for _ in range(8):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = (IntMatrix(rows, cols, (rng.randint(-5, 5) for _ in range(rows * cols))) for _ in range(2))
+        on_int = _SHARED_OPERATIONS[op](a, b)
+        on_rat = _SHARED_OPERATIONS[op](a.to_rat(), b.to_rat())
+        if isinstance(on_int, (IntMatrix, RatMatrix)):
+            assert type(on_int) is IntMatrix and type(on_rat) is RatMatrix
+            assert all(type(x) is int for x in on_int.data)
+            assert all(type(x) is Fraction for x in on_rat.data)
+            assert (on_rat.rows, on_rat.cols, on_rat.data) == (on_int.rows, on_int.cols, on_int.data)
+            # Equal entries, different classes: never equal.
+            assert on_int != on_rat and on_rat != on_int
+        else:
+            assert on_int == on_rat
 
 
 def test_matmul_and_transpose():

@@ -289,8 +289,8 @@ def test_known_model_tags():
     assert known_model(RootSystemSpec("A", 3), "A3") is None
 
 
-def test_analyze_a2_root(groups):
-    verdict = analyze(RootSystemSpec("A", 2), "root", group=groups("A", 2))
+def test_analyze_a2_root():
+    verdict = analyze(RootSystemSpec("A", 2), "root")
     assert verdict.irreducible
     assert verdict.symplectic_form_dim == 1
     assert verdict.freeness.min_codim_doubled == 2
@@ -299,21 +299,21 @@ def test_analyze_a2_root(groups):
     assert verdict.passed
 
 
-def test_analyze_a3_dual_has_kummer_tag(groups):
-    verdict = analyze(RootSystemSpec("A", 3), "dual", group=groups("A", 3))
+def test_analyze_a3_dual_has_kummer_tag():
+    verdict = analyze(RootSystemSpec("A", 3), "dual")
     assert verdict.lattice_label == "A3*"
     assert "Kummer" in verdict.known_model
 
 
-def test_analyze_b3_tower_member(groups):
-    verdict = analyze(RootSystemSpec("B", 3), "index:1", group=groups("B", 3))
+def test_analyze_b3_tower_member():
+    verdict = analyze(RootSystemSpec("B", 3), "index:1")
     assert verdict.lattice_label == "Z^3"
     assert "Hilb" in verdict.known_model
     assert verdict.resolution is ResolutionVerdict.RESOLVABLE
 
 
-def test_analyze_e6_full_pipeline(groups):
-    verdict = analyze(RootSystemSpec("E", 6), "root", group=groups("E", 6))
+def test_analyze_e6_full_pipeline():
+    verdict = analyze(RootSystemSpec("E", 6), "root")
     assert verdict.irreducible
     assert verdict.symplectic_form_dim == 1
     assert verdict.freeness.status == "verified"

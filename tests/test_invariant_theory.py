@@ -156,6 +156,14 @@ def test_reynolds_rejects_explicit_reps(groups):
         invariant_dim_reynolds(triv, groups("A", 1))
 
 
+def test_reynolds_rejects_chains_without_pair_sums(groups):
+    # Sym2 of Sym2 is quartic in the defining entries: no pair-sum assembly.
+    group = groups("A", 2)
+    rep = rep_sym2(rep_sym2(rep_reflection(group.datum)))
+    with pytest.raises(ValueError, match="no Reynolds sum"):
+        reynolds_sum(rep, group)
+
+
 def test_reynolds_wedge2_b2(groups):
     group = groups("B", 2)
     v = rep_reflection(group.datum)

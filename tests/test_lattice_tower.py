@@ -228,7 +228,7 @@ def test_discriminant_group_rejects_non_unimodular_smith_transform(monkeypatch):
     def doubled_left(m):
         sf = smith_normal_form(m)
         left = IntMatrix(sf.left.rows, sf.left.cols, (2 * x for x in sf.left.data))
-        return SmithForm(diag=sf.diag, left=left, right=sf.right)
+        return SmithForm(diag=sf.diag, left=left)
 
     monkeypatch.setattr(lt, "smith_normal_form", doubled_left)
     with pytest.raises(AssertionError, match="left Smith transform is not unimodular"):
@@ -518,7 +518,7 @@ def test_hnf_from_generator_lifts_matches_all_lifts():
             subgroup = _close_subgroup(tower.disc, frozenset(lat.subgroup_generators))
             assert len(subgroup) == lat.subgroup_order
             rows = datum.gram.to_rows() + [list(tower.disc.lift(e)) for e in sorted(subgroup)]
-            h, _ = hermite_normal_form(IntMatrix.from_rows(rows))
+            h = hermite_normal_form(IntMatrix.from_rows(rows))
             assert lat.basis == IntMatrix.from_rows(h.to_rows()[: datum.rank])
 
 
