@@ -43,7 +43,6 @@ from .weyl import (
     element_iter,
     generate_group,
     group_order_formula,
-    iter_levels,
     min_coset_representatives,
 )
 from .invariant_theory import (

@@ -267,6 +267,14 @@ def _enumerated_checks(cap: GroupCap) -> list[CheckRecord]:
     # Fixed-locus component counts against brute-force torus enumeration.
     for family, rank in _FIXED_LOCUS_GROUPS:
         spec = RootSystemSpec(family, rank)
+        order = group_order_formula(spec)
+        if order > cap.max_elements:
+            doc.add(
+                f"fixed-locus/{spec.label}",
+                "skipped",
+                {"order": order, "reason": f"order exceeds cap {cap.max_elements}"},
+            )
+            continue
         group = generate_group(build_root_datum(spec), cap)
         compared = 0
         agree = True

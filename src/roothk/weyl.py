@@ -1,17 +1,16 @@
 """Weyl groups as explicit sets of integer matrices in the simple-root basis.
 
-Exhaustive enumeration walks the canonical-parent tree of the group one
-Coxeter length at a time: each element is reached once, from its parent one
-length down, by the smallest of its right descents.  Minimal coset
-representatives come from a second duplicate-free walk, over the orbit of a
-fundamental weight, one step of the parabolic chain at a time, and W is the
-product R_1 ... R_n of those steps, so W can be visited as two halves of
-about sqrt(|W|) elements each without ever holding it.  Element arrays are
-compact numpy int8; coefficients of Weyl matrices in the root basis are
-bounded by the largest root coordinate (at most 6 across the supported
-families), so fixed-width integer arithmetic is exact here — guards assert
-the bounds on every level and every partial product.  numpy is imported by
-the functions that build or read element arrays, not at module load, so
+One duplicate-free walk enumerates W.  Down the chain of parabolic
+subgroups, W = R_1 ... R_n, each R_k the minimal coset representatives found
+by walking the orbit of a fundamental weight; each step is a left
+multiplication by a simple reflection, which rewrites one row.  Multiplied
+out whole, the chain is the stored group; multiplied out in two halves of
+about sqrt(|W|) elements each, it lets W be visited without ever holding it.
+Element arrays are compact numpy int8; coefficients of Weyl matrices in the
+root basis are bounded by the largest root coordinate (at most 6 across the
+supported families), so fixed-width integer arithmetic is exact here — a
+guard asserts the bound on every new row.  numpy is imported by the
+functions that build or read element arrays, not at module load, so
 generator-only callers never load it.
 """
 
@@ -33,7 +32,7 @@ DEFAULT_GROUP_CAP = 5_000_000
 # Root coordinates in the simple-root basis are bounded by the largest
 # highest-root coefficient across the supported families (6, attained by E8),
 # so every entry of every enumerated element lies in [-6, 6].  The bound is
-# asserted on every product; it keeps int8 products and storage exact.
+# asserted on every new row; it keeps int8 storage exact.
 _ENTRY_BOUND = 6
 
 _EXCEPTIONAL_ORDERS = {"G": 12, "F": 1152, "E6": 51840, "E7": 2903040, "E8": 696729600}
@@ -73,10 +72,10 @@ def group_order_formula(spec: RootSystemSpec) -> int:
 class WeylGroup:
     """A Weyl group held as generators plus (optionally) all elements.
 
-    ``elements`` is an ``(order, n, n)`` int8 array, each element once: the
-    identity first, then level by level in nondecreasing Coxeter length, in
-    enumeration order within a level.  ``None`` means the group was built
-    generators-only.
+    ``elements`` is an ``(order, n, n)`` int8 array, each element once, the
+    identity first; the rest come in the order of the chain product of
+    :func:`generate_group`, not by length.  ``None`` means the group was
+    built generators-only.
     """
 
     datum: RootDatum
@@ -130,90 +129,12 @@ class WeylGroup:
         return self._pair_sums
 
 
-def iter_levels(datum: RootDatum) -> Iterator[np.ndarray]:
-    """Yield every element of W once, as one int8 array per Coxeter length.
+def _walk(datum: RootDatum, k: int) -> list[tuple[int, int]]:
+    """The minimal-length representatives of W_K / W_J, K the first k + 1
+    simple reflections (k 0-based) and J = K without s_k, as steps from the
+    identity: step j is ``(parent, i)`` when representative j + 1 is s_i
+    times representative ``parent``.
 
-    The canonical-parent rule: right multiplication by s raises the length
-    exactly when w(alpha_s) is a positive root, i.e. when column s of w has a
-    positive coordinate sum.  A product w*s is kept only when it raises the
-    length and s is the smallest right descent of w*s (every column t < s of
-    w*s has a positive sum).  Every element other than the identity has
-    exactly one such parent, one level down, so level k + 1 is built from
-    level k alone and each element is produced exactly once, with no
-    comparison between elements.  Only two levels are alive at a time.
-
-    Levels come identity first, in nondecreasing length; each is a fresh
-    ``(count, n, n)`` array.  Raises AssertionError when an entry leaves the
-    root-coordinate bound, or when the count differs from the closed-form
-    order of W.  Nothing is checked against a cap, and nothing runs before
-    the first ``next()``: a caller that needs a cap checks it before
-    iterating.
-    """
-    import numpy as np
-
-    spec = datum.spec
-    n = spec.rank
-    order = group_order_formula(spec)
-    gens = simple_reflections(datum)
-    # s_i - 1 is zero outside row i, so w*s_i = w + (column i of w) * shift[i]:
-    # a rank-one update of column i and of its Dynkin neighbours, the only
-    # other columns where shift[i] is nonzero.  Entries of w are asserted to
-    # lie in [-6, 6] and |shift| <= 3, so every product entry lies in
-    # [-24, 24] and int8 arithmetic is exact.
-    shift = np.array([g.to_rows()[i] for i, g in enumerate(gens)], dtype=np.int64)
-    shift -= np.eye(n, dtype=np.int64)
-    if np.abs(shift).max() > 3:
-        raise AssertionError(f"simple reflections of {spec.label} move a coordinate by more than 3")
-    shift = shift.astype(np.int8)
-    moved = [np.flatnonzero(shift[s]) for s in range(n)]  # s and its neighbours
-
-    level = np.eye(n, dtype=np.int8)[None]
-    # sums[t, i] is the coordinate sum of w_i(alpha_t) for element i of the
-    # level; it is carried as sums(w*s) = sums(w) + sums(w)[s] * shift[s].
-    # Sums of n bounded entries stay far inside int16.
-    sums = np.ones((n, 1), dtype=np.int16)
-    count = 0
-    while level.shape[0]:
-        count += level.shape[0]
-        if count > order:
-            raise AssertionError(f"enumeration of {spec.label} exceeded the predicted order")
-        yield level
-        positive = sums > 0
-        parents = []
-        for s in range(n):
-            keep = positive[s].copy()
-            for t in range(s):
-                # Only the neighbours of s change their column sum.
-                keep &= sums[s] * shift[s, t] + sums[t] > 0 if shift[s, t] else positive[t]
-            parents.append((s, np.flatnonzero(keep)))
-        # The next level is written in place, so at most two levels are alive.
-        child = np.empty((sum(p.size for _, p in parents), n, n), dtype=np.int8)
-        child_sums = np.empty((n, child.shape[0]), dtype=np.int16)
-        lo = 0
-        for s, idx in parents:
-            w = np.take(level, idx, axis=0, out=child[lo : lo + idx.size])
-            w_sums = sums.take(idx, axis=1, out=child_sums[:, lo : lo + idx.size])
-            w_s, lead = w[:, :, s].copy(), w_sums[s].copy()
-            for t in moved[s]:
-                col = w[:, :, t] + w_s * shift[s, t]
-                if col.size and (col.min() < -_ENTRY_BOUND or col.max() > _ENTRY_BOUND):
-                    raise AssertionError("group element entries exceeded the root-coordinate bound")
-                w[:, :, t] = col
-                w_sums[t] += lead * shift[s, t]
-            lo += idx.size
-        level, sums = child, child_sums
-
-    if count != order:
-        raise AssertionError(
-            f"enumeration of {spec.label} found {count} elements, expected {order}"
-        )
-
-
-def min_coset_representatives(datum: RootDatum, k: int) -> np.ndarray:
-    """The minimal-length representatives of W_K / W_J, where K holds the
-    first k + 1 simple reflections and J = K without s_k.
-
-    ``k`` is 0-based; k = n - 1 gives W^J, the representatives of W / W_J.
     They are in bijection with the W_K-orbit of the fundamental weight
     omega_k (its stabilizer in W_K is W_J), walked in the Dynkin labels of K:
     for a label m_i > 0 the weight mu - m_i * (row i of the Cartan matrix) is
@@ -221,39 +142,69 @@ def min_coset_representatives(datum: RootDatum, k: int) -> np.ndarray:
     its smallest negative label.  Negative labels of u(omega_k) are the left
     descents of u in K, so each representative other than the identity has
     exactly one parent s_i * u and the walk is duplicate-free, with no sort
-    and no set.  The matrix steps are left multiplications by s_i, which
-    change row i only.  Right multiplication cannot do this: the
+    and no set.  It is breadth first, so representatives come in
+    nondecreasing length.  Right multiplication cannot do this: the
     representatives are not prefix-closed (in A2 with J = {s1}, s1 s2 is one
     but s1 is not).
-
-    Returned identity first, in nondecreasing length, as a ``(count, n, n)``
-    int8 array; the walk itself runs on Python integers, and raises
-    AssertionError when an entry leaves the root-coordinate bound.
     """
-    import numpy as np
-
     n = datum.rank
     if not 0 <= k < n:
         raise IndexError(f"simple reflection {k} out of range 0..{n - 1}")
     # Labels outside K never enter a step within K, so they are not carried.
     cartan = [list(datum.cartan.row(i))[: k + 1] for i in range(k + 1)]
-    # Row i of s_i is sparse: s_i * u combines row i of u with its neighbours.
-    moved = [[(c, r) for c, r in enumerate(g.row(i)) if r] for i, g in enumerate(simple_reflections(datum))]
-    walk = [([int(j == k) for j in range(k + 1)], IntMatrix.identity(n).to_rows())]
-    # The loop reads the entries it appends: breadth first, so by length.
-    for mu, u in walk:
+    labels = [[int(j == k) for j in range(k + 1)]]
+    steps = []
+    # The loop reads the labels it appends.
+    for parent, mu in enumerate(labels):
         for i, m in enumerate(mu):
             if m <= 0:
                 continue
             nu = [a - m * c for a, c in zip(mu, cartan[i])]
-            if any(x < 0 for x in nu[:i]):
-                continue
-            v = u[:]
-            v[i] = [sum(col) for col in zip(*([r * x for x in u[c]] for c, r in moved[i]))]
-            if max(map(abs, v[i])) > _ENTRY_BOUND:
-                raise AssertionError("coset representative entries exceeded the root-coordinate bound")
-            walk.append((nu, v))
-    return np.array([u for _, u in walk], dtype=np.int8)
+            if not any(x < 0 for x in nu[:i]):
+                labels.append(nu)
+                steps.append((parent, i))
+    return steps
+
+
+def _left_multiply(datum: RootDatum, walks: list[list[tuple[int, int]]]) -> np.ndarray:
+    """The product of the representatives R of each walk of :func:`_walk`,
+    the last walk's leftmost, each element once, as a ``(count, n, n)`` int8
+    array, the identity first.
+
+    Each R is applied to the whole block built so far, representative-major:
+    entry r * len(block) + b is representative r times element b.  s_i - 1
+    is zero outside row i, so a step s_i * u copies the block of u and
+    rewrites row i from the rows that row i of s_i reads.  Raises
+    AssertionError unless row i of every s_i lies in [-1, 3], which keeps
+    the int16 row sums exact, and when a new entry leaves the
+    root-coordinate bound.
+    """
+    import numpy as np
+
+    n = datum.rank
+    rows = [g.row(i) for i, g in enumerate(simple_reflections(datum))]
+    if any(not -1 <= r <= 3 for row in rows for r in row):
+        raise AssertionError(f"simple reflections of {datum.label} have a row entry outside [-1, 3]")
+    moved = [[(c, r) for c, r in enumerate(row) if r] for row in rows]
+    block = np.eye(n, dtype=np.int8)[None]
+    for steps in walks:
+        out = np.empty((len(steps) + 1, *block.shape), dtype=np.int8)
+        out[0] = block
+        for j, (parent, i) in enumerate(steps, 1):
+            out[j] = out[parent]
+            row = sum(r * out[parent, :, c].astype(np.int16) for c, r in moved[i])
+            if row.min() < -_ENTRY_BOUND or row.max() > _ENTRY_BOUND:
+                raise AssertionError("group element entries exceeded the root-coordinate bound")
+            out[j, :, i] = row
+        block = out.reshape(-1, n, n)
+    return block
+
+
+def min_coset_representatives(datum: RootDatum, k: int) -> np.ndarray:
+    """The minimal-length representatives of W_K / W_J of :func:`_walk`,
+    identity first, in nondecreasing length, as a ``(count, n, n)`` int8
+    array; k = n - 1 gives W^J, the representatives of W / W_J."""
+    return _left_multiply(datum, [_walk(datum, k)])
 
 
 def coset_halves(datum: RootDatum) -> tuple[np.ndarray, np.ndarray]:
@@ -267,51 +218,31 @@ def coset_halves(datum: RootDatum) -> tuple[np.ndarray, np.ndarray]:
     multiplied out in two halves, U = R_1 ... R_d and V = R_{d+1} ... R_n,
     with d chosen to minimise |U| + |V|: W(E7) factors as
     56 * 27 * 16 * 10 * 3 * 2 * 2 and splits as 1512 * 1920.
-
-    Both are ``(count, n, n)`` int8 arrays.  Raises AssertionError when an
-    entry of a representative or of a partial product leaves the
-    root-coordinate bound.
     """
-    import numpy as np
-
     n = datum.rank
-    chain = [min_coset_representatives(datum, k).astype(np.int16) for k in reversed(range(n))]
-    sizes = [len(reps) for reps in chain]
+    walks = [_walk(datum, k) for k in range(n)]  # R_n, ..., R_1
+    sizes = [len(steps) + 1 for steps in reversed(walks)]
     d = min(range(n + 1), key=lambda d: prod(sizes[:d]) + prod(sizes[d:]))
-    halves = []
-    for factors in (chain[:d], chain[d:]):
-        # Factors with entries in [-6, 6] keep every product entry within
-        # 36 n in absolute value, far inside int16.
-        product = np.eye(n, dtype=np.int16)[None]
-        for reps in factors:
-            product = np.matmul(product[:, None], reps[None]).reshape(-1, n, n)
-            if np.abs(product).max() > _ENTRY_BOUND:
-                raise AssertionError("coset products exceeded the root-coordinate bound")
-        halves.append(product.astype(np.int8))
-    return halves[0], halves[1]
+    return _left_multiply(datum, walks[n - d :]), _left_multiply(datum, walks[: n - d])
 
 
 def generate_group(datum: RootDatum, cap: GroupCap | None = None) -> WeylGroup:
-    """Exhaustive Weyl group: the levels of :func:`iter_levels`, stored.
+    """Exhaustive Weyl group: the whole chain R_1 ... R_n of
+    :func:`coset_halves`, multiplied out and stored.
 
     Raises :class:`GroupTooLargeError` when the closed-form order exceeds the
     cap, before anything is allocated, signalling callers to fall back to
-    generator-only methods.
+    generator-only methods, and AssertionError when the count differs from
+    that order.
     """
     cap = cap if cap is not None else GroupCap()
     spec = datum.spec
     order = group_order_formula(spec)
     if order > cap.max_elements:
         raise GroupTooLargeError(spec.label, order, cap.max_elements)
-    # Imported past the cap: generator-only callers land on the error above.
-    import numpy as np
-
-    n = spec.rank
-    elements = np.empty((order, n, n), dtype=np.int8)
-    count = 0
-    for level in iter_levels(datum):
-        elements[count : count + level.shape[0]] = level
-        count += level.shape[0]
+    elements = _left_multiply(datum, [_walk(datum, k) for k in range(spec.rank)])
+    if len(elements) != order:
+        raise AssertionError(f"enumeration of {spec.label} found {len(elements)} elements, expected {order}")
     return WeylGroup(datum=datum, generators=simple_reflections(datum), order=order, elements=elements)
 
 

@@ -256,6 +256,35 @@ def test_generator_only_stdout_pinned(capsys, monkeypatch, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GENERATOR_ONLY_SHA256[argv]
 
 
+# sha256 of the JSON stdout of `analyze` where it stores W, derived from the
+# commit before the group was enumerated down the parabolic coset chain.
+STORED_GROUP_SHA256 = {
+    ("analyze", "E", "6"): "097e76c95a93311d9b5bfc707527d3ede0a2779870d7c9def653cdaa12792934",
+    ("analyze", "F", "4"): "5893309362d3d99275df508d0f774fb464d52c753af0ec5b103115e6aa84872f",
+    ("analyze", "E", "7"): "757076b0c21b95fd18df4597d9eca9ed4aa658ddf64972e9241ee5d853080442",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STORED_GROUP_SHA256), ids=" ".join)
+def test_stored_group_stdout_pinned(capsys, monkeypatch, argv):
+    monkeypatch.delenv("ROOTHK_GROUP_CAP", raising=False)
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STORED_GROUP_SHA256[argv]
+
+
+def test_report_under_a_small_cap_skips_the_large_groups(capsys, monkeypatch):
+    # W(A3) has 24 elements: over a cap of 10 its freeness and fixed-locus
+    # rows are skipped, and W(B2), of 8, is still enumerated.
+    monkeypatch.delenv("ROOTHK_GROUP_CAP", raising=False)
+    assert main(["report", "--group-cap", "10"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    skipped = {"order": 24, "reason": "order exceeds cap 10"}
+    assert checks["freeness/A3"]["status"] == checks["fixed-locus/A3"]["status"] == "skipped"
+    assert checks["freeness/A3"]["values"] == checks["fixed-locus/A3"]["values"] == skipped
+    assert checks["fixed-locus/B2"]["status"] == "pass"
+
+
 def test_sublattices_a35_recognizes_unimodular_non_cube(capsys):
     # A35+[6] is unimodular but has no norm-1 vectors, so it is not Z^35;
     # the count-first isometry test settles this at norm bound 1.

@@ -213,20 +213,20 @@ def test_freeness_rejects_wrong_character_sums(groups):
 
 @pytest.mark.parametrize("edit", ["drop", "duplicate"])
 def test_freeness_rejects_wrong_coset_representatives(monkeypatch, edit):
-    # W(B3) streams as the chain R_1 R_2 R_3 = 8 * 3 * 2: one representative
+    # W(B3) streams as the chain R_1 R_2 R_3 = 8 * 3 * 2: one walk step
     # dropped or duplicated, first in R_1 and then in R_2 alone, leaves only
     # the element count to notice.
-    real = weyl.min_coset_representatives
+    real = weyl._walk
     group = WeylGroup.from_generators(build_root_datum(RootSystemSpec("B", 3)))
     for edited_k, seen in ((2, {"drop": 42, "duplicate": 54}), (1, {"drop": 32, "duplicate": 64})):
 
         def edited(datum, k, edited_k=edited_k):
-            reps = real(datum, k)
+            steps = real(datum, k)
             if k != edited_k:
-                return reps
-            return reps[:-1] if edit == "drop" else np.concatenate([reps, reps[-1:]])
+                return steps
+            return steps[:-1] if edit == "drop" else steps + steps[-1:]
 
-        monkeypatch.setattr(weyl, "min_coset_representatives", edited)
+        monkeypatch.setattr(weyl, "_walk", edited)
         with pytest.raises(AssertionError, match=f"saw {seen[edit]} elements"):
             freeness_codim_check(group)
 

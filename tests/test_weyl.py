@@ -7,7 +7,13 @@ import pytest
 from roothk import weyl
 from roothk.errors import GroupTooLargeError, NotExhaustiveError
 from roothk.exact_linalg import IntMatrix
-from roothk.root_data import RootSystemSpec, ambient_to_root_basis, build_root_datum, standard_table
+from roothk.root_data import (
+    RootSystemSpec,
+    ambient_to_root_basis,
+    build_root_datum,
+    simple_reflections,
+    standard_table,
+)
 from roothk.weyl import (
     GroupCap,
     WeylGroup,
@@ -15,7 +21,6 @@ from roothk.weyl import (
     element_iter,
     generate_group,
     group_order_formula,
-    iter_levels,
 )
 
 
@@ -53,25 +58,29 @@ def test_bfs_count_matches_formula(family, rank, groups):
 def test_enumeration_oracle(family, rank, groups):
     # Checks that use nothing of the enumeration: the stored elements are
     # pairwise distinct, closed under right multiplication by each simple
-    # reflection, and stored in nondecreasing Coxeter length, counted as the
-    # number of positive roots an element sends to negative roots.
+    # reflection, identity first, and as many of each Coxeter length (the
+    # number of positive roots an element sends to negative roots) as the
+    # Poincare polynomial from the root heights says.
     group = groups(family, rank)
-    flat = group.elements.reshape(group.order, rank * rank)
-    assert np.unique(flat, axis=0).shape[0] == group.order
+    _assert_closed_group(group.elements.astype(np.int16), group.generators, group.order)
+    assert (group.elements[0] == np.eye(rank)).all()
+    per_length = Counter(_lengths(group.datum, group.elements))
+    assert [per_length[h] for h in range(max(per_length) + 1)] == _poincare(_exponents(group.datum))
 
-    for gen in group.generators:
-        gen_arr = np.array(gen.to_rows(), dtype=np.int16)
-        products = (group.elements @ gen_arr).reshape(group.order, rank * rank)
-        assert np.unique(np.concatenate([flat, products]), axis=0).shape[0] == group.order
 
-    coords = ambient_to_root_basis(group.datum, group.datum.all_roots)
-    positive = np.array([[int(x) for x in c] for c in coords if min(c) >= 0], dtype=np.int32)
-    assert 2 * positive.shape[0] == len(coords)
-    images = group.elements.astype(np.int32) @ positive.T  # (order, rank, #positive)
-    length = (images < 0).any(axis=1).sum(axis=1)
-    assert length[0] == 0
-    assert (np.diff(length) >= 0).all()
-    assert length[-1] == positive.shape[0]
+def _keys(elements):
+    """One byte string per element, sorted."""
+    flat = np.ascontiguousarray(elements).reshape(len(elements), -1)
+    return np.sort(flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize)))[:, 0])
+
+
+def _assert_closed_group(elements, generators, order):
+    # Right multiplication by s is injective, so a set closed under it is
+    # mapped onto itself: the sorted keys of the products are the keys.
+    keys = _keys(elements)
+    assert len(keys) == np.unique(keys).size == order
+    for gen in generators:
+        assert np.array_equal(_keys(elements @ np.array(gen.to_rows(), dtype=np.int16)), keys)
 
 
 def _exponents(datum, k=None):
@@ -121,10 +130,10 @@ def test_level_sizes_are_poincare_coefficients(family, rank):
     # from the roots alone, not from the enumeration.  Down the parabolic
     # chain W = R_1 ... R_n every element is one product u_1 ... u_n whose
     # lengths add (Bjorner-Brenti, GTM 231, §2.4), so the counts of the coset
-    # representatives by length multiply to the same polynomial.
+    # representatives by length multiply to the same polynomial.  The stored
+    # groups meet the same polynomial in test_enumeration_oracle.
     datum = build_root_datum(RootSystemSpec(family, rank))
     poincare = _poincare(_exponents(datum))
-    assert [level.shape[0] for level in iter_levels(datum)] == poincare
     product = [1]
     for k in range(rank):
         per_length = Counter(_lengths(datum, weyl.min_coset_representatives(datum, k)))
@@ -156,55 +165,57 @@ def test_min_coset_representatives_are_minimal(family, rank):
 @pytest.mark.parametrize(
     "spec", [s for s in standard_table() if group_order_formula(s) <= 51_840], ids=lambda s: s.label
 )
-def test_coset_halves_multiply_to_the_group(spec, groups):
-    # Every product u * v of the two halves, against the canonical-parent
-    # enumeration: the same elements, each once.
+def test_coset_halves_multiply_to_the_group(spec):
+    # The products u * v of the two halves are |W| distinct matrices, the
+    # identity first, and the set is closed under right multiplication by
+    # each simple reflection: a subset of W closed under the generators
+    # that holds the identity is W.
     n = spec.rank
-    u, v = weyl.coset_halves(build_root_datum(spec))
-    products = (u[:, None].astype(np.int16) @ v[None].astype(np.int16)).reshape(-1, n * n)
-    stored = groups(spec.family, spec.rank).elements.reshape(-1, n * n).astype(np.int16)
-    assert sorted(w.tobytes() for w in products) == sorted(w.tobytes() for w in stored)
+    datum = build_root_datum(spec)
+    u, v = weyl.coset_halves(datum)
+    products = (u[:, None].astype(np.int16) @ v[None].astype(np.int16)).reshape(-1, n, n)
+    assert (products[0] == np.eye(n)).all()
+    _assert_closed_group(products, simple_reflections(datum), group_order_formula(spec))
 
 
 def test_coset_product_bound_is_asserted(monkeypatch):
-    # A shear with entry 6 keeps the bound, but its square has an entry 12.
-    # Appended to every factor of W(A3) = 4 * 3 * 2, it meets itself in the
-    # half R_2 R_3.
-    real = weyl.min_coset_representatives
-    shear = np.eye(3, dtype=np.int8)
-    shear[0, 1] = 6
-
-    def appended(datum, k):
-        return np.concatenate([real(datum, k), shear[None]])
-
-    monkeypatch.setattr(weyl, "min_coset_representatives", appended)
-    with pytest.raises(AssertionError, match="coset products exceeded the root-coordinate bound"):
-        weyl.coset_halves(build_root_datum(RootSystemSpec("A", 3)))
+    # A shear s_0 with row (3, 1, 0) keeps every coset representative of
+    # W(A3) = 4 * 3 * 2 within the bound, and row 0 of s_0 within [-1, 3],
+    # but it meets itself in the half R_2 R_3, where an entry reaches 9.
+    datum = build_root_datum(RootSystemSpec("A", 3))
+    shear, *rest = weyl.simple_reflections(datum)
+    shear = IntMatrix.from_rows([[3, 1, 0], *shear.to_rows()[1:]])
+    monkeypatch.setattr(weyl, "simple_reflections", lambda datum: (shear, *rest))
+    for k in range(3):
+        weyl.min_coset_representatives(datum, k)
+    with pytest.raises(AssertionError, match="group element entries exceeded the root-coordinate bound"):
+        weyl.coset_halves(datum)
 
 
 def test_entry_bound_is_asserted(monkeypatch):
     # W(B3) has root coordinates 2 (the highest root is a1 + 2 a2 + 2 a3).
     monkeypatch.setattr(weyl, "_ENTRY_BOUND", 1)
     datum = build_root_datum(RootSystemSpec("B", 3))
-    with pytest.raises(AssertionError, match="group element entries exceeded the root-coordinate bound"):
-        generate_group(datum)
-    with pytest.raises(AssertionError, match="coset representative entries exceeded"):
-        weyl.min_coset_representatives(datum, 2)
+    for build in (generate_group, lambda d: weyl.min_coset_representatives(d, 2), weyl.coset_halves):
+        with pytest.raises(AssertionError, match="group element entries exceeded the root-coordinate bound"):
+            build(datum)
 
 
 def test_shift_bound_is_asserted(monkeypatch):
-    # A generator moving a coordinate by 4 would break the int8 product bound.
-    fake = (IntMatrix.from_rows([[-1, 4], [0, 1]]), IntMatrix.from_rows([[1, 0], [1, -1]]))
-    monkeypatch.setattr(weyl, "simple_reflections", lambda datum: fake)
-    with pytest.raises(AssertionError, match="by more than 3"):
-        next(iter_levels(build_root_datum(RootSystemSpec("A", 2))))
+    # Row i of s_i outside [-1, 3], above or below, would break the exact
+    # int16 row sums.
+    for row in ([-1, 4], [-2, 1]):
+        fake = (IntMatrix.from_rows([row, [0, 1]]), IntMatrix.from_rows([[1, 0], [1, -1]]))
+        monkeypatch.setattr(weyl, "simple_reflections", lambda datum, fake=fake: fake)
+        with pytest.raises(AssertionError, match=r"A2 have a row entry outside \[-1, 3\]"):
+            generate_group(build_root_datum(RootSystemSpec("A", 2)))
 
 
-@pytest.mark.parametrize("delta,message", [(-1, "exceeded the predicted order"), (1, "found 48 elements")])
-def test_enumeration_count_is_asserted(monkeypatch, delta, message):
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_enumeration_count_is_asserted(monkeypatch, delta):
     monkeypatch.setattr(weyl, "group_order_formula", lambda spec: 48 + delta)
-    with pytest.raises(AssertionError, match=message):
-        list(iter_levels(build_root_datum(RootSystemSpec("B", 3))))
+    with pytest.raises(AssertionError, match=f"found 48 elements, expected {48 + delta}"):
+        generate_group(build_root_datum(RootSystemSpec("B", 3)))
 
 
 def test_group_too_large_raises():
