@@ -20,7 +20,6 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
-    RatMatrix,
     SmithForm,
     hermite_normal_form,
     smith_normal_form,
@@ -29,7 +28,6 @@ from .root_data import (
     RootDatum,
     RootSystemSpec,
     build_root_datum,
-    cartan_matrix,
     dual_lattice_quotient_check,
     simple_reflection,
     simple_reflections,
@@ -48,7 +46,6 @@ from .weyl import (
 from .invariant_theory import (
     InvariantReport,
     Representation,
-    decomposition_check,
     invariant_bilinear_form,
     invariant_dim,
     invariant_dim_reynolds,
@@ -58,7 +55,6 @@ from .invariant_theory import (
     rep_explicit,
     rep_reflection,
     rep_sym2,
-    rep_trivial,
     rep_wedge2,
 )
 from .lattice_tower import (

@@ -1,15 +1,11 @@
-"""Exact integer and rational matrix arithmetic.
+"""Exact integer matrix arithmetic.
 
 Everything here runs on arbitrary-precision Python integers; there is no
-floating point.  One dense, immutable, row-major implementation serves both
-entry types: ``IntMatrix`` holds ``int`` entries and is what every integral
-object of the package (Cartan and Gram matrices, Weyl group elements,
-lattice bases) is built as; ``RatMatrix`` holds ``fractions.Fraction``
-entries and serves only explicitly rational data: non-integral generator
-images, the inherited rational form of a tower lattice, and independent test
-oracles (inverse, determinant).  The two differ in how they coerce entries
-and in their type-specific methods; storage, equality and arithmetic are
-shared, and a result keeps its operands' class.
+floating point.  ``IntMatrix`` is the one dense, immutable, row-major matrix
+class; every integral object of the package (Cartan and Gram matrices, Weyl
+group elements, lattice bases) is built as one.  Where a rational matrix is
+meant, it is kept as an integer matrix over a denominator: the adjugate over
+the determinant is the inverse.
 
 The normal forms return what their callers read: ``smith_normal_form`` the
 invariant factors and the unimodular left transform (the discriminant group
@@ -23,24 +19,23 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 Vector = tuple[Fraction, ...]
-_M = TypeVar("_M", bound="_Matrix")
 
 
-class _Matrix:
-    """Immutable dense matrix, stored row-major in a flat tuple.
+class IntMatrix:
+    """Immutable dense matrix with arbitrary-precision integer entries,
+    stored row-major in a flat tuple.
 
-    A subclass names the entry coercion ``_coerce``, applied once to every
-    entry on construction.  Matrices of different classes are never equal,
-    and every result has its operands' class.
+    Anything with ``__index__`` is accepted (``int``, ``bool``, numpy
+    integers); floats and ``Fraction`` values raise TypeError, never truncate.
     """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        data = tuple(map(self._coerce, entries))
+        data = tuple(map(operator.index, entries))
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
         object.__setattr__(self, "rows", rows)
@@ -48,38 +43,38 @@ class _Matrix:
         object.__setattr__(self, "data", data)
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        raise AttributeError("IntMatrix is immutable")
 
     @classmethod
-    def from_rows(cls: type[_M], rows: Sequence[Sequence]) -> _M:
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> IntMatrix:
         r = len(rows)
         c = len(rows[0]) if r else 0
         return cls(r, c, (x for row in rows for x in row))
 
     @classmethod
-    def identity(cls: type[_M], n: int) -> _M:
+    def identity(cls, n: int) -> IntMatrix:
         return cls(n, n, (1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
-    def zeros(cls: type[_M], rows: int, cols: int) -> _M:
+    def zeros(cls, rows: int, cols: int) -> IntMatrix:
         return cls(rows, cols, (0,) * (rows * cols))
 
-    def __getitem__(self, ij: tuple[int, int]):
+    def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.data[i * self.cols + j]
 
-    def row(self, i: int) -> tuple:
+    def row(self, i: int) -> tuple[int, ...]:
         return self.data[i * self.cols : (i + 1) * self.cols]
 
-    def to_rows(self) -> list[list]:
+    def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def __iter__(self) -> Iterator[tuple]:
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
         return (self.row(i) for i in range(self.rows))
 
     def __eq__(self, other) -> bool:
         return (
-            type(other) is type(self)
+            isinstance(other, IntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
             and self.data == other.data
@@ -89,24 +84,24 @@ class _Matrix:
         return hash((self.rows, self.cols, self.data))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.to_rows()!r})"
+        return f"IntMatrix({self.to_rows()!r})"
 
-    def __neg__(self: _M) -> _M:
-        return type(self)(self.rows, self.cols, (-x for x in self.data))
+    def __neg__(self) -> IntMatrix:
+        return IntMatrix(self.rows, self.cols, (-x for x in self.data))
 
-    def __add__(self: _M, other: _M) -> _M:
+    def __add__(self, other: IntMatrix) -> IntMatrix:
         self._check_same_shape(other)
-        return type(self)(self.rows, self.cols, (a + b for a, b in zip(self.data, other.data)))
+        return IntMatrix(self.rows, self.cols, (a + b for a, b in zip(self.data, other.data)))
 
-    def __sub__(self: _M, other: _M) -> _M:
+    def __sub__(self, other: IntMatrix) -> IntMatrix:
         self._check_same_shape(other)
-        return type(self)(self.rows, self.cols, (a - b for a, b in zip(self.data, other.data)))
+        return IntMatrix(self.rows, self.cols, (a - b for a, b in zip(self.data, other.data)))
 
-    def _check_same_shape(self, other: "_Matrix") -> None:
+    def _check_same_shape(self, other: IntMatrix) -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
-    def __matmul__(self: _M, other: _M) -> _M:
+    def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         n, k, m = self.rows, self.cols, other.cols
@@ -121,10 +116,10 @@ class _Matrix:
                     brow = b[t * m : (t + 1) * m]
                     for j in range(m):
                         orow[base + j] += av * brow[j]
-        return type(self)(n, m, out)
+        return IntMatrix(n, m, out)
 
-    def transpose(self: _M) -> _M:
-        return type(self)(
+    def transpose(self) -> IntMatrix:
+        return IntMatrix(
             self.cols, self.rows, (self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
         )
 
@@ -132,17 +127,6 @@ class _Matrix:
         return self.rows == self.cols and all(
             self[i, j] == self[j, i] for i in range(self.rows) for j in range(i)
         )
-
-
-class IntMatrix(_Matrix):
-    """Dense matrix with arbitrary-precision integer entries.
-
-    Anything with ``__index__`` is accepted (``int``, ``bool``, numpy
-    integers); floats and ``Fraction`` values raise TypeError, never truncate.
-    """
-
-    __slots__ = ()
-    _coerce = operator.index
 
     def trace(self) -> int:
         if self.rows != self.cols:
@@ -179,7 +163,7 @@ class IntMatrix(_Matrix):
             prev = pivot
         return sign * a[n - 1][n - 1]
 
-    def adjugate(self) -> tuple["IntMatrix", int]:
+    def adjugate(self) -> tuple[IntMatrix, int]:
         """``(x, d)`` with ``x @ self == d * I``, by fraction-free Gauss-Jordan.
 
         Eliminates on ``[self | I]`` above and below each pivot, dividing
@@ -214,9 +198,6 @@ class IntMatrix(_Matrix):
         d = sign * prev
         return IntMatrix(n, n, (sign * x for row in a for x in row[n:])), d
 
-    def to_rat(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, self.data)
-
     def content(self) -> int:
         """Gcd of all entries (0 for the zero matrix)."""
         g = 0
@@ -224,92 +205,6 @@ class IntMatrix(_Matrix):
             if x:
                 g = gcd(g, x)
         return g
-
-
-class RatMatrix(_Matrix):
-    """Dense matrix with exact rational entries.
-
-    ``Fraction`` keeps every entry in canonical reduced form (positive
-    denominator, gcd(numerator, denominator) = 1).
-    """
-
-    __slots__ = ()
-    _coerce = Fraction
-
-    def __repr__(self) -> str:
-        return f"RatMatrix({[[str(x) for x in row] for row in self.to_rows()]!r})"
-
-    def scale(self, c) -> "RatMatrix":
-        c = Fraction(c)
-        return RatMatrix(self.rows, self.cols, (c * x for x in self.data))
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.data)
-
-    def to_int(self) -> IntMatrix:
-        """The same matrix as an IntMatrix; ValueError unless it is integral."""
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix(self.rows, self.cols, (x.numerator for x in self.data))
-
-    def inverse(self) -> "RatMatrix":
-        """Exact inverse by Gauss-Jordan elimination."""
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        a = self.to_rows()
-        inv = RatMatrix.identity(n).to_rows()
-        for col in range(n):
-            piv = next((i for i in range(col, n) if a[i][col]), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            p = a[col][col]
-            if p != 1:
-                a[col] = [x / p for x in a[col]]
-                inv[col] = [x / p for x in inv[col]]
-            for i in range(n):
-                if i != col and a[i][col]:
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                    inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-        return RatMatrix.from_rows(inv)
-
-    def det(self) -> Fraction:
-        """Exact determinant via the integer Bareiss routine on a cleared matrix."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        if self.rows == 0:
-            return Fraction(1)
-        scaled_rows = []
-        denom = Fraction(1)
-        for i in range(self.rows):
-            row = self.row(i)
-            m = 1
-            for x in row:
-                m = m * x.denominator // gcd(m, x.denominator)
-            denom *= m
-            scaled_rows.append([int(x * m) for x in row])
-        return Fraction(IntMatrix.from_rows(scaled_rows).det(), 1) / denom
-
-    def primitive_integer(self) -> tuple[IntMatrix, Fraction]:
-        """Smallest positive multiple of self with integer entries of content 1.
-
-        Returns ``(m, c)`` with ``self == m.to_rat().scale(c)``.  Raises on the
-        zero matrix, which has no primitive form.
-        """
-        lcm_den = 1
-        for x in self.data:
-            lcm_den = lcm_den * x.denominator // gcd(lcm_den, x.denominator)
-        ints = [int(x * lcm_den) for x in self.data]
-        g = 0
-        for v in ints:
-            if v:
-                g = gcd(g, v)
-        if g == 0:
-            raise ValueError("zero matrix has no primitive rescaling")
-        return IntMatrix(self.rows, self.cols, (v // g for v in ints)), Fraction(g, lcm_den)
 
 
 @dataclass(frozen=True)

@@ -168,12 +168,11 @@ def freeness_codim_check(group: WeylGroup, cap: GroupCap | None = None) -> Freen
         u, v = coset_halves(group.datum)
     else:
         u, v = np.eye(n, dtype=np.int8)[None], group.elements
-    # Entries of u and v lie in [-6, 6], so a trace is a sum of n^2 products
-    # of absolute value at most 36, which int16 holds exactly up to n = 8.
+    # Entries of u and v lie in [-6, 6] (the walk asserted it on every row),
+    # so a trace is a sum of n^2 products of absolute value at most 36, which
+    # int16 holds exactly up to n = 8.
     if n * n * _ENTRY_BOUND**2 >= 1 << 15:
         raise AssertionError(f"traces of rank {n} could overflow the int16 accumulator")
-    if np.abs(u).max() > _ENTRY_BOUND:
-        raise AssertionError("coset representative entries exceeded the root-coordinate bound")
     u_t = u.transpose(0, 2, 1).reshape(len(u), n * n).astype(np.int16)
     u = u.astype(np.int32)
     ident = np.eye(n, dtype=np.int32)

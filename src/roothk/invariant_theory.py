@@ -14,14 +14,13 @@ symmetric and alternating squares compute only the rows that move, each from
 the entries of the rows it depends on, and every linear system here (fixed
 points, commutant, invariant forms) is assembled from the moved rows alone,
 as sparse ``{col: value}`` integer rows for one exact echelon kernel.  Weyl
-matrices in the simple-root basis are integral, so their values are ``int``;
-only non-integral explicit input carries ``Fraction`` values.
+matrices in the simple-root basis are integral, and explicit input is an
+``IntMatrix``, so every value is an ``int``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import TYPE_CHECKING
@@ -29,7 +28,6 @@ from typing import TYPE_CHECKING
 from .errors import FormSpaceError, NotExhaustiveError
 from .exact_linalg import (
     IntMatrix,
-    RatMatrix,
     SparseRow,
     clear_denominators,
     integer_rank,
@@ -42,9 +40,8 @@ from .weyl import WeylGroup
 if TYPE_CHECKING:
     import numpy as np
 
-Matrix = IntMatrix | RatMatrix
 # Rows that differ from the identity, as {row: {col: value}}.
-Image = dict[int, dict[int, int | Fraction]]
+Image = dict[int, dict[int, int]]
 
 
 @lru_cache(maxsize=None)
@@ -65,9 +62,9 @@ class Representation:
 
     A generator image is held as ``{row: {col: value}}`` over the rows that
     differ from the identity; every other row is the identity row, and a
-    held row may happen to equal it.  Values are ``int`` (every construction
-    from a Weyl group's reflection representation is integral), or
-    ``Fraction`` for non-integral explicitly supplied images.
+    held row may happen to equal it.  Values are ``int``: every construction
+    from a Weyl group's reflection representation is integral, and explicit
+    images are ``IntMatrix``.
 
     ``chain`` records how the representation was built from the defining
     (reflection) representation, e.g. ("wedge2", ("double", ("defining",))).
@@ -87,7 +84,7 @@ class Representation:
                     raise ValueError("generator image has an index out of range")
 
 
-def _image(m: Matrix) -> Image:
+def _image(m: IntMatrix) -> Image:
     """The rows of a square matrix that differ from the identity, as {col: value}."""
     n = m.cols
     image = {}
@@ -108,26 +105,15 @@ def rep_reflection(datum: RootDatum) -> Representation:
     )
 
 
-def rep_explicit(generator_images: tuple[Matrix, ...], label: str) -> Representation:
-    """Representation from given square generator images; integral ones get ``int`` values."""
+def rep_explicit(generator_images: tuple[IntMatrix, ...], label: str) -> Representation:
+    """Representation from given square integer generator images."""
+    if not all(isinstance(g, IntMatrix) for g in generator_images):
+        raise TypeError("generator images must be IntMatrix")
     dim = generator_images[0].rows if generator_images else 0
     if any(g.rows != dim or g.cols != dim for g in generator_images):
         raise ValueError("generator images must be square of one size")
-    images = tuple(
-        _image(g.to_int() if isinstance(g, RatMatrix) and g.is_integral() else g)
-        for g in generator_images
-    )
+    images = tuple(_image(g) for g in generator_images)
     return Representation(dim=dim, generator_images=images, label=label, chain=("explicit",))
-
-
-def rep_trivial(n_generators: int, dim: int = 1) -> Representation:
-    """Trivial action: every element acts as the identity."""
-    return Representation(
-        dim=dim,
-        generator_images=({},) * n_generators,
-        label=f"triv^{dim}",
-        chain=("trivial", dim),
-    )
 
 
 # --- row-sparse constructions ------------------------------------------------
@@ -240,11 +226,6 @@ def rep_wedge2(rep: Representation) -> Representation:
 # --- generator-only linear systems ---------------------------------------------
 
 
-def _integer_rows(rows: list[dict]) -> list[SparseRow]:
-    """The sparse rows with denominators cleared per row (integer rows stay)."""
-    return [dict(zip(row, clear_denominators(list(row.values())))) for row in rows]
-
-
 def _columns(g: Image, n: int) -> list[dict]:
     """Every column of g as {row: value}.
 
@@ -263,12 +244,10 @@ def _fixed_point_rows(rep: Representation) -> list[SparseRow]:
     """The moved rows of (g - 1) over all generators g, as {col: value}."""
     out = []
     for g in rep.generator_images:
-        rows = []
         for k, row in g.items():
             row = dict(row)
             _add(row, k, -1)
-            rows.append(row)
-        out.extend(_integer_rows(rows))
+            out.append(row)
     return out
 
 
@@ -300,11 +279,6 @@ def _batch_images(chain: tuple, elements: np.ndarray) -> np.ndarray:
 
     if chain == ("defining",):
         return elements.astype(np.int64)
-    if chain[0] == "trivial":
-        dim = chain[1]
-        out = np.zeros((elements.shape[0], dim, dim), dtype=np.int64)
-        out[:, range(dim), range(dim)] = 1
-        return out
     if chain[0] == "double":
         return _batch_double(_batch_images(chain[1], elements))
     if chain[0] in ("sym2", "wedge2"):
@@ -366,9 +340,6 @@ def _sum_from_pair_matrix(chain: tuple, group: WeylGroup) -> np.ndarray | None:
     if chain == ("defining",):
         s1, _ = group.pair_sums()
         return s1.astype(np.int64)
-    if chain[0] == "trivial":
-        dim = chain[1]
-        return group.order * np.eye(dim, dtype=np.int64)
     if chain[0] == "double":
         inner = _sum_from_pair_matrix(chain[1], group)
         if inner is None:
@@ -454,11 +425,6 @@ def _tensor_square_invariants(v: Representation) -> tuple[int, int, int, bool]:
     return inv_s2, inv_w2, inv_w2d, consistent
 
 
-def decomposition_check(datum: RootDatum) -> bool:
-    """Check the two-copy alternating-square decomposition numerically."""
-    return _tensor_square_invariants(rep_reflection(datum))[3]
-
-
 @dataclass(frozen=True)
 class InvariantReport:
     """Invariant dimensions of the three tensor constructions plus
@@ -508,7 +474,6 @@ def _commutant_rows(rep: Representation) -> list[SparseRow]:
     for g in rep.generator_images:
         cols = _columns(g, n)
         moved_cols = sorted(j for j, col in enumerate(cols) if col != {j: 1})
-        eqs = []
         for i in range(n):
             g_row = g.get(i, {i: 1})
             for j in range(n) if i in g else moved_cols:
@@ -517,8 +482,7 @@ def _commutant_rows(rep: Representation) -> list[SparseRow]:
                     _add(row, a * n + j, x)
                 for b, x in cols[j].items():
                     _add(row, i * n + b, -x)
-                eqs.append(row)
-        rows.extend(_integer_rows(eqs))
+                rows.append(row)
     return rows
 
 
@@ -547,7 +511,6 @@ def _form_rows(rep: Representation) -> list[SparseRow]:
     for g in rep.generator_images:
         cols = _columns(g, n)
         moved_cols = {j for j, col in enumerate(cols) if col != {j: 1}}
-        eqs = []
         for i in range(n):
             for j in range(n):
                 if i in moved_cols or j in moved_cols:
@@ -556,8 +519,7 @@ def _form_rows(rep: Representation) -> list[SparseRow]:
                         for q, y in cols[j].items():
                             _add(row, p * n + q, x * y)
                     _add(row, i * n + j, -1)
-                    eqs.append(row)
-        rows.extend(_integer_rows(eqs))
+                    rows.append(row)
     return rows
 
 

@@ -17,7 +17,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import DiscriminantTooLargeError, LatticeActionError
-from .exact_linalg import IntMatrix, RatMatrix, hermite_normal_form, smith_normal_form
+from .exact_linalg import IntMatrix, hermite_normal_form, smith_normal_form
 from .root_data import RootDatum, RootSystemSpec, build_root_datum
 
 DEFAULT_DISC_CAP = 10**6
@@ -233,7 +233,7 @@ class IntermediateLattice:
     representation is canonical).  The form inherited from the ambient
     rational span is B G^-1 B^T, kept in integers as ``scaled_gram`` =
     B adj(G) B^T over ``gram_denominator`` = det G, with ``scaled_gram_det``
-    its determinant; ``gram`` is the rational form itself.
+    its determinant.
     """
 
     label: str
@@ -244,11 +244,6 @@ class IntermediateLattice:
     scaled_gram: IntMatrix
     gram_denominator: int
     scaled_gram_det: int
-
-    @property
-    def gram(self) -> RatMatrix:
-        m, d = self.scaled_gram, self.gram_denominator
-        return RatMatrix(m.rows, m.cols, (Fraction(x, d) for x in m.data))
 
     @property
     def gram_det(self) -> Fraction:

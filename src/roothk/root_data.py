@@ -176,11 +176,6 @@ class RootDatum:
         return self.spec.label
 
 
-def cartan_matrix(spec: RootSystemSpec) -> IntMatrix:
-    """Cartan matrix with entries 2(a_i, a_j)/(a_j, a_j)."""
-    return build_root_datum(spec).cartan
-
-
 def _cartan_from_gram(spec: RootSystemSpec, dots: list[list[int]]) -> IntMatrix:
     """The Cartan matrix from the Gram of integer multiples of the simple
     roots; a common positive factor cancels from 2(a_i, a_j)/(a_j, a_j)."""

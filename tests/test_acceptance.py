@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 
+import _rational as ref
 from roothk.exact_linalg import IntMatrix
 from roothk.hk_analysis import (
     ResolutionVerdict,
@@ -17,7 +18,6 @@ from roothk.hk_analysis import (
     resolution_verdict,
 )
 from roothk.invariant_theory import (
-    decomposition_check,
     invariant_dim,
     invariant_dim_reynolds,
     invariant_report,
@@ -65,7 +65,8 @@ def test_criterion_02_decomposition_identity():
         n * (2 * n - 1) == 3 * (n * (n - 1) // 2) + n * (n + 1) // 2 for n in range(1, 9)
     )
     invariants_ok = all(
-        decomposition_check(build_root_datum(RootSystemSpec("A", n))) for n in range(1, 9)
+        invariant_report(build_root_datum(RootSystemSpec("A", n))).decomposition_consistent
+        for n in range(1, 9)
     )
     _verdict(2, "decomposition identity", dims_ok and invariants_ok, "ranks 1..8")
 
@@ -133,22 +134,29 @@ def test_criterion_07_sublattice_towers():
             # Root member: its basis rows must span the root lattice, i.e.
             # basis = U @ gram with U unimodular; the inherited form is then
             # the datum Gram in the exhibited basis.
-            u = root_l.basis.to_rat() @ gram.to_rat().inverse()
-            if not (u.is_integral() and abs(u.to_int().det()) == 1):
+            # Each inherited form, B G^-1 B^T, is recomputed over Fraction.
+            root_form, middle_form, dual_form = (
+                ref.divided(lat.scaled_gram, lat.gram_denominator) for lat in tower.lattices
+            )
+            u = ref.matmul(root_l.basis, ref.inverse(gram))
+            if not (all(x.denominator == 1 for row in u for x in row) and abs(ref.det(u)) == 1):
                 failures.append(f"{family}{n}:root-gram")
-            elif root_l.gram != u @ gram.to_rat() @ u.transpose():
+            elif root_form != ref.matmul(ref.matmul(u, gram), ref.transpose(u)):
                 failures.append(f"{family}{n}:root-gram")
             # Middle member: a unimodular integral form isometric to the cube.
             if not (
-                middle.gram.is_integral()
-                and middle.gram.to_int().det() == 1
-                and lattice_isometric(middle.gram.to_int(), IntMatrix.identity(n)) is True
+                all(x.denominator == 1 for row in middle_form for x in row)
+                and ref.det(middle_form) == 1
+                and lattice_isometric(
+                    IntMatrix.from_rows([[x.numerator for x in row] for row in middle_form]), IntMatrix.identity(n)
+                )
+                is True
             ):
                 failures.append(f"{family}{n}:middle-gram")
             # Dual member: the full preimage is the whole dual lattice, whose
             # canonical basis is the identity, so the Gram is exactly the
             # inverse of the datum Gram.
-            if dual_l.gram != gram.to_rat().inverse():
+            if dual_form != ref.inverse(gram):
                 failures.append(f"{family}{n}:dual-gram")
     _verdict(7, "sublattice towers", not failures, str(failures) if failures else "A1..A8, B/C 3..7")
 

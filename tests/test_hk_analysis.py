@@ -17,7 +17,6 @@ from roothk.hk_analysis import (
     symplectic_form_dim,
 )
 from roothk.invariant_theory import rep_explicit, rep_reflection
-from roothk.exact_linalg import RatMatrix
 from roothk.root_data import RootSystemSpec, build_root_datum
 from roothk.weyl import GroupCap, WeylGroup, element_iter
 
@@ -233,12 +232,13 @@ def test_freeness_rejects_wrong_coset_representatives(monkeypatch, edit):
 
 @pytest.mark.parametrize(
     "bound,message",
-    [(1, "coset representative entries exceeded"), (61, "overflow the int16 accumulator")],
+    [(1, "group element entries exceeded the root-coordinate bound"), (61, "overflow the int16 accumulator")],
 )
 def test_freeness_bounds_are_asserted(monkeypatch, bound, message):
-    # The representatives of W(B3) have entries 2, over a bound of 1.  With
-    # entries up to 61 a rank-3 trace could reach 9 * 61^2 = 33489 >= 2^15.
-    monkeypatch.setattr(hk_analysis, "_ENTRY_BOUND", bound)
+    # The halves of W(B3) have entries 2, over a bound of 1, which the walk
+    # asserts.  With entries up to 61 a rank-3 trace could reach
+    # 9 * 61^2 = 33489 >= 2^15, which the pass asserts.
+    monkeypatch.setattr(weyl if bound == 1 else hk_analysis, "_ENTRY_BOUND", bound)
     group = WeylGroup.from_generators(build_root_datum(RootSystemSpec("B", 3)))
     with pytest.raises(AssertionError, match=message):
         freeness_codim_check(group)
@@ -275,8 +275,8 @@ def test_symplectic_form_dim_from_datum():
 
 
 def test_symplectic_form_dim_reducible_rep_is_two():
-    g1 = RatMatrix.from_rows([[-1, 0], [0, 1]])
-    g2 = RatMatrix.from_rows([[1, 0], [0, -1]])
+    g1 = IntMatrix.from_rows([[-1, 0], [0, 1]])
+    g2 = IntMatrix.from_rows([[1, 0], [0, -1]])
     rep = rep_explicit((g1, g2), "sign+sign")
     assert symplectic_form_dim(rep) == 2
 

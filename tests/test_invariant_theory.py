@@ -1,18 +1,13 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from roothk.errors import FormSpaceError, NotExhaustiveError
-from roothk.exact_linalg import (
-    IntMatrix,
-    RatMatrix,
-    clear_denominators,
-    integer_row_kernel,
-    integer_row_rank,
-)
+from roothk.exact_linalg import IntMatrix, integer_row_kernel, integer_row_rank
 from roothk.invariant_theory import (
     Representation,
     _form_rows,
@@ -20,7 +15,6 @@ from roothk.invariant_theory import (
     _sym2_matrix,
     batch_images,
     commutant_dimension,
-    decomposition_check,
     invariant_bilinear_form,
     invariant_dim,
     invariant_dim_reynolds,
@@ -42,13 +36,11 @@ def _datum(family, rank):
 
 
 def _dense(image, dim):
-    # The dim x dim matrix of a moved-rows image: IntMatrix, or RatMatrix
-    # when any value is a Fraction.
+    # The dim x dim matrix of a moved-rows image.
     rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for k, row in image.items():
         rows[k] = [row.get(j, 0) for j in range(dim)]
-    rational = any(isinstance(x, Fraction) for row in image.values() for x in row.values())
-    return (RatMatrix if rational else IntMatrix)(dim, dim, (x for row in rows for x in row))
+    return IntMatrix.from_rows(rows)
 
 
 def test_reflection_rep_dims():
@@ -106,15 +98,23 @@ def test_invariant_dims_small(family, rank, sym2, wedge2, doubled):
 
 def test_images_must_fit_the_dimension():
     with pytest.raises(ValueError):
-        rep_explicit((RatMatrix.zeros(2, 3),), "not square")
+        rep_explicit((IntMatrix.zeros(2, 3),), "not square")
     with pytest.raises(ValueError):
-        rep_explicit((RatMatrix.identity(2), RatMatrix.identity(3)), "two sizes")
+        rep_explicit((IntMatrix.identity(2), IntMatrix.identity(3)), "two sizes")
     with pytest.raises(ValueError):
         Representation(dim=2, generator_images=({0: {2: 1}},), label="column 2", chain=("explicit",))
 
 
+def test_explicit_images_are_integer_matrices():
+    # An image with a Fraction entry is refused: rep_explicit takes IntMatrix
+    # images only, and IntMatrix refuses a Fraction entry.
+    half = SimpleNamespace(rows=1, cols=1, data=(Fraction(1, 2),))
+    with pytest.raises(TypeError):
+        rep_explicit((half,), "half")
+
+
 def test_invariant_dim_trivial_rep():
-    triv = rep_explicit((RatMatrix.identity(1),), "trivial")
+    triv = rep_explicit((IntMatrix.identity(1),), "trivial")
     assert invariant_dim(triv) == 1
 
 
@@ -140,18 +140,8 @@ def test_reynolds_explicit_average_a2(groups):
     assert direct == total
 
 
-def test_reynolds_trivial_rep_average(groups):
-    # Averaging identities gives the identity projector, rank 1.
-    from roothk.invariant_theory import rep_trivial
-
-    group = groups("A", 2)
-    triv = rep_trivial(n_generators=2)
-    assert invariant_dim_reynolds(triv, group) == 1
-    assert invariant_dim(triv) == 1
-
-
 def test_reynolds_rejects_explicit_reps(groups):
-    triv = rep_explicit((RatMatrix.identity(1),), "explicit-trivial")
+    triv = rep_explicit((IntMatrix.identity(1),), "explicit-trivial")
     with pytest.raises(ValueError):
         invariant_dim_reynolds(triv, groups("A", 1))
 
@@ -197,19 +187,19 @@ def test_square_images_match_batch_formula(seed):
     m = rng.choice([0, 0, -2, -1, 1, 3], size=(n, n))
     g = IntMatrix.from_rows(m.tolist())
     base = Representation(dim=n, generator_images=(_image(g),), label="m", chain=("defining",))
-    rational = rep_explicit((g.to_rat().scale(Fraction(1, 2)),), "m/2")
+    doubled = rep_explicit((g + g,), "2m")
     for build in (rep_sym2, rep_wedge2):
         rep = build(base)
         image = _dense(rep.generator_images[0], rep.dim)
         assert image.to_rows() == batch_images(rep, m[None])[0].tolist()
-        # The same rows over the rationals: Sym2 and Wedge2 are quadratic.
-        halved = _dense(build(rational).generator_images[0], rep.dim)
-        assert halved.to_rows() == image.to_rat().scale(Fraction(1, 4)).to_rows()
+        # Sym2 and Wedge2 are quadratic: the image of 2m is 4 times that of m.
+        quadrupled = _dense(build(doubled).generator_images[0], rep.dim)
+        assert quadrupled == image + image + image + image
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("G", 2), ("D", 4)])
 def test_decomposition_check(family, rank):
-    assert decomposition_check(_datum(family, rank))
+    assert invariant_report(_datum(family, rank)).decomposition_consistent
 
 
 def test_decomposition_dims_identity():
@@ -223,7 +213,7 @@ def test_irreducibility_reflection_reps():
 
 
 def test_irreducibility_one_dim():
-    assert irreducibility_check(rep_explicit((RatMatrix.from_rows([[-1]]),), "sign"))
+    assert irreducibility_check(rep_explicit((IntMatrix.from_rows([[-1]]),), "sign"))
 
 
 def test_doubled_rep_is_reducible():
@@ -263,10 +253,9 @@ def test_invariant_form_reynolds_average_b2(groups):
     group = groups("B", 2)
     v = rep_reflection(group.datum)
     form = invariant_bilinear_form(v)
-    avg = RatMatrix.zeros(2, 2)
+    avg = IntMatrix.zeros(2, 2)
     for w in element_iter(group):
-        wr = w.to_rat()
-        avg = avg + (wr.transpose() @ wr)
+        avg = avg + (w.transpose() @ w)
     b00 = form[0, 0]
     for i in range(2):
         for j in range(2):
@@ -294,39 +283,34 @@ def test_invariant_report_passes():
 def test_reducible_two_line_rep_has_two_invariant_forms():
     # Two orthogonal sign characters: the doubled alternating square picks up
     # one invariant per irreducible summand.
-    g1 = RatMatrix.from_rows([[-1, 0], [0, 1]])
-    g2 = RatMatrix.from_rows([[1, 0], [0, -1]])
+    g1 = IntMatrix.from_rows([[-1, 0], [0, 1]])
+    g2 = IntMatrix.from_rows([[1, 0], [0, -1]])
     rep = rep_explicit((g1, g2), "sign+sign")
     assert invariant_dim(rep_wedge2(rep_double(rep))) == 2
 
 
 def _conjugated(v):
-    # P g P^-1 for a fixed unipotent P with non-integral entries: the same
-    # representation up to isomorphism, so every invariant dimension agrees,
-    # but carried by RatMatrix images.
+    # P g P^-1 for a fixed unipotent integer P, so det P = 1 and P^-1 is its
+    # adjugate: the same representation up to isomorphism, so every invariant
+    # dimension agrees, but in another integer basis.
     n = v.dim
-    p = RatMatrix.from_rows(
-        [[Fraction(1, i + j + 2) if j > i else int(i == j) for j in range(n)] for i in range(n)]
-    )
-    p_inv = p.inverse()
-    images = tuple(p @ _dense(g, n).to_rat() @ p_inv for g in v.generator_images)
-    return rep_explicit(images, f"P{v.label}P^-1"), p
+    p = IntMatrix.from_rows([[(i + j) % 3 + 1 if j > i else int(i == j) for j in range(n)] for i in range(n)])
+    p_inv, det = p.adjugate()
+    assert det == 1
+    images = tuple(p @ _dense(g, n) @ p_inv for g in v.generator_images)
+    return rep_explicit(images, f"P{v.label}P^-1"), p_inv
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
-def test_rational_conjugate_matches_integral(family, rank):
+def test_unimodular_conjugate_matches_integral(family, rank):
     v = rep_reflection(_datum(family, rank))
-    w, p = _conjugated(v)
-    for g in w.generator_images:
-        values = [x for row in g.values() for x in row.values()]
-        assert all(isinstance(x, Fraction) for x in values)
-        assert any(x.denominator != 1 for x in values)
+    w, p_inv = _conjugated(v)
+    assert all(g != h for g, h in zip(w.generator_images, v.generator_images))
     for build in (rep_sym2, rep_wedge2, lambda r: rep_wedge2(rep_double(r))):
         assert invariant_dim(build(w)) == invariant_dim(build(v))
     assert commutant_dimension(w) == commutant_dimension(v) == 1
     assert commutant_dimension(rep_double(w)) == commutant_dimension(rep_double(v)) == 4
     # The invariant form moves with the basis: B' is proportional to P^-T B P^-1.
-    p_inv = p.inverse()
     moved = p_inv.transpose() @ invariant_bilinear_form(v) @ p_inv
     form = invariant_bilinear_form(w)
     for i in range(rank):
@@ -409,20 +393,14 @@ def _dense_form_rows(mats):
     return rows
 
 
-def _cleared(rows):
-    return [clear_denominators(row) for row in rows]
-
-
 def _random_images(seed):
     # Random generators over small values.  The first moves two rows: row 0
     # only off its diagonal, into column 2, and row 1, whose column is zero.
     rng = random.Random(900 + seed)
     n = rng.randint(3, 5)
     values = [0, 0, 0, 1, -1, 2, -3]
-    if seed % 2:
-        values += [Fraction(1, 2), Fraction(-2, 3)]
     first = [[int(i == j) for j in range(n)] for i in range(n)]
-    first[0][2] = rng.choice([1, -1, 2, Fraction(1, 3)])
+    first[0][2] = rng.choice([1, -1, 2])
     first[1] = [0] + [0] + [rng.choice(values) for _ in range(n - 2)]
     mats = [first]
     for _ in range(rng.randint(0, 2)):
@@ -430,12 +408,12 @@ def _random_images(seed):
         for k in rng.sample(range(n), rng.randint(1, n)):
             rows[k] = [rng.choice(values) for _ in range(n)]
         mats.append(rows)
-    return [RatMatrix.from_rows(m) for m in mats]
+    return [IntMatrix.from_rows(m) for m in mats]
 
 
 def _block_double(m):
     n = m.rows
-    return RatMatrix.from_rows(
+    return IntMatrix.from_rows(
         [[m[i % n, j % n] if i // n == j // n else 0 for j in range(2 * n)] for i in range(2 * n)]
     )
 
@@ -451,8 +429,6 @@ def test_systems_match_dense_reference(seed):
     cases += [(rep_double(r), [_block_double(m) for m in ms]) for r, ms in cases]
     for r, dense in cases:
         n = r.dim
-        assert invariant_dim(r) == n - integer_row_rank(_cleared(_dense_fixed_rows(dense)))
-        assert commutant_dimension(r) == n * n - integer_row_rank(_cleared(_dense_commutant_rows(dense)))
-        assert integer_row_kernel(_form_rows(r), n * n) == integer_row_kernel(
-            _cleared(_dense_form_rows(dense)), n * n
-        )
+        assert invariant_dim(r) == n - integer_row_rank(_dense_fixed_rows(dense))
+        assert commutant_dimension(r) == n * n - integer_row_rank(_dense_commutant_rows(dense))
+        assert integer_row_kernel(_form_rows(r), n * n) == integer_row_kernel(_dense_form_rows(dense), n * n)

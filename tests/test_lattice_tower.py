@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
+import _rational as ref
 from roothk.errors import DiscriminantTooLargeError, LatticeActionError
-from roothk.exact_linalg import IntMatrix, RatMatrix
+from roothk.exact_linalg import IntMatrix
 from roothk.lattice_tower import (
     _primitive_roots,
     all_subgroups,
@@ -55,15 +57,16 @@ def _bc_reference_matrices(spec):
             c = 2 * sum((a * b for a, b in zip(alpha, beta)), Fraction(0)) / norm
             images.append(tuple(x - c * b for x, b in zip(alpha, beta)))
         cols = ambient_to_root_basis(d_datum, images)
-        mats.append(RatMatrix(n, n, (cols[j][i] for i in range(n) for j in range(n))).to_int())
+        assert all(x.denominator == 1 for col in cols for x in col)
+        mats.append(IntMatrix(n, n, (cols[j][i].numerator for i in range(n) for j in range(n))))
     return tuple(mats)
 
 
 def _dual_image(m, x):
     """The dual action of a root-basis matrix m, its inverse transpose, on the
     dual-coordinate vector x; an integer vector when m preserves the dual."""
-    dual = m.to_rat().inverse().transpose()
-    image = [sum(dual[i, j] * x[j] for j in range(len(x))) for i in range(dual.rows)]
+    dual = ref.transpose(ref.inverse(m))
+    image = [sum(d * y for d, y in zip(row, x)) for row in dual]
     assert all(y.denominator == 1 for y in image)
     return tuple(int(y) for y in image)
 
@@ -148,8 +151,9 @@ def test_bc_tower_is_three_lattices(n):
         assert [lat.index_over_root for lat in report.lattices] == [1, 2, 4]
         # The middle lattice carries a unimodular integral form.
         middle = report.lattices[1]
-        assert middle.gram.is_integral()
-        assert middle.gram.to_int().det() == 1
+        form = ref.divided(middle.scaled_gram, middle.gram_denominator)
+        assert all(x.denominator == 1 for row in form for x in row)
+        assert ref.det(form) == 1
 
 
 def test_bc_tower_excludes_half_spin_for_even_rank():
@@ -299,7 +303,8 @@ def test_classify_a1_tower_single_rescaling_class():
     report = invariant_intermediate_lattices(_datum("A", 1))
     assert report.labels == ("A1", "A1*")
     assert report.lattices[0].primitive_gram() == IntMatrix.from_rows([[1]])
-    assert report.lattices[1].gram == RatMatrix.from_rows([[Fraction(1, 2)]])
+    dual = report.lattices[1]
+    assert ref.divided(dual.scaled_gram, dual.gram_denominator) == [[Fraction(1, 2)]]
     assert report.rescaling_classes == ((0, 1),)
     assert report.inconclusive_pairs == ()
 
@@ -527,15 +532,18 @@ def test_hnf_from_generator_lifts_matches_all_lifts():
 
 def test_integral_grams_match_rational_reference():
     for datum, tower in _report_towers():
-        inverse = datum.gram.to_rat().inverse()
+        inverse = ref.inverse(datum.gram)
         for lat in tower.lattices:
-            b = lat.basis.to_rat()
-            reference = b @ inverse @ b.transpose()
-            prim, _ = reference.primitive_integer()
-            assert lat.gram == reference
-            assert lat.primitive_gram() == prim
-            assert lat.gram_det == reference.det()
-            assert lat.primitive_gram_det == prim.det()
+            reference = ref.matmul(ref.matmul(lat.basis, inverse), ref.transpose(lat.basis))
+            # The primitive rescaling: clear the denominators, then divide out the content.
+            den = lcm(*(x.denominator for row in reference for x in row))
+            cleared = [[(x * den).numerator for x in row] for row in reference]
+            content = gcd(*(x for row in cleared for x in row))
+            prim = [[x // content for x in row] for row in cleared]
+            assert ref.divided(lat.scaled_gram, lat.gram_denominator) == reference
+            assert lat.primitive_gram().to_rows() == prim
+            assert lat.gram_det == ref.det(reference)
+            assert lat.primitive_gram_det == ref.det(prim)
 
 
 def test_scaled_gram_determinant_is_asserted(monkeypatch):

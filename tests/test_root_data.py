@@ -3,11 +3,11 @@ from math import gcd
 
 import pytest
 
-from roothk.exact_linalg import IntMatrix, RatMatrix
+import _rational as ref
+from roothk.exact_linalg import IntMatrix
 from roothk.root_data import (
     RootSystemSpec,
     build_root_datum,
-    cartan_matrix,
     dual_lattice_quotient_check,
     simple_reflection,
     simple_reflections,
@@ -43,16 +43,20 @@ def test_spec_validation():
     assert RootSystemSpec("E", 7).label == "E7"
 
 
+def _cartan(family, rank):
+    return build_root_datum(RootSystemSpec(family, rank)).cartan
+
+
 def test_cartan_a1():
-    assert cartan_matrix(RootSystemSpec("A", 1)).to_rows() == [[2]]
+    assert _cartan("A", 1).to_rows() == [[2]]
 
 
 def test_cartan_a2():
-    assert cartan_matrix(RootSystemSpec("A", 2)).to_rows() == [[2, -1], [-1, 2]]
+    assert _cartan("A", 2).to_rows() == [[2, -1], [-1, 2]]
 
 
 def test_cartan_g2():
-    m = cartan_matrix(RootSystemSpec("G", 2))
+    m = _cartan("G", 2)
     assert m.det() == 1
     assert m[0, 1] * m[1, 0] == 3
     assert m[0, 0] == m[1, 1] == 2
@@ -61,7 +65,7 @@ def test_cartan_g2():
 @pytest.mark.parametrize("family,rank", SMALL_TABLE)
 def test_cartan_axioms_and_determinant(family, rank):
     spec = RootSystemSpec(family, rank)
-    m = cartan_matrix(spec)
+    m = _cartan(family, rank)
     assert m.det() == spec.cartan_determinant
     for i in range(rank):
         assert m[i, i] == 2
@@ -128,13 +132,9 @@ def test_gram_relates_to_cartan_by_half_norms(family, rank):
     # (a_i, a_j) = C[j][i] * (a_i, a_i) / 2, i.e. raw Gram = D @ C^T with
     # D = diag((a_i, a_i) / 2).
     datum = build_root_datum(RootSystemSpec(family, rank))
-    raw = datum.gram.to_rat().scale(datum.gram_scale)
-    norms = [raw[i, i] for i in range(rank)]
+    raw = [[x * datum.gram_scale for x in row] for row in datum.gram]
     ct = datum.cartan.transpose()
-    expected = RatMatrix(
-        rank, rank, (Fraction(norms[i], 2) * ct[i, j] for i in range(rank) for j in range(rank))
-    )
-    assert raw == expected
+    assert raw == [[raw[i][i] / 2 * ct[i, j] for j in range(rank)] for i in range(rank)]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("D", 4), ("G", 2), ("F", 4)])
@@ -171,8 +171,8 @@ def test_integer_root_data_matches_fraction_dots(spec):
     datum = build_root_datum(spec)
     simple, n = datum.simple_roots, spec.rank
     cartan = [[2 * _dot(a, b) / _dot(b, b) for b in simple] for a in simple]
-    assert cartan_matrix(spec).to_rows() == datum.cartan.to_rows() == cartan
-    assert datum.gram.to_rat().scale(datum.gram_scale).to_rows() == [
+    assert datum.cartan.to_rows() == cartan
+    assert [[x * datum.gram_scale for x in row] for row in datum.gram] == [
         [_dot(a, b) for b in simple] for a in simple
     ]
     for i, alpha in enumerate(simple, start=1):
@@ -196,29 +196,6 @@ def test_simple_rows_over_least_denominator(spec):
     assert datum.simple_roots == tuple(
         tuple(Fraction(x, den) for x in row) for row in datum.simple_rows
     )
-
-
-def test_integral_objects_build_without_rat_matrix(monkeypatch):
-    # Root data, towers and invariant forms are integral from construction to
-    # use: none of them may build a RatMatrix on the way.
-    from roothk.invariant_theory import invariant_bilinear_form, rep_reflection
-    from roothk.lattice_tower import tower_for_spec
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("RatMatrix built on an integer path")
-
-    monkeypatch.setattr(RatMatrix, "__init__", refuse)
-    build_root_datum.cache_clear()
-    try:
-        for spec in standard_table():
-            build_root_datum(spec)
-        for family, rank in [("A", 15), ("B", 10), ("D", 8), ("E", 6), ("F", 4)]:
-            assert tower_for_spec(RootSystemSpec(family, rank)).lattices
-        for family, rank in [("A", 3), ("B", 3), ("G", 2)]:
-            datum = build_root_datum(RootSystemSpec(family, rank))
-            assert invariant_bilinear_form(rep_reflection(datum)).rows == rank
-    finally:
-        build_root_datum.cache_clear()
 
 
 def test_ambient_roots_are_built_on_first_use():
@@ -254,11 +231,11 @@ def test_dual_quotient_check_examples(n):
     # model and the inverse of the A_n Gram, recomputed over the rationals.
     k = report.scale
     assert k == n + 1
-    gram = build_root_datum(RootSystemSpec("A", n)).gram.to_rat()
-    assert report.weight_basis_gram.to_rat().scale(Fraction(1, k)) == gram.inverse()
-    assert report.model_gram.to_rat().scale(Fraction(1, k)) == RatMatrix(
-        k, k, (int(i == j) - Fraction(1, k) for i in range(k) for j in range(k))
-    )
+    gram = build_root_datum(RootSystemSpec("A", n)).gram
+    assert ref.divided(report.weight_basis_gram, k) == ref.inverse(gram)
+    assert ref.divided(report.model_gram, k) == [
+        [int(i == j) - Fraction(1, k) for j in range(k)] for i in range(k)
+    ]
     if n == 1:  # the weight Gram (1/2) is [1] at scale 2
         assert report.weight_basis_gram == IntMatrix.from_rows([[1]])
         assert report.model_gram == IntMatrix.from_rows([[1, -1], [-1, 1]])
