@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -64,26 +63,25 @@ def _render_value(v):
     raise TypeError(f"report values must be exact integers, rationals or strings: got {type(v)!r}")
 
 
-@dataclass
 class CheckRecord:
-    name: str
-    status: str  # pass | fail | skipped
-    values: dict
-    citation: str = ""
+    def __init__(self, name: str, status: str, values: dict, citation: str = ""):
+        self.name = name
+        self.status = status  # pass | fail | skipped
+        self.values = values
+        self.citation = citation
 
     def rendered_values(self) -> dict:
         return {k: _render_value(v) for k, v in self.values.items()}
 
 
-@dataclass
 class ReportDocument:
-    command: dict
-    checks: list[CheckRecord] = field(default_factory=list)
-    tool_version: str = __version__
-    # Time spent in report's worker and on the parent's own rows, for the
-    # closing diagnostic line only.
-    worker_ms: int | None = None
-    parent_ms: int | None = None
+    def __init__(self, command: dict):
+        self.command = command
+        self.checks: list[CheckRecord] = []
+        # Time spent in report's worker and on the parent's own rows, for the
+        # closing diagnostic line only.
+        self.worker_ms: int | None = None
+        self.parent_ms: int | None = None
 
     def add(self, name: str, status: str, values: dict, citation: str = "") -> None:
         self.checks.append(CheckRecord(name=name, status=status, values=values, citation=citation))
@@ -94,7 +92,7 @@ class ReportDocument:
 
     def to_json(self) -> str:
         doc = {
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
             "command": self.command,
             "checks": [
                 {

@@ -5,7 +5,8 @@ floating point.  ``IntMatrix`` is the one dense, immutable, row-major matrix
 class; every integral object of the package (Cartan and Gram matrices, Weyl
 group elements, lattice bases) is built as one.  Where a rational matrix is
 meant, it is kept as an integer matrix over a denominator: the adjugate over
-the determinant is the inverse.
+the determinant is the inverse.  ``IntMatrix`` and the package's other
+immutable classes derive from ``Frozen``.
 
 The normal forms return what their callers read: ``smith_normal_form`` the
 invariant factors and the unimodular left transform (the discriminant group
@@ -16,15 +17,29 @@ and ranks come from a sparse fraction-free echelon.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
 
 
-class IntMatrix:
+class Frozen:
+    """Base of the package's immutable classes: ``__init__`` sets each
+    attribute once, through ``vars(self)`` (or ``object.__setattr__`` where
+    there are slots), and any later assignment or deletion raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class IntMatrix(Frozen):
     """Immutable dense matrix with arbitrary-precision integer entries,
     stored row-major in a flat tuple.
 
@@ -41,9 +56,6 @@ class IntMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> IntMatrix:
@@ -106,17 +118,10 @@ class IntMatrix:
             raise ValueError("shape mismatch in product")
         n, k, m = self.rows, self.cols, other.cols
         a, b = self.data, other.data
-        out = [0] * (n * m)
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            orow = out
-            base = i * m
-            for t, av in enumerate(arow):
-                if av:
-                    brow = b[t * m : (t + 1) * m]
-                    for j in range(m):
-                        orow[base + j] += av * brow[j]
-        return IntMatrix(n, m, out)
+        rows = [a[i * k : (i + 1) * k] for i in range(n)]
+        cols = [b[j::m] for j in range(m)]
+        mul = operator.mul
+        return IntMatrix(n, m, [sum(map(mul, row, col)) for row in rows for col in cols])
 
     def transpose(self) -> IntMatrix:
         return IntMatrix(
@@ -207,8 +212,7 @@ class IntMatrix:
         return g
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """Smith decomposition ``left @ m @ right == diag`` for some unimodular
     ``right``, which is not kept.
 

@@ -9,8 +9,8 @@ exactly.  Resolution verdicts are a cited lookup, not a computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .exact_linalg import IntMatrix, smith_normal_form
 from .invariant_theory import (
@@ -51,8 +51,7 @@ _FREENESS_COLUMNS = 8192
 # --- fixed loci on the torus model ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class FixedLocusEntry:
+class FixedLocusEntry(NamedTuple):
     """Structure of the fixed locus of one group element on lattice x 4-torus.
 
     ``fix_dim`` is the complex fixed-space dimension on the rational span;
@@ -120,8 +119,7 @@ def brute_force_fixed_point_count(w: IntMatrix, denominator: int) -> int:
 # --- freeness in codimension two ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreenessCheck:
+class FreenessCheck(NamedTuple):
     """Codimension-two freeness: ``verified`` means the pass saw ``elements``
     elements (the group order), one identity and one reflection per positive
     root (``reflections``), so min_codim_doubled = 2."""
@@ -275,8 +273,7 @@ def known_model(spec: RootSystemSpec, lattice_label: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class HKVerdict:
+class HKVerdict(NamedTuple):
     """Assembled report for one (group, lattice) pair."""
 
     spec: RootSystemSpec

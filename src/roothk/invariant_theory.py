@@ -20,13 +20,13 @@ matrices in the simple-root basis are integral, and explicit input is an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import FormSpaceError, NotExhaustiveError
 from .exact_linalg import (
+    Frozen,
     IntMatrix,
     SparseRow,
     clear_denominators,
@@ -56,8 +56,7 @@ def pairs_weak(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i, n))
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Frozen):
     """A finite-dimensional rational representation given on the generators.
 
     A generator image is held as ``{row: {col: value}}`` over the rows that
@@ -72,16 +71,12 @@ class Representation:
     support generator-only operations but not element-wise group averaging.
     """
 
-    dim: int
-    generator_images: tuple[Image, ...]
-    label: str
-    chain: tuple
-
-    def __post_init__(self):
-        for g in self.generator_images:
+    def __init__(self, dim: int, generator_images: tuple[Image, ...], label: str, chain: tuple):
+        for g in generator_images:
             for k, row in g.items():
-                if not (0 <= k < self.dim and all(0 <= c < self.dim for c in row)):
+                if not (0 <= k < dim and all(0 <= c < dim for c in row)):
                     raise ValueError("generator image has an index out of range")
+        vars(self).update(dim=dim, generator_images=generator_images, label=label, chain=chain)
 
 
 def _image(m: IntMatrix) -> Image:
@@ -425,8 +420,7 @@ def _tensor_square_invariants(v: Representation) -> tuple[int, int, int, bool]:
     return inv_s2, inv_w2, inv_w2d, consistent
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Invariant dimensions of the three tensor constructions plus
     irreducibility of the underlying reflection representation."""
 

@@ -10,11 +10,11 @@ discriminant group, which is a finite, exactly decidable condition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .errors import DiscriminantTooLargeError, LatticeActionError
 from .exact_linalg import IntMatrix, hermite_normal_form, smith_normal_form
@@ -27,12 +27,11 @@ def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(map(mul, a, b))
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(NamedTuple):
     """The quotient (dual lattice) / (root lattice) in invariant-factor form.
 
     ``generator_lifts`` are dual-basis coordinate vectors generating the
-    quotient, one per invariant factor; ``to_invariant`` rows convert a
+    quotient, one per invariant factor; the ``to_invariant_rows`` convert a
     dual-coordinate vector to invariant-factor coordinates.
     """
 
@@ -40,7 +39,7 @@ class DiscriminantGroup:
     invariant_factors: tuple[int, ...]
     generator_lifts: tuple[tuple[int, ...], ...]
     order: int
-    _to_invariant_rows: tuple[tuple[int, ...], ...]
+    to_invariant_rows: tuple[tuple[int, ...], ...]
 
     def elements(self) -> tuple[tuple[int, ...], ...]:
         """All elements as invariant-factor coordinate tuples, product order."""
@@ -64,7 +63,7 @@ class DiscriminantGroup:
         """Invariant-factor coordinates of a dual-coordinate vector's class."""
         return tuple(
             sum(r * v for r, v in zip(row, x)) % d
-            for row, d in zip(self._to_invariant_rows, self.invariant_factors)
+            for row, d in zip(self.to_invariant_rows, self.invariant_factors)
         )
 
 
@@ -97,7 +96,7 @@ def discriminant_group(datum: RootDatum) -> DiscriminantGroup:
         invariant_factors=factors,
         generator_lifts=lifts,
         order=det,
-        _to_invariant_rows=rows,
+        to_invariant_rows=rows,
     )
 
 
@@ -225,8 +224,7 @@ def annihilator_subgroup(
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class IntermediateLattice:
+class IntermediateLattice(NamedTuple):
     """A group-stable lattice between the root lattice and its dual.
 
     ``basis`` rows are dual-basis coordinates (Hermite normal form, so the
@@ -270,8 +268,7 @@ class IntermediateLattice:
         )
 
 
-@dataclass(frozen=True)
-class TowerReport:
+class TowerReport(NamedTuple):
     """All group-stable intermediate lattices for one root datum."""
 
     datum_label: str
@@ -384,7 +381,7 @@ def invariant_intermediate_lattices(
         lat = _lattice_from_subgroup(datum, disc, s, "", gram_adjugate)
         label = _recognize_label(datum, disc.order, lat, labels)
         labels.append(label)
-        lattices.append(replace(lat, label=label))
+        lattices.append(lat._replace(label=label))
 
     classes, flagged = classify_up_to_rescaling(lattices)
     return TowerReport(

@@ -10,12 +10,12 @@ downstream are expressed in the simple-root basis, where they are integral.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
+from typing import NamedTuple
 
-from .exact_linalg import IntMatrix, smith_normal_form
+from .exact_linalg import Frozen, IntMatrix, smith_normal_form
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -51,20 +51,32 @@ _CARTAN_DET = {
 }
 
 
-@dataclass(frozen=True)
-class RootSystemSpec:
-    """A crystallographic family letter together with an admissible rank."""
+class RootSystemSpec(Frozen):
+    """A crystallographic family letter together with an admissible rank.
 
-    family: str
-    rank: int
+    Immutable, and equal and hashed by value: it keys the cache of
+    :func:`build_root_datum`.
+    """
 
-    def __post_init__(self):
-        if self.family not in _RANK_RANGE:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        lo, hi = _RANK_RANGE[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
+    def __init__(self, family: str, rank: int):
+        if family not in _RANK_RANGE:
+            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        lo, hi = _RANK_RANGE[family]
+        if rank < lo or (hi is not None and rank > hi):
             bound = f"{lo}..{hi}" if hi is not None else f">= {lo}"
-            raise ValueError(f"family {self.family} requires rank {bound}, got {self.rank}")
+            raise ValueError(f"family {family} requires rank {bound}, got {rank}")
+        vars(self).update(family=family, rank=rank)
+
+    def __eq__(self, other):
+        if type(other) is not RootSystemSpec:
+            return NotImplemented
+        return self.family == other.family and self.rank == other.rank
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank))
+
+    def __repr__(self) -> str:
+        return f"RootSystemSpec(family={self.family!r}, rank={self.rank!r})"
 
     @property
     def label(self) -> str:
@@ -121,32 +133,72 @@ def _int_gram(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows]
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Frozen):
     """A root system with its Cartan matrix, full root set, and lattice Gram form.
 
     The ambient simple roots are ``simple_rows[i] / denominator``, integer
     rows over their least common denominator; ``simple_roots`` is the same
-    as ``Fraction`` vectors, built on first use.  ``root_coords`` holds every
-    root in simple-root coordinates, sorted; ``all_roots`` is the same set in
-    ambient coordinates, built on first use.  ``gram`` is the Gram matrix of
-    the simple roots rescaled to the smallest integral multiple;
+    as ``Fraction`` vectors.  ``root_coords`` holds every root in simple-root
+    coordinates, sorted, closed under the simple reflections and checked
+    against the root count; ``all_roots`` is the same set in ambient
+    coordinates.  These three are built on first read.  ``gram`` is the Gram
+    matrix of the simple roots rescaled to the smallest integral multiple;
     ``gram_scale`` recovers the ambient inner product: raw Gram = gram *
-    gram_scale.
+    gram_scale.  Immutable but for these caches and that of
+    :func:`simple_reflection`.
     """
 
-    spec: RootSystemSpec
-    cartan: IntMatrix
-    simple_rows: tuple[tuple[int, ...], ...]
-    denominator: int
-    root_coords: tuple[tuple[int, ...], ...]
-    gram: IntMatrix
-    gram_scale: Fraction
-    _reflection_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(
+        self,
+        spec: RootSystemSpec,
+        cartan: IntMatrix,
+        simple_rows: tuple[tuple[int, ...], ...],
+        denominator: int,
+        gram: IntMatrix,
+        gram_scale: Fraction,
+    ):
+        vars(self).update(
+            spec=spec,
+            cartan=cartan,
+            simple_rows=simple_rows,
+            denominator=denominator,
+            gram=gram,
+            gram_scale=gram_scale,
+            _reflection_cache={},
+        )
+
+    def __repr__(self) -> str:
+        return f"RootDatum({self.label})"
 
     @property
     def rank(self) -> int:
         return self.spec.rank
+
+    @cached_property
+    def root_coords(self) -> tuple[tuple[int, ...], ...]:
+        """Every root in simple-root coordinates, sorted: the closure of the
+        simple roots and their negatives under the simple reflections."""
+        # Everything here is an integer: s_j(v) = v - <v, a_j^vee> a_j with
+        # <v, a_j^vee> = sum_i v_i cartan[i, j].
+        spec, n = self.spec, self.rank
+        columns = [[(i, c) for i, c in enumerate(col) if c] for col in self.cartan.transpose()]
+        units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+        coords = set(units) | {tuple(-x for x in v) for v in units}
+        frontier = list(coords)
+        while frontier:
+            new = []
+            for v in frontier:
+                for j, col in enumerate(columns):
+                    c = sum(v[i] * x for i, x in col)
+                    if c:
+                        w = v[:j] + (v[j] - c,) + v[j + 1 :]
+                        if w not in coords:
+                            coords.add(w)
+                            new.append(w)
+            frontier = new
+        if len(coords) != spec.root_count:
+            raise AssertionError(f"root count mismatch for {spec.label}: {len(coords)}")
+        return tuple(sorted(coords))
 
     @cached_property
     def simple_roots(self) -> tuple[AmbientVector, ...]:
@@ -195,31 +247,13 @@ def _cartan_from_gram(spec: RootSystemSpec, dots: list[list[int]]) -> IntMatrix:
 
 @lru_cache(maxsize=None)
 def build_root_datum(spec: RootSystemSpec) -> RootDatum:
-    """Construct the full root datum: roots by reflection closure, Gram form, Cartan."""
+    """Construct the root datum: simple roots, Cartan matrix and Gram form.
+
+    The full root set, ``root_coords``, is closed on first read.
+    """
     rows, den = _simple_roots(spec)
     dots = _int_gram(rows)
-    cartan = _cartan_from_gram(spec, dots)
     n = spec.rank
-
-    # Closure in simple-root coordinates, where everything is an integer:
-    # s_j(v) = v - <v, a_j^vee> a_j with <v, a_j^vee> = sum_i v_i cartan[i, j].
-    columns = [[(i, c) for i, c in enumerate(col) if c] for col in cartan.transpose()]
-    units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    coords = set(units) | {tuple(-x for x in v) for v in units}
-    frontier = list(coords)
-    while frontier:
-        new = []
-        for v in frontier:
-            for j, col in enumerate(columns):
-                c = sum(v[i] * x for i, x in col)
-                if c:
-                    w = v[:j] + (v[j] - c,) + v[j + 1 :]
-                    if w not in coords:
-                        coords.add(w)
-                        new.append(w)
-        frontier = new
-    if len(coords) != spec.root_count:
-        raise AssertionError(f"root count mismatch for {spec.label}: {len(coords)}")
     # The raw Gram is dots / den^2.  Its smallest integral multiple is
     # dots / g with g = gcd(den^2, dots): x2 for F4, the raw Gram elsewhere.
     # Dividing out a common content as well would turn the A1 form [2] into
@@ -229,10 +263,9 @@ def build_root_datum(spec: RootSystemSpec) -> RootDatum:
     g = gcd(den * den, *(x for row in dots for x in row))
     return RootDatum(
         spec=spec,
-        cartan=cartan,
+        cartan=_cartan_from_gram(spec, dots),
         simple_rows=rows,
         denominator=den,
-        root_coords=tuple(sorted(coords)),
         gram=IntMatrix(n, n, (x // g for row in dots for x in row)),
         gram_scale=Fraction(g, den * den),
     )
@@ -284,8 +317,7 @@ def ambient_to_root_basis(
     return out
 
 
-@dataclass(frozen=True)
-class DualQuotientReport:
+class DualQuotientReport(NamedTuple):
     """Result of checking the quotient model of the type-A weight lattice.
 
     The weight lattice of A_n is the image of Z^(n+1) under orthogonal

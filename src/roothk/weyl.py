@@ -16,12 +16,11 @@ generator-only callers never load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import factorial, prod
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import GroupTooLargeError, NotExhaustiveError
-from .exact_linalg import IntMatrix
+from .exact_linalg import Frozen, IntMatrix
 from .root_data import RootDatum, RootSystemSpec, simple_reflections
 
 if TYPE_CHECKING:
@@ -38,8 +37,7 @@ _ENTRY_BOUND = 6
 _EXCEPTIONAL_ORDERS = {"G": 12, "F": 1152, "E6": 51840, "E7": 2903040, "E8": 696729600}
 
 
-@dataclass(frozen=True)
-class GroupCap:
+class GroupCap(Frozen):
     """Upper bound on the order of a group enumerated exhaustively.
 
     ``generate_group`` stores that many elements; the freeness pass visits
@@ -47,11 +45,10 @@ class GroupCap:
     bounded tile of traces.
     """
 
-    max_elements: int = DEFAULT_GROUP_CAP
-
-    def __post_init__(self):
-        if self.max_elements <= 0:
+    def __init__(self, max_elements: int = DEFAULT_GROUP_CAP):
+        if max_elements <= 0:
             raise ValueError("cap must be positive")
+        vars(self).update(max_elements=max_elements)
 
 
 def group_order_formula(spec: RootSystemSpec) -> int:
@@ -68,7 +65,6 @@ def group_order_formula(spec: RootSystemSpec) -> int:
     return _EXCEPTIONAL_ORDERS[fam]
 
 
-@dataclass
 class WeylGroup:
     """A Weyl group held as generators plus (optionally) all elements.
 
@@ -78,11 +74,18 @@ class WeylGroup:
     built generators-only.
     """
 
-    datum: RootDatum
-    generators: tuple[IntMatrix, ...]
-    order: int
-    elements: np.ndarray | None = None
-    _pair_sums: tuple | None = field(default=None, repr=False, compare=False)
+    def __init__(
+        self,
+        datum: RootDatum,
+        generators: tuple[IntMatrix, ...],
+        order: int,
+        elements: np.ndarray | None = None,
+    ):
+        self.datum = datum
+        self.generators = generators
+        self.order = order
+        self.elements = elements
+        self._pair_sums = None
 
     @property
     def rank(self) -> int:
@@ -255,8 +258,7 @@ def element_iter(group: WeylGroup) -> Iterator[IntMatrix]:
         yield IntMatrix(n, n, (int(x) for x in row.reshape(-1)))
 
 
-@dataclass(frozen=True)
-class SignedPermutationReport:
+class SignedPermutationReport(NamedTuple):
     """Outcome of checking that W(B_n) is the full signed-permutation group."""
 
     n: int

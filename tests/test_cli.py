@@ -327,6 +327,54 @@ def test_numpy_loaded_only_where_w_is_enumerated(argv, loads_numpy):
     assert proc.stdout == f"{loads_numpy}\n"
 
 
+# Runs main(argv) in a fresh interpreter, then prints which of the modules
+# that dataclasses would pull in are loaded.
+IMPORT_PROBE = """
+import contextlib, io, sys
+from roothk.cli import main
+
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv", [(), ("sublattices", "A", "23")], ids=lambda v: " ".join(v) or "import")
+def test_no_dataclasses_in_the_import_graph(argv):
+    proc = run_python(["-c", IMPORT_PROBE, *argv])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_towers_and_generator_only_analyze_never_close_the_roots():
+    from roothk.hk_analysis import analyze
+    from roothk.lattice_tower import tower_for_spec
+    from roothk.root_data import RootSystemSpec, build_root_datum
+
+    build_root_datum.cache_clear()
+    a23, a16 = RootSystemSpec("A", 23), RootSystemSpec("A", 16)
+    tower_for_spec(a23)
+    analyze(a16, "dual")
+    assert "root_coords" not in vars(build_root_datum(a23))
+    assert "root_coords" not in vars(build_root_datum(a16))
+
+
+def test_root_count_is_asserted_where_the_roots_are_read(monkeypatch):
+    from roothk import root_data
+    from roothk.hk_analysis import freeness_codim_check
+    from roothk.weyl import WeylGroup
+
+    monkeypatch.setitem(root_data._ROOT_COUNT, "A", lambda n: n * (n + 1) + 2)
+    datum = root_data.build_root_datum.__wrapped__(root_data.RootSystemSpec("A", 3))
+    with pytest.raises(AssertionError, match="root count mismatch for A3: 12"):
+        datum.root_coords
+    # The freeness pass reads the roots of every group it enumerates.
+    datum = root_data.build_root_datum.__wrapped__(root_data.RootSystemSpec("A", 2))
+    with pytest.raises(AssertionError, match="root count mismatch for A2: 6"):
+        freeness_codim_check(WeylGroup.from_generators(datum))
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

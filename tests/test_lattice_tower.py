@@ -462,7 +462,7 @@ def _abelian(*factors):
         invariant_factors=factors,
         generator_lifts=units,
         order=order,
-        _to_invariant_rows=units,
+        to_invariant_rows=units,
     )
 
 

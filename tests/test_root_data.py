@@ -6,6 +6,7 @@ import pytest
 import _rational as ref
 from roothk.exact_linalg import IntMatrix
 from roothk.root_data import (
+    RootDatum,
     RootSystemSpec,
     build_root_datum,
     dual_lattice_quotient_check,
@@ -201,10 +202,12 @@ def test_simple_rows_over_least_denominator(spec):
 def test_ambient_roots_are_built_on_first_use():
     # A fresh datum, not the cached one, which other tests may have read.
     datum = build_root_datum.__wrapped__(RootSystemSpec("E", 7))
-    assert "all_roots" not in vars(datum)
+    assert "root_coords" not in vars(datum) and "all_roots" not in vars(datum)
     assert len(datum.root_coords) == 126
     assert len(datum.all_roots) == 126
-    assert "all_roots" in vars(datum)
+    assert "root_coords" in vars(datum) and "all_roots" in vars(datum)
+    with pytest.raises(AttributeError):
+        datum.root_coords = ()
 
 
 @pytest.mark.parametrize("spec", standard_table(), ids=lambda s: s.label)
@@ -249,14 +252,20 @@ def test_dual_quotient_check_examples(n):
     ],
 )
 def test_dual_quotient_check_rejects_a_wrong_gram(monkeypatch, n, rows):
-    import dataclasses
-
     from roothk import root_data
 
     real = root_data.build_root_datum
 
     def wrong_gram(spec):
-        return dataclasses.replace(real(spec), gram=IntMatrix.from_rows(rows))
+        d = real(spec)
+        return RootDatum(
+            spec=d.spec,
+            cartan=d.cartan,
+            simple_rows=d.simple_rows,
+            denominator=d.denominator,
+            gram=IntMatrix.from_rows(rows),
+            gram_scale=d.gram_scale,
+        )
 
     monkeypatch.setattr(root_data, "build_root_datum", wrong_gram)
     report = dual_lattice_quotient_check(n)
