@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     DiscriminantTooLargeError,
-    FormSpaceError,
     GroupTooLargeError,
     LatticeActionError,
     NotExhaustiveError,
@@ -36,7 +35,6 @@ from .root_data import (
 from .weyl import (
     GroupCap,
     WeylGroup,
-    check_signed_permutation_structure,
     coset_halves,
     element_iter,
     generate_group,
@@ -46,9 +44,7 @@ from .weyl import (
 from .invariant_theory import (
     InvariantReport,
     Representation,
-    invariant_bilinear_form,
     invariant_dim,
-    invariant_dim_reynolds,
     invariant_report,
     irreducibility_check,
     rep_double,

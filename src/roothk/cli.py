@@ -276,11 +276,11 @@ def _enumerated_checks(cap: GroupCap) -> list[CheckRecord]:
         group = generate_group(build_root_datum(spec), cap)
         compared = 0
         agree = True
-        for idx, w in enumerate(element_iter(group)):
+        for w in element_iter(group):
             det = (w - IntMatrix.identity(rank)).det()
             if det == 0 or abs(det) > _FIXED_LOCUS_DET_BOUND:
                 continue
-            entry = fixed_locus_on_abelian(w, element_id=str(idx))
+            entry = fixed_locus_on_abelian(w)
             count = brute_force_fixed_point_count(w, abs(det))
             compared += 1
             if count != entry.component_count:

@@ -42,16 +42,5 @@ class NotExhaustiveError(RootHKError):
     """Raised when an operation needs an exhaustively generated group."""
 
 
-class FormSpaceError(RootHKError):
-    """Raised when the space of invariant bilinear forms is not one-dimensional."""
-
-    def __init__(self, dim: int):
-        super().__init__(dim)
-        self.dim = dim
-
-    def __str__(self) -> str:
-        return f"invariant bilinear form space has dimension {self.dim}, expected 1"
-
-
 class LatticeActionError(RootHKError):
     """Raised when a group generator fails to preserve a lattice it should preserve."""

@@ -10,18 +10,15 @@ immutable classes derive from ``Frozen``.
 
 The normal forms return what their callers read: ``smith_normal_form`` the
 invariant factors and the unimodular left transform (the discriminant group
-reads its rows), ``hermite_normal_form`` the echelon basis alone.  Kernels
-and ranks come from a sparse fraction-free echelon.
+reads its rows), ``hermite_normal_form`` the echelon basis alone.  Ranks
+come from a sparse fraction-free echelon.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence
-
-Vector = tuple[Fraction, ...]
 
 
 class Frozen:
@@ -56,6 +53,10 @@ class IntMatrix(Frozen):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
+
+    def __reduce__(self):
+        # The default slot-state restore assigns through __setattr__, which raises.
+        return IntMatrix, (self.rows, self.cols, self.data)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> IntMatrix:
@@ -460,21 +461,6 @@ def _int_echelon(rows: Iterable[Sequence[int] | SparseRow]) -> tuple[list[Sparse
     return [work[i] for i in order[:rank]], pivots
 
 
-def clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
-    """The row scaled by the lcm of its entry denominators, as integers.
-
-    A row of integers comes back unchanged.
-    """
-    mlt = 1
-    for x in row:
-        d = x.denominator
-        if d != 1:
-            mlt = mlt * d // gcd(mlt, d)
-    if mlt == 1:
-        return [x.numerator for x in row]
-    return [int(x * mlt) for x in row]
-
-
 def integer_row_rank(rows: Iterable[Sequence[int] | SparseRow]) -> int:
     """Rank over the rationals of the matrix with the given integer rows.
 
@@ -483,45 +469,3 @@ def integer_row_rank(rows: Iterable[Sequence[int] | SparseRow]) -> int:
     """
     _, pivots = _int_echelon(rows)
     return len(pivots)
-
-
-def integer_row_kernel(rows: Iterable[Sequence[int] | SparseRow], ncols: int) -> list[Vector]:
-    """Echelon-normalized basis of { v : row . v = 0 for every given row }.
-
-    Rows are dense sequences or ``{col: value}`` dicts.  Zero rows may be left
-    out: the basis depends only on the row space.
-    """
-    echelon, pivots = _int_echelon(rows)
-    return _kernel_from_echelon(echelon, pivots, ncols)
-
-
-def integer_rank(m: IntMatrix) -> int:
-    """Exact rank of an integer matrix over the rationals."""
-    return integer_row_rank(m.row(i) for i in range(m.rows))
-
-
-def _kernel_from_echelon(echelon: list[SparseRow], pivots: list[int], ncols: int) -> list[Vector]:
-    """Canonical kernel basis from an integer echelon form.
-
-    One basis vector per free column, carrying 1 there and 0 at the other
-    free columns; pivot coordinates are produced by exact back-substitution.
-    This is the reduced-echelon normalization, so any two computations of the
-    same kernel agree entry for entry.
-    """
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis: list[Vector] = []
-    for f in free_cols:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            p = pivots[r]
-            row = echelon[r]
-            s = Fraction(0)
-            for c, x in row.items():
-                if c != p and v[c]:
-                    s += x * v[c]
-            if s:
-                v[p] = -s / row[p]
-        basis.append(tuple(v))
-    return basis

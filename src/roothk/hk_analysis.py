@@ -60,14 +60,13 @@ class FixedLocusEntry(NamedTuple):
     per homology generator of the surface, i.e. four times.
     """
 
-    element_id: str
     fix_dim: int
     codim_doubled: int
     component_invariant_factors: tuple[int, ...]
     component_count: int
 
 
-def fixed_locus_on_abelian(w: IntMatrix, element_id: str = "") -> FixedLocusEntry:
+def fixed_locus_on_abelian(w: IntMatrix) -> FixedLocusEntry:
     """Fixed-locus data of a lattice automorphism acting on lattice x 4-torus.
 
     The fixed subgroup of the real torus is a subtorus of dimension
@@ -86,7 +85,6 @@ def fixed_locus_on_abelian(w: IntMatrix, element_id: str = "") -> FixedLocusEntr
     for d in component_factors:
         count *= d
     return FixedLocusEntry(
-        element_id=element_id,
         fix_dim=fix_dim,
         codim_doubled=2 * (n - fix_dim),
         component_invariant_factors=component_factors,

@@ -4,41 +4,26 @@ dimensions.
 The key quantity everywhere is the dimension of the subspace fixed by the
 whole group.  Because the simple reflections generate, that subspace is the
 common kernel of (image - identity) over the generators alone, so no group
-enumeration is ever required; Reynolds averaging over an exhaustive group is
-kept as an independent cross-check for small groups.
+enumeration is ever required.
 
 A simple reflection differs from the identity in one row, so a generator
 image is held as its moved rows only, ``{row: {col: value}}``; dense input
 is converted once, at ``rep_reflection`` and ``rep_explicit``.  The double,
 symmetric and alternating squares compute only the rows that move, each from
-the entries of the rows it depends on, and every linear system here (fixed
-points, commutant, invariant forms) is assembled from the moved rows alone,
-as sparse ``{col: value}`` integer rows for one exact echelon kernel.  Weyl
-matrices in the simple-root basis are integral, and explicit input is an
-``IntMatrix``, so every value is an ``int``.
+the entries of the rows it depends on, and both linear systems here (fixed
+points and commutant) are assembled from the moved rows alone, as sparse
+``{col: value}`` integer rows for one exact echelon rank.  Weyl matrices in
+the simple-root basis are integral, and explicit input is an ``IntMatrix``,
+so every value is an ``int``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .errors import FormSpaceError, NotExhaustiveError
-from .exact_linalg import (
-    Frozen,
-    IntMatrix,
-    SparseRow,
-    clear_denominators,
-    integer_rank,
-    integer_row_kernel,
-    integer_row_rank,
-)
+from .exact_linalg import Frozen, IntMatrix, SparseRow, integer_row_rank
 from .root_data import RootDatum, simple_reflections
-from .weyl import WeylGroup
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Rows that differ from the identity, as {row: {col: value}}.
 Image = dict[int, dict[int, int]]
@@ -255,154 +240,6 @@ def invariant_dim(rep: Representation) -> int:
     return rep.dim - integer_row_rank(_fixed_point_rows(rep))
 
 
-# --- batch images over numpy element arrays (exact bounded integers) ---------
-
-
-def _batch_double(images: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    m, n, _ = images.shape
-    out = np.zeros((m, 2 * n, 2 * n), dtype=np.int64)
-    out[:, :n, :n] = images
-    out[:, n:, n:] = images
-    return out
-
-
-def _batch_images(chain: tuple, elements: np.ndarray) -> np.ndarray:
-    """Images of defining-representation elements under a construction chain."""
-    import numpy as np
-
-    if chain == ("defining",):
-        return elements.astype(np.int64)
-    if chain[0] == "double":
-        return _batch_double(_batch_images(chain[1], elements))
-    if chain[0] in ("sym2", "wedge2"):
-        inner = _batch_images(chain[1], elements)
-        n = inner.shape[1]
-        if chain[0] == "wedge2":
-            idx = pairs_strict(n)
-            rows_k = np.array([p[0] for p in idx])
-            rows_l = np.array([p[1] for p in idx])
-            cols_i = np.array([p[0] for p in idx])
-            cols_j = np.array([p[1] for p in idx])
-            term1 = inner[:, rows_k[:, None], cols_i[None, :]] * inner[:, rows_l[:, None], cols_j[None, :]]
-            term2 = inner[:, rows_l[:, None], cols_i[None, :]] * inner[:, rows_k[:, None], cols_j[None, :]]
-            return term1 - term2
-        idx = pairs_weak(n)
-        rows_k = np.array([p[0] for p in idx])
-        rows_l = np.array([p[1] for p in idx])
-        cols_i = np.array([p[0] for p in idx])
-        cols_j = np.array([p[1] for p in idx])
-        term1 = inner[:, rows_k[:, None], cols_i[None, :]] * inner[:, rows_l[:, None], cols_j[None, :]]
-        term2 = inner[:, rows_l[:, None], cols_i[None, :]] * inner[:, rows_k[:, None], cols_j[None, :]]
-        diag = (rows_k == rows_l)[:, None]
-        return np.where(diag, term1, term1 + term2)
-    raise ValueError(f"chain {chain!r} does not support element-wise images")
-
-
-def batch_images(rep: Representation, elements: np.ndarray) -> np.ndarray:
-    """Exact integer images of the given defining-representation elements."""
-    return _batch_images(rep.chain, elements)
-
-
-# --- Reynolds averaging -------------------------------------------------------
-
-
-def _sum_from_pair_matrix(chain: tuple, group: WeylGroup) -> np.ndarray | None:
-    """Assemble the summed images over the whole group from cached pair sums.
-
-    Covers the construction chains whose entries are linear or quadratic in
-    the defining matrix entries; returns None for any other chain.
-    """
-    import numpy as np
-
-    n0 = group.rank
-
-    def position_map(chain_part):
-        # Maps an entry position (a, b) of the inner image to a flat index of
-        # the defining matrix, or None for a structural zero.
-        if chain_part == ("defining",):
-            return n0, lambda a, b: a * n0 + b
-        if chain_part == ("double", ("defining",)):
-            def pos(a, b):
-                if (a < n0) == (b < n0):
-                    return (a % n0) * n0 + (b % n0)
-                return None
-
-            return 2 * n0, pos
-        return None
-
-    if chain == ("defining",):
-        s1, _ = group.pair_sums()
-        return s1.astype(np.int64)
-    if chain[0] == "double":
-        inner = _sum_from_pair_matrix(chain[1], group)
-        if inner is None:
-            return None
-        d = inner.shape[0]
-        out = np.zeros((2 * d, 2 * d), dtype=np.int64)
-        out[:d, :d] = inner
-        out[d:, d:] = inner
-        return out
-    if chain[0] in ("sym2", "wedge2"):
-        base = position_map(chain[1])
-        if base is None:
-            return None
-        dim_in, pos = base
-        _, s4 = group.pair_sums()
-
-        def pair_sum(a, b, c, d):
-            # sum over group of inner[a, b] * inner[c, d]
-            p, q = pos(a, b), pos(c, d)
-            if p is None or q is None:
-                return 0
-            return int(s4[p, q])
-
-        if chain[0] == "wedge2":
-            idx = pairs_strict(dim_in)
-            out = np.empty((len(idx), len(idx)), dtype=np.int64)
-            for r, (k, l) in enumerate(idx):
-                for c, (i, j) in enumerate(idx):
-                    out[r, c] = pair_sum(k, i, l, j) - pair_sum(l, i, k, j)
-            return out
-        idx = pairs_weak(dim_in)
-        out = np.empty((len(idx), len(idx)), dtype=np.int64)
-        for r, (k, l) in enumerate(idx):
-            for c, (i, j) in enumerate(idx):
-                if k == l:
-                    out[r, c] = pair_sum(k, i, k, j)
-                else:
-                    out[r, c] = pair_sum(k, i, l, j) + pair_sum(l, i, k, j)
-        return out
-    return None
-
-
-def reynolds_sum(rep: Representation, group: WeylGroup) -> IntMatrix:
-    """Sum of the images of all group elements, as an exact integer matrix.
-
-    The averaged projector is this sum divided by the group order; rank and
-    fixed space are unchanged by the scaling, so the sum is returned.  It is
-    assembled from the group's cached pair sums; a chain with no such
-    assembly, explicit representations among them, raises ValueError.
-    """
-    if group.elements is None:
-        raise NotExhaustiveError(f"{group.label} was not exhaustively generated")
-    total = _sum_from_pair_matrix(rep.chain, group)
-    if total is None:
-        raise ValueError(f"{rep.label} has no Reynolds sum from pair sums")
-    return IntMatrix(rep.dim, rep.dim, (int(x) for x in total.reshape(-1)))
-
-
-def invariant_dim_reynolds(rep: Representation, group: WeylGroup) -> int:
-    """Rank of the group-averaged projector (1/|W|) * sum of images.
-
-    Independent oracle for :func:`invariant_dim`; needs an exhaustive group.
-    """
-    if rep.dim == 0:
-        return 0
-    return integer_rank(reynolds_sum(rep, group))
-
-
 # --- structural checks --------------------------------------------------------
 
 
@@ -492,54 +329,3 @@ def irreducibility_check(rep: Representation) -> bool:
     irreducibility.
     """
     return commutant_dimension(rep) == 1
-
-
-def _form_rows(rep: Representation) -> list[SparseRow]:
-    """The equations g^T B g = B over all generators g, on B flattened row-major.
-
-    Entry (i, j) of g^T B g - B is sum_{p,q} g[p, i] g[q, j] B[p, q] - B[i, j],
-    identically zero unless column i or column j of g moves.
-    """
-    n = rep.dim
-    rows = []
-    for g in rep.generator_images:
-        cols = _columns(g, n)
-        moved_cols = {j for j, col in enumerate(cols) if col != {j: 1}}
-        for i in range(n):
-            for j in range(n):
-                if i in moved_cols or j in moved_cols:
-                    row = {}
-                    for p, x in cols[i].items():
-                        for q, y in cols[j].items():
-                            _add(row, p * n + q, x * y)
-                    _add(row, i * n + j, -1)
-                    rows.append(row)
-    return rows
-
-
-def invariant_bilinear_form(rep: Representation) -> IntMatrix:
-    """The group-invariant bilinear form, as a primitive integer matrix.
-
-    Solves g^T B g = B over all generators; the solution space must be
-    one-dimensional (:class:`FormSpaceError` otherwise).  The representative
-    is normalized to integer entries of content 1 with positive leading
-    entry, and is checked to be symmetric and positive definite.
-    """
-    n = rep.dim
-    if n == 0:
-        raise FormSpaceError(0)
-    basis = integer_row_kernel(_form_rows(rep), n * n)
-    if len(basis) != 1:
-        raise FormSpaceError(len(basis))
-    vec = clear_denominators(basis[0])
-    c = gcd(*vec)
-    if next(x for x in vec if x) < 0:
-        c = -c
-    prim = IntMatrix(n, n, (x // c for x in vec))
-    if not prim.is_symmetric():
-        raise AssertionError("invariant form is not symmetric")
-    for k in range(1, n + 1):
-        minor = IntMatrix(k, k, (prim[i, j] for i in range(k) for j in range(k)))
-        if minor.det() <= 0:
-            raise AssertionError("invariant form is not positive definite")
-    return prim

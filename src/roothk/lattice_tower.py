@@ -151,15 +151,6 @@ def _extend_subgroup(disc: DiscriminantGroup, h: frozenset, g: tuple[int, ...]) 
     return frozenset(out)
 
 
-def _close_subgroup(disc: DiscriminantGroup, seed: frozenset) -> frozenset:
-    """The subgroup generated by ``seed``, one generator at a time."""
-    closed = frozenset({disc.zero()})
-    for g in seed:
-        if g not in closed:
-            closed = _extend_subgroup(disc, closed, g)
-    return closed
-
-
 def all_subgroups(disc: DiscriminantGroup, cap: int = DEFAULT_DISC_CAP) -> tuple[frozenset, ...]:
     """Every subgroup of the discriminant group: starting from the trivial
     subgroup, each one found is extended by every element outside it.

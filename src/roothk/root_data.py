@@ -10,7 +10,6 @@ downstream are expressed in the simple-root basis, where they are integral.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from typing import NamedTuple
@@ -91,9 +90,6 @@ class RootSystemSpec(Frozen):
         return _CARTAN_DET[self.family](self.rank)
 
 
-AmbientVector = tuple[Fraction, ...]
-
-
 def _vec(dim: int, *terms: tuple[int, int]) -> tuple[int, ...]:
     """The integer vector sum of c * e_i over the (i, c) terms."""
     v = [0] * dim
@@ -137,14 +133,11 @@ class RootDatum(Frozen):
     """A root system with its Cartan matrix, full root set, and lattice Gram form.
 
     The ambient simple roots are ``simple_rows[i] / denominator``, integer
-    rows over their least common denominator; ``simple_roots`` is the same
-    as ``Fraction`` vectors.  ``root_coords`` holds every root in simple-root
-    coordinates, sorted, closed under the simple reflections and checked
-    against the root count; ``all_roots`` is the same set in ambient
-    coordinates.  These three are built on first read.  ``gram`` is the Gram
-    matrix of the simple roots rescaled to the smallest integral multiple;
-    ``gram_scale`` recovers the ambient inner product: raw Gram = gram *
-    gram_scale.  Immutable but for these caches and that of
+    rows over their least common denominator.  ``root_coords`` holds every
+    root in simple-root coordinates, sorted, closed under the simple
+    reflections and checked against the root count; it is built on first
+    read.  ``gram`` is the Gram matrix of the simple roots rescaled to the
+    smallest integral multiple.  Immutable but for that cache and that of
     :func:`simple_reflection`.
     """
 
@@ -155,7 +148,6 @@ class RootDatum(Frozen):
         simple_rows: tuple[tuple[int, ...], ...],
         denominator: int,
         gram: IntMatrix,
-        gram_scale: Fraction,
     ):
         vars(self).update(
             spec=spec,
@@ -163,7 +155,6 @@ class RootDatum(Frozen):
             simple_rows=simple_rows,
             denominator=denominator,
             gram=gram,
-            gram_scale=gram_scale,
             _reflection_cache={},
         )
 
@@ -199,29 +190,6 @@ class RootDatum(Frozen):
         if len(coords) != spec.root_count:
             raise AssertionError(f"root count mismatch for {spec.label}: {len(coords)}")
         return tuple(sorted(coords))
-
-    @cached_property
-    def simple_roots(self) -> tuple[AmbientVector, ...]:
-        """The simple roots in ambient coordinates."""
-        d = self.denominator
-        return tuple(tuple(Fraction(x, d) for x in r) for r in self.simple_rows)
-
-    @cached_property
-    def all_roots(self) -> tuple[AmbientVector, ...]:
-        """Every root in ambient coordinates, sorted."""
-        # Sorted as integer combinations of the integer rows; the positive
-        # common denominator keeps the sort order.
-        rows = self.simple_rows
-        ambient = []
-        for v in self.root_coords:
-            acc = [0] * len(rows[0])
-            for c, a in zip(v, rows):
-                if c:
-                    acc = [x + c * y for x, y in zip(acc, a)]
-            ambient.append(tuple(acc))
-        ambient.sort()
-        entry = {x: Fraction(x, self.denominator) for u in ambient for x in u}
-        return tuple(tuple(entry[x] for x in u) for u in ambient)
 
     @property
     def label(self) -> str:
@@ -267,7 +235,6 @@ def build_root_datum(spec: RootSystemSpec) -> RootDatum:
         simple_rows=rows,
         denominator=den,
         gram=IntMatrix(n, n, (x // g for row in dots for x in row)),
-        gram_scale=Fraction(g, den * den),
     )
 
 
@@ -296,25 +263,6 @@ def simple_reflection(datum: RootDatum, i: int) -> IntMatrix:
 def simple_reflections(datum: RootDatum) -> tuple[IntMatrix, ...]:
     """All simple reflections of the datum, in index order."""
     return tuple(simple_reflection(datum, i) for i in range(1, datum.rank + 1))
-
-
-def ambient_to_root_basis(
-    datum: RootDatum, vectors: Sequence[AmbientVector]
-) -> list[tuple[Fraction, ...]]:
-    """Simple-root coordinates of each ambient lattice-span vector, inverting
-    the Gram once."""
-    # Solve sum_j c_j a_j = v via the raw Gram system raw_gram @ c = (a_i, v),
-    # where raw_gram = gram * gram_scale has inverse adj(gram) / (det * scale).
-    # The simple roots are a_i = r_i / d with integer rows r_i, so
-    # (a_i, v) = (r_i, v) / d.
-    adj, det = datum.gram.adjugate()
-    den = det * datum.gram_scale * datum.denominator
-    n = datum.rank
-    out = []
-    for v in vectors:
-        rhs = [sum(x * y for x, y in zip(r, v) if x) for r in datum.simple_rows]
-        out.append(tuple(sum(adj[i, j] * rhs[j] for j in range(n)) / den for i in range(n)))
-    return out
 
 
 class DualQuotientReport(NamedTuple):

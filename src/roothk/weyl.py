@@ -17,7 +17,7 @@ generator-only callers never load it.
 from __future__ import annotations
 
 from math import factorial, prod
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import GroupTooLargeError, NotExhaustiveError
 from .exact_linalg import Frozen, IntMatrix
@@ -85,7 +85,6 @@ class WeylGroup:
         self.generators = generators
         self.order = order
         self.elements = elements
-        self._pair_sums = None
 
     @property
     def rank(self) -> int:
@@ -108,28 +107,6 @@ class WeylGroup:
         if self.elements is None:
             raise NotExhaustiveError(f"{self.label} was not exhaustively generated")
         return self.elements.shape[0]
-
-    def pair_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (sum of elements, sum of flattened tensor squares).
-
-        The second array S has S[(k,i),(l,j)] = sum over group elements w of
-        w[k,i] * w[l,j]; every quadratic-in-w group average used by the
-        Reynolds cross-checks assembles from it by pure indexing.
-        """
-        import numpy as np
-
-        if self.elements is None:
-            raise NotExhaustiveError(f"{self.label} was not exhaustively generated")
-        if self._pair_sums is None:
-            n = self.rank
-            flat = self.elements.reshape(self.order, n * n)
-            s1 = flat.sum(axis=0, dtype=np.int64).reshape(n, n)
-            s4 = np.zeros((n * n, n * n), dtype=np.int64)
-            for lo in range(0, self.order, 200_000):
-                chunk = flat[lo : lo + 200_000].astype(np.int64)
-                s4 += chunk.T @ chunk
-            self._pair_sums = (s1, s4)
-        return self._pair_sums
 
 
 def _walk(datum: RootDatum, k: int) -> list[tuple[int, int]]:
@@ -256,74 +233,3 @@ def element_iter(group: WeylGroup) -> Iterator[IntMatrix]:
     n = group.rank
     for row in group.elements:
         yield IntMatrix(n, n, (int(x) for x in row.reshape(-1)))
-
-
-class SignedPermutationReport(NamedTuple):
-    """Outcome of checking that W(B_n) is the full signed-permutation group."""
-
-    n: int
-    order: int
-    expected_order: int
-    all_signed_permutations: bool
-    permutation_count: int
-    signs_per_permutation: int
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.all_signed_permutations
-            and self.order == self.expected_order
-            and self.permutation_count == factorial(self.n)
-            and self.signs_per_permutation == 2**self.n
-        )
-
-
-def check_signed_permutation_structure(n: int, cap: GroupCap | None = None) -> SignedPermutationReport:
-    """Verify that W(B_n), written in the orthonormal ambient basis, consists of
-    exactly 2^n * n! signed permutation matrices.
-
-    The counts are factored by grouping elements over their underlying
-    permutation: n! distinct permutations, each decorated by all 2^n sign
-    patterns.
-    """
-    import numpy as np
-
-    if n < 2:
-        raise ValueError("signed permutation check needs n >= 2")
-    from .root_data import build_root_datum  # local import to avoid cycle at module load
-
-    datum = build_root_datum(RootSystemSpec("B", n))
-    group = generate_group(datum, cap)
-
-    # Change of basis from root coordinates to the ambient orthonormal basis.
-    # The B_n simple roots form a unimodular integer matrix, so the inverse is
-    # integral; it is computed exactly.
-    if datum.denominator != 1:
-        raise AssertionError("B_n simple roots are not integral")
-    basis_mat = IntMatrix.from_rows(
-        [[alpha[i] for alpha in datum.simple_rows] for i in range(n)]
-    )
-    adj, det = basis_mat.adjugate()
-    if det not in (1, -1):
-        raise AssertionError("B_n simple-root basis is not unimodular")
-    basis = np.array(basis_mat.to_rows(), dtype=np.int64)
-    basis_inv = np.array((adj if det == 1 else -adj).to_rows(), dtype=np.int64)
-
-    ambient = basis[None] @ group.elements.astype(np.int64) @ basis_inv[None]
-    absmats = np.abs(ambient)
-    signed = (
-        (absmats.sum(axis=1) == 1).all()
-        and (absmats.sum(axis=2) == 1).all()
-        and (absmats <= 1).all()
-    )
-    perms = absmats.argmax(axis=1)  # column -> row of the unique nonzero entry
-    unique_perms, counts = np.unique(perms, axis=0, return_counts=True)
-    signs_each = {int(c) for c in counts}
-    return SignedPermutationReport(
-        n=n,
-        order=group.order,
-        expected_order=2**n * factorial(n),
-        all_signed_permutations=bool(signed),
-        permutation_count=int(unique_perms.shape[0]),
-        signs_per_permutation=signs_each.pop() if len(signs_each) == 1 else -1,
-    )

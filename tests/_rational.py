@@ -3,8 +3,8 @@
 Exact ``Fraction`` arithmetic on lists of rows, written without anything from
 ``roothk``, so that a test comparing an integer computation against it
 compares against an independent one.  Every function takes any iterable of
-rows (lists of ``int`` or ``Fraction``, or an ``IntMatrix``) and returns a
-list of ``Fraction`` rows.
+rows (lists of ``int`` or ``Fraction``, or an ``IntMatrix``); matrices come
+back as lists of ``Fraction`` rows.
 """
 
 from fractions import Fraction
@@ -72,3 +72,41 @@ def inverse(m):
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
                 inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
     return inv
+
+
+def _rref(m):
+    """Reduced row echelon form over ``Fraction`` and its pivot columns."""
+    a = rows(m)
+    ncols = len(a[0]) if a else 0
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p = a[r][col]
+        a[r] = [x / p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a[: len(pivots)], pivots
+
+
+def rank(m):
+    return len(_rref(m)[1])
+
+
+def nullspace(m, ncols):
+    """Basis of { v : row . v = 0 for every row of m }, one vector per free
+    column, carrying 1 there and 0 at the other free columns."""
+    reduced, pivots = _rref(m)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(ncols)]
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis

@@ -7,8 +7,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 import json
 import subprocess
 import sys
+from math import factorial
+
+import numpy as np
 
 import _rational as ref
+from oracles import ambient_matrices, invariant_dim_reynolds
 from roothk.exact_linalg import IntMatrix
 from roothk.hk_analysis import (
     ResolutionVerdict,
@@ -19,7 +23,6 @@ from roothk.hk_analysis import (
 )
 from roothk.invariant_theory import (
     invariant_dim,
-    invariant_dim_reynolds,
     invariant_report,
     rep_double,
     rep_reflection,
@@ -33,7 +36,7 @@ from roothk.root_data import (
     dual_lattice_quotient_check,
     standard_table,
 )
-from roothk.weyl import check_signed_permutation_structure, element_iter, group_order_formula
+from roothk.weyl import element_iter, generate_group, group_order_formula
 
 GROUP_CAP = 5_000_000
 REYNOLDS_CAP = 100_000
@@ -81,7 +84,7 @@ def test_criterion_03_reynolds_oracle_equivalence(groups):
         v = rep_reflection(group.datum)
         reps = (v, rep_double(v), rep_sym2(v), rep_wedge2(v), rep_wedge2(rep_double(v)))
         for rep in reps:
-            if invariant_dim_reynolds(rep, group) != invariant_dim(rep):
+            if invariant_dim_reynolds(rep, group.elements) != invariant_dim(rep):
                 failures.append((spec.label, rep.label))
             checked += 1
     _verdict(3, "Reynolds oracle equivalence", not failures and checked > 0, f"{checked} representations")
@@ -102,10 +105,20 @@ def test_criterion_04_group_orders(groups):
 
 
 def test_criterion_05_signed_permutations():
+    # W(B_n) in the orthonormal ambient basis: every element a signed
+    # permutation matrix (integer rows and columns of absolute sum 1), n!
+    # permutations, each with all 2^n sign patterns.
     failures = []
     for n in range(2, 6):
-        report = check_signed_permutation_structure(n)
-        if not report.passed:
+        datum = build_root_datum(RootSystemSpec("B", n))
+        ambient = np.abs(ambient_matrices(generate_group(datum).elements, datum.simple_rows))
+        perms, signs = np.unique(ambient.argmax(axis=1), axis=0, return_counts=True)
+        if not (
+            (ambient.sum(axis=1) == 1).all()
+            and (ambient.sum(axis=2) == 1).all()
+            and len(perms) == factorial(n)
+            and set(signs.tolist()) == {2**n}
+        ):
             failures.append(n)
     _verdict(5, "signed-permutation structure", not failures, "n = 2..5")
 

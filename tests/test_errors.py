@@ -5,7 +5,6 @@ import pytest
 from roothk import errors
 from roothk.errors import (
     DiscriminantTooLargeError,
-    FormSpaceError,
     GroupTooLargeError,
     LatticeActionError,
     NotExhaustiveError,
@@ -17,7 +16,6 @@ INSTANCES = [
     GroupTooLargeError("E8", 696729600, 5000000),
     DiscriminantTooLargeError(4096, 2048),
     NotExhaustiveError("E7 was not exhaustively generated"),
-    FormSpaceError(2),
     LatticeActionError("reflection in (1, 0) does not preserve the dual lattice"),
 ]
 
@@ -41,4 +39,3 @@ def test_error_messages():
         "group E8 has 696729600 elements, exceeding the cap of 5000000; use generator-only methods"
     )
     assert str(DiscriminantTooLargeError(4096, 2048)) == "discriminant group of order 4096 exceeds the cap of 2048"
-    assert str(FormSpaceError(0)) == "invariant bilinear form space has dimension 0, expected 1"

@@ -6,18 +6,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from roothk.errors import FormSpaceError, NotExhaustiveError
-from roothk.exact_linalg import IntMatrix, integer_row_kernel, integer_row_rank
+from oracles import batch_images, invariant_dim_reynolds, reynolds_sum
+from roothk.exact_linalg import IntMatrix, integer_row_rank
 from roothk.invariant_theory import (
     Representation,
-    _form_rows,
     _image,
     _sym2_matrix,
-    batch_images,
     commutant_dimension,
-    invariant_bilinear_form,
     invariant_dim,
-    invariant_dim_reynolds,
     invariant_report,
     irreducibility_check,
     rep_double,
@@ -25,10 +21,9 @@ from roothk.invariant_theory import (
     rep_reflection,
     rep_sym2,
     rep_wedge2,
-    reynolds_sum,
 )
-from roothk.root_data import RootSystemSpec, build_root_datum
-from roothk.weyl import WeylGroup, element_iter
+from roothk.root_data import RootSystemSpec, build_root_datum, standard_table
+from roothk.weyl import element_iter
 
 
 def _datum(family, rank):
@@ -48,6 +43,18 @@ def test_reflection_rep_dims():
     assert rep_reflection(_datum("A", 2)).dim == 2
     assert rep_reflection(_datum("E", 8)).dim == 8
     assert _dense(rep_reflection(_datum("A", 1)).generator_images[0], 1) == IntMatrix.from_rows([[-1]])
+
+
+@pytest.mark.parametrize("spec", standard_table(), ids=lambda s: s.label)
+def test_reflection_images_preserve_the_gram(spec):
+    # The Gram is an invariant form of the reflection representation; by
+    # test_acceptance criterion 1 (Sym2 invariants 1, Wedge2 invariants 0)
+    # every invariant form is a multiple of it.
+    datum = build_root_datum(spec)
+    gram = datum.gram
+    for g in rep_reflection(datum).generator_images:
+        g = _dense(g, spec.rank)
+        assert g.transpose() @ gram @ g == gram
 
 
 def test_double_blocks_and_involution():
@@ -123,7 +130,7 @@ def test_reynolds_matches_generator_method(family, rank, groups):
     group = groups(family, rank)
     v = rep_reflection(group.datum)
     for rep in (v, rep_double(v), rep_sym2(v), rep_wedge2(v), rep_wedge2(rep_double(v))):
-        assert invariant_dim_reynolds(rep, group) == invariant_dim(rep)
+        assert invariant_dim_reynolds(rep, group.elements) == invariant_dim(rep)
 
 
 def test_reynolds_explicit_average_a2(groups):
@@ -131,19 +138,19 @@ def test_reynolds_explicit_average_a2(groups):
     group = groups("A", 2)
     v = rep_reflection(group.datum)
     s2 = rep_sym2(v)
-    assert invariant_dim_reynolds(s2, group) == 1
-    total = reynolds_sum(s2, group)
+    assert invariant_dim_reynolds(s2, group.elements) == 1
+    total = reynolds_sum(s2, group.elements)
     # Cross-check the fast assembly against an explicit sum over elements.
     direct = IntMatrix.zeros(3, 3)
     for w in element_iter(group):
         direct = direct + _dense(_sym2_matrix(_image(w), 2), 3)
-    assert direct == total
+    assert direct.to_rows() == total.tolist()
 
 
 def test_reynolds_rejects_explicit_reps(groups):
     triv = rep_explicit((IntMatrix.identity(1),), "explicit-trivial")
     with pytest.raises(ValueError):
-        invariant_dim_reynolds(triv, groups("A", 1))
+        invariant_dim_reynolds(triv, groups("A", 1).elements)
 
 
 def test_reynolds_rejects_chains_without_pair_sums(groups):
@@ -151,21 +158,13 @@ def test_reynolds_rejects_chains_without_pair_sums(groups):
     group = groups("A", 2)
     rep = rep_sym2(rep_sym2(rep_reflection(group.datum)))
     with pytest.raises(ValueError, match="no Reynolds sum"):
-        reynolds_sum(rep, group)
+        reynolds_sum(rep, group.elements)
 
 
 def test_reynolds_wedge2_b2(groups):
     group = groups("B", 2)
     v = rep_reflection(group.datum)
-    assert invariant_dim_reynolds(rep_wedge2(v), group) == 0
-
-
-def test_reynolds_requires_exhaustive():
-    datum = _datum("E", 8)
-    group = WeylGroup.from_generators(datum)
-    v = rep_reflection(datum)
-    with pytest.raises(NotExhaustiveError):
-        invariant_dim_reynolds(v, group)
+    assert invariant_dim_reynolds(rep_wedge2(v), group.elements) == 0
 
 
 def test_batch_images_match_generator_images(groups):
@@ -223,55 +222,16 @@ def test_doubled_rep_is_reducible():
     assert commutant_dimension(d) == 4
 
 
-def test_invariant_form_a1_any_form_invariant():
-    v = rep_reflection(_datum("A", 1))
-    form = invariant_bilinear_form(v)
-    assert form == IntMatrix.from_rows([[1]])
-
-
-def test_invariant_form_proportional_to_gram():
-    for family, rank in [("A", 2), ("B", 2), ("C", 3), ("G", 2)]:
-        datum = _datum(family, rank)
-        form = invariant_bilinear_form(rep_reflection(datum))
-        gram = datum.gram
-        # Proportionality by cross-multiplication.
-        b00 = form[0, 0]
-        g00 = Fraction(gram[0, 0])
-        for i in range(rank):
-            for j in range(rank):
-                assert form[i, j] * g00 == Fraction(gram[i, j]) * b00
-
-
-def test_invariant_form_reducible_rep_raises():
-    v = rep_reflection(_datum("A", 2))
-    with pytest.raises(FormSpaceError):
-        invariant_bilinear_form(rep_double(v))
-
-
 def test_invariant_form_reynolds_average_b2(groups):
-    # Averaging the identity form over the group lands on the same line.
+    # Averaging the identity form over the group lands on the line of the Gram.
     group = groups("B", 2)
-    v = rep_reflection(group.datum)
-    form = invariant_bilinear_form(v)
+    gram = group.datum.gram
     avg = IntMatrix.zeros(2, 2)
     for w in element_iter(group):
         avg = avg + (w.transpose() @ w)
-    b00 = form[0, 0]
     for i in range(2):
         for j in range(2):
-            assert avg[i, j] * b00 == form[i, j] * avg[0, 0]
-
-
-def test_symmetric_form_lies_in_sym2_not_wedge2():
-    # The invariant form is symmetric and the antisymmetric side has no
-    # invariants: solving the unrestricted system already returns a symmetric
-    # matrix, and the alternating square has invariant dimension zero.
-    for family, rank in [("A", 2), ("B", 3)]:
-        datum = _datum(family, rank)
-        v = rep_reflection(datum)
-        form = invariant_bilinear_form(v)
-        assert form.transpose() == form
-        assert invariant_dim(rep_wedge2(v)) == 0
+            assert avg[i, j] * gram[0, 0] == gram[i, j] * avg[0, 0]
 
 
 def test_invariant_report_passes():
@@ -310,12 +270,11 @@ def test_unimodular_conjugate_matches_integral(family, rank):
         assert invariant_dim(build(w)) == invariant_dim(build(v))
     assert commutant_dimension(w) == commutant_dimension(v) == 1
     assert commutant_dimension(rep_double(w)) == commutant_dimension(rep_double(v)) == 4
-    # The invariant form moves with the basis: B' is proportional to P^-T B P^-1.
-    moved = p_inv.transpose() @ invariant_bilinear_form(v) @ p_inv
-    form = invariant_bilinear_form(w)
-    for i in range(rank):
-        for j in range(rank):
-            assert form[i, j] * moved[0, 0] == moved[i, j] * form[0, 0]
+    # The invariant form moves with the basis: the conjugated images preserve P^-T G P^-1.
+    moved = p_inv.transpose() @ _datum(family, rank).gram @ p_inv
+    for g in w.generator_images:
+        g = _dense(g, rank)
+        assert g.transpose() @ moved @ g == moved
 
 
 def test_commutant_of_one_reflection():
@@ -377,22 +336,6 @@ def _dense_commutant_rows(mats):
     return rows
 
 
-def _dense_form_rows(mats):
-    # Entry (i, j) of g^T B g - B, on B flattened row-major.
-    n = mats[0].rows
-    rows = []
-    for g in mats:
-        for i in range(n):
-            for j in range(n):
-                row = [0] * (n * n)
-                for p in range(n):
-                    for q in range(n):
-                        row[p * n + q] += g[p, i] * g[q, j]
-                row[i * n + j] -= 1
-                rows.append(row)
-    return rows
-
-
 def _random_images(seed):
     # Random generators over small values.  The first moves two rows: row 0
     # only off its diagonal, into column 2, and row 1, whose column is zero.
@@ -431,4 +374,3 @@ def test_systems_match_dense_reference(seed):
         n = r.dim
         assert invariant_dim(r) == n - integer_row_rank(_dense_fixed_rows(dense))
         assert commutant_dimension(r) == n * n - integer_row_rank(_dense_commutant_rows(dense))
-        assert integer_row_kernel(_form_rows(r), n * n) == integer_row_kernel(_dense_form_rows(dense), n * n)

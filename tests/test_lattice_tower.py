@@ -4,6 +4,7 @@ from math import gcd, lcm
 import pytest
 
 import _rational as ref
+import oracles
 from roothk.errors import DiscriminantTooLargeError, LatticeActionError
 from roothk.exact_linalg import IntMatrix
 from roothk.lattice_tower import (
@@ -17,12 +18,7 @@ from roothk.lattice_tower import (
     lattice_isometric,
     short_vectors,
 )
-from roothk.root_data import (
-    RootSystemSpec,
-    ambient_to_root_basis,
-    build_root_datum,
-    simple_reflections,
-)
+from roothk.root_data import RootSystemSpec, build_root_datum, simple_reflections
 
 
 def _datum(family, rank):
@@ -49,14 +45,15 @@ def _bc_reference_matrices(spec):
     image of the j-th D_n simple root, built in ambient coordinates."""
     n = spec.rank
     d_datum = _datum("D", n)
+    datum = build_root_datum(spec)
     mats = []
-    for beta in build_root_datum(spec).simple_roots:
+    for beta in ref.divided(datum.simple_rows, datum.denominator):
         norm = sum((x * x for x in beta), Fraction(0))
         images = []
-        for alpha in d_datum.simple_roots:
+        for alpha in ref.divided(d_datum.simple_rows, d_datum.denominator):
             c = 2 * sum((a * b for a, b in zip(alpha, beta)), Fraction(0)) / norm
             images.append(tuple(x - c * b for x, b in zip(alpha, beta)))
-        cols = ambient_to_root_basis(d_datum, images)
+        cols = oracles.root_basis_coordinates(d_datum.simple_rows, d_datum.denominator, images)
         assert all(x.denominator == 1 for col in cols for x in col)
         mats.append(IntMatrix(n, n, (cols[j][i].numerator for i in range(n) for j in range(n))))
     return tuple(mats)
@@ -285,11 +282,7 @@ def test_duality_involution_on_towers():
         datum = _datum(family, rank)
         disc = discriminant_group(datum)
         report = invariant_intermediate_lattices(datum)
-        subgroups = []
-        for lat in report.lattices:
-            from roothk.lattice_tower import _close_subgroup
-
-            subgroups.append(_close_subgroup(disc, frozenset(lat.subgroup_generators)))
+        subgroups = [_naive_closure(disc, lat.subgroup_generators) for lat in report.lattices]
         gram_adjugate = datum.gram.adjugate()
         ann = {s: annihilator_subgroup(disc, s, gram_adjugate) for s in subgroups}
         for s in subgroups:
@@ -477,9 +470,11 @@ def _naive_closure(disc, seed):
 
 @pytest.mark.parametrize("factors", [(2, 4), (2, 2, 2), (4, 4), (3, 9)])
 def test_close_subgroup_matches_naive_closure(factors):
+    # The subgroup generated by a seed, one _extend_subgroup step per
+    # generator, as all_subgroups and minimal_generating_set grow theirs.
     import random
 
-    from roothk.lattice_tower import _close_subgroup
+    from roothk.lattice_tower import _extend_subgroup
 
     disc = _abelian(*factors)
     elements = disc.elements()
@@ -487,7 +482,10 @@ def test_close_subgroup_matches_naive_closure(factors):
     for size in range(5):
         for _ in range(20):
             seed = frozenset(rng.sample(elements, size))
-            assert _close_subgroup(disc, seed) == _naive_closure(disc, seed)
+            closed = frozenset({disc.zero()})
+            for g in seed:
+                closed = _extend_subgroup(disc, closed, g)
+            assert closed == _naive_closure(disc, seed)
 
 
 @pytest.mark.parametrize(
@@ -516,11 +514,10 @@ def _report_towers():
 
 def test_hnf_from_generator_lifts_matches_all_lifts():
     from roothk.exact_linalg import hermite_normal_form
-    from roothk.lattice_tower import _close_subgroup
 
     for datum, tower in _report_towers():
         for lat in tower.lattices:
-            subgroup = _close_subgroup(tower.disc, frozenset(lat.subgroup_generators))
+            subgroup = _naive_closure(tower.disc, lat.subgroup_generators)
             assert len(subgroup) == lat.subgroup_order
             rows = datum.gram.to_rows() + [list(tower.disc.lift(e)) for e in sorted(subgroup)]
             h = hermite_normal_form(IntMatrix.from_rows(rows))

@@ -12,7 +12,7 @@ from roothk.hk_analysis import analyze, fixed_locus_on_abelian, freeness_codim_c
 from roothk.invariant_theory import Representation, invariant_report, rep_reflection
 from roothk.lattice_tower import tower_for_spec
 from roothk.root_data import RootSystemSpec, build_root_datum, dual_lattice_quotient_check
-from roothk.weyl import GroupCap, WeylGroup, check_signed_permutation_structure
+from roothk.weyl import GroupCap, WeylGroup
 
 
 def test_spec_equality_and_hash_key_the_datum_cache():
@@ -59,7 +59,6 @@ RECORDS = {
     "Representation": lambda: rep_reflection(_a1()),
     "SmithForm": lambda: smith_normal_form(IntMatrix.from_rows([[2]])),
     "DualQuotientReport": lambda: dual_lattice_quotient_check(1),
-    "SignedPermutationReport": lambda: check_signed_permutation_structure(2),
     "InvariantReport": lambda: invariant_report(_a1()),
     "TowerReport": lambda: tower_for_spec(RootSystemSpec("A", 1)),
     "DiscriminantGroup": lambda: tower_for_spec(RootSystemSpec("A", 1)).disc,
@@ -98,3 +97,25 @@ def test_check_records_survive_a_pickle_round_trip():
 def test_spec_pickles():
     spec = RootSystemSpec("B", 3)
     assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+def _datum_fields():
+    d = build_root_datum(RootSystemSpec("A", 3))
+    return d.spec, d.cartan, d.simple_rows, d.denominator, d.gram
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: IntMatrix.from_rows([[2, -1], [-1, 2]]),
+        lambda: smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])),
+        lambda: tower_for_spec(RootSystemSpec("D", 4)),
+        _datum_fields,
+    ],
+    ids=["IntMatrix", "SmithForm", "TowerReport", "RootDatum-fields"],
+)
+def test_matrix_records_survive_a_pickle_round_trip(make):
+    record = make()
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is type(record)
+    assert back == record

@@ -4,7 +4,8 @@ from math import gcd
 import pytest
 
 import _rational as ref
-from roothk.exact_linalg import IntMatrix
+import oracles
+from roothk.exact_linalg import IntMatrix, integer_row_rank
 from roothk.root_data import (
     RootDatum,
     RootSystemSpec,
@@ -23,6 +24,16 @@ def _dot(u, v):
 def _reflect(v, alpha, alpha_norm):
     c = 2 * _dot(v, alpha) / alpha_norm
     return tuple(x - c * a for x, a in zip(v, alpha))
+
+
+def _simple_roots(datum):
+    """The ambient simple roots, as ``Fraction`` tuples."""
+    return tuple(map(tuple, ref.divided(datum.simple_rows, datum.denominator)))
+
+
+def _gram_scale(spec):
+    # The rescale clears denominators and nothing more: only F4 needs it.
+    return Fraction(1, 2) if spec.family == "F" else 1
 
 
 SMALL_TABLE = [
@@ -81,7 +92,8 @@ def test_cartan_axioms_and_determinant(family, rank):
 )
 def test_root_counts(family, rank, count):
     datum = build_root_datum(RootSystemSpec(family, rank))
-    assert len(datum.all_roots) == count
+    assert len(oracles.ambient_roots(datum.simple_rows, datum.denominator)) == count
+    assert len(datum.root_coords) == count
 
 
 @pytest.mark.parametrize("family,rank", SMALL_TABLE)
@@ -89,8 +101,9 @@ def test_gram_positive_definite_and_minimally_integral(family, rank):
     datum = build_root_datum(RootSystemSpec(family, rank))
     g = datum.gram
     assert g.is_symmetric()
-    # The rescale clears denominators and nothing more: only F4 needs it.
-    assert datum.gram_scale == (Fraction(1, 2) if family == "F" else 1)
+    simple = _simple_roots(datum)
+    scale = _gram_scale(datum.spec)
+    assert [[x * scale for x in row] for row in g] == [[_dot(a, b) for b in simple] for a in simple]
     # Positive definite: all leading principal minors positive.
     for k in range(1, rank + 1):
         sub = IntMatrix(k, k, (g[i, j] for i in range(k) for j in range(k)))
@@ -122,10 +135,7 @@ def test_reflection_involution_gram_preservation_rank(family, rank):
     for s in simple_reflections(datum):
         assert s @ s == ident
         assert s.transpose() @ datum.gram @ s == datum.gram
-        diff = s - ident
-        from roothk.exact_linalg import integer_rank
-
-        assert integer_rank(diff) == 1
+        assert integer_row_rank(s - ident) == 1
 
 
 @pytest.mark.parametrize("family,rank", SMALL_TABLE)
@@ -133,7 +143,8 @@ def test_gram_relates_to_cartan_by_half_norms(family, rank):
     # (a_i, a_j) = C[j][i] * (a_i, a_i) / 2, i.e. raw Gram = D @ C^T with
     # D = diag((a_i, a_i) / 2).
     datum = build_root_datum(RootSystemSpec(family, rank))
-    raw = [[x * datum.gram_scale for x in row] for row in datum.gram]
+    simple = _simple_roots(datum)
+    raw = [[_dot(a, b) for b in simple] for a in simple]
     ct = datum.cartan.transpose()
     assert raw == [[raw[i][i] / 2 * ct[i, j] for j in range(rank)] for i in range(rank)]
 
@@ -141,7 +152,8 @@ def test_gram_relates_to_cartan_by_half_norms(family, rank):
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("D", 4), ("G", 2), ("F", 4)])
 def test_roots_single_orbit_per_length(family, rank):
     datum = build_root_datum(RootSystemSpec(family, rank))
-    simple = datum.simple_roots
+    simple = _simple_roots(datum)
+    roots = oracles.ambient_roots(datum.simple_rows, datum.denominator)
     norms = [_dot(a, a) for a in simple]
     # Orbit of each simple root under the simple reflections.
     covered = set()
@@ -160,8 +172,8 @@ def test_roots_single_orbit_per_length(family, rank):
         covered |= orbit
         # One orbit per root length: the orbit is exactly the roots of that norm.
         norm = _dot(alpha, alpha)
-        assert orbit == {r for r in datum.all_roots if _dot(r, r) == norm}
-    assert covered == set(datum.all_roots)
+        assert orbit == {r for r in roots if _dot(r, r) == norm}
+    assert covered == set(roots)
 
 
 @pytest.mark.parametrize("spec", standard_table(), ids=lambda s: s.label)
@@ -170,10 +182,10 @@ def test_integer_root_data_matches_fraction_dots(spec):
     # rescaled simple roots; recompute each from Fraction dot products of the
     # ambient simple roots.
     datum = build_root_datum(spec)
-    simple, n = datum.simple_roots, spec.rank
+    simple, n = _simple_roots(datum), spec.rank
     cartan = [[2 * _dot(a, b) / _dot(b, b) for b in simple] for a in simple]
     assert datum.cartan.to_rows() == cartan
-    assert [[x * datum.gram_scale for x in row] for row in datum.gram] == [
+    assert [[x * _gram_scale(spec) for x in row] for row in datum.gram] == [
         [_dot(a, b) for b in simple] for a in simple
     ]
     for i, alpha in enumerate(simple, start=1):
@@ -194,32 +206,24 @@ def test_simple_rows_over_least_denominator(spec):
     den = datum.denominator
     assert den == (2 if spec.family in ("E", "F") else 1)
     assert gcd(den, *(x for row in datum.simple_rows for x in row)) == 1
-    assert datum.simple_roots == tuple(
-        tuple(Fraction(x, den) for x in row) for row in datum.simple_rows
-    )
 
 
 def test_ambient_roots_are_built_on_first_use():
     # A fresh datum, not the cached one, which other tests may have read.
     datum = build_root_datum.__wrapped__(RootSystemSpec("E", 7))
-    assert "root_coords" not in vars(datum) and "all_roots" not in vars(datum)
+    assert "root_coords" not in vars(datum)
     assert len(datum.root_coords) == 126
-    assert len(datum.all_roots) == 126
-    assert "root_coords" in vars(datum) and "all_roots" in vars(datum)
+    assert "root_coords" in vars(datum)
     with pytest.raises(AttributeError):
         datum.root_coords = ()
 
 
 @pytest.mark.parametrize("spec", standard_table(), ids=lambda s: s.label)
 def test_all_roots_are_the_ambient_image_of_root_coords(spec):
+    # The ambient roots, closed under the ambient reflections, in simple-root
+    # coordinates: a closure that never reads the Cartan matrix.
     datum = build_root_datum(spec)
-    simple = datum.simple_roots
-    dim = len(simple[0])
-    image = sorted(
-        tuple(sum((c * a[k] for c, a in zip(v, simple)), Fraction(0)) for k in range(dim))
-        for v in datum.root_coords
-    )
-    assert datum.all_roots == tuple(image)
+    assert oracles.root_coords(datum.simple_rows, datum.denominator) == datum.root_coords
     assert datum.root_coords == tuple(sorted(set(datum.root_coords)))
 
 
@@ -264,7 +268,6 @@ def test_dual_quotient_check_rejects_a_wrong_gram(monkeypatch, n, rows):
             simple_rows=d.simple_rows,
             denominator=d.denominator,
             gram=IntMatrix.from_rows(rows),
-            gram_scale=d.gram_scale,
         )
 
     monkeypatch.setattr(root_data, "build_root_datum", wrong_gram)

@@ -1,15 +1,16 @@
 import tracemalloc
 from collections import Counter
+from math import factorial
 
 import numpy as np
 import pytest
 
+import oracles
 from roothk import weyl
 from roothk.errors import GroupTooLargeError, NotExhaustiveError
 from roothk.exact_linalg import IntMatrix
 from roothk.root_data import (
     RootSystemSpec,
-    ambient_to_root_basis,
     build_root_datum,
     simple_reflections,
     standard_table,
@@ -17,7 +18,6 @@ from roothk.root_data import (
 from roothk.weyl import (
     GroupCap,
     WeylGroup,
-    check_signed_permutation_structure,
     element_iter,
     generate_group,
     group_order_formula,
@@ -90,7 +90,7 @@ def _exponents(datum, k=None):
     With ``k``, only the roots supported on the first k simple roots: the
     root system of the parabolic subgroup W_J, J = {s_0, ..., s_(k-1)} (the
     partition adds up over its components)."""
-    coords = ambient_to_root_basis(datum, datum.all_roots)
+    coords = oracles.root_coords(datum.simple_rows, datum.denominator)
     per_height = Counter(int(sum(c)) for c in coords if min(c) >= 0 and (k is None or not any(c[k:])))
     return sorted(h for h in per_height for _ in range(per_height[h] - per_height[h + 1]))
 
@@ -105,7 +105,7 @@ def _poincare(exponents):
 
 def _lengths(datum, elements):
     """Coxeter length of each element: the positive roots it sends negative."""
-    coords = ambient_to_root_basis(datum, datum.all_roots)
+    coords = oracles.root_coords(datum.simple_rows, datum.denominator)
     positive = np.array([[int(x) for x in c] for c in coords if min(c) >= 0], dtype=np.int32)
     images = np.asarray(elements, dtype=np.int32) @ positive.T
     return (images < 0).any(axis=1).sum(axis=1).tolist()
@@ -258,6 +258,8 @@ def test_element_iter_requires_exhaustive():
     group = WeylGroup.from_generators(build_root_datum(RootSystemSpec("E", 8)))
     with pytest.raises(NotExhaustiveError):
         next(element_iter(group))
+    with pytest.raises(NotExhaustiveError):
+        group.element_count()
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
@@ -289,11 +291,9 @@ def _inverse_in(elem_set, g, ident):
 def test_roots_closed_under_group(groups):
     # The root set is a union of orbits of the simple roots: every w sends
     # root coordinates (in the root basis) to root coordinates.
-    from roothk.root_data import ambient_to_root_basis
-
     group = groups("B", 2)
     datum = group.datum
-    root_coords = set(ambient_to_root_basis(datum, datum.all_roots))
+    root_coords = set(oracles.root_coords(datum.simple_rows, datum.denominator))
     for g in element_iter(group):
         for v in root_coords:
             image = tuple(
@@ -304,13 +304,14 @@ def test_roots_closed_under_group(groups):
 
 @pytest.mark.parametrize("n,order", [(2, 8), (3, 48), (4, 384)])
 def test_signed_permutation_structure(n, order):
-    report = check_signed_permutation_structure(n)
-    assert report.passed
-    assert report.order == order
-    assert report.all_signed_permutations
-    assert report.permutation_count * report.signs_per_permutation == order
-
-
-def test_signed_permutation_cap_propagates():
-    with pytest.raises(GroupTooLargeError):
-        check_signed_permutation_structure(4, GroupCap(max_elements=100))
+    # W(B_n), written in the orthonormal ambient basis, is every signed
+    # permutation matrix: n! permutations, each with all 2^n sign patterns.
+    datum = build_root_datum(RootSystemSpec("B", n))
+    group = generate_group(datum)
+    assert group.order == order
+    ambient = np.abs(oracles.ambient_matrices(group.elements, datum.simple_rows))
+    # Integer rows and columns of absolute sum 1: one entry +-1 in each.
+    assert (ambient.sum(axis=1) == 1).all() and (ambient.sum(axis=2) == 1).all()
+    perms, signs = np.unique(ambient.argmax(axis=1), axis=0, return_counts=True)
+    assert len(perms) == factorial(n)
+    assert set(signs.tolist()) == {2**n}
