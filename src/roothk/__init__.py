@@ -28,7 +28,6 @@ from .root_data import (
     RootSystemSpec,
     build_root_datum,
     dual_lattice_quotient_check,
-    simple_reflection,
     simple_reflections,
     standard_table,
 )

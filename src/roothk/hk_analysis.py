@@ -22,7 +22,7 @@ from .invariant_theory import (
     rep_wedge2,
 )
 from .lattice_tower import tower_for_spec
-from .root_data import RootDatum, RootSystemSpec, build_root_datum
+from .root_data import RootSystemSpec, build_root_datum
 from .weyl import (
     _ENTRY_BOUND,
     GroupCap,
@@ -242,17 +242,13 @@ def resolution_verdict(family: str) -> ResolutionVerdict:
     return RESOLUTION_TABLE[family]
 
 
-def symplectic_form_dim(datum_or_rep: RootDatum | Representation) -> int:
-    """Dimension of the invariant two-form space on the doubled lattice span.
+def symplectic_form_dim(rep: Representation) -> int:
+    """Dimension of the invariant two-form space on the doubled span of ``rep``.
 
     For an irreducible lattice representation this is 1: the unique invariant
     symmetric form pairs the two copies.
     """
-    if isinstance(datum_or_rep, Representation):
-        base = datum_or_rep
-    else:
-        base = rep_reflection(datum_or_rep)
-    return invariant_dim(rep_wedge2(rep_double(base)))
+    return invariant_dim(rep_wedge2(rep_double(rep)))
 
 
 def known_model(spec: RootSystemSpec, lattice_label: str) -> str | None:
@@ -274,7 +270,6 @@ def known_model(spec: RootSystemSpec, lattice_label: str) -> str | None:
 class HKVerdict(NamedTuple):
     """Assembled report for one (group, lattice) pair."""
 
-    spec: RootSystemSpec
     lattice_label: str
     irreducible: bool
     symplectic_form_dim: int
@@ -336,7 +331,6 @@ def analyze(
     freeness = freeness_codim_check(group, cap=cap)
 
     return HKVerdict(
-        spec=spec,
         lattice_label=lattice_label,
         irreducible=irreducible,
         symplectic_form_dim=form_dim,

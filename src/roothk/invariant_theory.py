@@ -49,19 +49,14 @@ class Representation(Frozen):
     held row may happen to equal it.  Values are ``int``: every construction
     from a Weyl group's reflection representation is integral, and explicit
     images are ``IntMatrix``.
-
-    ``chain`` records how the representation was built from the defining
-    (reflection) representation, e.g. ("wedge2", ("double", ("defining",))).
-    Explicitly supplied generator images get the chain ("explicit",); they
-    support generator-only operations but not element-wise group averaging.
     """
 
-    def __init__(self, dim: int, generator_images: tuple[Image, ...], label: str, chain: tuple):
+    def __init__(self, dim: int, generator_images: tuple[Image, ...]):
         for g in generator_images:
             for k, row in g.items():
                 if not (0 <= k < dim and all(0 <= c < dim for c in row)):
                     raise ValueError("generator image has an index out of range")
-        vars(self).update(dim=dim, generator_images=generator_images, label=label, chain=chain)
+        vars(self).update(dim=dim, generator_images=generator_images)
 
 
 def _image(m: IntMatrix) -> Image:
@@ -77,23 +72,17 @@ def _image(m: IntMatrix) -> Image:
 
 def rep_reflection(datum: RootDatum) -> Representation:
     """The rank-dimensional reflection representation, with integer images."""
-    return Representation(
-        dim=datum.rank,
-        generator_images=tuple(_image(s) for s in simple_reflections(datum)),
-        label=f"V({datum.label})",
-        chain=("defining",),
-    )
+    return Representation(datum.rank, tuple(_image(s) for s in simple_reflections(datum)))
 
 
-def rep_explicit(generator_images: tuple[IntMatrix, ...], label: str) -> Representation:
+def rep_explicit(generator_images: tuple[IntMatrix, ...]) -> Representation:
     """Representation from given square integer generator images."""
     if not all(isinstance(g, IntMatrix) for g in generator_images):
         raise TypeError("generator images must be IntMatrix")
     dim = generator_images[0].rows if generator_images else 0
     if any(g.rows != dim or g.cols != dim for g in generator_images):
         raise ValueError("generator images must be square of one size")
-    images = tuple(_image(g) for g in generator_images)
-    return Representation(dim=dim, generator_images=images, label=label, chain=("explicit",))
+    return Representation(dim, tuple(_image(g) for g in generator_images))
 
 
 # --- row-sparse constructions ------------------------------------------------
@@ -175,32 +164,20 @@ def _wedge2_matrix(g: Image, n: int) -> Image:
 
 def rep_double(rep: Representation) -> Representation:
     """Block-diagonal doubling: two copies of the input side by side."""
-    return Representation(
-        dim=2 * rep.dim,
-        generator_images=tuple(_double_matrix(g, rep.dim) for g in rep.generator_images),
-        label=f"({rep.label})^2",
-        chain=("double", rep.chain),
-    )
+    images = tuple(_double_matrix(g, rep.dim) for g in rep.generator_images)
+    return Representation(2 * rep.dim, images)
 
 
 def rep_sym2(rep: Representation) -> Representation:
     """Symmetric square, dimension n(n+1)/2."""
-    return Representation(
-        dim=rep.dim * (rep.dim + 1) // 2,
-        generator_images=tuple(_sym2_matrix(g, rep.dim) for g in rep.generator_images),
-        label=f"Sym2({rep.label})",
-        chain=("sym2", rep.chain),
-    )
+    images = tuple(_sym2_matrix(g, rep.dim) for g in rep.generator_images)
+    return Representation(rep.dim * (rep.dim + 1) // 2, images)
 
 
 def rep_wedge2(rep: Representation) -> Representation:
     """Alternating square, dimension n(n-1)/2."""
-    return Representation(
-        dim=rep.dim * (rep.dim - 1) // 2,
-        generator_images=tuple(_wedge2_matrix(g, rep.dim) for g in rep.generator_images),
-        label=f"Wedge2({rep.label})",
-        chain=("wedge2", rep.chain),
-    )
+    images = tuple(_wedge2_matrix(g, rep.dim) for g in rep.generator_images)
+    return Representation(rep.dim * (rep.dim - 1) // 2, images)
 
 
 # --- generator-only linear systems ---------------------------------------------
@@ -261,7 +238,6 @@ class InvariantReport(NamedTuple):
     """Invariant dimensions of the three tensor constructions plus
     irreducibility of the underlying reflection representation."""
 
-    label: str
     dim_sym2_inv: int
     dim_wedge2_inv: int
     dim_wedge2_doubled_inv: int
@@ -284,7 +260,6 @@ def invariant_report(datum: RootDatum) -> InvariantReport:
     v = rep_reflection(datum)
     inv_s2, inv_w2, inv_w2d, consistent = _tensor_square_invariants(v)
     return InvariantReport(
-        label=datum.label,
         dim_sym2_inv=inv_s2,
         dim_wedge2_inv=inv_w2,
         dim_wedge2_doubled_inv=inv_w2d,

@@ -14,13 +14,17 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import DiscriminantTooLargeError, LatticeActionError
 from .exact_linalg import IntMatrix, hermite_normal_form, smith_normal_form
 from .root_data import RootDatum, RootSystemSpec, build_root_datum
 
-DEFAULT_DISC_CAP = 10**6
+# Largest discriminant group whose subgroups are enumerated, and the most
+# candidate vectors and backtracking nodes one isometry search may visit
+# before its verdict is None (inconclusive).
+_DISC_CAP = 10**6
+_NODE_CAP = 1_000_000
 
 
 def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -151,16 +155,17 @@ def _extend_subgroup(disc: DiscriminantGroup, h: frozenset, g: tuple[int, ...]) 
     return frozenset(out)
 
 
-def all_subgroups(disc: DiscriminantGroup, cap: int = DEFAULT_DISC_CAP) -> tuple[frozenset, ...]:
+def all_subgroups(disc: DiscriminantGroup) -> tuple[frozenset, ...]:
     """Every subgroup of the discriminant group: starting from the trivial
     subgroup, each one found is extended by every element outside it.
 
     Every subgroup is reached, since it is the trivial subgroup extended by
     its generators one at a time.  Deterministic order: by subgroup order,
-    then by the sorted element tuples.
+    then by the sorted element tuples.  Raises
+    :class:`DiscriminantTooLargeError` past ``_DISC_CAP`` elements.
     """
-    if disc.order > cap:
-        raise DiscriminantTooLargeError(disc.order, cap)
+    if disc.order > _DISC_CAP:
+        raise DiscriminantTooLargeError(disc.order, _DISC_CAP)
     elements = disc.elements()
     found = {frozenset({disc.zero()})}
     worklist = list(found)
@@ -262,7 +267,6 @@ class IntermediateLattice(NamedTuple):
 class TowerReport(NamedTuple):
     """All group-stable intermediate lattices for one root datum."""
 
-    datum_label: str
     disc: DiscriminantGroup
     lattices: tuple[IntermediateLattice, ...]
     rescaling_classes: tuple[tuple[int, ...], ...]
@@ -321,11 +325,13 @@ def _recognize_label(datum: RootDatum, disc_order: int, lat: IntermediateLattice
     if order == disc_order:
         return f"{datum.label}*"
     d = lat.gram_denominator
-    # Determinant 1 leaves no Smith invariant to compare with the cube's.
+    # An integral unimodular lattice is Z^n iff it has n pairs of norm-1
+    # vectors: two such vectors that are not +-each other are orthogonal, so
+    # n pairs span a unimodular sublattice of full rank, which is all of L.
     if all(x % d == 0 for x in lat.scaled_gram.data) and lat.gram_det == 1:
         rank = datum.rank
         g = IntMatrix(rank, rank, (x // d for x in lat.scaled_gram.data))
-        if _isometry_search(g, IntMatrix.identity(rank)) is True:
+        if len(short_vectors(g, 1)) == rank:
             base = f"Z^{rank}"
             if base not in seen:
                 return base
@@ -339,9 +345,7 @@ def _recognize_label(datum: RootDatum, disc_order: int, lat: IntermediateLattice
 
 
 def invariant_intermediate_lattices(
-    datum: RootDatum,
-    reflections: tuple[tuple[int, ...], ...] | None = None,
-    cap: int = DEFAULT_DISC_CAP,
+    datum: RootDatum, reflections: tuple[tuple[int, ...], ...] | None = None
 ) -> TowerReport:
     """Enumerate all group-stable lattices between the root lattice and its dual.
 
@@ -359,7 +363,7 @@ def invariant_intermediate_lattices(
     disc = discriminant_group(datum)
     gram_adjugate = datum.gram.adjugate()
     actions = induced_discriminant_action(reflections, disc, datum.gram)
-    subgroups = all_subgroups(disc, cap)
+    subgroups = all_subgroups(disc)
     stable = []
     for s in subgroups:
         if all(all(table[e] in s for e in s) for table in actions):
@@ -376,7 +380,6 @@ def invariant_intermediate_lattices(
 
     classes, flagged = classify_up_to_rescaling(lattices)
     return TowerReport(
-        datum_label=datum.label,
         disc=disc,
         lattices=tuple(lattices),
         rescaling_classes=classes,
@@ -404,7 +407,7 @@ def _primitive_roots(
     return tuple(out)
 
 
-def bc_tower(spec: RootSystemSpec, cap: int = DEFAULT_DISC_CAP) -> TowerReport:
+def bc_tower(spec: RootSystemSpec) -> TowerReport:
     """The tower of W(B_n) = W(C_n)-stable lattices between D_n and its dual.
 
     The B/C root lattices themselves have trivial or rigid discriminant
@@ -418,22 +421,29 @@ def bc_tower(spec: RootSystemSpec, cap: int = DEFAULT_DISC_CAP) -> TowerReport:
         raise ValueError("the D-lattice tower needs rank >= 3")
     d_datum = build_root_datum(RootSystemSpec("D", spec.rank))
     reflections = _primitive_roots(d_datum, build_root_datum(spec).simple_rows)
-    return invariant_intermediate_lattices(d_datum, reflections, cap)
+    return invariant_intermediate_lattices(d_datum, reflections)
 
 
-def tower_for_spec(spec: RootSystemSpec, cap: int = DEFAULT_DISC_CAP) -> TowerReport:
+def tower_for_spec(spec: RootSystemSpec) -> TowerReport:
     """The sublattice tower of a spec: over D_n for B/C (:func:`bc_tower`),
     over the spec's own root lattice under its Weyl group otherwise."""
     if spec.family in ("B", "C"):
-        return bc_tower(spec, cap)
-    return invariant_intermediate_lattices(build_root_datum(spec), cap=cap)
+        return bc_tower(spec)
+    return invariant_intermediate_lattices(build_root_datum(spec))
 
 
 # --- exact short vectors and isometry testing ---------------------------------
 
 
 def short_vectors(g: IntMatrix, bound: int) -> list[tuple[tuple[int, ...], int]]:
-    """All lattice vectors (up to sign) with 0 < Q(x) <= bound, exactly.
+    """All lattice vectors (up to sign) with 0 < Q(x) <= bound, exactly, as
+    the sorted list of :func:`_short_vectors`."""
+    return sorted(_short_vectors(g, bound))
+
+
+def _short_vectors(g: IntMatrix, bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """All lattice vectors (up to sign) with 0 < Q(x) <= bound, exactly, in
+    the order the enumeration meets them.
 
     Fincke-Pohst enumeration in integers (Cohen, GTM 138, Alg. 2.7.5, made
     fraction-free).  Bareiss elimination of the integer form gives its
@@ -443,10 +453,10 @@ def short_vectors(g: IntMatrix, bound: int) -> list[tuple[tuple[int, ...], int]]
 
     Scaling by L = lcm_i(D_i D_{i+1}) makes every level an integer weight times
     a square, so the range of each x_i is an exact integer square root and
-    every comparison is on integers.  Only one of each +-pair is returned,
+    every comparison is on integers.  Only one of each +-pair is yielded,
     with the first nonzero coordinate positive, together with its integer
-    norm Q(x); the list is sorted.  Raises ValueError when a leading minor is
-    not positive (the form is not positive definite).
+    norm Q(x).  Raises ValueError when a leading minor is not positive (the
+    form is not positive definite).
     """
     n = g.rows
     if bound < 0:
@@ -471,12 +481,11 @@ def short_vectors(g: IntMatrix, bound: int) -> list[tuple[tuple[int, ...], int]]
     weights = [scale // (minors[i] * minors[i + 1]) for i in range(n)]
     tails = [[(j, b[i][j]) for j in range(i + 1, n) if b[i][j]] for i in range(n)]
     total = scale * bound
-    out: list[tuple[tuple[int, ...], int]] = []
     x = [0] * n
 
     # Each +-pair is enumerated once, with its last nonzero coordinate
     # positive; the sign is moved to the first nonzero one on output.
-    def recurse(i: int, remaining: int, started: bool) -> None:
+    def recurse(i: int, remaining: int, started: bool) -> Iterator[tuple[tuple[int, ...], int]]:
         d, w = minors[i + 1], weights[i]
         p = sum(bij * x[j] for j, bij in tails[i])
         s = isqrt(remaining // w)
@@ -486,17 +495,16 @@ def short_vectors(g: IntMatrix, bound: int) -> list[tuple[tuple[int, ...], int]]
             x[i] = xi
             rest = remaining - w * y * y
             if i:
-                recurse(i - 1, rest, started or xi != 0)
+                yield from recurse(i - 1, rest, started or xi != 0)
             elif started or xi:
                 vec = tuple(x)
                 if next(v for v in vec if v) < 0:
                     vec = tuple(-v for v in vec)
-                out.append((vec, (total - rest) // scale))
+                yield vec, (total - rest) // scale
         x[i] = 0
 
     if n:
-        recurse(n - 1, total, False)
-    return sorted(out)
+        yield from recurse(n - 1, total, False)
 
 
 def _greedy_reduce(g: IntMatrix) -> IntMatrix:
@@ -530,33 +538,30 @@ def _greedy_reduce(g: IntMatrix) -> IntMatrix:
     return IntMatrix(n, n, (a[order[i]][order[j]] for i in range(n) for j in range(n)))
 
 
-def lattice_isometric(
-    g1: IntMatrix, g2: IntMatrix, node_cap: int = 1_000_000
-) -> bool | None:
+def lattice_isometric(g1: IntMatrix, g2: IntMatrix) -> bool | None:
     """Decide whether two positive definite integer forms are unimodularly
     equivalent: equal ranks, determinants and Smith forms, then
     :func:`_isometry_search`.  Returns True/False, or None when the search
-    exceeds ``node_cap`` nodes (callers must treat None as inconclusive,
-    never as a match).
+    visits more than ``_NODE_CAP`` vectors and nodes (callers must treat
+    None as inconclusive, never as a match).
     """
     if (g1.rows, g1.det()) != (g2.rows, g2.det()):
         return False
     if smith_normal_form(g1).diag != smith_normal_form(g2).diag:
         return False
-    return _isometry_search(g1, g2, node_cap)
+    return _isometry_search(g1, g2)
 
 
-def _isometry_search(
-    g1: IntMatrix, g2: IntMatrix, node_cap: int = 1_000_000
-) -> bool | None:
+def _isometry_search(g1: IntMatrix, g2: IntMatrix) -> bool | None:
     """Backtracking isometry test for forms of equal rank whose determinants
     and Smith forms already agree.
 
     Both forms are first greedily size-reduced, so the candidate vectors live
     at small norms; the basis of the first form is then reordered
     most-constrained-first, so each new vector is pruned by as many
-    inner-product constraints as possible.  Every column visited adds its
-    candidate count to the node total; past ``node_cap`` the verdict is None.
+    inner-product constraints as possible.  Every short vector enumerated
+    adds one to the node total, and every column visited adds its candidate
+    count; past ``_NODE_CAP`` the verdict is None.
     """
     n = g1.rows
     if n == 0:
@@ -578,25 +583,33 @@ def _isometry_search(
         order.append(pick)
         remaining.discard(pick)
     target = [[g1[order[i], order[j]] for j in range(n)] for i in range(n)]
+    nodes = 0
+
+    def vectors(g: IntMatrix, bound: int) -> list | None:
+        # The short vectors up to bound, or None once the node total passes
+        # the cap.
+        nonlocal nodes
+        vecs = list(itertools.islice(_short_vectors(g, bound), _NODE_CAP - nodes + 1))
+        nodes += len(vecs)
+        return vecs if nodes <= _NODE_CAP else None
 
     norms_needed = [target[i][i] for i in range(n)]
     max_norm = max(norms_needed)
-    # Count first: the vector counts below max_norm must agree as well, and
-    # a mismatch at a small bound (Z^n has 2n vectors of norm 1) is found
-    # without enumerating both forms up to max_norm.
-    for k in range(1, max_norm):
-        if len(short_vectors(g1, k)) != len(short_vectors(g2, k)):
+    # Count first, bound by bound: a mismatch at a small bound (Z^n has 2n
+    # vectors of norm 1) is found without enumerating both forms up to
+    # max_norm.  Integer forms have integer norms, so equal totals at every
+    # bound up to max_norm mean equal counts at every norm.
+    for k in range(1, max_norm + 1):
+        vecs1, cands = vectors(g1, k), vectors(g2, k)
+        if vecs1 is None or cands is None:
+            return None
+        if len(vecs1) != len(cands):
             return False
-    cands = short_vectors(g2, max_norm)
     by_norm: dict[int, list[tuple[int, ...]]] = {}
     for vec, norm in cands:
         by_norm.setdefault(norm, []).extend((vec, tuple(-v for v in vec)))
     for norm in list(by_norm):
         by_norm[norm].sort()
-    # Integer forms have integer norms and the counts below max_norm already
-    # agree, so equal totals at max_norm mean equal counts at every norm.
-    if len(short_vectors(g1, max_norm)) != len(cands):
-        return False
 
     # The pairing of candidate c with a chosen vector v is (c G2) . v, so each
     # candidate is stored with its row c G2.
@@ -607,7 +620,6 @@ def _isometry_search(
     }
 
     chosen: list[tuple[int, ...]] = [()] * n
-    nodes = 0
 
     def backtrack(col: int) -> bool | None:
         nonlocal nodes
@@ -616,7 +628,7 @@ def _isometry_search(
             return False
         rows = pairing_rows[norm]
         nodes += len(rows)
-        if nodes > node_cap:
+        if nodes > _NODE_CAP:
             return None
         need = target[col]
         fits = (

@@ -10,7 +10,7 @@ downstream are expressed in the simple-root basis, where they are integral.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -137,8 +137,7 @@ class RootDatum(Frozen):
     root in simple-root coordinates, sorted, closed under the simple
     reflections and checked against the root count; it is built on first
     read.  ``gram`` is the Gram matrix of the simple roots rescaled to the
-    smallest integral multiple.  Immutable but for that cache and that of
-    :func:`simple_reflection`.
+    smallest integral multiple.  Immutable but for that cache.
     """
 
     def __init__(
@@ -155,7 +154,6 @@ class RootDatum(Frozen):
             simple_rows=simple_rows,
             denominator=denominator,
             gram=gram,
-            _reflection_cache={},
         )
 
     def __repr__(self) -> str:
@@ -238,31 +236,24 @@ def build_root_datum(spec: RootSystemSpec) -> RootDatum:
     )
 
 
-def simple_reflection(datum: RootDatum, i: int) -> IntMatrix:
-    """Matrix of the i-th simple reflection (1-based) in the simple-root basis.
+@cache
+def simple_reflections(datum: RootDatum) -> tuple[IntMatrix, ...]:
+    """The simple reflections of the datum in the simple-root basis, in index
+    order, built once per datum.
 
-    The reflection fixes every basis vector except the i-th coordinate row:
+    Reflection i fixes every basis vector except the i-th coordinate row:
     s_i(a_j) = a_j - (2(a_j, a_i)/(a_i, a_i)) a_i = a_j - cartan[j, i] a_i, so
-    the matrix is the identity with row i replaced by those integer
+    its matrix is the identity with row i replaced by those integer
     coefficients.
     """
     n = datum.rank
-    if not 1 <= i <= n:
-        raise IndexError(f"reflection index {i} out of range 1..{n}")
-    cached = datum._reflection_cache.get(i)
-    if cached is not None:
-        return cached
-    data = [0] * (n * n)
-    data[:: n + 1] = [1] * n
-    data[(i - 1) * n : i * n] = [int(c == i - 1) - datum.cartan[c, i - 1] for c in range(n)]
-    m = IntMatrix(n, n, data)
-    datum._reflection_cache[i] = m
-    return m
-
-
-def simple_reflections(datum: RootDatum) -> tuple[IntMatrix, ...]:
-    """All simple reflections of the datum, in index order."""
-    return tuple(simple_reflection(datum, i) for i in range(1, datum.rank + 1))
+    out = []
+    for i in range(n):
+        data = [0] * (n * n)
+        data[:: n + 1] = [1] * n
+        data[i * n : (i + 1) * n] = [int(c == i) - datum.cartan[c, i] for c in range(n)]
+        out.append(IntMatrix(n, n, data))
+    return tuple(out)
 
 
 class DualQuotientReport(NamedTuple):
@@ -273,10 +264,10 @@ class DualQuotientReport(NamedTuple):
     vectors have pairwise inner products delta_ij - 1/(n+1), and the partial
     sums of the first i of them realize the fundamental weights, whose Gram
     matrix is the inverse of the Cartan matrix.  Every matrix is kept in
-    integers, multiplied by ``scale`` = n+1: ``model_gram`` is (n+1)I - J,
-    ``weight_basis_gram`` its partial sums, and ``inverse_gram`` the
-    adjugate of the Gram matrix, which is (n+1) times its inverse exactly
-    when its determinant is n+1.
+    integers, multiplied by ``scale`` = n+1: ``model_gram`` is (n+1)I - J and
+    ``weight_basis_gram`` its partial sums, compared with the adjugate of the
+    Gram matrix, which is (n+1) times its inverse exactly when its
+    determinant is n+1.
     """
 
     n: int
@@ -285,7 +276,6 @@ class DualQuotientReport(NamedTuple):
     scale: int
     model_gram: IntMatrix
     weight_basis_gram: IntMatrix
-    inverse_gram: IntMatrix
     grams_match: bool
 
     @property
@@ -323,7 +313,6 @@ def dual_lattice_quotient_check(n: int) -> DualQuotientReport:
         scale=k,
         model_gram=model,
         weight_basis_gram=weight_gram,
-        inverse_gram=adj,
         grams_match=det == k and weight_gram == adj,
     )
 

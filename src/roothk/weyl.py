@@ -66,7 +66,8 @@ def group_order_formula(spec: RootSystemSpec) -> int:
 
 
 class WeylGroup:
-    """A Weyl group held as generators plus (optionally) all elements.
+    """A Weyl group held as its datum and order plus (optionally) all elements;
+    its generators are :func:`simple_reflections` of the datum.
 
     ``elements`` is an ``(order, n, n)`` int8 array, each element once, the
     identity first; the rest come in the order of the chain product of
@@ -74,15 +75,8 @@ class WeylGroup:
     built generators-only.
     """
 
-    def __init__(
-        self,
-        datum: RootDatum,
-        generators: tuple[IntMatrix, ...],
-        order: int,
-        elements: np.ndarray | None = None,
-    ):
+    def __init__(self, datum: RootDatum, order: int, elements: np.ndarray | None = None):
         self.datum = datum
-        self.generators = generators
         self.order = order
         self.elements = elements
 
@@ -97,11 +91,7 @@ class WeylGroup:
     @classmethod
     def from_generators(cls, datum: RootDatum) -> "WeylGroup":
         """Generator-only group (no element enumeration)."""
-        return cls(
-            datum=datum,
-            generators=simple_reflections(datum),
-            order=group_order_formula(datum.spec),
-        )
+        return cls(datum, group_order_formula(datum.spec))
 
     def element_count(self) -> int:
         if self.elements is None:
@@ -223,7 +213,7 @@ def generate_group(datum: RootDatum, cap: GroupCap | None = None) -> WeylGroup:
     elements = _left_multiply(datum, [_walk(datum, k) for k in range(spec.rank)])
     if len(elements) != order:
         raise AssertionError(f"enumeration of {spec.label} found {len(elements)} elements, expected {order}")
-    return WeylGroup(datum=datum, generators=simple_reflections(datum), order=order, elements=elements)
+    return WeylGroup(datum, order, elements)
 
 
 def element_iter(group: WeylGroup) -> Iterator[IntMatrix]:

@@ -1,9 +1,13 @@
 """References that the tests compare library output against.
 
 Nothing here imports ``roothk``: every function takes numpy element arrays,
-representation objects (read for ``dim``, ``label`` and ``chain``) or the
-integer simple-root rows of a datum, so a test that compares a library result
-with one of them compares it with an independent computation.
+a construction chain or the integer simple-root rows of a datum, so a test
+that compares a library result with one of them compares it with an
+independent computation.
+
+A construction chain says how a representation is built from the defining
+(reflection) one, e.g. ("wedge2", ("double", ("defining",))); the test that
+builds the representation passes the chain it built it by.
 
 - Reynolds averaging: the invariant dimension of a representation is the
   rank of the sum of its images over all group elements, assembled from the
@@ -125,25 +129,24 @@ def _sum_from_pair_matrix(chain, elements):
     return None
 
 
-def reynolds_sum(rep, elements):
-    """Sum of the images of all the elements, as an int64 array.
+def reynolds_sum(chain, elements):
+    """Sum of the images of all the elements under ``chain``, as an int64
+    array.
 
     The averaged projector is this sum divided by the group order; its rank
-    is unchanged by the scaling.  A chain with no pair-sum assembly, explicit
-    representations among them, raises ValueError.
+    is unchanged by the scaling.  A chain with no pair-sum assembly, such as
+    ("explicit",) for given generator images, raises ValueError.
     """
-    total = _sum_from_pair_matrix(rep.chain, elements)
+    total = _sum_from_pair_matrix(chain, elements)
     if total is None:
-        raise ValueError(f"{rep.label} has no Reynolds sum from pair sums")
+        raise ValueError(f"chain {chain!r} has no Reynolds sum from pair sums")
     return total
 
 
-def invariant_dim_reynolds(rep, elements):
+def invariant_dim_reynolds(chain, elements):
     """Rank of the group-averaged projector (1/|W|) * sum of images, for the
     element array of an exhaustively enumerated group."""
-    if rep.dim == 0:
-        return 0
-    return ref.rank(reynolds_sum(rep, elements).tolist())
+    return ref.rank(reynolds_sum(chain, elements).tolist())
 
 
 # --- dense images ---------------------------------------------------------------
@@ -157,14 +160,15 @@ def _batch_double(images):
     return out
 
 
-def _batch_images(chain, elements):
-    """Images of defining-representation elements under a construction chain."""
+def batch_images(chain, elements):
+    """Exact integer images of the given defining-representation elements
+    under a construction chain."""
     if chain == ("defining",):
         return elements.astype(np.int64)
     if chain[0] == "double":
-        return _batch_double(_batch_images(chain[1], elements))
+        return _batch_double(batch_images(chain[1], elements))
     if chain[0] in ("sym2", "wedge2"):
-        inner = _batch_images(chain[1], elements)
+        inner = batch_images(chain[1], elements)
         # Entry ((k, l), (i, j)) is built from a = inner[k, i] * inner[l, j]
         # and b = inner[l, i] * inner[k, j]: a - b on Wedge2, a + b on Sym2
         # (a alone when k == l).
@@ -177,11 +181,6 @@ def _batch_images(chain, elements):
             return a - b
         return np.where((first == second)[:, None], a, a + b)
     raise ValueError(f"chain {chain!r} does not support element-wise images")
-
-
-def batch_images(rep, elements):
-    """Exact integer images of the given defining-representation elements."""
-    return _batch_images(rep.chain, elements)
 
 
 # --- the ambient root model -------------------------------------------------------

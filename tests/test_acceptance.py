@@ -24,10 +24,7 @@ from roothk.hk_analysis import (
 from roothk.invariant_theory import (
     invariant_dim,
     invariant_report,
-    rep_double,
     rep_reflection,
-    rep_sym2,
-    rep_wedge2,
 )
 from roothk.lattice_tower import bc_tower, invariant_intermediate_lattices, lattice_isometric
 from roothk.root_data import (
@@ -74,18 +71,16 @@ def test_criterion_02_decomposition_identity():
     _verdict(2, "decomposition identity", dims_ok and invariants_ok, "ranks 1..8")
 
 
-def test_criterion_03_reynolds_oracle_equivalence(groups):
+def test_criterion_03_reynolds_oracle_equivalence(groups, constructions):
     checked = 0
     failures = []
     for spec in standard_table():
         if group_order_formula(spec) > REYNOLDS_CAP:
             continue
         group = groups(spec.family, spec.rank)
-        v = rep_reflection(group.datum)
-        reps = (v, rep_double(v), rep_sym2(v), rep_wedge2(v), rep_wedge2(rep_double(v)))
-        for rep in reps:
-            if invariant_dim_reynolds(rep, group.elements) != invariant_dim(rep):
-                failures.append((spec.label, rep.label))
+        for chain, rep in constructions(rep_reflection(group.datum)):
+            if invariant_dim_reynolds(chain, group.elements) != invariant_dim(rep):
+                failures.append((spec.label, chain))
             checked += 1
     _verdict(3, "Reynolds oracle equivalence", not failures and checked > 0, f"{checked} representations")
 

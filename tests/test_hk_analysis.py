@@ -18,7 +18,7 @@ from roothk.hk_analysis import (
     symplectic_form_dim,
 )
 from roothk.invariant_theory import rep_explicit, rep_reflection
-from roothk.root_data import RootSystemSpec, build_root_datum
+from roothk.root_data import RootSystemSpec, build_root_datum, simple_reflections
 from roothk.weyl import GroupCap, WeylGroup, element_iter
 
 
@@ -41,8 +41,8 @@ def test_fixed_locus_negation_rank1():
 
 
 def test_fixed_locus_a2_coxeter(groups):
-    group = groups("A", 2)
-    cox = group.generators[0] @ group.generators[1]
+    s1, s2 = simple_reflections(groups("A", 2).datum)
+    cox = s1 @ s2
     diff = cox - IntMatrix.identity(2)
     assert abs(diff.det()) == 3
     entry = fixed_locus_on_abelian(cox)
@@ -57,8 +57,8 @@ def test_brute_force_matches_formula_a1():
 
 
 def test_brute_force_matches_formula_a2_coxeter(groups):
-    group = groups("A", 2)
-    cox = group.generators[0] @ group.generators[1]
+    s1, s2 = simple_reflections(groups("A", 2).datum)
+    cox = s1 @ s2
     assert brute_force_fixed_point_count(cox, 3) == 81
 
 
@@ -172,11 +172,11 @@ def _b3_with_overwrite(groups, source_is_reflection, replacement):
         if i > 0 and is_reflection == source_is_reflection:
             elements[i] = replacement
             break
-    return WeylGroup(datum=group.datum, generators=group.generators, order=group.order, elements=elements)
+    return WeylGroup(group.datum, group.order, elements)
 
 
 def test_freeness_rejects_extra_reflection(groups):
-    reflection = groups("B", 3).generators[0].to_rows()
+    reflection = simple_reflections(groups("B", 3).datum)[0].to_rows()
     mutated = _b3_with_overwrite(groups, False, reflection)
     with pytest.raises(AssertionError, match="found 10 reflections"):
         freeness_codim_check(mutated)
@@ -192,9 +192,7 @@ def test_freeness_rejects_missing_element(groups):
     # Dropping the longest element (-1, neither identity nor reflection)
     # leaves only the element count to notice.
     group = groups("B", 3)
-    truncated = WeylGroup(
-        datum=group.datum, generators=group.generators, order=group.order, elements=group.elements[:-1]
-    )
+    truncated = WeylGroup(group.datum, group.order, group.elements[:-1])
     with pytest.raises(AssertionError, match="saw 47 elements"):
         freeness_codim_check(truncated)
 
@@ -206,8 +204,9 @@ def test_freeness_rejects_wrong_character_sums(groups):
     group = groups("B", 3)
     elements = group.elements.copy()
     assert elements[-1].tolist() == [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
-    elements[-1] = (group.generators[0] @ group.generators[1]).to_rows()
-    mutated = WeylGroup(datum=group.datum, generators=group.generators, order=group.order, elements=elements)
+    s1, s2, _ = simple_reflections(group.datum)
+    elements[-1] = (s1 @ s2).to_rows()
+    mutated = WeylGroup(group.datum, group.order, elements)
     with pytest.raises(AssertionError, match="character sums 3 and 39, expected 0 and 48"):
         freeness_codim_check(mutated)
 
@@ -272,14 +271,14 @@ def test_resolution_table():
 
 
 def test_symplectic_form_dim_from_datum():
-    assert symplectic_form_dim(build_root_datum(RootSystemSpec("A", 3))) == 1
-    assert symplectic_form_dim(build_root_datum(RootSystemSpec("F", 4))) == 1
+    assert symplectic_form_dim(rep_reflection(build_root_datum(RootSystemSpec("A", 3)))) == 1
+    assert symplectic_form_dim(rep_reflection(build_root_datum(RootSystemSpec("F", 4)))) == 1
 
 
 def test_symplectic_form_dim_reducible_rep_is_two():
     g1 = IntMatrix.from_rows([[-1, 0], [0, 1]])
     g2 = IntMatrix.from_rows([[1, 0], [0, -1]])
-    rep = rep_explicit((g1, g2), "sign+sign")
+    rep = rep_explicit((g1, g2))
     assert symplectic_form_dim(rep) == 2
 
 

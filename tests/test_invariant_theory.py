@@ -22,7 +22,7 @@ from roothk.invariant_theory import (
     rep_sym2,
     rep_wedge2,
 )
-from roothk.root_data import RootSystemSpec, build_root_datum, standard_table
+from roothk.root_data import RootSystemSpec, build_root_datum, simple_reflections, standard_table
 from roothk.weyl import element_iter
 
 
@@ -105,11 +105,11 @@ def test_invariant_dims_small(family, rank, sym2, wedge2, doubled):
 
 def test_images_must_fit_the_dimension():
     with pytest.raises(ValueError):
-        rep_explicit((IntMatrix.zeros(2, 3),), "not square")
+        rep_explicit((IntMatrix.zeros(2, 3),))
     with pytest.raises(ValueError):
-        rep_explicit((IntMatrix.identity(2), IntMatrix.identity(3)), "two sizes")
+        rep_explicit((IntMatrix.identity(2), IntMatrix.identity(3)))
     with pytest.raises(ValueError):
-        Representation(dim=2, generator_images=({0: {2: 1}},), label="column 2", chain=("explicit",))
+        Representation(2, ({0: {2: 1}},))
 
 
 def test_explicit_images_are_integer_matrices():
@@ -117,20 +117,19 @@ def test_explicit_images_are_integer_matrices():
     # images only, and IntMatrix refuses a Fraction entry.
     half = SimpleNamespace(rows=1, cols=1, data=(Fraction(1, 2),))
     with pytest.raises(TypeError):
-        rep_explicit((half,), "half")
+        rep_explicit((half,))
 
 
 def test_invariant_dim_trivial_rep():
-    triv = rep_explicit((IntMatrix.identity(1),), "trivial")
+    triv = rep_explicit((IntMatrix.identity(1),))
     assert invariant_dim(triv) == 1
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2)])
-def test_reynolds_matches_generator_method(family, rank, groups):
+def test_reynolds_matches_generator_method(family, rank, groups, constructions):
     group = groups(family, rank)
-    v = rep_reflection(group.datum)
-    for rep in (v, rep_double(v), rep_sym2(v), rep_wedge2(v), rep_wedge2(rep_double(v))):
-        assert invariant_dim_reynolds(rep, group.elements) == invariant_dim(rep)
+    for chain, rep in constructions(rep_reflection(group.datum)):
+        assert invariant_dim_reynolds(chain, group.elements) == invariant_dim(rep)
 
 
 def test_reynolds_explicit_average_a2(groups):
@@ -138,8 +137,9 @@ def test_reynolds_explicit_average_a2(groups):
     group = groups("A", 2)
     v = rep_reflection(group.datum)
     s2 = rep_sym2(v)
-    assert invariant_dim_reynolds(s2, group.elements) == 1
-    total = reynolds_sum(s2, group.elements)
+    chain = ("sym2", ("defining",))
+    assert invariant_dim_reynolds(chain, group.elements) == invariant_dim(s2) == 1
+    total = reynolds_sum(chain, group.elements)
     # Cross-check the fast assembly against an explicit sum over elements.
     direct = IntMatrix.zeros(3, 3)
     for w in element_iter(group):
@@ -148,31 +148,29 @@ def test_reynolds_explicit_average_a2(groups):
 
 
 def test_reynolds_rejects_explicit_reps(groups):
-    triv = rep_explicit((IntMatrix.identity(1),), "explicit-trivial")
+    # Given generator images say nothing about the other elements' images.
     with pytest.raises(ValueError):
-        invariant_dim_reynolds(triv, groups("A", 1).elements)
+        invariant_dim_reynolds(("explicit",), groups("A", 1).elements)
 
 
 def test_reynolds_rejects_chains_without_pair_sums(groups):
     # Sym2 of Sym2 is quartic in the defining entries: no pair-sum assembly.
     group = groups("A", 2)
-    rep = rep_sym2(rep_sym2(rep_reflection(group.datum)))
     with pytest.raises(ValueError, match="no Reynolds sum"):
-        reynolds_sum(rep, group.elements)
+        reynolds_sum(("sym2", ("sym2", ("defining",))), group.elements)
 
 
 def test_reynolds_wedge2_b2(groups):
     group = groups("B", 2)
     v = rep_reflection(group.datum)
-    assert invariant_dim_reynolds(rep_wedge2(v), group.elements) == 0
+    assert invariant_dim_reynolds(("wedge2", ("defining",)), group.elements) == invariant_dim(rep_wedge2(v)) == 0
 
 
-def test_batch_images_match_generator_images(groups):
+def test_batch_images_match_generator_images(groups, constructions):
     group = groups("B", 3)
-    v = rep_reflection(group.datum)
-    for rep in (v, rep_double(v), rep_sym2(v), rep_wedge2(v), rep_wedge2(rep_double(v))):
-        gens = np.array([g.to_rows() for g in group.generators], dtype=np.int8)
-        imgs = batch_images(rep, gens)
+    gens = np.array([g.to_rows() for g in simple_reflections(group.datum)], dtype=np.int8)
+    for chain, rep in constructions(rep_reflection(group.datum)):
+        imgs = batch_images(chain, gens)
         for idx, g in enumerate(rep.generator_images):
             assert imgs[idx].tolist() == _dense(g, rep.dim).to_rows()
 
@@ -185,12 +183,12 @@ def test_square_images_match_batch_formula(seed):
     n = int(rng.integers(2, 6))
     m = rng.choice([0, 0, -2, -1, 1, 3], size=(n, n))
     g = IntMatrix.from_rows(m.tolist())
-    base = Representation(dim=n, generator_images=(_image(g),), label="m", chain=("defining",))
-    doubled = rep_explicit((g + g,), "2m")
-    for build in (rep_sym2, rep_wedge2):
+    base = Representation(n, (_image(g),))
+    doubled = rep_explicit((g + g,))
+    for build, chain in ((rep_sym2, ("sym2", ("defining",))), (rep_wedge2, ("wedge2", ("defining",)))):
         rep = build(base)
         image = _dense(rep.generator_images[0], rep.dim)
-        assert image.to_rows() == batch_images(rep, m[None])[0].tolist()
+        assert image.to_rows() == batch_images(chain, m[None])[0].tolist()
         # Sym2 and Wedge2 are quadratic: the image of 2m is 4 times that of m.
         quadrupled = _dense(build(doubled).generator_images[0], rep.dim)
         assert quadrupled == image + image + image + image
@@ -212,7 +210,7 @@ def test_irreducibility_reflection_reps():
 
 
 def test_irreducibility_one_dim():
-    assert irreducibility_check(rep_explicit((IntMatrix.from_rows([[-1]]),), "sign"))
+    assert irreducibility_check(rep_explicit((IntMatrix.from_rows([[-1]]),)))
 
 
 def test_doubled_rep_is_reducible():
@@ -245,7 +243,7 @@ def test_reducible_two_line_rep_has_two_invariant_forms():
     # one invariant per irreducible summand.
     g1 = IntMatrix.from_rows([[-1, 0], [0, 1]])
     g2 = IntMatrix.from_rows([[1, 0], [0, -1]])
-    rep = rep_explicit((g1, g2), "sign+sign")
+    rep = rep_explicit((g1, g2))
     assert invariant_dim(rep_wedge2(rep_double(rep))) == 2
 
 
@@ -258,7 +256,7 @@ def _conjugated(v):
     p_inv, det = p.adjugate()
     assert det == 1
     images = tuple(p @ _dense(g, n) @ p_inv for g in v.generator_images)
-    return rep_explicit(images, f"P{v.label}P^-1"), p_inv
+    return rep_explicit(images), p_inv
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
@@ -282,8 +280,8 @@ def test_commutant_of_one_reflection():
     # halves of gX = Xg (moved rows and moved columns) are needed for this.
     for family, rank in [("A", 3), ("B", 3), ("G", 2)]:
         s = _dense(rep_reflection(_datum(family, rank)).generator_images[0], rank)
-        assert commutant_dimension(rep_explicit((s,), "one reflection")) == 1 + (rank - 1) ** 2
-        assert commutant_dimension(rep_explicit((s.transpose(),), "transposed")) == 1 + (rank - 1) ** 2
+        assert commutant_dimension(rep_explicit((s,))) == 1 + (rank - 1) ** 2
+        assert commutant_dimension(rep_explicit((s.transpose(),))) == 1 + (rank - 1) ** 2
 
 
 def test_commutant_of_four_copies():
@@ -364,11 +362,11 @@ def _block_double(m):
 @pytest.mark.parametrize("seed", range(12))
 def test_systems_match_dense_reference(seed):
     mats = _random_images(seed)
-    rep = rep_explicit(tuple(mats), "random")
+    rep = rep_explicit(tuple(mats))
     first = rep.generator_images[0]
     assert set(first) == {0, 1} and set(first[0]) == {0, 2} and first[0][0] == 1
     assert not any(1 in row for row in first.values())
-    cases = [(rep, mats), (rep_explicit(tuple(mats[:1]), "first"), mats[:1])]
+    cases = [(rep, mats), (rep_explicit(tuple(mats[:1])), mats[:1])]
     cases += [(rep_double(r), [_block_double(m) for m in ms]) for r, ms in cases]
     for r, dense in cases:
         n = r.dim

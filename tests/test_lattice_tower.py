@@ -5,6 +5,7 @@ import pytest
 
 import _rational as ref
 import oracles
+from roothk import lattice_tower
 from roothk.errors import DiscriminantTooLargeError, LatticeActionError
 from roothk.exact_linalg import IntMatrix
 from roothk.lattice_tower import (
@@ -17,6 +18,7 @@ from roothk.lattice_tower import (
     invariant_intermediate_lattices,
     lattice_isometric,
     short_vectors,
+    tower_for_spec,
 )
 from roothk.root_data import RootSystemSpec, build_root_datum, simple_reflections
 
@@ -117,10 +119,11 @@ def test_subgroup_counts_cyclic_and_klein():
     assert len(all_subgroups(disc_d4)) == 5
 
 
-def test_subgroup_cap():
+def test_subgroup_cap(monkeypatch):
     disc = discriminant_group(_datum("A", 7))
+    monkeypatch.setattr(lattice_tower, "_DISC_CAP", 5)
     with pytest.raises(DiscriminantTooLargeError):
-        all_subgroups(disc, cap=5)
+        all_subgroups(disc)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -309,12 +312,38 @@ def test_classify_d3_a3_same_class():
     assert lattice_isometric(a3, d3) is True
 
 
-def test_isometry_search_past_node_cap_is_inconclusive():
-    # The first column of A3 against D3 already visits D3's 12 roots.
+def test_isometry_search_past_node_cap_is_inconclusive(monkeypatch):
+    # Counting the 6 pairs of roots of A3 already passes a cap of 1.
     a3 = _datum("A", 3).gram
     d3 = _datum("D", 3).gram
-    assert lattice_isometric(a3, d3, node_cap=1) is None
     assert lattice_isometric(a3, d3) is True
+    monkeypatch.setattr(lattice_tower, "_NODE_CAP", 1)
+    assert lattice_isometric(a3, d3) is None
+
+
+def test_node_cap_bounds_the_short_vector_enumeration(monkeypatch):
+    # The two half-spin lattices of D24 are even unimodular; their reduced
+    # bases reach norm 6, and the counts up to norm 4 alone run to 85,584
+    # pairs.  The cap stops the enumeration itself, before any backtracking,
+    # so the pair is flagged and kept apart.
+    monkeypatch.setattr(lattice_tower, "_NODE_CAP", 10_000)
+    report = tower_for_spec(RootSystemSpec("D", 24))
+    assert report.labels == ("D24", "D24+[2]", "Z^24", "D24+[2]#2", "D24*")
+    assert report.inconclusive_pairs == ((1, 3),)
+    assert report.rescaling_classes == ((0,), (1,), (2,), (3,), (4,))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_unimodular_towers_tell_the_cube_from_the_half_spin_lattices(n):
+    # Three integral unimodular lattices; only Z^n has norm-1 vectors.  The
+    # isometry search against the identity form agrees with the label.
+    report = tower_for_spec(RootSystemSpec("D", n))
+    assert report.labels == (f"D{n}", f"D{n}+[2]", f"Z^{n}", f"D{n}+[2]#2", f"D{n}*")
+    assert report.inconclusive_pairs == ()
+    for k in (1, 2, 3):
+        lat = report.lattices[k]
+        assert lat.gram_det == 1 and lat.primitive_gram_det == 1
+        assert lattice_isometric(lat.primitive_gram(), IntMatrix.identity(n)) is (k == 2)
 
 
 def test_classify_z3_d3_distinct():

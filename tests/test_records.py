@@ -33,11 +33,11 @@ def test_spec_equality_and_hash_key_the_datum_cache():
         (lambda: RootSystemSpec("E", 9), "family E requires rank 6..8, got 9"),
         (lambda: GroupCap(max_elements=0), "cap must be positive"),
         (
-            lambda: Representation(dim=2, generator_images=({0: {2: 1}},), label="x", chain=("explicit",)),
+            lambda: Representation(2, ({0: {2: 1}},)),
             "generator image has an index out of range",
         ),
         (
-            lambda: Representation(dim=2, generator_images=({2: {0: 1}},), label="x", chain=("explicit",)),
+            lambda: Representation(2, ({2: {0: 1}},)),
             "generator image has an index out of range",
         ),
     ],

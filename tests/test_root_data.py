@@ -11,7 +11,6 @@ from roothk.root_data import (
     RootSystemSpec,
     build_root_datum,
     dual_lattice_quotient_check,
-    simple_reflection,
     simple_reflections,
     specs_up_to_rank,
     standard_table,
@@ -112,20 +111,24 @@ def test_gram_positive_definite_and_minimally_integral(family, rank):
 
 def test_reflection_a1_is_negation():
     datum = build_root_datum(RootSystemSpec("A", 1))
-    assert simple_reflection(datum, 1).to_rows() == [[-1]]
+    assert simple_reflections(datum)[0].to_rows() == [[-1]]
 
 
 def test_reflection_a2_matrix():
     datum = build_root_datum(RootSystemSpec("A", 2))
-    assert simple_reflection(datum, 1).to_rows() == [[-1, 1], [0, 1]]
+    assert simple_reflections(datum)[0].to_rows() == [[-1, 1], [0, 1]]
 
 
-def test_reflection_index_out_of_range():
-    datum = build_root_datum(RootSystemSpec("A", 2))
-    with pytest.raises(IndexError):
-        simple_reflection(datum, 3)
-    with pytest.raises(IndexError):
-        simple_reflection(datum, 0)
+@pytest.mark.parametrize("spec", [RootSystemSpec("A", 2), RootSystemSpec("E", 7)], ids=lambda s: s.label)
+def test_datum_holds_only_its_fields(spec):
+    # The reflections are cached beside the datum, not in it: a fresh datum
+    # holds its five constructor fields before and after they are built.
+    datum = build_root_datum.__wrapped__(spec)
+    fields = {"spec", "cartan", "simple_rows", "denominator", "gram"}
+    assert set(vars(datum)) == fields
+    assert simple_reflections(datum) is simple_reflections(datum)
+    assert len(simple_reflections(datum)) == spec.rank
+    assert set(vars(datum)) == fields
 
 
 @pytest.mark.parametrize("family,rank", SMALL_TABLE)
@@ -197,7 +200,7 @@ def test_integer_root_data_matches_fraction_dots(spec):
             expected[i - 1][j] += next(
                 (x - y) / a for x, y, a in zip(moved, beta, alpha) if a
             )
-        assert simple_reflection(datum, i).to_rows() == expected
+        assert simple_reflections(datum)[i - 1].to_rows() == expected
 
 
 @pytest.mark.parametrize("spec", standard_table(), ids=lambda s: s.label)

@@ -62,7 +62,7 @@ def test_enumeration_oracle(family, rank, groups):
     # number of positive roots an element sends to negative roots) as the
     # Poincare polynomial from the root heights says.
     group = groups(family, rank)
-    _assert_closed_group(group.elements.astype(np.int16), group.generators, group.order)
+    _assert_closed_group(group.elements.astype(np.int16), simple_reflections(group.datum), group.order)
     assert (group.elements[0] == np.eye(rank)).all()
     per_length = Counter(_lengths(group.datum, group.elements))
     assert [per_length[h] for h in range(max(per_length) + 1)] == _poincare(_exponents(group.datum))
@@ -273,7 +273,7 @@ def test_group_closure_inverse_and_gram_preservation(family, rank, groups):
     # Closed under the generators and under inverse (inverse of an involution
     # product is a product of the same involutions reversed).
     for g in elems[:12]:
-        for s in group.generators:
+        for s in simple_reflections(group.datum):
             assert g @ s in elem_set
     ident = IntMatrix.identity(rank)
     for g in elems:
