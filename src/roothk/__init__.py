@@ -14,7 +14,6 @@ from .errors import (
     DiscriminantTooLargeError,
     GroupTooLargeError,
     LatticeActionError,
-    NotExhaustiveError,
     RootHKError,
 )
 from .exact_linalg import (

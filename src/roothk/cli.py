@@ -43,7 +43,7 @@ from .root_data import (
     specs_up_to_rank,
     standard_table,
 )
-from .weyl import GroupCap, WeylGroup, element_iter, generate_group, group_order_formula
+from .weyl import GroupCap, element_iter, generate_group, group_order_formula
 
 ENV_GROUP_CAP = "ROOTHK_GROUP_CAP"
 
@@ -251,7 +251,7 @@ def _enumerated_checks(cap: GroupCap) -> list[CheckRecord]:
             )
             continue
         # Read as the products of two halves of about sqrt(|W|) elements; W is never held.
-        check = freeness_codim_check(WeylGroup.from_generators(build_root_datum(spec)), cap=cap)
+        check = freeness_codim_check(generate_group(build_root_datum(spec), cap))
         doc.add(
             name,
             "pass" if check.min_codim_doubled == 2 else "fail",

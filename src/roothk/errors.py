@@ -38,9 +38,5 @@ class DiscriminantTooLargeError(RootHKError):
         return f"discriminant group of order {self.order} exceeds the cap of {self.cap}"
 
 
-class NotExhaustiveError(RootHKError):
-    """Raised when an operation needs an exhaustively generated group."""
-
-
 class LatticeActionError(RootHKError):
     """Raised when a group generator fails to preserve a lattice it should preserve."""

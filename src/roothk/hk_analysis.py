@@ -27,8 +27,8 @@ from .weyl import (
     _ENTRY_BOUND,
     GroupCap,
     WeylGroup,
-    coset_halves,
     generate_group,
+    group_order_formula,
 )
 
 # Cost ceiling for analyze, whose generator-only work grows a little faster
@@ -133,7 +133,7 @@ class FreenessCheck(NamedTuple):
         return self.status == "verified" and self.min_codim_doubled is not None and self.min_codim_doubled >= 2
 
 
-def freeness_codim_check(group: WeylGroup, cap: GroupCap | None = None) -> FreenessCheck:
+def freeness_codim_check(group: WeylGroup) -> FreenessCheck:
     """Minimum fixed-space codimension 2 * rank(w - 1) over all w != 1.
 
     Elements have finite order, so trace n means w = 1, and trace n - 2 with
@@ -146,24 +146,16 @@ def freeness_codim_check(group: WeylGroup, cap: GroupCap | None = None) -> Freen
     tower (conjugates have equal ranks).
 
     The pass reads W as every product u * v of an element u of U and an
-    element v of V.  A stored group is the identity times ``group.elements``;
-    otherwise U and V are the two halves of :func:`coset_halves`, of about
-    sqrt(|W|) elements each.  As tr(u v) = <vec(u^T), vec(v)>, the traces of
-    a tile of rows of U against a block of V are one integer product, tiles
-    of at most ``_FREENESS_TILE`` traces and ``_FREENESS_COLUMNS`` elements
-    of V, and only the pairs of trace n - 2 are multiplied out.  Groups
-    beyond the cap report skipped.
+    element v of V, the two halves of ``group``, of about sqrt(|W|) elements
+    each.  As tr(u v) = <vec(u^T), vec(v)>, the traces of a tile of rows of
+    U against a block of V are one integer product, tiles of at most
+    ``_FREENESS_TILE`` traces and ``_FREENESS_COLUMNS`` elements of V, and
+    only the pairs of trace n - 2 are multiplied out.
     """
-    cap = cap if cap is not None else GroupCap()
-    if group.order > cap.max_elements:
-        return FreenessCheck(status="skipped", reason=f"order {group.order} exceeds cap {cap.max_elements}")
     import numpy as np
 
     n = group.rank
-    if group.elements is None:
-        u, v = coset_halves(group.datum)
-    else:
-        u, v = np.eye(n, dtype=np.int8)[None], group.elements
+    u, v = group.halves
     # Entries of u and v lie in [-6, 6] (the walk asserted it on every row),
     # so a trace is a sum of n^2 products of absolute value at most 36, which
     # int16 holds exactly up to n = 8.
@@ -307,9 +299,9 @@ def analyze(
 ) -> HKVerdict:
     """Run the full verdict pipeline for one spec and lattice selection.
 
-    Within the cap, W is enumerated and the freeness pass reads its stored
-    elements; beyond it, the pass gets the generator-only group and reports
-    skipped.  Every other field is generator-only and always computed.  Ranks
+    Within the cap, the freeness pass reads W as the two halves of
+    :func:`generate_group`; beyond it, freeness reports skipped.  Every
+    other field is generator-only and always computed.  Ranks
     above ``GENERATOR_ONLY_MAX_RANK`` raise ValueError before any work.
     """
     if spec.rank > GENERATOR_ONLY_MAX_RANK:
@@ -325,10 +317,11 @@ def analyze(
     irreducible = irreducibility_check(base)
     form_dim = symplectic_form_dim(base)
 
-    group = WeylGroup.from_generators(datum)
-    if group.order <= cap.max_elements:
-        group = generate_group(datum, cap)
-    freeness = freeness_codim_check(group, cap=cap)
+    order = group_order_formula(spec)
+    if order > cap.max_elements:
+        freeness = FreenessCheck(status="skipped", reason=f"order {order} exceeds cap {cap.max_elements}")
+    else:
+        freeness = freeness_codim_check(generate_group(datum, cap))
 
     return HKVerdict(
         lattice_label=lattice_label,

@@ -585,25 +585,29 @@ def _isometry_search(g1: IntMatrix, g2: IntMatrix) -> bool | None:
     target = [[g1[order[i], order[j]] for j in range(n)] for i in range(n)]
     nodes = 0
 
-    def vectors(g: IntMatrix, bound: int) -> list | None:
-        # The short vectors up to bound, or None once the node total passes
-        # the cap.
-        nonlocal nodes
-        vecs = list(itertools.islice(_short_vectors(g, bound), _NODE_CAP - nodes + 1))
-        nodes += len(vecs)
-        return vecs if nodes <= _NODE_CAP else None
+    def budgeted(g: IntMatrix, bound: int):
+        # The short vectors up to bound, cut one past the nodes left.
+        return itertools.islice(_short_vectors(g, bound), _NODE_CAP - nodes + 1)
 
     norms_needed = [target[i][i] for i in range(n)]
     max_norm = max(norms_needed)
     # Count first, bound by bound: a mismatch at a small bound (Z^n has 2n
     # vectors of norm 1) is found without enumerating both forms up to
     # max_norm.  Integer forms have integer norms, so equal totals at every
-    # bound up to max_norm mean equal counts at every norm.
+    # bound up to max_norm mean equal counts at every norm.  Only the second
+    # form's vectors at max_norm, the candidates, are kept.
     for k in range(1, max_norm + 1):
-        vecs1, cands = vectors(g1, k), vectors(g2, k)
-        if vecs1 is None or cands is None:
+        count1 = sum(1 for _ in budgeted(g1, k))
+        nodes += count1
+        if k < max_norm:
+            count2 = sum(1 for _ in budgeted(g2, k))
+        else:
+            cands = list(budgeted(g2, k))
+            count2 = len(cands)
+        nodes += count2
+        if nodes > _NODE_CAP:
             return None
-        if len(vecs1) != len(cands):
+        if count1 != count2:
             return False
     by_norm: dict[int, list[tuple[int, ...]]] = {}
     for vec, norm in cands:

@@ -1,17 +1,17 @@
-"""Weyl groups as explicit sets of integer matrices in the simple-root basis.
+"""Weyl groups as two arrays of integer matrices in the simple-root basis,
+every element exactly one product of the two.
 
 One duplicate-free walk enumerates W.  Down the chain of parabolic
 subgroups, W = R_1 ... R_n, each R_k the minimal coset representatives found
 by walking the orbit of a fundamental weight; each step is a left
-multiplication by a simple reflection, which rewrites one row.  Multiplied
-out whole, the chain is the stored group; multiplied out in two halves of
-about sqrt(|W|) elements each, it lets W be visited without ever holding it.
-Element arrays are compact numpy int8; coefficients of Weyl matrices in the
-root basis are bounded by the largest root coordinate (at most 6 across the
-supported families), so fixed-width integer arithmetic is exact here — a
-guard asserts the bound on every new row.  numpy is imported by the
-functions that build or read element arrays, not at module load, so
-generator-only callers never load it.
+multiplication by a simple reflection, which rewrites one row.  The chain is
+multiplied out in two halves of about sqrt(|W|) elements each, so W is
+visited without ever being held.  Element arrays are compact numpy int8;
+coefficients of Weyl matrices in the root basis are bounded by the largest
+root coordinate (at most 6 across the supported families), so fixed-width
+integer arithmetic is exact here — a guard asserts the bound on every new
+row.  numpy is imported by the functions that build or read element arrays,
+not at module load, so generator-only callers never load it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import factorial, prod
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import GroupTooLargeError, NotExhaustiveError
+from .errors import GroupTooLargeError
 from .exact_linalg import Frozen, IntMatrix
 from .root_data import RootDatum, RootSystemSpec, simple_reflections
 
@@ -40,9 +40,9 @@ _EXCEPTIONAL_ORDERS = {"G": 12, "F": 1152, "E6": 51840, "E7": 2903040, "E8": 696
 class GroupCap(Frozen):
     """Upper bound on the order of a group enumerated exhaustively.
 
-    ``generate_group`` stores that many elements; the freeness pass visits
-    that many, holding only the two halves of :func:`coset_halves` and one
-    bounded tile of traces.
+    ``generate_group`` builds groups up to that order, as the two halves of
+    :func:`coset_halves`; the freeness pass visits that many elements,
+    holding only the halves and one bounded tile of traces.
     """
 
     def __init__(self, max_elements: int = DEFAULT_GROUP_CAP):
@@ -66,37 +66,26 @@ def group_order_formula(spec: RootSystemSpec) -> int:
 
 
 class WeylGroup:
-    """A Weyl group held as its datum and order plus (optionally) all elements;
-    its generators are :func:`simple_reflections` of the datum.
+    """A Weyl group held as its datum, its order and the two halves
+    ``(U, V)`` of :func:`coset_halves`; its generators are
+    :func:`simple_reflections` of the datum.
 
-    ``elements`` is an ``(order, n, n)`` int8 array, each element once, the
-    identity first; the rest come in the order of the chain product of
-    :func:`generate_group`, not by length.  ``None`` means the group was
-    built generators-only.
+    U and V are ``(count, n, n)`` int8 arrays, each with the identity first,
+    and every element of W is exactly one product u * v.
     """
 
-    def __init__(self, datum: RootDatum, order: int, elements: np.ndarray | None = None):
+    def __init__(self, datum: RootDatum, order: int, halves: tuple[np.ndarray, np.ndarray]):
         self.datum = datum
         self.order = order
-        self.elements = elements
+        self.halves = halves
 
     @property
     def rank(self) -> int:
         return self.datum.rank
 
-    @property
-    def label(self) -> str:
-        return f"W({self.datum.label})"
-
-    @classmethod
-    def from_generators(cls, datum: RootDatum) -> "WeylGroup":
-        """Generator-only group (no element enumeration)."""
-        return cls(datum, group_order_formula(datum.spec))
-
     def element_count(self) -> int:
-        if self.elements is None:
-            raise NotExhaustiveError(f"{self.label} was not exhaustively generated")
-        return self.elements.shape[0]
+        u, v = self.halves
+        return len(u) * len(v)
 
 
 def _walk(datum: RootDatum, k: int) -> list[tuple[int, int]]:
@@ -197,12 +186,11 @@ def coset_halves(datum: RootDatum) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generate_group(datum: RootDatum, cap: GroupCap | None = None) -> WeylGroup:
-    """Exhaustive Weyl group: the whole chain R_1 ... R_n of
-    :func:`coset_halves`, multiplied out and stored.
+    """Exhaustive Weyl group: the two halves of :func:`coset_halves`.
 
     Raises :class:`GroupTooLargeError` when the closed-form order exceeds the
     cap, before anything is allocated, signalling callers to fall back to
-    generator-only methods, and AssertionError when the count differs from
+    generator-only methods, and AssertionError when |U| * |V| differs from
     that order.
     """
     cap = cap if cap is not None else GroupCap()
@@ -210,16 +198,20 @@ def generate_group(datum: RootDatum, cap: GroupCap | None = None) -> WeylGroup:
     order = group_order_formula(spec)
     if order > cap.max_elements:
         raise GroupTooLargeError(spec.label, order, cap.max_elements)
-    elements = _left_multiply(datum, [_walk(datum, k) for k in range(spec.rank)])
-    if len(elements) != order:
-        raise AssertionError(f"enumeration of {spec.label} found {len(elements)} elements, expected {order}")
-    return WeylGroup(datum, order, elements)
+    u, v = coset_halves(datum)
+    if len(u) * len(v) != order:
+        raise AssertionError(f"enumeration of {spec.label} found {len(u) * len(v)} elements, expected {order}")
+    return WeylGroup(datum, order, (u, v))
 
 
 def element_iter(group: WeylGroup) -> Iterator[IntMatrix]:
-    """Stream every element exactly once, identity first, in stored order."""
-    if group.elements is None:
-        raise NotExhaustiveError(f"{group.label} was not exhaustively generated")
+    """Stream every element exactly once, identity first: the products
+    u * v, u-major, which is the order of the chain product."""
+    import numpy as np
+
     n = group.rank
-    for row in group.elements:
-        yield IntMatrix(n, n, (int(x) for x in row.reshape(-1)))
+    u, v = group.halves
+    v = v.astype(np.int32)  # int8 entries; products fit int32
+    for a in u.astype(np.int32):
+        for w in a @ v:
+            yield IntMatrix(n, n, (int(x) for x in w.reshape(-1)))

@@ -7,11 +7,8 @@ from roothk.weyl import generate_group
 
 @pytest.fixture(scope="session")
 def groups():
-    """Session-wide cache of exhaustively generated Weyl groups.
-
-    The large enumerations (E7 in particular) are expensive; every test that
-    needs an exhaustive group shares one copy.
-    """
+    """Session-wide cache of Weyl groups from ``generate_group``; every test
+    that needs a group shares one copy."""
     cache = {}
 
     def get(family: str, rank: int):

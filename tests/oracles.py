@@ -1,14 +1,15 @@
 """References that the tests compare library output against.
 
-Nothing here imports ``roothk``: every function takes numpy element arrays,
-a construction chain or the integer simple-root rows of a datum, so a test
-that compares a library result with one of them compares it with an
-independent computation.
+Nothing here imports ``roothk``: every function takes numpy element arrays
+(or the two halves a group holds), a construction chain or the integer
+simple-root rows of a datum, so a test that compares a library result with
+one of them compares it with an independent computation.
 
 A construction chain says how a representation is built from the defining
 (reflection) one, e.g. ("wedge2", ("double", ("defining",))); the test that
 builds the representation passes the chain it built it by.
 
+- Every element of a group held as two halves, multiplied out.
 - Reynolds averaging: the invariant dimension of a representation is the
   rank of the sum of its images over all group elements, assembled from the
   pair sums of the element array and ranked over ``Fraction``.
@@ -33,6 +34,22 @@ def _pairs(n, strict):
 
 def _dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+# --- elements -----------------------------------------------------------------
+
+
+def all_elements(group):
+    """The ``(|U| |V|, n, n)`` int8 array of the products u v of a group's
+    two halves ``group.halves = (U, V)``, u-major: row i |V| + j is
+    U[i] V[j]."""
+    u, v = group.halves
+    n = v.shape[1]
+    out = np.empty((len(u), len(v), n, n), dtype=np.int8)
+    v = v.astype(np.int16)
+    for i, a in enumerate(u.astype(np.int16)):
+        out[i] = a @ v
+    return out.reshape(-1, n, n)
 
 
 # --- Reynolds averaging -------------------------------------------------------

@@ -12,7 +12,7 @@ from math import factorial
 import numpy as np
 
 import _rational as ref
-from oracles import ambient_matrices, invariant_dim_reynolds
+from oracles import all_elements, ambient_matrices, invariant_dim_reynolds
 from roothk.exact_linalg import IntMatrix
 from roothk.hk_analysis import (
     ResolutionVerdict,
@@ -78,8 +78,9 @@ def test_criterion_03_reynolds_oracle_equivalence(groups, constructions):
         if group_order_formula(spec) > REYNOLDS_CAP:
             continue
         group = groups(spec.family, spec.rank)
+        elements = all_elements(group)
         for chain, rep in constructions(rep_reflection(group.datum)):
-            if invariant_dim_reynolds(chain, group.elements) != invariant_dim(rep):
+            if invariant_dim_reynolds(chain, elements) != invariant_dim(rep):
                 failures.append((spec.label, chain))
             checked += 1
     _verdict(3, "Reynolds oracle equivalence", not failures and checked > 0, f"{checked} representations")
@@ -106,7 +107,7 @@ def test_criterion_05_signed_permutations():
     failures = []
     for n in range(2, 6):
         datum = build_root_datum(RootSystemSpec("B", n))
-        ambient = np.abs(ambient_matrices(generate_group(datum).elements, datum.simple_rows))
+        ambient = np.abs(ambient_matrices(all_elements(generate_group(datum)), datum.simple_rows))
         perms, signs = np.unique(ambient.argmax(axis=1), axis=0, return_counts=True)
         if not (
             (ambient.sum(axis=1) == 1).all()

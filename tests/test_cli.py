@@ -363,7 +363,7 @@ def test_towers_and_generator_only_analyze_never_close_the_roots():
 def test_root_count_is_asserted_where_the_roots_are_read(monkeypatch):
     from roothk import root_data
     from roothk.hk_analysis import freeness_codim_check
-    from roothk.weyl import WeylGroup
+    from roothk.weyl import generate_group
 
     monkeypatch.setitem(root_data._ROOT_COUNT, "A", lambda n: n * (n + 1) + 2)
     datum = root_data.build_root_datum.__wrapped__(root_data.RootSystemSpec("A", 3))
@@ -372,7 +372,7 @@ def test_root_count_is_asserted_where_the_roots_are_read(monkeypatch):
     # The freeness pass reads the roots of every group it enumerates.
     datum = root_data.build_root_datum.__wrapped__(root_data.RootSystemSpec("A", 2))
     with pytest.raises(AssertionError, match="root count mismatch for A2: 6"):
-        freeness_codim_check(WeylGroup.from_generators(datum))
+        freeness_codim_check(generate_group(datum))
 
 
 def _assert_no_child_left():

@@ -7,7 +7,6 @@ from roothk.errors import (
     DiscriminantTooLargeError,
     GroupTooLargeError,
     LatticeActionError,
-    NotExhaustiveError,
     RootHKError,
 )
 
@@ -15,7 +14,6 @@ INSTANCES = [
     RootHKError("worker ended"),
     GroupTooLargeError("E8", 696729600, 5000000),
     DiscriminantTooLargeError(4096, 2048),
-    NotExhaustiveError("E7 was not exhaustively generated"),
     LatticeActionError("reflection in (1, 0) does not preserve the dual lattice"),
 ]
 

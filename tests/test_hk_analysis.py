@@ -131,11 +131,18 @@ def test_freeness_min_codim_is_two(family, rank, expected_min, groups):
     assert check.elements == group.order
 
 
+def _stored(group):
+    """The same group held as the identity and every element, the way a
+    group whose whole element array is stored would be read."""
+    eye = np.eye(group.rank, dtype=np.int8)[None]
+    return WeylGroup(group.datum, group.order, (eye, oracles.all_elements(group)))
+
+
 @pytest.mark.parametrize("family,rank", [("A", 1), ("G", 2), ("B", 3), ("D", 4), ("F", 4), ("E", 6)])
 def test_streamed_freeness_matches_stored(family, rank, groups):
-    stored = groups(family, rank)
-    streamed = freeness_codim_check(WeylGroup.from_generators(stored.datum))
-    expected = freeness_codim_check(stored)
+    group = groups(family, rank)
+    streamed = freeness_codim_check(group)
+    expected = freeness_codim_check(_stored(group))
     assert streamed.status == expected.status == "verified"
     assert (streamed.elements, streamed.reflections) == (expected.elements, expected.reflections)
 
@@ -143,12 +150,12 @@ def test_streamed_freeness_matches_stored(family, rank, groups):
 
 @pytest.mark.parametrize("stored", [False, True], ids=["streamed", "stored"])
 def test_freeness_blocks_split_chunks(monkeypatch, groups, stored):
-    # Blocks of 5 elements split the 24 elements of the streamed W(D4)'s
-    # second half, and the stored group, into several blocks, the last one
+    # Blocks of 5 elements split the 24 elements of W(D4)'s second half,
+    # and the 192 of the stored group, into several blocks, the last one
     # short; the counts and character sums must not notice.
     monkeypatch.setattr(hk_analysis, "_FREENESS_COLUMNS", 5)
     group = groups("D", 4)
-    check = freeness_codim_check(group if stored else WeylGroup.from_generators(group.datum))
+    check = freeness_codim_check(_stored(group) if stored else group)
     assert (check.status, check.elements, check.reflections) == ("verified", 192, 12)
 
 
@@ -156,7 +163,7 @@ def test_freeness_blocks_split_chunks(monkeypatch, groups, stored):
 def test_freeness_ragged_tiles_match(monkeypatch, family, rank):
     # Tiles of 7 rows by 5 columns leave a short last tile both ways: W(B3)
     # is 8 * 6 and W(F4) is 24 * 48.
-    group = WeylGroup.from_generators(build_root_datum(RootSystemSpec(family, rank)))
+    group = weyl.generate_group(build_root_datum(RootSystemSpec(family, rank)))
     expected = freeness_codim_check(group)
     monkeypatch.setattr(hk_analysis, "_FREENESS_COLUMNS", 5)
     monkeypatch.setattr(hk_analysis, "_FREENESS_TILE", 35)
@@ -164,15 +171,16 @@ def test_freeness_ragged_tiles_match(monkeypatch, family, rank):
 
 
 def _b3_with_overwrite(groups, source_is_reflection, replacement):
-    """Copy of W(B3) with the first (non-)reflection overwritten."""
-    group = groups("B", 3)
-    elements = group.elements.copy()
+    """Stored W(B3) with the first (non-)reflection of its second half
+    overwritten."""
+    group = _stored(groups("B", 3))
+    eye, elements = group.halves
     for i, w in enumerate(element_iter(group)):
         is_reflection = fixed_locus_on_abelian(w).codim_doubled == 2
         if i > 0 and is_reflection == source_is_reflection:
             elements[i] = replacement
             break
-    return WeylGroup(group.datum, group.order, elements)
+    return WeylGroup(group.datum, group.order, (eye, elements))
 
 
 def test_freeness_rejects_extra_reflection(groups):
@@ -189,24 +197,27 @@ def test_freeness_rejects_second_identity(groups):
 
 
 def test_freeness_rejects_missing_element(groups):
-    # Dropping the longest element (-1, neither identity nor reflection)
-    # leaves only the element count to notice.
-    group = groups("B", 3)
-    truncated = WeylGroup(group.datum, group.order, group.elements[:-1])
+    # Dropping the longest element (-1, neither identity nor reflection) from
+    # the second half of the stored group leaves only the element count to
+    # notice.
+    group = _stored(groups("B", 3))
+    eye, elements = group.halves
+    truncated = WeylGroup(group.datum, group.order, (eye, elements[:-1]))
     with pytest.raises(AssertionError, match="saw 47 elements"):
         freeness_codim_check(truncated)
 
 
 def test_freeness_rejects_wrong_character_sums(groups):
-    # Overwriting the longest element (-1, trace -3) with the rotation s1 s2
-    # (trace 0) keeps the element count, the single identity and the nine
-    # reflections; only the character sums notice.
-    group = groups("B", 3)
-    elements = group.elements.copy()
+    # Overwriting the longest element (-1, trace -3) of the stored group's
+    # second half with the rotation s1 s2 (trace 0) keeps the element count,
+    # the single identity and the nine reflections; only the character sums
+    # notice.
+    group = _stored(groups("B", 3))
+    eye, elements = group.halves
     assert elements[-1].tolist() == [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
     s1, s2, _ = simple_reflections(group.datum)
     elements[-1] = (s1 @ s2).to_rows()
-    mutated = WeylGroup(group.datum, group.order, elements)
+    mutated = WeylGroup(group.datum, group.order, (eye, elements))
     with pytest.raises(AssertionError, match="character sums 3 and 39, expected 0 and 48"):
         freeness_codim_check(mutated)
 
@@ -217,7 +228,7 @@ def test_freeness_rejects_wrong_coset_representatives(monkeypatch, edit):
     # dropped or duplicated, first in R_1 and then in R_2 alone, leaves only
     # the element count to notice.
     real = weyl._walk
-    group = WeylGroup.from_generators(build_root_datum(RootSystemSpec("B", 3)))
+    datum = build_root_datum(RootSystemSpec("B", 3))
     for edited_k, seen in ((2, {"drop": 42, "duplicate": 54}), (1, {"drop": 32, "duplicate": 64})):
 
         def edited(datum, k, edited_k=edited_k):
@@ -227,8 +238,9 @@ def test_freeness_rejects_wrong_coset_representatives(monkeypatch, edit):
             return steps[:-1] if edit == "drop" else steps + steps[-1:]
 
         monkeypatch.setattr(weyl, "_walk", edited)
+        u, v = weyl.coset_halves(datum)
         with pytest.raises(AssertionError, match=f"saw {seen[edit]} elements"):
-            freeness_codim_check(group)
+            freeness_codim_check(WeylGroup(datum, 48, (u, v)))
 
 
 @pytest.mark.parametrize(
@@ -240,23 +252,27 @@ def test_freeness_bounds_are_asserted(monkeypatch, bound, message):
     # asserts.  With entries up to 61 a rank-3 trace could reach
     # 9 * 61^2 = 33489 >= 2^15, which the pass asserts.
     monkeypatch.setattr(weyl if bound == 1 else hk_analysis, "_ENTRY_BOUND", bound)
-    group = WeylGroup.from_generators(build_root_datum(RootSystemSpec("B", 3)))
+    datum = build_root_datum(RootSystemSpec("B", 3))
     with pytest.raises(AssertionError, match=message):
-        freeness_codim_check(group)
+        freeness_codim_check(weyl.generate_group(datum))
 
 
 def test_freeness_skipped_over_cap():
-    datum = build_root_datum(RootSystemSpec("E", 8))
-    group = WeylGroup.from_generators(datum)
-    check = freeness_codim_check(group)
+    check = analyze(RootSystemSpec("E", 8)).freeness
     assert check.status == "skipped"
     assert "696729600" in check.reason
 
 
-def test_freeness_exhaustive_but_over_cap(groups):
-    group = groups("A", 3)
-    check = freeness_codim_check(group, cap=GroupCap(max_elements=5))
+def test_freeness_exhaustive_but_over_cap(monkeypatch):
+    # W(A3) is small, but over a cap of 10 analyze skips freeness before it
+    # builds the group.
+    def build(*args):
+        raise AssertionError("generate_group called over the cap")
+
+    monkeypatch.setattr(hk_analysis, "generate_group", build)
+    check = analyze(RootSystemSpec("A", 3), cap=GroupCap(max_elements=10)).freeness
     assert check.status == "skipped"
+    assert check.reason == "order 24 exceeds cap 10"
 
 
 def test_resolution_table():

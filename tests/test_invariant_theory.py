@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import batch_images, invariant_dim_reynolds, reynolds_sum
+from oracles import all_elements, batch_images, invariant_dim_reynolds, reynolds_sum
 from roothk.exact_linalg import IntMatrix, integer_row_rank
 from roothk.invariant_theory import (
     Representation,
@@ -128,8 +128,9 @@ def test_invariant_dim_trivial_rep():
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2)])
 def test_reynolds_matches_generator_method(family, rank, groups, constructions):
     group = groups(family, rank)
+    elements = all_elements(group)
     for chain, rep in constructions(rep_reflection(group.datum)):
-        assert invariant_dim_reynolds(chain, group.elements) == invariant_dim(rep)
+        assert invariant_dim_reynolds(chain, elements) == invariant_dim(rep)
 
 
 def test_reynolds_explicit_average_a2(groups):
@@ -138,8 +139,9 @@ def test_reynolds_explicit_average_a2(groups):
     v = rep_reflection(group.datum)
     s2 = rep_sym2(v)
     chain = ("sym2", ("defining",))
-    assert invariant_dim_reynolds(chain, group.elements) == invariant_dim(s2) == 1
-    total = reynolds_sum(chain, group.elements)
+    elements = all_elements(group)
+    assert invariant_dim_reynolds(chain, elements) == invariant_dim(s2) == 1
+    total = reynolds_sum(chain, elements)
     # Cross-check the fast assembly against an explicit sum over elements.
     direct = IntMatrix.zeros(3, 3)
     for w in element_iter(group):
@@ -150,20 +152,20 @@ def test_reynolds_explicit_average_a2(groups):
 def test_reynolds_rejects_explicit_reps(groups):
     # Given generator images say nothing about the other elements' images.
     with pytest.raises(ValueError):
-        invariant_dim_reynolds(("explicit",), groups("A", 1).elements)
+        invariant_dim_reynolds(("explicit",), all_elements(groups("A", 1)))
 
 
 def test_reynolds_rejects_chains_without_pair_sums(groups):
     # Sym2 of Sym2 is quartic in the defining entries: no pair-sum assembly.
     group = groups("A", 2)
     with pytest.raises(ValueError, match="no Reynolds sum"):
-        reynolds_sum(("sym2", ("sym2", ("defining",))), group.elements)
+        reynolds_sum(("sym2", ("sym2", ("defining",))), all_elements(group))
 
 
 def test_reynolds_wedge2_b2(groups):
     group = groups("B", 2)
     v = rep_reflection(group.datum)
-    assert invariant_dim_reynolds(("wedge2", ("defining",)), group.elements) == invariant_dim(rep_wedge2(v)) == 0
+    assert invariant_dim_reynolds(("wedge2", ("defining",)), all_elements(group)) == invariant_dim(rep_wedge2(v)) == 0
 
 
 def test_batch_images_match_generator_images(groups, constructions):

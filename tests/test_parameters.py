@@ -16,14 +16,12 @@ ALLOWED = {
     ("cli", "main", "argv"),
     ("cli", "CheckRecord.__init__", "citation"),
     ("cli", "ReportDocument.add", "citation"),
-    ("hk_analysis", "freeness_codim_check", "cap"),
     ("hk_analysis", "analyze", "lattice_selector"),
     ("hk_analysis", "analyze", "cap"),
     ("lattice_tower", "invariant_intermediate_lattices", "reflections"),
     ("lattice_tower", "IntermediateLattice.contains_dual_vector", "basis_adjugate"),
     ("weyl", "generate_group", "cap"),
     ("weyl", "GroupCap.__init__", "max_elements"),
-    ("weyl", "WeylGroup.__init__", "elements"),
 }
 
 

@@ -12,7 +12,7 @@ from roothk.hk_analysis import analyze, fixed_locus_on_abelian, freeness_codim_c
 from roothk.invariant_theory import Representation, invariant_report, rep_reflection
 from roothk.lattice_tower import tower_for_spec
 from roothk.root_data import RootSystemSpec, build_root_datum, dual_lattice_quotient_check
-from roothk.weyl import GroupCap, WeylGroup
+from roothk.weyl import GroupCap, generate_group
 
 
 def test_spec_equality_and_hash_key_the_datum_cache():
@@ -64,7 +64,7 @@ RECORDS = {
     "DiscriminantGroup": lambda: tower_for_spec(RootSystemSpec("A", 1)).disc,
     "IntermediateLattice": lambda: tower_for_spec(RootSystemSpec("A", 1)).lattices[0],
     "FixedLocusEntry": lambda: fixed_locus_on_abelian(IntMatrix.from_rows([[-1]])),
-    "FreenessCheck": lambda: freeness_codim_check(WeylGroup.from_generators(_a1()), cap=GroupCap(1)),
+    "FreenessCheck": lambda: freeness_codim_check(generate_group(_a1())),
     "HKVerdict": lambda: analyze(RootSystemSpec("A", 1), cap=GroupCap(1)),
 }
 

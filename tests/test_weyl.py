@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from roothk import weyl
-from roothk.errors import GroupTooLargeError, NotExhaustiveError
+from roothk.errors import GroupTooLargeError
 from roothk.exact_linalg import IntMatrix
 from roothk.root_data import (
     RootSystemSpec,
@@ -17,7 +17,6 @@ from roothk.root_data import (
 )
 from roothk.weyl import (
     GroupCap,
-    WeylGroup,
     element_iter,
     generate_group,
     group_order_formula,
@@ -62,9 +61,10 @@ def test_enumeration_oracle(family, rank, groups):
     # number of positive roots an element sends to negative roots) as the
     # Poincare polynomial from the root heights says.
     group = groups(family, rank)
-    _assert_closed_group(group.elements.astype(np.int16), simple_reflections(group.datum), group.order)
-    assert (group.elements[0] == np.eye(rank)).all()
-    per_length = Counter(_lengths(group.datum, group.elements))
+    elements = oracles.all_elements(group)
+    _assert_closed_group(elements.astype(np.int16), simple_reflections(group.datum), group.order)
+    assert (elements[0] == np.eye(rank)).all()
+    per_length = Counter(_lengths(group.datum, elements))
     assert [per_length[h] for h in range(max(per_length) + 1)] == _poincare(_exponents(group.datum))
 
 
@@ -254,12 +254,28 @@ def test_element_iter_a2_identity_first(groups):
     assert len(set(elems)) == 6
 
 
-def test_element_iter_requires_exhaustive():
-    group = WeylGroup.from_generators(build_root_datum(RootSystemSpec("E", 8)))
-    with pytest.raises(NotExhaustiveError):
-        next(element_iter(group))
-    with pytest.raises(NotExhaustiveError):
-        group.element_count()
+@pytest.mark.parametrize(
+    "spec", [s for s in standard_table() if group_order_formula(s) <= 10_000], ids=lambda s: s.label
+)
+def test_element_iter_is_the_product_of_the_halves(spec, groups):
+    # order distinct matrices, the identity first, each the product u * v
+    # at row i |V| + j of the oracle's u-major product.
+    group = groups(spec.family, spec.rank)
+    elems = list(element_iter(group))
+    assert len(elems) == len(set(elems)) == group.order
+    assert elems[0] == IntMatrix.identity(spec.rank)
+    assert [w.to_rows() for w in elems] == oracles.all_elements(group).tolist()
+
+
+def test_e7_is_held_as_two_halves():
+    # W(E7) = 56 * 27 * 16 * 10 * 3 * 2 * 2 splits as 1512 * 1920; the group
+    # holds those two int8 arrays, 168 kB, not its 2,903,040 elements.
+    group = generate_group(build_root_datum(RootSystemSpec("E", 7)))
+    u, v = group.halves
+    assert (len(u), len(v)) == (1512, 1920)
+    assert u.dtype == v.dtype == np.int8
+    assert u.nbytes + v.nbytes == (1512 + 1920) * 49
+    assert group.element_count() == group.order == 2903040
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
@@ -309,7 +325,7 @@ def test_signed_permutation_structure(n, order):
     datum = build_root_datum(RootSystemSpec("B", n))
     group = generate_group(datum)
     assert group.order == order
-    ambient = np.abs(oracles.ambient_matrices(group.elements, datum.simple_rows))
+    ambient = np.abs(oracles.ambient_matrices(oracles.all_elements(group), datum.simple_rows))
     # Integer rows and columns of absolute sum 1: one entry +-1 in each.
     assert (ambient.sum(axis=1) == 1).all() and (ambient.sum(axis=2) == 1).all()
     perms, signs = np.unique(ambient.argmax(axis=1), axis=0, return_counts=True)
