@@ -11,16 +11,22 @@ enumerates W (the ``freeness/*`` and ``fixed-locus/*`` rows, and the only
 numpy import) while the parent runs the generator-only rows; the document
 keeps its row order.  ``main`` defaults ``OPENBLAS_NUM_THREADS`` to 1 before
 numpy can load, since no computation here calls BLAS.
+
+Run as ``python -m roothk.cli``, the process freezes its heap once ``main``
+returns, which spares interpreter teardown its full collections; ``main``
+itself leaves the collector alone, so in-process callers are unaffected.
+Nothing imported here loads ``fractions``: rationals arrive as exact
+numerator/denominator pairs.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .errors import DiscriminantTooLargeError, RootHKError
@@ -56,11 +62,14 @@ def _render_value(v):
         return 1 if v else 0
     if isinstance(v, int):
         return v
-    if isinstance(v, Fraction):
-        return str(v) if v.denominator != 1 else v.numerator
     if isinstance(v, str):
         return v
-    raise TypeError(f"report values must be exact integers, rationals or strings: got {type(v)!r}")
+    # Any exact rational: a Fraction, or lattice_tower's Ratio.
+    try:
+        p, q = v.numerator, v.denominator
+    except AttributeError:
+        raise TypeError(f"report values must be exact integers, rationals or strings: got {type(v)!r}") from None
+    return p if q == 1 else f"{p}/{q}"
 
 
 class CheckRecord:
@@ -500,4 +509,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    # Interpreter teardown would otherwise run full collections over every
+    # object the imports and caches made; frozen objects are never traversed.
+    gc.freeze()
+    sys.exit(code)

@@ -129,11 +129,6 @@ class IntMatrix(Frozen):
             self.cols, self.rows, (self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
         )
 
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self[i, j] == self[j, i] for i in range(self.rows) for j in range(i)
-        )
-
     def trace(self) -> int:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")

@@ -10,7 +10,6 @@ discriminant group, which is a finite, exactly decidable condition.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -193,31 +192,11 @@ def minimal_generating_set(disc: DiscriminantGroup, subgroup: frozenset) -> tupl
     return tuple(gens)
 
 
-def annihilator_subgroup(
-    disc: DiscriminantGroup, subgroup: frozenset, gram_adjugate: tuple[IntMatrix, int]
-) -> frozenset:
-    """Elements pairing integrally with the whole subgroup.
+class Ratio(NamedTuple):
+    """An exact rational numerator/denominator in lowest terms, denominator positive."""
 
-    The pairing of two classes is the rational inner product x G^-1 y of
-    dual-basis lifts taken modulo 1, tested as x adj(G) y = 0 modulo det G
-    with ``gram_adjugate == gram.adjugate()``; sending a subgroup to its
-    annihilator is the inclusion-reversing involution matching lattice
-    duality.
-    """
-    adj, det = gram_adjugate
-    n = adj.rows
-    gens = minimal_generating_set(disc, subgroup)
-    # adj(G) y for each generator lift y.
-    images = [
-        tuple(sum(adj[i, j] * y[j] for j in range(n)) for i in range(n))
-        for y in (disc.lift(g) for g in gens)
-    ]
-    out = []
-    for a in disc.elements():
-        x = disc.lift(a)
-        if all(sum(xi * zi for xi, zi in zip(x, z)) % det == 0 for z in images):
-            out.append(a)
-    return frozenset(out)
+    numerator: int
+    denominator: int
 
 
 class IntermediateLattice(NamedTuple):
@@ -240,8 +219,11 @@ class IntermediateLattice(NamedTuple):
     scaled_gram_det: int
 
     @property
-    def gram_det(self) -> Fraction:
-        return Fraction(self.scaled_gram_det, self.gram_denominator**self.basis.rows)
+    def gram_det(self) -> Ratio:
+        """det(B G^-1 B^T) in lowest terms (det G > 0, so the denominator is positive)."""
+        num, den = self.scaled_gram_det, self.gram_denominator**self.basis.rows
+        g = gcd(num, den)
+        return Ratio(num // g, den // g)
 
     def primitive_gram(self) -> IntMatrix:
         """The inherited form rescaled to integer entries of content 1."""
@@ -251,17 +233,6 @@ class IntermediateLattice(NamedTuple):
     @property
     def primitive_gram_det(self) -> int:
         return self.scaled_gram_det // self.scaled_gram.content() ** self.basis.rows
-
-    def contains_dual_vector(
-        self, v: tuple[int, ...], basis_adjugate: tuple[IntMatrix, int] | None = None
-    ) -> bool:
-        """Whether v is an integer combination of the basis rows, i.e. v B^-1
-        is integral, tested as v adj(B) = 0 modulo det B.  Pass
-        ``self.basis.adjugate()`` to reuse it across calls."""
-        adj, det = basis_adjugate if basis_adjugate is not None else self.basis.adjugate()
-        return all(
-            sum(v[j] * adj[j, i] for j in range(len(v))) % det == 0 for i in range(adj.cols)
-        )
 
 
 class TowerReport(NamedTuple):
@@ -328,7 +299,7 @@ def _recognize_label(datum: RootDatum, disc_order: int, lat: IntermediateLattice
     # An integral unimodular lattice is Z^n iff it has n pairs of norm-1
     # vectors: two such vectors that are not +-each other are orthogonal, so
     # n pairs span a unimodular sublattice of full rank, which is all of L.
-    if all(x % d == 0 for x in lat.scaled_gram.data) and lat.gram_det == 1:
+    if all(x % d == 0 for x in lat.scaled_gram.data) and lat.gram_det == (1, 1):
         rank = datum.rank
         g = IntMatrix(rank, rank, (x // d for x in lat.scaled_gram.data))
         if len(short_vectors(g, 1)) == rank:
@@ -507,13 +478,24 @@ def _short_vectors(g: IntMatrix, bound: int) -> Iterator[tuple[tuple[int, ...], 
         yield from recurse(n - 1, total, False)
 
 
+def _round_half_even(a: int, b: int) -> int:
+    """The integer nearest a / b, ties to the even one: ``round(Fraction(a, b))``."""
+    if b < 0:
+        a, b = -a, -b
+    q, r = divmod(a, b)
+    if 2 * r > b or (2 * r == b and q % 2):
+        q += 1
+    return q
+
+
 def _greedy_reduce(g: IntMatrix) -> IntMatrix:
     """Unimodular congruence with pairwise size-reduced basis, diagonal sorted.
 
     Repeatedly replaces b_i by b_i - q b_j whenever that strictly shrinks the
-    norm of b_i (q the nearest integer to the Gram ratio).  Every step lowers
-    a positive integer diagonal entry, so the loop terminates; the result is
-    congruent to the input.  Exact integer arithmetic throughout.
+    norm of b_i, q the Gram ratio a_ij / a_jj rounded half to even by
+    :func:`_round_half_even`, which fixes the order of the steps.  Every step
+    lowers a positive integer diagonal entry, so the loop terminates; the
+    result is congruent to the input.  Integer arithmetic throughout.
     """
     n = g.rows
     a = g.to_rows()
@@ -524,7 +506,7 @@ def _greedy_reduce(g: IntMatrix) -> IntMatrix:
             for j in range(n):
                 if i == j or a[j][j] == 0:
                     continue
-                q = round(Fraction(a[i][j], a[j][j]))
+                q = _round_half_even(a[i][j], a[j][j])
                 if q == 0:
                     continue
                 new_ii = a[i][i] - 2 * q * a[i][j] + q * q * a[j][j]

@@ -17,6 +17,8 @@ builds the representation passes the chain it built it by.
 - The ambient root model: the simple roots closed under their ambient
   reflections in ``Fraction``, and simple-root coordinates from the inverse
   of the raw Gram.
+- Lattice membership and the discriminant pairing, from Gram and basis
+  inverses over ``Fraction``.
 """
 
 from fractions import Fraction
@@ -259,3 +261,27 @@ def ambient_matrices(elements, simple_rows):
     basis = np.array(s, dtype=np.int64)
     basis_inv = np.array([[int(x) for x in row] for row in s_inv], dtype=np.int64)
     return basis[None] @ elements.astype(np.int64) @ basis_inv[None]
+
+
+# --- lattices between the root lattice and its dual ----------------------------
+
+
+def _integral(m):
+    return all(x.denominator == 1 for row in m for x in row)
+
+
+def in_lattice(basis, vectors):
+    """Whether every vector is an integer combination of the basis rows:
+    v B^-1 integral."""
+    return _integral(ref.matmul(vectors, ref.inverse(basis)))
+
+
+def annihilator(disc, subgroup, gram):
+    """The classes of a discriminant group ``disc`` that pair integrally with
+    every class of ``subgroup``: x G^-1 y an integer for the dual-basis lifts
+    x and y, with G the Gram of the root lattice."""
+    inverse = ref.inverse(gram)
+    lifts = ref.transpose([disc.lift(y) for y in subgroup])
+    return frozenset(
+        a for a in disc.elements() if _integral(ref.matmul(ref.matmul([disc.lift(a)], inverse), lifts))
+    )

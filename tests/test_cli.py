@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -328,7 +329,7 @@ def test_numpy_loaded_only_where_w_is_enumerated(argv, loads_numpy):
 
 
 # Runs main(argv) in a fresh interpreter, then prints which of the modules
-# that dataclasses would pull in are loaded.
+# that dataclasses or fractions would pull in are loaded.
 IMPORT_PROBE = """
 import contextlib, io, sys
 from roothk.cli import main
@@ -336,15 +337,33 @@ from roothk.cli import main
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(sys.argv[1:]) == 0
-print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+print(sorted({"dataclasses", "inspect", "fractions", "decimal", "numbers"} & set(sys.modules)))
 """
 
 
-@pytest.mark.parametrize("argv", [(), ("sublattices", "A", "23")], ids=lambda v: " ".join(v) or "import")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("sublattices", "A", "23"),
+        ("sublattices", "D", "8"),  # runs the greedy reduction of the isometry search
+        ("analyze", "A", "12", "--lattice", "dual"),
+    ],
+    ids=lambda v: " ".join(v) or "import",
+)
 def test_no_dataclasses_in_the_import_graph(argv):
     proc = run_python(["-c", IMPORT_PROBE, *argv])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [("sublattices", "B", "3"), ("report", "--group-cap", "30")])
+def test_main_leaves_the_gc_freeze_count_as_it_found_it(argv, capsys):
+    # The exit-time freeze belongs to ``python -m roothk.cli`` alone: a caller
+    # of main(), such as the benchmark's traced pass, keeps a collectable heap.
+    before = gc.get_freeze_count()
+    assert main(list(argv)) == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_towers_and_generator_only_analyze_never_close_the_roots():

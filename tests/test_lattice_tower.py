@@ -11,7 +11,6 @@ from roothk.exact_linalg import IntMatrix
 from roothk.lattice_tower import (
     _primitive_roots,
     all_subgroups,
-    annihilator_subgroup,
     bc_tower,
     discriminant_group,
     induced_discriminant_action,
@@ -252,12 +251,8 @@ def test_bc_tower_rejects_small_rank():
 
 
 def _stable_under(lat, matrices):
-    basis_adjugate = lat.basis.adjugate()
-    return all(
-        lat.contains_dual_vector(_dual_image(m, lat.basis.row(r)), basis_adjugate)
-        for m in matrices
-        for r in range(lat.basis.rows)
-    )
+    images = [_dual_image(m, lat.basis.row(r)) for m in matrices for r in range(lat.basis.rows)]
+    return oracles.in_lattice(lat.basis, images)
 
 
 def test_tower_lattices_are_group_stable_directly():
@@ -286,11 +281,10 @@ def test_duality_involution_on_towers():
         disc = discriminant_group(datum)
         report = invariant_intermediate_lattices(datum)
         subgroups = [_naive_closure(disc, lat.subgroup_generators) for lat in report.lattices]
-        gram_adjugate = datum.gram.adjugate()
-        ann = {s: annihilator_subgroup(disc, s, gram_adjugate) for s in subgroups}
+        ann = {s: oracles.annihilator(disc, s, datum.gram) for s in subgroups}
         for s in subgroups:
             assert ann[s] in subgroups
-            assert annihilator_subgroup(disc, ann[s], gram_adjugate) == s
+            assert oracles.annihilator(disc, ann[s], datum.gram) == s
             assert len(s) * len(ann[s]) == disc.order
 
 
@@ -310,6 +304,14 @@ def test_classify_d3_a3_same_class():
     a3 = _datum("A", 3).gram
     d3 = _datum("D", 3).gram
     assert lattice_isometric(a3, d3) is True
+
+
+def test_round_half_even_is_round_of_the_fraction():
+    # Every sign of numerator and denominator, ties included, and ratios far from 0.
+    for b in [*range(-12, 0), *range(1, 13), 10**20 + 1, -(10**20)]:
+        for a in [*range(-40, 41), 7 * 10**20, -(10**21) - 1]:
+            assert lattice_tower._round_half_even(a, b) == round(Fraction(a, b)), (a, b)
+    assert [lattice_tower._round_half_even(a, 2) for a in range(-5, 6, 2)] == [-2, -2, 0, 0, 2, 2]
 
 
 def test_isometry_search_past_node_cap_is_inconclusive(monkeypatch):
@@ -342,7 +344,7 @@ def test_unimodular_towers_tell_the_cube_from_the_half_spin_lattices(n):
     assert report.inconclusive_pairs == ()
     for k in (1, 2, 3):
         lat = report.lattices[k]
-        assert lat.gram_det == 1 and lat.primitive_gram_det == 1
+        assert lat.gram_det == (1, 1) and lat.primitive_gram_det == 1
         assert lattice_isometric(lat.primitive_gram(), IntMatrix.identity(n)) is (k == 2)
 
 
@@ -568,7 +570,8 @@ def test_integral_grams_match_rational_reference():
             prim = [[x // content for x in row] for row in cleared]
             assert ref.divided(lat.scaled_gram, lat.gram_denominator) == reference
             assert lat.primitive_gram().to_rows() == prim
-            assert lat.gram_det == ref.det(reference)
+            det = ref.det(reference)
+            assert lat.gram_det == (det.numerator, det.denominator)
             assert lat.primitive_gram_det == ref.det(prim)
 
 

@@ -19,7 +19,6 @@ ALLOWED = {
     ("hk_analysis", "analyze", "lattice_selector"),
     ("hk_analysis", "analyze", "cap"),
     ("lattice_tower", "invariant_intermediate_lattices", "reflections"),
-    ("lattice_tower", "IntermediateLattice.contains_dual_vector", "basis_adjugate"),
     ("weyl", "generate_group", "cap"),
     ("weyl", "GroupCap.__init__", "max_elements"),
 }

@@ -10,7 +10,7 @@ from roothk.cli import CheckRecord, ReportDocument
 from roothk.exact_linalg import IntMatrix, smith_normal_form
 from roothk.hk_analysis import analyze, fixed_locus_on_abelian, freeness_codim_check
 from roothk.invariant_theory import Representation, invariant_report, rep_reflection
-from roothk.lattice_tower import tower_for_spec
+from roothk.lattice_tower import Ratio, tower_for_spec
 from roothk.root_data import RootSystemSpec, build_root_datum, dual_lattice_quotient_check
 from roothk.weyl import GroupCap, generate_group
 
@@ -92,6 +92,18 @@ def test_check_records_survive_a_pickle_round_trip():
     assert [type(c) for c in back] == [CheckRecord, CheckRecord]
     assert [vars(c) for c in back] == [vars(c) for c in doc.checks]
     assert back[0].rendered_values() == {"n": 2, "q": "1/2", "s": "x"}
+
+
+@pytest.mark.parametrize("exact", [Fraction, Ratio], ids=["Fraction", "Ratio"])
+def test_rationals_render_as_an_integer_or_p_over_q(exact):
+    record = CheckRecord("r", "pass", {"whole": exact(-6, 1), "part": exact(-3, 4)})
+    assert record.rendered_values() == {"whole": -6, "part": "-3/4"}
+
+
+@pytest.mark.parametrize("inexact", [0.5, (1, 2), None])
+def test_inexact_values_do_not_render(inexact):
+    with pytest.raises(TypeError, match="exact integers, rationals or strings"):
+        CheckRecord("r", "pass", {"v": inexact}).rendered_values()
 
 
 def test_spec_pickles():
