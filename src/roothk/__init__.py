@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     DiscriminantTooLargeError,
-    GroupTooLargeError,
     LatticeActionError,
     RootHKError,
 )
@@ -31,7 +30,7 @@ from .root_data import (
     standard_table,
 )
 from .weyl import (
-    GroupCap,
+    DEFAULT_GROUP_CAP,
     WeylGroup,
     coset_halves,
     element_iter,

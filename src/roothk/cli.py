@@ -12,9 +12,10 @@ numpy import) while the parent runs the generator-only rows; the document
 keeps its row order.  ``main`` defaults ``OPENBLAS_NUM_THREADS`` to 1 before
 numpy can load, since no computation here calls BLAS.
 
-Run as ``python -m roothk.cli``, the process freezes its heap once ``main``
-returns, which spares interpreter teardown its full collections; ``main``
-itself leaves the collector alone, so in-process callers are unaffected.
+Run as ``python -m roothk.cli`` or as the ``roothk`` script, both through
+``run``, the process freezes its heap once ``main`` returns, which spares
+interpreter teardown its full collections; ``main`` itself leaves the
+collector alone, so in-process callers are unaffected.
 Nothing imported here loads ``fractions``: rationals arrive as exact
 numerator/denominator pairs.
 """
@@ -49,7 +50,7 @@ from .root_data import (
     specs_up_to_rank,
     standard_table,
 )
-from .weyl import GroupCap, element_iter, generate_group, group_order_formula
+from .weyl import DEFAULT_GROUP_CAP, element_iter, generate_group, group_order_formula
 
 ENV_GROUP_CAP = "ROOTHK_GROUP_CAP"
 
@@ -126,17 +127,25 @@ class ReportDocument:
         return self.to_json() if fmt == "json" else self.to_tsv()
 
 
-def resolve_group_cap(flag_value: int | None) -> GroupCap:
-    """Group cap from the flag, falling back to the environment variable."""
+def resolve_group_cap(flag_value: int | None) -> int:
+    """Group cap from the flag, falling back to the environment variable and
+    then to ``DEFAULT_GROUP_CAP``; a cap that is not positive raises
+    ValueError."""
     if flag_value is not None:
-        return GroupCap(max_elements=flag_value)
+        return _positive_cap(flag_value)
     env = os.environ.get(ENV_GROUP_CAP)
-    if env is not None:
-        try:
-            return GroupCap(max_elements=int(env))
-        except ValueError as exc:
-            raise UsageError(f"invalid {ENV_GROUP_CAP}={env!r}: {exc}") from exc
-    return GroupCap()
+    if env is None:
+        return DEFAULT_GROUP_CAP
+    try:
+        return _positive_cap(int(env))
+    except ValueError as exc:
+        raise UsageError(f"invalid {ENV_GROUP_CAP}={env!r}: {exc}") from exc
+
+
+def _positive_cap(cap: int) -> int:
+    if cap <= 0:
+        raise ValueError("cap must be positive")
+    return cap
 
 
 class UsageError(Exception):
@@ -146,7 +155,7 @@ class UsageError(Exception):
 # --- subcommand bodies ----------------------------------------------------------
 
 
-def cmd_analyze(family: str, rank: int, lattice: str, cap: GroupCap) -> ReportDocument:
+def cmd_analyze(family: str, rank: int, lattice: str, cap: int) -> ReportDocument:
     spec = RootSystemSpec(family, rank)
     doc = ReportDocument(
         command={"command": "analyze", "family": family, "rank": rank, "lattice": lattice}
@@ -244,7 +253,7 @@ def cmd_sublattices(family: str, rank: int) -> ReportDocument:
     return doc
 
 
-def _enumerated_checks(cap: GroupCap) -> list[CheckRecord]:
+def _enumerated_checks(cap: int) -> list[CheckRecord]:
     """The rows of ``report`` that enumerate W, and so the only ones that
     load numpy: freeness over every group under the cap, then fixed loci."""
     doc = ReportDocument(command={})
@@ -252,15 +261,15 @@ def _enumerated_checks(cap: GroupCap) -> list[CheckRecord]:
     for spec in standard_table():
         order = group_order_formula(spec)
         name = f"freeness/{spec.label}"
-        if order > cap.max_elements:
+        if order > cap:
             doc.add(
                 name,
                 "skipped",
-                {"order": order, "reason": f"order exceeds cap {cap.max_elements}"},
+                {"order": order, "reason": f"order exceeds cap {cap}"},
             )
             continue
         # Read as the products of two halves of about sqrt(|W|) elements; W is never held.
-        check = freeness_codim_check(generate_group(build_root_datum(spec), cap))
+        check = freeness_codim_check(generate_group(build_root_datum(spec)))
         doc.add(
             name,
             "pass" if check.min_codim_doubled == 2 else "fail",
@@ -275,14 +284,14 @@ def _enumerated_checks(cap: GroupCap) -> list[CheckRecord]:
     for family, rank in _FIXED_LOCUS_GROUPS:
         spec = RootSystemSpec(family, rank)
         order = group_order_formula(spec)
-        if order > cap.max_elements:
+        if order > cap:
             doc.add(
                 f"fixed-locus/{spec.label}",
                 "skipped",
-                {"order": order, "reason": f"order exceeds cap {cap.max_elements}"},
+                {"order": order, "reason": f"order exceeds cap {cap}"},
             )
             continue
-        group = generate_group(build_root_datum(spec), cap)
+        group = generate_group(build_root_datum(spec))
         compared = 0
         agree = True
         for w in element_iter(group):
@@ -302,7 +311,7 @@ def _enumerated_checks(cap: GroupCap) -> list[CheckRecord]:
     return doc.checks
 
 
-def _worker_outcome(cap: GroupCap) -> tuple[bool, object, int]:
+def _worker_outcome(cap: int) -> tuple[bool, object, int]:
     """(True, rows, ms) or (False, exception, ms) of ``_enumerated_checks``."""
     started = time.monotonic_ns()
     try:
@@ -312,7 +321,7 @@ def _worker_outcome(cap: GroupCap) -> tuple[bool, object, int]:
     return (*outcome, (time.monotonic_ns() - started) // 1_000_000)
 
 
-def cmd_report(suite: str, cap: GroupCap) -> ReportDocument:
+def cmd_report(suite: str, cap: int) -> ReportDocument:
     """The default suite in two processes: a forked worker runs the rows that
     enumerate W while this process runs the generator-only ones.
 
@@ -439,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--group-cap",
         type=int,
         default=None,
-        help=f"element cap for exhaustive group enumeration (default 5000000; env {ENV_GROUP_CAP})",
+        help=f"element cap for exhaustive group enumeration (default {DEFAULT_GROUP_CAP}; env {ENV_GROUP_CAP})",
     )
 
     parser = argparse.ArgumentParser(
@@ -508,9 +517,16 @@ def main(argv: list[str] | None = None) -> int:
     return 1 if doc.failed else 0
 
 
-if __name__ == "__main__":
+def run() -> int:
+    """The program's entry point, for ``python -m roothk.cli`` and the
+    ``roothk`` console script alike: ``main()``, then a freeze of the heap
+    just before the process exits with its code."""
     code = main()
     # Interpreter teardown would otherwise run full collections over every
     # object the imports and caches made; frozen objects are never traversed.
     gc.freeze()
-    sys.exit(code)
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(run())

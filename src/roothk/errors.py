@@ -10,22 +10,6 @@ class RootHKError(Exception):
     """Base class for all roothk-specific errors."""
 
 
-class GroupTooLargeError(RootHKError):
-    """Raised when exhaustive group enumeration would exceed the element cap."""
-
-    def __init__(self, label: str, predicted: int, cap: int):
-        super().__init__(label, predicted, cap)
-        self.label = label
-        self.predicted = predicted
-        self.cap = cap
-
-    def __str__(self) -> str:
-        return (
-            f"group {self.label} has {self.predicted} elements, exceeding the cap of {self.cap}; "
-            "use generator-only methods"
-        )
-
-
 class DiscriminantTooLargeError(RootHKError):
     """Raised when a discriminant group is too large for subgroup enumeration."""
 

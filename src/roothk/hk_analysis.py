@@ -25,7 +25,7 @@ from .lattice_tower import tower_for_spec
 from .root_data import RootSystemSpec, build_root_datum
 from .weyl import (
     _ENTRY_BOUND,
-    GroupCap,
+    DEFAULT_GROUP_CAP,
     WeylGroup,
     generate_group,
     group_order_formula,
@@ -185,7 +185,7 @@ def freeness_codim_check(group: WeylGroup) -> FreenessCheck:
         raise AssertionError(f"the pass saw {elements} elements, expected order {group.order}")
     if identities != 1:
         raise AssertionError(f"identity appeared {identities} times in the element set")
-    positive_roots = len(group.datum.root_coords) // 2
+    positive_roots = group.datum.spec.root_count // 2
     if reflections != positive_roots:
         raise AssertionError(f"found {reflections} reflections, expected {positive_roots} positive roots")
     if trace_sum != 0 or trace_square_sum != group.order:
@@ -292,11 +292,7 @@ def _select_lattice_label(spec: RootSystemSpec, selector: str) -> str:
     raise ValueError(f"unknown lattice selector {selector!r}; use root, dual, or index:k")
 
 
-def analyze(
-    spec: RootSystemSpec,
-    lattice_selector: str = "root",
-    cap: GroupCap | None = None,
-) -> HKVerdict:
+def analyze(spec: RootSystemSpec, lattice_selector: str = "root", cap: int = DEFAULT_GROUP_CAP) -> HKVerdict:
     """Run the full verdict pipeline for one spec and lattice selection.
 
     Within the cap, the freeness pass reads W as the two halves of
@@ -309,7 +305,6 @@ def analyze(
             f"{spec.label} is over the generator-only cost ceiling: rank {spec.rank} > "
             f"GENERATOR_ONLY_MAX_RANK = {GENERATOR_ONLY_MAX_RANK}"
         )
-    cap = cap if cap is not None else GroupCap()
     datum = build_root_datum(spec)
     lattice_label = _select_lattice_label(spec, lattice_selector)
 
@@ -318,10 +313,10 @@ def analyze(
     form_dim = symplectic_form_dim(base)
 
     order = group_order_formula(spec)
-    if order > cap.max_elements:
-        freeness = FreenessCheck(status="skipped", reason=f"order {order} exceeds cap {cap.max_elements}")
+    if order > cap:
+        freeness = FreenessCheck(status="skipped", reason=f"order {order} exceeds cap {cap}")
     else:
-        freeness = freeness_codim_check(generate_group(datum, cap))
+        freeness = freeness_codim_check(generate_group(datum))
 
     return HKVerdict(
         lattice_label=lattice_label,

@@ -334,12 +334,8 @@ def invariant_intermediate_lattices(
     disc = discriminant_group(datum)
     gram_adjugate = datum.gram.adjugate()
     actions = induced_discriminant_action(reflections, disc, datum.gram)
-    subgroups = all_subgroups(disc)
-    stable = []
-    for s in subgroups:
-        if all(all(table[e] in s for e in s) for table in actions):
-            stable.append(s)
-    stable.sort(key=lambda s: (len(s), sorted(s)))
+    # all_subgroups is sorted by (order, elements), and the filter keeps it so.
+    stable = [s for s in all_subgroups(disc) if all(all(table[e] in s for e in s) for table in actions)]
 
     lattices: list[IntermediateLattice] = []
     labels: list[str] = []

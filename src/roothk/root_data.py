@@ -1,4 +1,4 @@
-"""Root systems of types A-G: simple roots, Cartan matrices, root sets, Gram forms.
+"""Root systems of types A-G: simple roots, Cartan matrices, root counts, Gram forms.
 
 Simple roots use the standard ambient coordinate realizations (type A in the
 sum-zero hyperplane of Q^(n+1), types B/C/D in Q^n, E in Q^8, F in Q^4, G in
@@ -10,7 +10,7 @@ downstream are expressed in the simple-root basis, where they are integral.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -130,14 +130,12 @@ def _int_gram(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 class RootDatum(Frozen):
-    """A root system with its Cartan matrix, full root set, and lattice Gram form.
+    """A root system with its Cartan matrix and lattice Gram form.
 
     The ambient simple roots are ``simple_rows[i] / denominator``, integer
-    rows over their least common denominator.  ``root_coords`` holds every
-    root in simple-root coordinates, sorted, closed under the simple
-    reflections and checked against the root count; it is built on first
-    read.  ``gram`` is the Gram matrix of the simple roots rescaled to the
-    smallest integral multiple.  Immutable but for that cache.
+    rows over their least common denominator.  ``gram`` is the Gram matrix of
+    the simple roots rescaled to the smallest integral multiple.  The number
+    of roots is the closed form ``spec.root_count``.  Immutable.
     """
 
     def __init__(
@@ -163,32 +161,6 @@ class RootDatum(Frozen):
     def rank(self) -> int:
         return self.spec.rank
 
-    @cached_property
-    def root_coords(self) -> tuple[tuple[int, ...], ...]:
-        """Every root in simple-root coordinates, sorted: the closure of the
-        simple roots and their negatives under the simple reflections."""
-        # Everything here is an integer: s_j(v) = v - <v, a_j^vee> a_j with
-        # <v, a_j^vee> = sum_i v_i cartan[i, j].
-        spec, n = self.spec, self.rank
-        columns = [[(i, c) for i, c in enumerate(col) if c] for col in self.cartan.transpose()]
-        units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-        coords = set(units) | {tuple(-x for x in v) for v in units}
-        frontier = list(coords)
-        while frontier:
-            new = []
-            for v in frontier:
-                for j, col in enumerate(columns):
-                    c = sum(v[i] * x for i, x in col)
-                    if c:
-                        w = v[:j] + (v[j] - c,) + v[j + 1 :]
-                        if w not in coords:
-                            coords.add(w)
-                            new.append(w)
-            frontier = new
-        if len(coords) != spec.root_count:
-            raise AssertionError(f"root count mismatch for {spec.label}: {len(coords)}")
-        return tuple(sorted(coords))
-
     @property
     def label(self) -> str:
         return self.spec.label
@@ -213,10 +185,7 @@ def _cartan_from_gram(spec: RootSystemSpec, dots: list[list[int]]) -> IntMatrix:
 
 @lru_cache(maxsize=None)
 def build_root_datum(spec: RootSystemSpec) -> RootDatum:
-    """Construct the root datum: simple roots, Cartan matrix and Gram form.
-
-    The full root set, ``root_coords``, is closed on first read.
-    """
+    """Construct the root datum: simple roots, Cartan matrix and Gram form."""
     rows, den = _simple_roots(spec)
     dots = _int_gram(rows)
     n = spec.rank

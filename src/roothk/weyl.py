@@ -19,13 +19,15 @@ from __future__ import annotations
 from math import factorial, prod
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import GroupTooLargeError
-from .exact_linalg import Frozen, IntMatrix
+from .exact_linalg import IntMatrix
 from .root_data import RootDatum, RootSystemSpec, simple_reflections
 
 if TYPE_CHECKING:
     import numpy as np
 
+# Default bound on the order of a group that analyze and report enumerate:
+# the freeness pass visits that many elements, holding only the two halves of
+# :func:`coset_halves` and one bounded tile of traces.
 DEFAULT_GROUP_CAP = 5_000_000
 
 # Root coordinates in the simple-root basis are bounded by the largest
@@ -35,20 +37,6 @@ DEFAULT_GROUP_CAP = 5_000_000
 _ENTRY_BOUND = 6
 
 _EXCEPTIONAL_ORDERS = {"G": 12, "F": 1152, "E6": 51840, "E7": 2903040, "E8": 696729600}
-
-
-class GroupCap(Frozen):
-    """Upper bound on the order of a group enumerated exhaustively.
-
-    ``generate_group`` builds groups up to that order, as the two halves of
-    :func:`coset_halves`; the freeness pass visits that many elements,
-    holding only the halves and one bounded tile of traces.
-    """
-
-    def __init__(self, max_elements: int = DEFAULT_GROUP_CAP):
-        if max_elements <= 0:
-            raise ValueError("cap must be positive")
-        vars(self).update(max_elements=max_elements)
 
 
 def group_order_formula(spec: RootSystemSpec) -> int:
@@ -185,19 +173,14 @@ def coset_halves(datum: RootDatum) -> tuple[np.ndarray, np.ndarray]:
     return _left_multiply(datum, walks[n - d :]), _left_multiply(datum, walks[: n - d])
 
 
-def generate_group(datum: RootDatum, cap: GroupCap | None = None) -> WeylGroup:
+def generate_group(datum: RootDatum) -> WeylGroup:
     """Exhaustive Weyl group: the two halves of :func:`coset_halves`.
 
-    Raises :class:`GroupTooLargeError` when the closed-form order exceeds the
-    cap, before anything is allocated, signalling callers to fall back to
-    generator-only methods, and AssertionError when |U| * |V| differs from
-    that order.
+    Raises AssertionError when |U| * |V| differs from the closed-form order.
+    Callers compare that order with their cap before they call this.
     """
-    cap = cap if cap is not None else GroupCap()
     spec = datum.spec
     order = group_order_formula(spec)
-    if order > cap.max_elements:
-        raise GroupTooLargeError(spec.label, order, cap.max_elements)
     u, v = coset_halves(datum)
     if len(u) * len(v) != order:
         raise AssertionError(f"enumeration of {spec.label} found {len(u) * len(v)} elements, expected {order}")

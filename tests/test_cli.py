@@ -7,12 +7,13 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from roothk import cli
 from roothk.cli import main
-from roothk.errors import GroupTooLargeError, RootHKError
+from roothk.errors import DiscriminantTooLargeError, RootHKError
 
 
 def run_python(args, env_extra=None):
@@ -131,6 +132,26 @@ def test_group_cap_flag_wins_over_env():
 def test_invalid_env_cap_exit_2():
     proc = run_cli(["analyze", "A", "2"], env_extra={"ROOTHK_GROUP_CAP": "many"})
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["--group-cap", "0"], None, "cap must be positive"),
+        (["--group-cap", "-5"], None, "cap must be positive"),
+        ([], "0", "invalid ROOTHK_GROUP_CAP='0': cap must be positive"),
+        ([], "many", "invalid ROOTHK_GROUP_CAP='many': invalid literal for int() with base 10: 'many'"),
+    ],
+    ids=["flag-0", "flag-minus-5", "env-0", "env-many"],
+)
+def test_invalid_caps_are_usage_errors(capsys, monkeypatch, argv, env, message):
+    monkeypatch.delenv("ROOTHK_GROUP_CAP", raising=False)
+    if env is not None:
+        monkeypatch.setenv("ROOTHK_GROUP_CAP", env)
+    for command in (["report"], ["analyze", "A", "2"]):
+        assert main([*command, *argv]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"roothk: error: {message}\n")
 
 
 def test_small_command_determinism():
@@ -366,17 +387,46 @@ def test_main_leaves_the_gc_freeze_count_as_it_found_it(argv, capsys):
     assert gc.get_freeze_count() == before
 
 
-def test_towers_and_generator_only_analyze_never_close_the_roots():
-    from roothk.hk_analysis import analyze
-    from roothk.lattice_tower import tower_for_spec
-    from roothk.root_data import RootSystemSpec, build_root_datum
+ENTRY_PROBE = """
+import atexit, gc, importlib, runpy, sys
+atexit.register(lambda: print(f"freeze count {gc.get_freeze_count()}", file=sys.stderr))
+target, sys.argv = sys.argv[1], ["roothk", *sys.argv[2:]]
+if target == "-m":
+    runpy.run_module("roothk.cli", run_name="__main__")
+else:
+    module, name = target.split(":")
+    sys.exit(getattr(importlib.import_module(module), name)())
+"""
 
-    build_root_datum.cache_clear()
-    a23, a16 = RootSystemSpec("A", 23), RootSystemSpec("A", 16)
-    tower_for_spec(a23)
-    analyze(a16, "dual")
-    assert "root_coords" not in vars(build_root_datum(a23))
-    assert "root_coords" not in vars(build_root_datum(a16))
+
+def test_console_script_and_module_freeze_before_exit():
+    # The installed ``roothk`` script calls its target as ``sys.exit(target())``.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
+    script = pyproject["project"]["scripts"]["roothk"]
+    assert script == "roothk.cli:run"
+    for target in (script, "-m"):
+        proc = run_python(["-c", ENTRY_PROBE, target, "sublattices", "B", "3"])
+        assert proc.returncode == 0, proc.stderr
+        assert int(re.search(r"freeze count (\d+)", proc.stderr).group(1)) > 0
+
+
+def test_report_never_builds_a_group_over_the_cap(monkeypatch):
+    from roothk.root_data import standard_table
+    from roothk.weyl import DEFAULT_GROUP_CAP, generate_group, group_order_formula
+
+    built = []
+
+    def record(datum):
+        built.append(datum.spec)
+        # Fail here rather than run a freeness pass over W(E8).
+        assert group_order_formula(datum.spec) <= DEFAULT_GROUP_CAP, f"{datum.label} built over the cap"
+        return generate_group(datum)
+
+    monkeypatch.setattr(cli, "generate_group", record)
+    cli._enumerated_checks(DEFAULT_GROUP_CAP)
+    assert "E8" not in {spec.label for spec in built}
+    assert set(built) == {spec for spec in standard_table() if group_order_formula(spec) <= DEFAULT_GROUP_CAP}
 
 
 def test_root_count_is_asserted_where_the_roots_are_read(monkeypatch):
@@ -384,13 +434,10 @@ def test_root_count_is_asserted_where_the_roots_are_read(monkeypatch):
     from roothk.hk_analysis import freeness_codim_check
     from roothk.weyl import generate_group
 
+    # The freeness pass compares its reflections with the closed-form count.
     monkeypatch.setitem(root_data._ROOT_COUNT, "A", lambda n: n * (n + 1) + 2)
-    datum = root_data.build_root_datum.__wrapped__(root_data.RootSystemSpec("A", 3))
-    with pytest.raises(AssertionError, match="root count mismatch for A3: 12"):
-        datum.root_coords
-    # The freeness pass reads the roots of every group it enumerates.
-    datum = root_data.build_root_datum.__wrapped__(root_data.RootSystemSpec("A", 2))
-    with pytest.raises(AssertionError, match="root count mismatch for A2: 6"):
+    datum = root_data.build_root_datum(root_data.RootSystemSpec("A", 2))
+    with pytest.raises(AssertionError, match="found 3 reflections, expected 4 positive roots"):
         freeness_codim_check(generate_group(datum))
 
 
@@ -431,13 +478,13 @@ def test_report_reraises_a_worker_assertion(monkeypatch):
 
 def test_report_worker_error_exits_1(capsys, monkeypatch):
     def too_large(*args, **kwargs):
-        raise GroupTooLargeError("E7", 2903040, 10)
+        raise DiscriminantTooLargeError(4096, 2048)
 
     monkeypatch.setattr(cli, "freeness_codim_check", too_large)
     assert main(["report"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "group E7 has 2903040 elements, exceeding the cap of 10" in captured.err
+    assert "discriminant group of order 4096 exceeds the cap of 2048" in captured.err
     _assert_no_child_left()
 
 

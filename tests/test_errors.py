@@ -5,14 +5,12 @@ import pytest
 from roothk import errors
 from roothk.errors import (
     DiscriminantTooLargeError,
-    GroupTooLargeError,
     LatticeActionError,
     RootHKError,
 )
 
 INSTANCES = [
     RootHKError("worker ended"),
-    GroupTooLargeError("E8", 696729600, 5000000),
     DiscriminantTooLargeError(4096, 2048),
     LatticeActionError("reflection in (1, 0) does not preserve the dual lattice"),
 ]
@@ -33,7 +31,4 @@ def test_errors_survive_a_pickle_round_trip(exc):
 
 
 def test_error_messages():
-    assert str(GroupTooLargeError("E8", 696729600, 5000000)) == (
-        "group E8 has 696729600 elements, exceeding the cap of 5000000; use generator-only methods"
-    )
     assert str(DiscriminantTooLargeError(4096, 2048)) == "discriminant group of order 4096 exceeds the cap of 2048"

@@ -19,7 +19,7 @@ from roothk.hk_analysis import (
 )
 from roothk.invariant_theory import rep_explicit, rep_reflection
 from roothk.root_data import RootSystemSpec, build_root_datum, simple_reflections
-from roothk.weyl import GroupCap, WeylGroup, element_iter
+from roothk.weyl import WeylGroup, element_iter
 
 
 def test_fixed_locus_identity():
@@ -257,20 +257,25 @@ def test_freeness_bounds_are_asserted(monkeypatch, bound, message):
         freeness_codim_check(weyl.generate_group(datum))
 
 
-def test_freeness_skipped_over_cap():
+@pytest.fixture
+def no_group_building(monkeypatch):
+    def build(*args):
+        raise AssertionError("generate_group called over the cap")
+
+    monkeypatch.setattr(hk_analysis, "generate_group", build)
+
+
+def test_freeness_skipped_over_cap(no_group_building):
+    # At the default cap analyze skips W(E8) before it builds the group.
     check = analyze(RootSystemSpec("E", 8)).freeness
     assert check.status == "skipped"
     assert "696729600" in check.reason
 
 
-def test_freeness_exhaustive_but_over_cap(monkeypatch):
+def test_freeness_exhaustive_but_over_cap(no_group_building):
     # W(A3) is small, but over a cap of 10 analyze skips freeness before it
     # builds the group.
-    def build(*args):
-        raise AssertionError("generate_group called over the cap")
-
-    monkeypatch.setattr(hk_analysis, "generate_group", build)
-    check = analyze(RootSystemSpec("A", 3), cap=GroupCap(max_elements=10)).freeness
+    check = analyze(RootSystemSpec("A", 3), cap=10).freeness
     assert check.status == "skipped"
     assert check.reason == "order 24 exceeds cap 10"
 

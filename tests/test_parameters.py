@@ -19,8 +19,6 @@ ALLOWED = {
     ("hk_analysis", "analyze", "lattice_selector"),
     ("hk_analysis", "analyze", "cap"),
     ("lattice_tower", "invariant_intermediate_lattices", "reflections"),
-    ("weyl", "generate_group", "cap"),
-    ("weyl", "GroupCap.__init__", "max_elements"),
 }
 
 

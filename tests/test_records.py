@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from roothk.cli import CheckRecord, ReportDocument
+from roothk.cli import CheckRecord, ReportDocument, resolve_group_cap
 from roothk.exact_linalg import IntMatrix, smith_normal_form
 from roothk.hk_analysis import analyze, fixed_locus_on_abelian, freeness_codim_check
 from roothk.invariant_theory import Representation, invariant_report, rep_reflection
 from roothk.lattice_tower import Ratio, tower_for_spec
 from roothk.root_data import RootSystemSpec, build_root_datum, dual_lattice_quotient_check
-from roothk.weyl import GroupCap, generate_group
+from roothk.weyl import generate_group
 
 
 def test_spec_equality_and_hash_key_the_datum_cache():
@@ -31,7 +31,7 @@ def test_spec_equality_and_hash_key_the_datum_cache():
         (lambda: RootSystemSpec("X", 2), "unknown family 'X'; expected one of ('A', 'B', 'C', 'D', 'E', 'F', 'G')"),
         (lambda: RootSystemSpec("A", 0), "family A requires rank >= 1, got 0"),
         (lambda: RootSystemSpec("E", 9), "family E requires rank 6..8, got 9"),
-        (lambda: GroupCap(max_elements=0), "cap must be positive"),
+        (lambda: resolve_group_cap(0), "cap must be positive"),
         (
             lambda: Representation(2, ({0: {2: 1}},)),
             "generator image has an index out of range",
@@ -55,7 +55,6 @@ def _a1():
 RECORDS = {
     "RootSystemSpec": lambda: RootSystemSpec("A", 1),
     "RootDatum": _a1,
-    "GroupCap": GroupCap,
     "Representation": lambda: rep_reflection(_a1()),
     "SmithForm": lambda: smith_normal_form(IntMatrix.from_rows([[2]])),
     "DualQuotientReport": lambda: dual_lattice_quotient_check(1),
@@ -65,7 +64,7 @@ RECORDS = {
     "IntermediateLattice": lambda: tower_for_spec(RootSystemSpec("A", 1)).lattices[0],
     "FixedLocusEntry": lambda: fixed_locus_on_abelian(IntMatrix.from_rows([[-1]])),
     "FreenessCheck": lambda: freeness_codim_check(generate_group(_a1())),
-    "HKVerdict": lambda: analyze(RootSystemSpec("A", 1), cap=GroupCap(1)),
+    "HKVerdict": lambda: analyze(RootSystemSpec("A", 1), cap=1),
 }
 
 

@@ -90,9 +90,11 @@ def test_cartan_axioms_and_determinant(family, rank):
     [("A", 2, 6), ("D", 4, 24), ("E", 8, 240), ("E", 7, 126), ("E", 6, 72), ("F", 4, 48), ("G", 2, 12)],
 )
 def test_root_counts(family, rank, count):
-    datum = build_root_datum(RootSystemSpec(family, rank))
+    spec = RootSystemSpec(family, rank)
+    datum = build_root_datum(spec)
+    assert spec.root_count == count
     assert len(oracles.ambient_roots(datum.simple_rows, datum.denominator)) == count
-    assert len(datum.root_coords) == count
+    assert len(oracles.root_coords(datum.simple_rows, datum.denominator)) == count
 
 
 @pytest.mark.parametrize("family,rank", SMALL_TABLE)
@@ -211,23 +213,20 @@ def test_simple_rows_over_least_denominator(spec):
     assert gcd(den, *(x for row in datum.simple_rows for x in row)) == 1
 
 
-def test_ambient_roots_are_built_on_first_use():
-    # A fresh datum, not the cached one, which other tests may have read.
-    datum = build_root_datum.__wrapped__(RootSystemSpec("E", 7))
-    assert "root_coords" not in vars(datum)
-    assert len(datum.root_coords) == 126
-    assert "root_coords" in vars(datum)
-    with pytest.raises(AttributeError):
-        datum.root_coords = ()
-
-
 @pytest.mark.parametrize("spec", standard_table(), ids=lambda s: s.label)
 def test_all_roots_are_the_ambient_image_of_root_coords(spec):
     # The ambient roots, closed under the ambient reflections, in simple-root
-    # coordinates: a closure that never reads the Cartan matrix.
+    # coordinates: a closure that never reads the Cartan matrix.  There are
+    # root_count of them, and each simple reflection, built from the Cartan
+    # matrix, maps them onto themselves.
     datum = build_root_datum(spec)
-    assert oracles.root_coords(datum.simple_rows, datum.denominator) == datum.root_coords
-    assert datum.root_coords == tuple(sorted(set(datum.root_coords)))
+    coords = oracles.root_coords(datum.simple_rows, datum.denominator)
+    assert len(coords) == spec.root_count
+    assert all(x.denominator == 1 for v in coords for x in v)
+    roots = {tuple(int(x) for x in v) for v in coords}
+    columns = IntMatrix.from_rows(sorted(roots)).transpose()
+    for g in simple_reflections(datum):
+        assert set((g @ columns).transpose()) == roots
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from roothk import weyl
-from roothk.errors import GroupTooLargeError
 from roothk.exact_linalg import IntMatrix
 from roothk.root_data import (
     RootSystemSpec,
@@ -16,7 +15,6 @@ from roothk.root_data import (
     standard_table,
 )
 from roothk.weyl import (
-    GroupCap,
     element_iter,
     generate_group,
     group_order_formula,
@@ -218,26 +216,20 @@ def test_enumeration_count_is_asserted(monkeypatch, delta):
         generate_group(build_root_datum(RootSystemSpec("B", 3)))
 
 
-def test_group_too_large_raises():
-    # W(E8) would need 41.5 GiB; only the eager cap check keeps this small.
+def test_e8_is_built_as_two_int8_halves():
+    # W(E8) as one array would need 41.5 GiB; its halves take 4.2 MB.
     datum = build_root_datum(RootSystemSpec("E", 8))
     tracemalloc.start()
     try:
-        with pytest.raises(GroupTooLargeError):
-            generate_group(datum)
+        group = generate_group(datum)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 16
-    # A tiny custom cap trips on small groups too.
-    datum_a3 = build_root_datum(RootSystemSpec("A", 3))
-    with pytest.raises(GroupTooLargeError):
-        generate_group(datum_a3, GroupCap(max_elements=10))
-
-
-def test_cap_validation():
-    with pytest.raises(ValueError):
-        GroupCap(max_elements=0)
+    u, v = group.halves
+    assert (u.dtype, v.dtype) == (np.int8, np.int8)
+    assert (u.shape, v.shape) == ((13440, 8, 8), (51840, 8, 8))
+    assert group.element_count() == group.order == 696729600
+    assert peak < 8 << 20
 
 
 def test_element_iter_a1(groups):
