@@ -396,15 +396,16 @@ def _int_echelon(rows: Iterable[Sequence[int] | SparseRow]) -> tuple[list[Sparse
     Rows are dense sequences or ``{col: value}`` dicts; every row is held as a
     dict of its nonzero entries, and each column maps to the set of unpivoted
     rows that are nonzero there, so an elimination step touches only the rows
-    and entries it changes.  The pivot of a column is the entry of smallest
-    magnitude, the first in current row order on a tie, swapped into place;
-    an eliminated row is divided by its content.  Returns the nonzero echelon
-    rows, as dicts, and their pivot columns.
+    and entries it changes.  Columns are eliminated in decreasing order of
+    their nonzero count in the input, ties by column index: this order is
+    fixed before elimination starts, and on the generator-only invariant
+    systems it keeps far less fill-in than index order.  The pivot of a
+    column is the entry of smallest magnitude; on a tie, the row with fewer
+    nonzeros, then the first in current row order.  It is swapped into place,
+    and an eliminated row is divided by its content.  Returns the nonzero
+    echelon rows, as dicts, and their pivot columns in elimination order.
     """
     work = [r for r in map(_sparse, rows) if r]
-    if not work:
-        return [], []
-    ncols = 1 + max(max(r) for r in work)
     # order[k] is the row at position k; pos is its inverse.
     order = list(range(len(work)))
     pos = list(order)
@@ -414,11 +415,11 @@ def _int_echelon(rows: Iterable[Sequence[int] | SparseRow]) -> tuple[list[Sparse
             index.setdefault(c, set()).add(i)
     pivots: list[int] = []
     rank = 0
-    for c in range(ncols):
-        live = index.pop(c, None)
+    for c in sorted(index, key=lambda col: (-len(index[col]), col)):
+        live = index.pop(c)
         if not live:
             continue
-        piv = min(live, key=lambda i: (abs(work[i][c]), pos[i]))
+        piv = min(live, key=lambda i: (abs(work[i][c]), len(work[i]), pos[i]))
         k = pos[piv]
         other = order[rank]
         order[rank], order[k] = piv, other
@@ -441,7 +442,7 @@ def _int_echelon(rows: Iterable[Sequence[int] | SparseRow]) -> tuple[list[Sparse
                 x = row.get(col, 0) - vm * y
                 if x:
                     if col not in row:
-                        index.setdefault(col, set()).add(i)
+                        index[col].add(i)
                     row[col] = x
                 else:
                     del row[col]
