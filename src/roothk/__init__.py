@@ -70,7 +70,6 @@ from .hk_analysis import (
     fixed_locus_on_abelian,
     freeness_codim_check,
     known_model,
-    resolution_verdict,
     symplectic_form_dim,
 )
 

@@ -4,7 +4,8 @@ JSON or TSV reports.
 Reports go to standard output and are byte-identical across reruns of the
 same invocation; diagnostics (including timing) go to the error stream.
 Every numeric value is an exact integer or an exact rational string "p/q".
-Exit codes: 0 all runnable checks pass, 1 any check failure, 2 usage error.
+Exit codes: 0 all runnable checks pass, 1 any check failure, 2 usage error
+(any ValueError).  Standard output depends on the command line alone.
 
 ``report`` runs in two processes where ``os.fork`` exists: a forked worker
 enumerates W (the ``freeness/*`` and ``fixed-locus/*`` rows, and the only
@@ -50,9 +51,7 @@ from .root_data import (
     specs_up_to_rank,
     standard_table,
 )
-from .weyl import DEFAULT_GROUP_CAP, element_iter, generate_group, group_order_formula
-
-ENV_GROUP_CAP = "ROOTHK_GROUP_CAP"
+from .weyl import DEFAULT_GROUP_CAP, WeylGroup, element_iter, generate_group, group_order_formula
 
 _FIXED_LOCUS_GROUPS = (("A", 1), ("A", 2), ("B", 2), ("A", 3))
 _FIXED_LOCUS_DET_BOUND = 8
@@ -125,31 +124,6 @@ class ReportDocument:
 
     def render(self, fmt: str) -> str:
         return self.to_json() if fmt == "json" else self.to_tsv()
-
-
-def resolve_group_cap(flag_value: int | None) -> int:
-    """Group cap from the flag, falling back to the environment variable and
-    then to ``DEFAULT_GROUP_CAP``; a cap that is not positive raises
-    ValueError."""
-    if flag_value is not None:
-        return _positive_cap(flag_value)
-    env = os.environ.get(ENV_GROUP_CAP)
-    if env is None:
-        return DEFAULT_GROUP_CAP
-    try:
-        return _positive_cap(int(env))
-    except ValueError as exc:
-        raise UsageError(f"invalid {ENV_GROUP_CAP}={env!r}: {exc}") from exc
-
-
-def _positive_cap(cap: int) -> int:
-    if cap <= 0:
-        raise ValueError("cap must be positive")
-    return cap
-
-
-class UsageError(Exception):
-    pass
 
 
 # --- subcommand bodies ----------------------------------------------------------
@@ -253,28 +227,33 @@ def cmd_sublattices(family: str, rank: int) -> ReportDocument:
     return doc
 
 
+def _group_under_cap(doc: ReportDocument, name: str, spec: RootSystemSpec, cap: int) -> WeylGroup | None:
+    """W of ``spec``, or None after adding ``name`` as a skipped row when its
+    order exceeds ``cap``."""
+    order = group_order_formula(spec)
+    if order > cap:
+        doc.add(name, "skipped", {"order": order, "reason": f"order exceeds cap {cap}"})
+        return None
+    return generate_group(build_root_datum(spec))
+
+
 def _enumerated_checks(cap: int) -> list[CheckRecord]:
     """The rows of ``report`` that enumerate W, and so the only ones that
     load numpy: freeness over every group under the cap, then fixed loci."""
     doc = ReportDocument(command={})
     # Group orders and freeness, exhaustively where the cap allows.
     for spec in standard_table():
-        order = group_order_formula(spec)
         name = f"freeness/{spec.label}"
-        if order > cap:
-            doc.add(
-                name,
-                "skipped",
-                {"order": order, "reason": f"order exceeds cap {cap}"},
-            )
+        group = _group_under_cap(doc, name, spec, cap)
+        if group is None:
             continue
         # Read as the products of two halves of about sqrt(|W|) elements; W is never held.
-        check = freeness_codim_check(generate_group(build_root_datum(spec)))
+        check = freeness_codim_check(group)
         doc.add(
             name,
             "pass" if check.min_codim_doubled == 2 else "fail",
             {
-                "order": order,
+                "order": group.order,
                 "enumerated": check.elements,
                 "min_codim_doubled": check.min_codim_doubled,
             },
@@ -283,15 +262,9 @@ def _enumerated_checks(cap: int) -> list[CheckRecord]:
     # Fixed-locus component counts against brute-force torus enumeration.
     for family, rank in _FIXED_LOCUS_GROUPS:
         spec = RootSystemSpec(family, rank)
-        order = group_order_formula(spec)
-        if order > cap:
-            doc.add(
-                f"fixed-locus/{spec.label}",
-                "skipped",
-                {"order": order, "reason": f"order exceeds cap {cap}"},
-            )
+        group = _group_under_cap(doc, f"fixed-locus/{spec.label}", spec, cap)
+        if group is None:
             continue
-        group = generate_group(build_root_datum(spec))
         compared = 0
         agree = True
         for w in element_iter(group):
@@ -334,7 +307,7 @@ def cmd_report(suite: str, cap: int) -> ReportDocument:
     it holds no thread that the fork could leave in a bad state.
     """
     if suite != "default":
-        raise UsageError(f"unknown suite {suite!r}; available: default")
+        raise ValueError(f"unknown suite {suite!r}; available: default")
     import pickle
     import signal
 
@@ -447,8 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
     capped.add_argument(
         "--group-cap",
         type=int,
-        default=None,
-        help=f"element cap for exhaustive group enumeration (default {DEFAULT_GROUP_CAP}; env {ENV_GROUP_CAP})",
+        default=DEFAULT_GROUP_CAP,
+        help=f"element cap for exhaustive group enumeration (default {DEFAULT_GROUP_CAP})",
     )
 
     parser = argparse.ArgumentParser(
@@ -487,15 +460,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic_ns()
     try:
+        # Only analyze and report take the cap.
+        if getattr(args, "group_cap", 1) <= 0:
+            raise ValueError("cap must be positive")
         if args.subcommand == "analyze":
-            if args.rank < 1:
-                raise UsageError(f"rank must be positive, got {args.rank}")
-            doc = cmd_analyze(args.family, args.rank, args.lattice, resolve_group_cap(args.group_cap))
+            doc = cmd_analyze(args.family, args.rank, args.lattice, args.group_cap)
         elif args.subcommand == "lemma-check":
-            if args.max_rank < 1:
-                raise UsageError(f"--max-rank must be >= 1, got {args.max_rank}")
             if args.max_rank > GENERATOR_ONLY_MAX_RANK:
-                raise UsageError(
+                raise ValueError(
                     f"--max-rank {args.max_rank} is over the generator-only cost ceiling "
                     f"GENERATOR_ONLY_MAX_RANK = {GENERATOR_ONLY_MAX_RANK}"
                 )
@@ -503,8 +475,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.subcommand == "sublattices":
             doc = cmd_sublattices(args.family, args.rank)
         else:
-            doc = cmd_report(args.suite, resolve_group_cap(args.group_cap))
-    except (UsageError, ValueError) as exc:
+            doc = cmd_report(args.suite, args.group_cap)
+    except ValueError as exc:
         print(f"roothk: error: {exc}", file=sys.stderr)
         return 2
     except RootHKError as exc:

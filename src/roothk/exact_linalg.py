@@ -129,11 +129,6 @@ class IntMatrix(Frozen):
             self.cols, self.rows, (self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
         )
 
-    def trace(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum(self.data[i * self.cols + i] for i in range(self.rows))
-
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:

@@ -25,7 +25,6 @@ from .lattice_tower import tower_for_spec
 from .root_data import RootSystemSpec, build_root_datum
 from .weyl import (
     _ENTRY_BOUND,
-    DEFAULT_GROUP_CAP,
     WeylGroup,
     generate_group,
     group_order_formula,
@@ -210,6 +209,9 @@ RESOLUTION_CITATION = (
     "(Poisson deformations)"
 )
 
+# Imported classification, a cited lookup never recomputed here: quotient
+# singularities of types A, B, C admit a symplectic resolution; D, E, F, G do
+# not.  Type H has no integral root lattice in this toolkit and is out of scope.
 RESOLUTION_TABLE = {
     "A": ResolutionVerdict.RESOLVABLE,
     "B": ResolutionVerdict.RESOLVABLE,
@@ -220,18 +222,6 @@ RESOLUTION_TABLE = {
     "G": ResolutionVerdict.NOT_RESOLVABLE,
     "H": ResolutionVerdict.OUT_OF_SCOPE,
 }
-
-
-def resolution_verdict(family: str) -> ResolutionVerdict:
-    """Imported classification: quotient singularities of types A, B, C admit a
-    symplectic resolution; D, E, F, G do not.
-
-    This is a cited lookup (see RESOLUTION_CITATION), never recomputed here.
-    Type H has no integral root lattice in this toolkit and is out of scope.
-    """
-    if family not in RESOLUTION_TABLE:
-        raise ValueError(f"unknown family {family!r}")
-    return RESOLUTION_TABLE[family]
 
 
 def symplectic_form_dim(rep: Representation) -> int:
@@ -269,12 +259,6 @@ class HKVerdict(NamedTuple):
     resolution: ResolutionVerdict
     known_model: str | None
 
-    @property
-    def passed(self) -> bool:
-        form_ok = self.symplectic_form_dim == 1 if self.irreducible else True
-        free_ok = self.freeness.status == "skipped" or self.freeness.verified_at_least_two
-        return self.irreducible and form_ok and free_ok
-
 
 def _select_lattice_label(spec: RootSystemSpec, selector: str) -> str:
     if selector == "root":
@@ -292,7 +276,7 @@ def _select_lattice_label(spec: RootSystemSpec, selector: str) -> str:
     raise ValueError(f"unknown lattice selector {selector!r}; use root, dual, or index:k")
 
 
-def analyze(spec: RootSystemSpec, lattice_selector: str = "root", cap: int = DEFAULT_GROUP_CAP) -> HKVerdict:
+def analyze(spec: RootSystemSpec, lattice_selector: str, cap: int) -> HKVerdict:
     """Run the full verdict pipeline for one spec and lattice selection.
 
     Within the cap, the freeness pass reads W as the two halves of
@@ -323,6 +307,6 @@ def analyze(spec: RootSystemSpec, lattice_selector: str = "root", cap: int = DEF
         irreducible=irreducible,
         symplectic_form_dim=form_dim,
         freeness=freeness,
-        resolution=resolution_verdict(spec.family),
+        resolution=RESOLUTION_TABLE[spec.family],
         known_model=known_model(spec, lattice_label),
     )

@@ -7,6 +7,7 @@ from roothk import hk_analysis, weyl
 import oracles
 from roothk.exact_linalg import IntMatrix, integer_row_rank
 from roothk.hk_analysis import (
+    RESOLUTION_TABLE,
     FreenessCheck,
     ResolutionVerdict,
     analyze,
@@ -14,7 +15,6 @@ from roothk.hk_analysis import (
     fixed_locus_on_abelian,
     freeness_codim_check,
     known_model,
-    resolution_verdict,
     symplectic_form_dim,
 )
 from roothk.invariant_theory import rep_explicit, rep_reflection
@@ -267,7 +267,7 @@ def no_group_building(monkeypatch):
 
 def test_freeness_skipped_over_cap(no_group_building):
     # At the default cap analyze skips W(E8) before it builds the group.
-    check = analyze(RootSystemSpec("E", 8)).freeness
+    check = analyze(RootSystemSpec("E", 8), "root", weyl.DEFAULT_GROUP_CAP).freeness
     assert check.status == "skipped"
     assert "696729600" in check.reason
 
@@ -275,20 +275,18 @@ def test_freeness_skipped_over_cap(no_group_building):
 def test_freeness_exhaustive_but_over_cap(no_group_building):
     # W(A3) is small, but over a cap of 10 analyze skips freeness before it
     # builds the group.
-    check = analyze(RootSystemSpec("A", 3), cap=10).freeness
+    check = analyze(RootSystemSpec("A", 3), "root", 10).freeness
     assert check.status == "skipped"
     assert check.reason == "order 24 exceeds cap 10"
 
 
 def test_resolution_table():
-    assert resolution_verdict("A") is ResolutionVerdict.RESOLVABLE
-    assert resolution_verdict("B") is ResolutionVerdict.RESOLVABLE
-    assert resolution_verdict("C") is ResolutionVerdict.RESOLVABLE
+    assert RESOLUTION_TABLE["A"] is ResolutionVerdict.RESOLVABLE
+    assert RESOLUTION_TABLE["B"] is ResolutionVerdict.RESOLVABLE
+    assert RESOLUTION_TABLE["C"] is ResolutionVerdict.RESOLVABLE
     for fam in "DEFG":
-        assert resolution_verdict(fam) is ResolutionVerdict.NOT_RESOLVABLE
-    assert resolution_verdict("H") is ResolutionVerdict.OUT_OF_SCOPE
-    with pytest.raises(ValueError):
-        resolution_verdict("X")
+        assert RESOLUTION_TABLE[fam] is ResolutionVerdict.NOT_RESOLVABLE
+    assert RESOLUTION_TABLE["H"] is ResolutionVerdict.OUT_OF_SCOPE
 
 
 def test_symplectic_form_dim_from_datum():
@@ -312,50 +310,48 @@ def test_known_model_tags():
 
 
 def test_analyze_a2_root():
-    verdict = analyze(RootSystemSpec("A", 2), "root")
+    verdict = analyze(RootSystemSpec("A", 2), "root", weyl.DEFAULT_GROUP_CAP)
     assert verdict.irreducible
     assert verdict.symplectic_form_dim == 1
     assert verdict.freeness.min_codim_doubled == 2
     assert verdict.resolution is ResolutionVerdict.RESOLVABLE
+    assert verdict.freeness.status == "verified"
     assert verdict.known_model is None
-    assert verdict.passed
 
 
 def test_analyze_a3_dual_has_kummer_tag():
-    verdict = analyze(RootSystemSpec("A", 3), "dual")
+    verdict = analyze(RootSystemSpec("A", 3), "dual", weyl.DEFAULT_GROUP_CAP)
     assert verdict.lattice_label == "A3*"
     assert "Kummer" in verdict.known_model
 
 
 def test_analyze_b3_tower_member():
-    verdict = analyze(RootSystemSpec("B", 3), "index:1")
+    verdict = analyze(RootSystemSpec("B", 3), "index:1", weyl.DEFAULT_GROUP_CAP)
     assert verdict.lattice_label == "Z^3"
     assert "Hilb" in verdict.known_model
     assert verdict.resolution is ResolutionVerdict.RESOLVABLE
 
 
 def test_analyze_e6_full_pipeline():
-    verdict = analyze(RootSystemSpec("E", 6), "root")
+    verdict = analyze(RootSystemSpec("E", 6), "root", weyl.DEFAULT_GROUP_CAP)
     assert verdict.irreducible
     assert verdict.symplectic_form_dim == 1
     assert verdict.freeness.status == "verified"
     assert verdict.freeness.min_codim_doubled == 2
     assert verdict.resolution is ResolutionVerdict.NOT_RESOLVABLE
     assert verdict.known_model is None
-    assert verdict.passed
 
 
 def test_analyze_e8_skips_freeness():
-    verdict = analyze(RootSystemSpec("E", 8), "root")
+    verdict = analyze(RootSystemSpec("E", 8), "root", weyl.DEFAULT_GROUP_CAP)
     assert verdict.irreducible
     assert verdict.symplectic_form_dim == 1
     assert verdict.freeness.status == "skipped"
     assert verdict.resolution is ResolutionVerdict.NOT_RESOLVABLE
-    assert verdict.passed
 
 
 def test_analyze_bad_selector():
     with pytest.raises(ValueError):
-        analyze(RootSystemSpec("A", 2), "weights")
+        analyze(RootSystemSpec("A", 2), "weights", weyl.DEFAULT_GROUP_CAP)
     with pytest.raises(ValueError):
-        analyze(RootSystemSpec("A", 2), "index:9")
+        analyze(RootSystemSpec("A", 2), "index:9", weyl.DEFAULT_GROUP_CAP)

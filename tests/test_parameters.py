@@ -16,8 +16,6 @@ ALLOWED = {
     ("cli", "main", "argv"),
     ("cli", "CheckRecord.__init__", "citation"),
     ("cli", "ReportDocument.add", "citation"),
-    ("hk_analysis", "analyze", "lattice_selector"),
-    ("hk_analysis", "analyze", "cap"),
     ("lattice_tower", "invariant_intermediate_lattices", "reflections"),
 }
 

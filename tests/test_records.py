@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from roothk.cli import CheckRecord, ReportDocument, resolve_group_cap
+from roothk.cli import CheckRecord, ReportDocument
 from roothk.exact_linalg import IntMatrix, smith_normal_form
 from roothk.hk_analysis import analyze, fixed_locus_on_abelian, freeness_codim_check
 from roothk.invariant_theory import Representation, invariant_report, rep_reflection
@@ -31,7 +31,6 @@ def test_spec_equality_and_hash_key_the_datum_cache():
         (lambda: RootSystemSpec("X", 2), "unknown family 'X'; expected one of ('A', 'B', 'C', 'D', 'E', 'F', 'G')"),
         (lambda: RootSystemSpec("A", 0), "family A requires rank >= 1, got 0"),
         (lambda: RootSystemSpec("E", 9), "family E requires rank 6..8, got 9"),
-        (lambda: resolve_group_cap(0), "cap must be positive"),
         (
             lambda: Representation(2, ({0: {2: 1}},)),
             "generator image has an index out of range",
@@ -64,7 +63,7 @@ RECORDS = {
     "IntermediateLattice": lambda: tower_for_spec(RootSystemSpec("A", 1)).lattices[0],
     "FixedLocusEntry": lambda: fixed_locus_on_abelian(IntMatrix.from_rows([[-1]])),
     "FreenessCheck": lambda: freeness_codim_check(generate_group(_a1())),
-    "HKVerdict": lambda: analyze(RootSystemSpec("A", 1), cap=1),
+    "HKVerdict": lambda: analyze(RootSystemSpec("A", 1), "root", 1),
 }
 
 
