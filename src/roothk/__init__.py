@@ -36,7 +36,6 @@ from .weyl import (
     element_iter,
     generate_group,
     group_order_formula,
-    min_coset_representatives,
 )
 from .invariant_theory import (
     InvariantReport,
@@ -45,7 +44,6 @@ from .invariant_theory import (
     invariant_report,
     irreducibility_check,
     rep_double,
-    rep_explicit,
     rep_reflection,
     rep_sym2,
     rep_wedge2,
@@ -54,7 +52,6 @@ from .lattice_tower import (
     DiscriminantGroup,
     IntermediateLattice,
     TowerReport,
-    bc_tower,
     classify_up_to_rescaling,
     discriminant_group,
     induced_discriminant_action,

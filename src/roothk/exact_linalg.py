@@ -68,10 +68,6 @@ class IntMatrix(Frozen):
     def identity(cls, n: int) -> IntMatrix:
         return cls(n, n, (1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> IntMatrix:
-        return cls(rows, cols, (0,) * (rows * cols))
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.data[i * self.cols + j]
@@ -378,20 +374,13 @@ def _bezout(p: int, v: int) -> tuple[int, int]:
 SparseRow = dict[int, int]
 
 
-def _sparse(row: Sequence[int] | SparseRow) -> SparseRow:
-    """The nonzero entries of a dense or ``{col: value}`` row."""
-    if isinstance(row, dict):
-        return {c: x for c, x in row.items() if x}
-    return {c: x for c, x in enumerate(row) if x}
-
-
-def _int_echelon(rows: Iterable[Sequence[int] | SparseRow]) -> tuple[list[SparseRow], list[int]]:
+def _int_echelon(rows: Iterable[SparseRow]) -> tuple[list[SparseRow], list[int]]:
     """Fraction-free row echelon form with per-row content reduction.
 
-    Rows are dense sequences or ``{col: value}`` dicts; every row is held as a
-    dict of its nonzero entries, and each column maps to the set of unpivoted
-    rows that are nonzero there, so an elimination step touches only the rows
-    and entries it changes.  Columns are eliminated in decreasing order of
+    Rows are ``{col: value}`` dicts; every row is copied to a dict of its
+    nonzero entries, and each column maps to the set of unpivoted rows that
+    are nonzero there, so an elimination step touches only the rows and
+    entries it changes.  Columns are eliminated in decreasing order of
     their nonzero count in the input, ties by column index: this order is
     fixed before elimination starts, and on the generator-only invariant
     systems it keeps far less fill-in than index order.  The pivot of a
@@ -400,7 +389,7 @@ def _int_echelon(rows: Iterable[Sequence[int] | SparseRow]) -> tuple[list[Sparse
     and an eliminated row is divided by its content.  Returns the nonzero
     echelon rows, as dicts, and their pivot columns in elimination order.
     """
-    work = [r for r in map(_sparse, rows) if r]
+    work = [r for r in ({c: x for c, x in row.items() if x} for row in rows) if r]
     # order[k] is the row at position k; pos is its inverse.
     order = list(range(len(work)))
     pos = list(order)
@@ -452,11 +441,8 @@ def _int_echelon(rows: Iterable[Sequence[int] | SparseRow]) -> tuple[list[Sparse
     return [work[i] for i in order[:rank]], pivots
 
 
-def integer_row_rank(rows: Iterable[Sequence[int] | SparseRow]) -> int:
-    """Rank over the rationals of the matrix with the given integer rows.
-
-    Each row is a dense sequence or a ``{col: value}`` dict of its nonzero
-    entries.
-    """
+def integer_row_rank(rows: Iterable[SparseRow]) -> int:
+    """Rank over the rationals of the matrix with the given ``{col: value}``
+    integer rows."""
     _, pivots = _int_echelon(rows)
     return len(pivots)

@@ -33,8 +33,8 @@ from .weyl import (
 # Cost ceiling for analyze, whose generator-only work grows a little faster
 # than rank^4: the invariant two-form system on the doubled span has
 # rank(2 rank - 1) unknowns.  On a 2-core Xeon, `analyze A 24 --lattice dual`
-# takes about 0.35 s and 32 MB, interpreter start included; A 28, run through
-# the API with the ceiling lifted, about 0.5 s and 33 MB.
+# takes about 0.14 s, interpreter start included; through the API with the
+# ceiling lifted, A32, A48 and A64 take 0.19, 0.32 and 0.62 s (BENCH_28.json).
 GENERATOR_ONLY_MAX_RANK = 24
 
 # Bounds on the brute-force grid (2n int64 words a point) and on the freeness
@@ -126,10 +126,6 @@ class FreenessCheck(NamedTuple):
     reason: str = ""
     reflections: int | None = None
     elements: int | None = None
-
-    @property
-    def verified_at_least_two(self) -> bool:
-        return self.status == "verified" and self.min_codim_doubled is not None and self.min_codim_doubled >= 2
 
 
 def freeness_codim_check(group: WeylGroup) -> FreenessCheck:

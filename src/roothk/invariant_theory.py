@@ -8,13 +8,12 @@ enumeration is ever required.
 
 A simple reflection differs from the identity in one row, so a generator
 image is held as its moved rows only, ``{row: {col: value}}``; dense input
-is converted once, at ``rep_reflection`` and ``rep_explicit``.  The double,
-symmetric and alternating squares compute only the rows that move, each from
-the entries of the rows it depends on, and both linear systems here (fixed
+is converted once, at ``rep_reflection``.  The double, symmetric and
+alternating squares compute only the rows that move, each from the entries
+of the rows it depends on, and both linear systems here (fixed
 points and commutant) are assembled from the moved rows alone, as sparse
 ``{col: value}`` integer rows for one exact echelon rank.  Weyl matrices in
-the simple-root basis are integral, and explicit input is an ``IntMatrix``,
-so every value is an ``int``.
+the simple-root basis are integral, so every value is an ``int``.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ class Representation(Frozen):
     A generator image is held as ``{row: {col: value}}`` over the rows that
     differ from the identity; every other row is the identity row, and a
     held row may happen to equal it.  Values are ``int``: every construction
-    from a Weyl group's reflection representation is integral, and explicit
-    images are ``IntMatrix``.
+    from a Weyl group's reflection representation is integral.
     """
 
     def __init__(self, dim: int, generator_images: tuple[Image, ...]):
@@ -73,16 +71,6 @@ def _image(m: IntMatrix) -> Image:
 def rep_reflection(datum: RootDatum) -> Representation:
     """The rank-dimensional reflection representation, with integer images."""
     return Representation(datum.rank, tuple(_image(s) for s in simple_reflections(datum)))
-
-
-def rep_explicit(generator_images: tuple[IntMatrix, ...]) -> Representation:
-    """Representation from given square integer generator images."""
-    if not all(isinstance(g, IntMatrix) for g in generator_images):
-        raise TypeError("generator images must be IntMatrix")
-    dim = generator_images[0].rows if generator_images else 0
-    if any(g.rows != dim or g.cols != dim for g in generator_images):
-        raise ValueError("generator images must be square of one size")
-    return Representation(dim, tuple(_image(g) for g in generator_images))
 
 
 # --- row-sparse constructions ------------------------------------------------
@@ -220,20 +208,6 @@ def invariant_dim(rep: Representation) -> int:
 # --- structural checks --------------------------------------------------------
 
 
-def _tensor_square_invariants(v: Representation) -> tuple[int, int, int, bool]:
-    """Invariant dimensions of Sym2 V, Wedge2 V and Wedge2(V + V), each built
-    once, and whether they satisfy the two-copy decomposition.
-
-    The alternating square of a doubled space splits into three copies of the
-    alternating square plus one symmetric square; both the plain dimensions
-    and the three independently computed invariant dimensions must match.
-    """
-    s2, w2, w2d = rep_sym2(v), rep_wedge2(v), rep_wedge2(rep_double(v))
-    inv_s2, inv_w2, inv_w2d = invariant_dim(s2), invariant_dim(w2), invariant_dim(w2d)
-    consistent = w2d.dim == 3 * w2.dim + s2.dim and inv_w2d == 3 * inv_w2 + inv_s2
-    return inv_s2, inv_w2, inv_w2d, consistent
-
-
 class InvariantReport(NamedTuple):
     """Invariant dimensions of the three tensor constructions plus
     irreducibility of the underlying reflection representation."""
@@ -256,15 +230,22 @@ class InvariantReport(NamedTuple):
 
 
 def invariant_report(datum: RootDatum) -> InvariantReport:
-    """Run the full set of generator-only invariant checks for one datum."""
+    """Run the full set of generator-only invariant checks for one datum.
+
+    The alternating square of a doubled space splits into three copies of the
+    alternating square plus one symmetric square, so the three invariant
+    dimensions, each computed independently, must satisfy the same relation.
+    """
     v = rep_reflection(datum)
-    inv_s2, inv_w2, inv_w2d, consistent = _tensor_square_invariants(v)
+    inv_s2 = invariant_dim(rep_sym2(v))
+    inv_w2 = invariant_dim(rep_wedge2(v))
+    inv_w2d = invariant_dim(rep_wedge2(rep_double(v)))
     return InvariantReport(
         dim_sym2_inv=inv_s2,
         dim_wedge2_inv=inv_w2,
         dim_wedge2_doubled_inv=inv_w2d,
         irreducible=irreducibility_check(v),
-        decomposition_consistent=consistent,
+        decomposition_consistent=inv_w2d == 3 * inv_w2 + inv_s2,
     )
 
 

@@ -252,7 +252,6 @@ def _lattice_from_subgroup(
     datum: RootDatum,
     disc: DiscriminantGroup,
     subgroup: frozenset,
-    label: str,
     gram_adjugate: tuple[IntMatrix, int],
 ) -> IntermediateLattice:
     n = datum.rank
@@ -278,7 +277,7 @@ def _lattice_from_subgroup(
     if scaled_det != basis_det**2 * gram_det ** (n - 1):
         raise AssertionError("det of B adj(G) B^T is not det(B)^2 det(G)^(n-1)")
     return IntermediateLattice(
-        label=label,
+        label="",
         subgroup_generators=gens,
         subgroup_order=len(subgroup),
         index_over_root=index,
@@ -315,22 +314,17 @@ def _recognize_label(datum: RootDatum, disc_order: int, lat: IntermediateLattice
     return candidate
 
 
-def invariant_intermediate_lattices(
-    datum: RootDatum, reflections: tuple[tuple[int, ...], ...] | None = None
-) -> TowerReport:
+def invariant_intermediate_lattices(datum: RootDatum, reflections: tuple[tuple[int, ...], ...]) -> TowerReport:
     """Enumerate all group-stable lattices between the root lattice and its dual.
 
     The group is generated by the reflections in ``reflections``, integer
-    root-basis vectors of their roots; the default is the simple roots (the
-    unit vectors), so the group is the Weyl group of the datum.  Subgroups of
-    the discriminant group are enumerated exhaustively, filtered by the
-    induced action of the reflections, and lifted back to lattices with their
+    root-basis vectors of their roots (the unit vectors are the simple roots,
+    which generate the Weyl group of the datum).  Subgroups of the
+    discriminant group are enumerated exhaustively, filtered by the induced
+    action of the reflections, and lifted back to lattices with their
     inherited Gram forms.  Output is sorted by index over the root lattice,
     then by subgroup elements.
     """
-    n = datum.rank
-    if reflections is None:
-        reflections = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     disc = discriminant_group(datum)
     gram_adjugate = datum.gram.adjugate()
     actions = induced_discriminant_action(reflections, disc, datum.gram)
@@ -340,7 +334,7 @@ def invariant_intermediate_lattices(
     lattices: list[IntermediateLattice] = []
     labels: list[str] = []
     for s in stable:
-        lat = _lattice_from_subgroup(datum, disc, s, "", gram_adjugate)
+        lat = _lattice_from_subgroup(datum, disc, s, gram_adjugate)
         label = _recognize_label(datum, disc.order, lat, labels)
         labels.append(label)
         lattices.append(lat._replace(label=label))
@@ -374,29 +368,24 @@ def _primitive_roots(
     return tuple(out)
 
 
-def bc_tower(spec: RootSystemSpec) -> TowerReport:
-    """The tower of W(B_n) = W(C_n)-stable lattices between D_n and its dual.
+def tower_for_spec(spec: RootSystemSpec) -> TowerReport:
+    """The sublattice tower of a spec: over the spec's own root lattice under
+    its Weyl group (the reflections in the unit vectors), except for B and C.
 
     The B/C root lattices themselves have trivial or rigid discriminant
     groups; the interesting tower for these Weyl groups lives over D_n, on
     which the full signed-permutation group acts, generated by the
     reflections in the B/C simple roots.
     """
-    if spec.family not in ("B", "C"):
-        raise ValueError("bc_tower expects a B or C spec")
-    if spec.rank < 3:
-        raise ValueError("the D-lattice tower needs rank >= 3")
-    d_datum = build_root_datum(RootSystemSpec("D", spec.rank))
-    reflections = _primitive_roots(d_datum, build_root_datum(spec).simple_rows)
-    return invariant_intermediate_lattices(d_datum, reflections)
-
-
-def tower_for_spec(spec: RootSystemSpec) -> TowerReport:
-    """The sublattice tower of a spec: over D_n for B/C (:func:`bc_tower`),
-    over the spec's own root lattice under its Weyl group otherwise."""
     if spec.family in ("B", "C"):
-        return bc_tower(spec)
-    return invariant_intermediate_lattices(build_root_datum(spec))
+        if spec.rank < 3:
+            raise ValueError("the D-lattice tower needs rank >= 3")
+        d_datum = build_root_datum(RootSystemSpec("D", spec.rank))
+        reflections = _primitive_roots(d_datum, build_root_datum(spec).simple_rows)
+        return invariant_intermediate_lattices(d_datum, reflections)
+    n = spec.rank
+    units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return invariant_intermediate_lattices(build_root_datum(spec), units)
 
 
 # --- exact short vectors and isometry testing ---------------------------------
@@ -516,23 +505,10 @@ def _greedy_reduce(g: IntMatrix) -> IntMatrix:
     return IntMatrix(n, n, (a[order[i]][order[j]] for i in range(n) for j in range(n)))
 
 
-def lattice_isometric(g1: IntMatrix, g2: IntMatrix) -> bool | None:
-    """Decide whether two positive definite integer forms are unimodularly
-    equivalent: equal ranks, determinants and Smith forms, then
-    :func:`_isometry_search`.  Returns True/False, or None when the search
-    visits more than ``_NODE_CAP`` vectors and nodes (callers must treat
-    None as inconclusive, never as a match).
-    """
-    if (g1.rows, g1.det()) != (g2.rows, g2.det()):
-        return False
-    if smith_normal_form(g1).diag != smith_normal_form(g2).diag:
-        return False
-    return _isometry_search(g1, g2)
-
-
 def _isometry_search(g1: IntMatrix, g2: IntMatrix) -> bool | None:
-    """Backtracking isometry test for forms of equal rank whose determinants
-    and Smith forms already agree.
+    """Whether two positive definite integer forms of equal rank, whose
+    determinants and Smith forms already agree, are unimodularly equivalent;
+    None means inconclusive, never a match.
 
     Both forms are first greedily size-reduced, so the candidate vectors live
     at small norms; the basis of the first form is then reordered
@@ -643,7 +619,8 @@ def classify_up_to_rescaling(
     """
     m = len(lattices)
     prims = [lat.primitive_gram() for lat in lattices]
-    # The checks of lattice_isometric, each form's invariants taken once.
+    # Equal ranks, determinants and Smith forms are necessary for an
+    # isometry; each form's invariants are taken once.
     rank_det = [(g.rows, lat.primitive_gram_det) for g, lat in zip(prims, lattices)]
     smith_diag = cache(lambda i: smith_normal_form(prims[i]).diag)
     parent = list(range(m))

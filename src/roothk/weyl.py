@@ -147,20 +147,13 @@ def _left_multiply(datum: RootDatum, walks: list[list[tuple[int, int]]]) -> np.n
     return block
 
 
-def min_coset_representatives(datum: RootDatum, k: int) -> np.ndarray:
-    """The minimal-length representatives of W_K / W_J of :func:`_walk`,
-    identity first, in nondecreasing length, as a ``(count, n, n)`` int8
-    array; k = n - 1 gives W^J, the representatives of W / W_J."""
-    return _left_multiply(datum, [_walk(datum, k)])
-
-
 def coset_halves(datum: RootDatum) -> tuple[np.ndarray, np.ndarray]:
     """W as the products u * v of two arrays U and V, each element once.
 
     Down the chain of parabolic subgroups W_{J_i}, J_i the first n - i simple
     reflections, W = R_1 R_2 ... R_n, where R_i holds the minimal
-    representatives of W_{J_{i-1}} / W_{J_i} (:func:`min_coset_representatives`
-    with k = n - i) and every element is one product u_1 ... u_n, u_i in R_i
+    representatives of W_{J_{i-1}} / W_{J_i} (:func:`_walk` with k = n - i)
+    and every element is one product u_1 ... u_n, u_i in R_i
     (Bjorner-Brenti, GTM 231, §2.4, applied at each step).  The chain is
     multiplied out in two halves, U = R_1 ... R_d and V = R_{d+1} ... R_n,
     with d chosen to minimise |U| + |V|: W(E7) factors as

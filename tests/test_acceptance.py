@@ -26,7 +26,7 @@ from roothk.invariant_theory import (
     invariant_report,
     rep_reflection,
 )
-from roothk.lattice_tower import bc_tower, invariant_intermediate_lattices, lattice_isometric
+from roothk.lattice_tower import _isometry_search, tower_for_spec
 from roothk.root_data import (
     RootSystemSpec,
     build_root_datum,
@@ -127,13 +127,13 @@ def test_criterion_06_dual_quotient_model():
 def test_criterion_07_sublattice_towers():
     failures = []
     for n in range(1, 9):
-        tower = invariant_intermediate_lattices(build_root_datum(RootSystemSpec("A", n)))
+        tower = tower_for_spec(RootSystemSpec("A", n))
         divisors = sum(1 for d in range(1, n + 2) if (n + 1) % d == 0)
         if len(tower.lattices) != divisors:
             failures.append(f"A{n}")
     for family in ("B", "C"):
         for n in range(3, 8):
-            tower = bc_tower(RootSystemSpec(family, n))
+            tower = tower_for_spec(RootSystemSpec(family, n))
             if tower.labels != (f"D{n}", f"Z^{n}", f"D{n}*"):
                 failures.append(f"{family}{n}:labels")
                 continue
@@ -156,7 +156,7 @@ def test_criterion_07_sublattice_towers():
             if not (
                 all(x.denominator == 1 for row in middle_form for x in row)
                 and ref.det(middle_form) == 1
-                and lattice_isometric(
+                and _isometry_search(
                     IntMatrix.from_rows([[x.numerator for x in row] for row in middle_form]), IntMatrix.identity(n)
                 )
                 is True

@@ -41,8 +41,12 @@ def test_snf_negative_entry_normalized():
     assert sf.diag == (2,)
 
 
+def _zeros(rows, cols):
+    return IntMatrix(rows, cols, [0] * (rows * cols))
+
+
 def test_snf_zero_matrix():
-    sf = smith_normal_form(IntMatrix.zeros(2, 3))
+    sf = smith_normal_form(_zeros(2, 3))
     assert sf.diag == (0, 0)
 
 
@@ -144,8 +148,14 @@ def test_hnf_random_properties(seed):
 # and commutant_dimension read.
 
 
+def _sparse(rows):
+    """Dense rows as the ``{col: value}`` rows that integer_row_rank takes,
+    zero entries kept: the echelon drops them."""
+    return [dict(enumerate(row)) for row in rows]
+
+
 def _nullity(rows, ncols):
-    return ncols - integer_row_rank(rows)
+    return ncols - integer_row_rank(_sparse(rows))
 
 
 def test_kernel_zero_matrix():
@@ -184,7 +194,7 @@ def test_common_kernel_identity_is_empty():
 
 
 def test_common_kernel_of_zeros_is_full():
-    assert _nullity(IntMatrix.zeros(1, 3).to_rows() + IntMatrix.zeros(2, 3).to_rows(), 3) == 3
+    assert _nullity(_zeros(1, 3).to_rows() + _zeros(2, 3).to_rows(), 3) == 3
 
 
 def test_common_kernel_complementary_projections():
@@ -196,9 +206,9 @@ def test_common_kernel_complementary_projections():
 def test_det_and_rank():
     m = IntMatrix.from_rows([[2, -1], [-1, 2]])
     assert m.det() == 3
-    assert integer_row_rank(m) == 2
+    assert integer_row_rank(_sparse(m)) == 2
     assert IntMatrix.from_rows([[1, 2], [2, 4]]).det() == 0
-    assert integer_row_rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert integer_row_rank(_sparse(IntMatrix.from_rows([[1, 2], [2, 4]]))) == 1
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -235,12 +245,12 @@ def test_adjugate_random(seed):
 def test_adjugate_pivot_swap_and_singular():
     m = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert m.adjugate() == (IntMatrix.from_rows([[0, -1], [-1, 0]]), -1)
-    assert IntMatrix.zeros(0, 0).adjugate() == (IntMatrix.zeros(0, 0), 1)
+    assert _zeros(0, 0).adjugate() == (_zeros(0, 0), 1)
     for singular in ([[1, 2], [2, 4]], [[0, 0], [0, 3]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]):
         with pytest.raises(ValueError):
             IntMatrix.from_rows(singular).adjugate()
     with pytest.raises(ValueError):
-        IntMatrix.zeros(2, 3).adjugate()
+        _zeros(2, 3).adjugate()
 
 
 def test_int_matrix_rejects_non_integers():
@@ -268,7 +278,7 @@ def _entrywise(f):
 _SHARED_OPERATIONS = {
     "from_rows": (lambda a, b: IntMatrix.from_rows(a.to_rows()), lambda a, b: a),
     "identity": (lambda a, b: IntMatrix.identity(a.rows), lambda a, b: ref.identity(len(a))),
-    "zeros": (lambda a, b: IntMatrix.zeros(a.rows, a.cols), _entrywise(lambda x, y: 0)),
+    "zeros": (lambda a, b: _zeros(a.rows, a.cols), _entrywise(lambda x, y: 0)),
     "add": (lambda a, b: a + b, _entrywise(lambda x, y: x + y)),
     "sub": (lambda a, b: a - b, _entrywise(lambda x, y: x - y)),
     "neg": (lambda a, b: -a, _entrywise(lambda x, y: -x)),
@@ -356,12 +366,14 @@ def _dense(row, ncols):
 
 def _assert_echelon_matches_dense(dense_rows, sparse_rows, ncols):
     ref_rows, ref_pivots = _dense_echelon(dense_rows)
-    for rows in (sparse_rows, dense_rows):
+    for rows in (sparse_rows, _sparse(dense_rows)):
+        before = [dict(r) for r in rows]
         echelon, pivots = _int_echelon(rows)
         assert pivots == ref_pivots
         assert [_dense(r, ncols) for r in echelon] == ref_rows
-        # Only nonzero entries are stored.
+        # Only nonzero entries are stored, in copies: the input is unchanged.
         assert all(all(echelon_row.values()) for echelon_row in echelon)
+        assert rows == before
     assert integer_row_rank(sparse_rows) == len(ref_pivots)
     # Rank does not depend on the column order, so an index-order
     # elimination checks the rank independently of the count order.
@@ -460,5 +472,5 @@ def test_echelon_of_a24_w2d_keeps_fill_in_low(monkeypatch):
 
 def test_echelon_empty_and_zero_rows():
     assert _int_echelon([]) == ([], [])
-    assert _int_echelon([[0, 0], {}, {1: 0}]) == ([], [])
+    assert _int_echelon([{0: 0, 1: 0}, {}, {1: 0}]) == ([], [])
     assert _int_echelon([{3: 6, 5: -4}]) == ([{3: 6, 5: -4}], [3])

@@ -11,11 +11,10 @@ from roothk.exact_linalg import IntMatrix
 from roothk.lattice_tower import (
     _primitive_roots,
     all_subgroups,
-    bc_tower,
+    _isometry_search,
+    classify_up_to_rescaling,
     discriminant_group,
     induced_discriminant_action,
-    invariant_intermediate_lattices,
-    lattice_isometric,
     short_vectors,
     tower_for_spec,
 )
@@ -35,8 +34,8 @@ def _units(n):
 
 
 def _bc_on_d(family, n):
-    """D_n with the root-basis vectors of the B/C simple roots, as bc_tower
-    builds them."""
+    """D_n with the root-basis vectors of the B/C simple roots, as
+    tower_for_spec builds them."""
     d_datum = _datum("D", n)
     return d_datum, _primitive_roots(d_datum, _datum(family, n).simple_rows)
 
@@ -127,7 +126,7 @@ def test_subgroup_cap(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_a_tower_size_is_divisor_count(n):
-    report = invariant_intermediate_lattices(_datum("A", n))
+    report = tower_for_spec(RootSystemSpec("A", n))
     assert len(report.lattices) == len(_divisors(n + 1))
     assert report.labels[0] == f"A{n}"
     assert report.labels[-1] == f"A{n}*"
@@ -138,14 +137,14 @@ def test_a_tower_size_is_divisor_count(n):
 
 
 def test_a4_tower_exactly_root_and_dual():
-    report = invariant_intermediate_lattices(_datum("A", 4))
+    report = tower_for_spec(RootSystemSpec("A", 4))
     assert report.labels == ("A4", "A4*")
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_bc_tower_is_three_lattices(n):
     for family in ("B", "C"):
-        report = bc_tower(RootSystemSpec(family, n))
+        report = tower_for_spec(RootSystemSpec(family, n))
         assert report.labels == (f"D{n}", f"Z^{n}", f"D{n}*")
         assert [lat.index_over_root for lat in report.lattices] == [1, 2, 4]
         # The middle lattice carries a unimodular integral form.
@@ -159,9 +158,9 @@ def test_bc_tower_excludes_half_spin_for_even_rank():
     # Without the signed-permutation filter D4 has five stable subgroups
     # (the full Weyl group of D4 acts trivially); under W(B4) only three
     # lattices survive, so the two half-spin lattices were excluded.
-    unfiltered = invariant_intermediate_lattices(_datum("D", 4))
+    unfiltered = tower_for_spec(RootSystemSpec("D", 4))
     assert len(unfiltered.lattices) == 5
-    filtered = bc_tower(RootSystemSpec("B", 4))
+    filtered = tower_for_spec(RootSystemSpec("B", 4))
     assert len(filtered.lattices) == 3
     assert filtered.labels == ("D4", "Z^4", "D4*")
 
@@ -169,7 +168,7 @@ def test_bc_tower_excludes_half_spin_for_even_rank():
 def test_bc_action_nontrivial_on_even_d_discriminant():
     # At least one W(B_n) generator moves the discriminant classes of D_n for
     # even n (the odd sign change swaps the two half-spin classes).
-    report = bc_tower(RootSystemSpec("B", 4))
+    report = tower_for_spec(RootSystemSpec("B", 4))
     assert report.disc.invariant_factors == (2, 2)
     d_datum, reflections = _bc_on_d("B", 4)
     disc = discriminant_group(d_datum)
@@ -239,15 +238,14 @@ def test_discriminant_group_rejects_non_unimodular_smith_transform(monkeypatch):
 
 
 def test_e8_tower_trivial():
-    report = invariant_intermediate_lattices(_datum("E", 8))
+    report = tower_for_spec(RootSystemSpec("E", 8))
     assert report.labels == ("E8",)
 
 
 def test_bc_tower_rejects_small_rank():
-    with pytest.raises(ValueError):
-        bc_tower(RootSystemSpec("B", 2))
-    with pytest.raises(ValueError):
-        bc_tower(RootSystemSpec("A", 3))
+    for family in ("B", "C"):
+        with pytest.raises(ValueError, match="the D-lattice tower needs rank >= 3"):
+            tower_for_spec(RootSystemSpec(family, 2))
 
 
 def _stable_under(lat, matrices):
@@ -260,12 +258,12 @@ def test_tower_lattices_are_group_stable_directly():
     # in the lattice, checked by exact membership with the dense reference
     # matrices of W(B4), independently of the discriminant filtering.
     matrices = _bc_reference_matrices(RootSystemSpec("B", 4))
-    report = bc_tower(RootSystemSpec("B", 4))
+    report = tower_for_spec(RootSystemSpec("B", 4))
     assert len(report.lattices) == 3
     for lat in report.lattices:
         assert _stable_under(lat, matrices)
     # The two half-spin lattices of the unfiltered D4 tower are not W(B4)-stable.
-    unfiltered = invariant_intermediate_lattices(_datum("D", 4))
+    unfiltered = tower_for_spec(RootSystemSpec("D", 4))
     kept = {lat.basis for lat in report.lattices}
     dropped = [lat for lat in unfiltered.lattices if lat.basis not in kept]
     assert len(dropped) == 2
@@ -279,7 +277,7 @@ def test_duality_involution_on_towers():
     for family, rank in [("A", 3), ("A", 5), ("D", 4)]:
         datum = _datum(family, rank)
         disc = discriminant_group(datum)
-        report = invariant_intermediate_lattices(datum)
+        report = tower_for_spec(RootSystemSpec(family, rank))
         subgroups = [_naive_closure(disc, lat.subgroup_generators) for lat in report.lattices]
         ann = {s: oracles.annihilator(disc, s, datum.gram) for s in subgroups}
         for s in subgroups:
@@ -290,7 +288,7 @@ def test_duality_involution_on_towers():
 
 def test_classify_a1_tower_single_rescaling_class():
     # Gram [2] and Gram [1/2] rescale to the same primitive form [1].
-    report = invariant_intermediate_lattices(_datum("A", 1))
+    report = tower_for_spec(RootSystemSpec("A", 1))
     assert report.labels == ("A1", "A1*")
     assert report.lattices[0].primitive_gram() == IntMatrix.from_rows([[1]])
     dual = report.lattices[1]
@@ -303,7 +301,7 @@ def test_classify_d3_a3_same_class():
     # D3 and A3 are isometric lattices.
     a3 = _datum("A", 3).gram
     d3 = _datum("D", 3).gram
-    assert lattice_isometric(a3, d3) is True
+    assert _isometry_search(a3, d3) is True
 
 
 def test_round_half_even_is_round_of_the_fraction():
@@ -318,9 +316,9 @@ def test_isometry_search_past_node_cap_is_inconclusive(monkeypatch):
     # Counting the 6 pairs of roots of A3 already passes a cap of 1.
     a3 = _datum("A", 3).gram
     d3 = _datum("D", 3).gram
-    assert lattice_isometric(a3, d3) is True
+    assert _isometry_search(a3, d3) is True
     monkeypatch.setattr(lattice_tower, "_NODE_CAP", 1)
-    assert lattice_isometric(a3, d3) is None
+    assert _isometry_search(a3, d3) is None
 
 
 def test_node_cap_bounds_the_short_vector_enumeration(monkeypatch):
@@ -345,29 +343,36 @@ def test_unimodular_towers_tell_the_cube_from_the_half_spin_lattices(n):
     for k in (1, 2, 3):
         lat = report.lattices[k]
         assert lat.gram_det == (1, 1) and lat.primitive_gram_det == 1
-        assert lattice_isometric(lat.primitive_gram(), IntMatrix.identity(n)) is (k == 2)
+        assert _isometry_search(lat.primitive_gram(), IntMatrix.identity(n)) is (k == 2)
 
 
-def test_classify_z3_d3_distinct():
-    z3 = IntMatrix.identity(3)
-    d3 = _datum("D", 3).gram
-    assert lattice_isometric(z3, d3) is False
+def test_classify_z3_d3_distinct(monkeypatch):
+    # Z^3 and D3 differ in determinant (1 and 4), so they are told apart
+    # before any search runs.
+    d3, z3 = tower_for_spec(RootSystemSpec("B", 3)).lattices[:2]
+    assert (d3.label, z3.label) == ("D3", "Z^3")
+
+    def no_search(g1, g2):
+        raise AssertionError("the isometry search ran")
+
+    monkeypatch.setattr(lattice_tower, "_isometry_search", no_search)
+    assert classify_up_to_rescaling([z3, d3]) == (((0,), (1,)), ())
 
 
 def test_count_first_rejects_unimodular_non_cube():
     # Both forms are unimodular with equal Smith forms; only the vector
     # counts tell them apart (no norm-1 vectors against 2n of them).
-    assert lattice_isometric(_datum("E", 8).gram, IntMatrix.identity(8)) is False
-    report = invariant_intermediate_lattices(_datum("A", 15))
+    assert _isometry_search(_datum("E", 8).gram, IntMatrix.identity(8)) is False
+    report = tower_for_spec(RootSystemSpec("A", 15))
     middle = report.lattices[report.labels.index("A15+[4]")]
     prim = middle.primitive_gram()
     assert prim.det() == 1
-    assert lattice_isometric(prim, IntMatrix.identity(15)) is False
+    assert _isometry_search(prim, IntMatrix.identity(15)) is False
 
 
 def test_bc_tower_classes_all_distinct():
     # D3, Z^3 and D3* have primitive determinants 4, 1 and 16: three classes.
-    report = bc_tower(RootSystemSpec("B", 3))
+    report = tower_for_spec(RootSystemSpec("B", 3))
     assert report.rescaling_classes == ((0,), (1,), (2,))
     assert [lat.primitive_gram().det() for lat in report.lattices] == [4, 1, 16]
 
@@ -583,9 +588,9 @@ def test_scaled_gram_determinant_is_asserted(monkeypatch):
     subgroup = all_subgroups(disc)[1]
     adjugate = datum.gram.adjugate()
     # The identity det(B adj(G) B^T) = det(B)^2 det(G)^(n-1) holds...
-    lt._lattice_from_subgroup(datum, disc, subgroup, "", adjugate)
+    lt._lattice_from_subgroup(datum, disc, subgroup, adjugate)
     # ...and a wrong determinant of the product is caught.
     true_det = IntMatrix.det
     monkeypatch.setattr(IntMatrix, "det", lambda m: true_det(m) + 1)
     with pytest.raises(AssertionError, match="det of B adj"):
-        lt._lattice_from_subgroup(datum, disc, subgroup, "", adjugate)
+        lt._lattice_from_subgroup(datum, disc, subgroup, adjugate)

@@ -16,7 +16,6 @@ ALLOWED = {
     ("cli", "main", "argv"),
     ("cli", "CheckRecord.__init__", "citation"),
     ("cli", "ReportDocument.add", "citation"),
-    ("lattice_tower", "invariant_intermediate_lattices", "reflections"),
 }
 
 
