@@ -43,7 +43,6 @@ from .invariant_theory import (
     invariant_dim,
     invariant_report,
     irreducibility_check,
-    rep_double,
     rep_reflection,
     rep_sym2,
     rep_wedge2,
@@ -67,7 +66,6 @@ from .hk_analysis import (
     fixed_locus_on_abelian,
     freeness_codim_check,
     known_model,
-    symplectic_form_dim,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -64,7 +64,7 @@ def _render_value(v):
         return v
     if isinstance(v, str):
         return v
-    # Any exact rational: a Fraction, or lattice_tower's Ratio.
+    # An exact rational: lattice_tower's Ratio, a numerator/denominator pair.
     try:
         p, q = v.numerator, v.denominator
     except AttributeError:
@@ -135,15 +135,18 @@ def cmd_analyze(family: str, rank: int, lattice: str, cap: int) -> ReportDocumen
         command={"command": "analyze", "family": family, "rank": rank, "lattice": lattice}
     )
     verdict = analyze(spec, lattice, cap)
+    # Both rows pass only if Schur's cross-check holds between the commutant
+    # and the two squares that the form dimension is read from.
+    inv = verdict.invariants
     doc.add(
         f"analyze/{spec.label}/irreducible",
-        "pass" if verdict.irreducible else "fail",
-        {"commutant_dim": 1 if verdict.irreducible else 0},
+        "pass" if inv.irreducible and inv.decomposition_consistent else "fail",
+        {"commutant_dim": 1 if inv.irreducible else 0},
     )
     doc.add(
         f"analyze/{spec.label}/symplectic-form-dim",
-        "pass" if verdict.symplectic_form_dim == 1 else "fail",
-        {"dim": verdict.symplectic_form_dim},
+        "pass" if inv.dim_wedge2_doubled_inv == 1 and inv.decomposition_consistent else "fail",
+        {"dim": inv.dim_wedge2_doubled_inv},
     )
     free = verdict.freeness
     if free.status == "skipped":

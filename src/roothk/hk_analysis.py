@@ -13,14 +13,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .exact_linalg import IntMatrix, smith_normal_form
-from .invariant_theory import (
-    Representation,
-    invariant_dim,
-    irreducibility_check,
-    rep_double,
-    rep_reflection,
-    rep_wedge2,
-)
+from .invariant_theory import InvariantReport, invariant_report
 from .lattice_tower import tower_for_spec
 from .root_data import RootSystemSpec, build_root_datum
 from .weyl import (
@@ -30,11 +23,12 @@ from .weyl import (
     group_order_formula,
 )
 
-# Cost ceiling for analyze, whose generator-only work grows a little faster
-# than rank^4: the invariant two-form system on the doubled span has
-# rank(2 rank - 1) unknowns.  On a 2-core Xeon, `analyze A 24 --lattice dual`
-# takes about 0.14 s, interpreter start included; through the API with the
-# ceiling lifted, A32, A48 and A64 take 0.19, 0.32 and 0.62 s (BENCH_28.json).
+# Cost ceiling for analyze's generator-only work, three exact ranks: the
+# Sym2, Wedge2 and commutant systems, with rank(rank + 1)/2, rank(rank - 1)/2
+# and rank^2 unknowns (A24: 300, 276 and 576 unknowns in 576, 552 and 2,186
+# rows).  On a 2-core Xeon, `analyze A 24 --lattice dual` takes about 0.10 s,
+# interpreter start included; through the API with the ceiling lifted, A32,
+# A48 and A64 take 0.10, 0.16 and 0.26 s (medians of eight fresh processes).
 GENERATOR_ONLY_MAX_RANK = 24
 
 # Bounds on the brute-force grid (2n int64 words a point) and on the freeness
@@ -220,15 +214,6 @@ RESOLUTION_TABLE = {
 }
 
 
-def symplectic_form_dim(rep: Representation) -> int:
-    """Dimension of the invariant two-form space on the doubled span of ``rep``.
-
-    For an irreducible lattice representation this is 1: the unique invariant
-    symmetric form pairs the two copies.
-    """
-    return invariant_dim(rep_wedge2(rep_double(rep)))
-
-
 def known_model(spec: RootSystemSpec, lattice_label: str) -> str | None:
     """Identification tag for the quotients with an established birational model.
 
@@ -246,11 +231,11 @@ def known_model(spec: RootSystemSpec, lattice_label: str) -> str | None:
 
 
 class HKVerdict(NamedTuple):
-    """Assembled report for one (group, lattice) pair."""
+    """Assembled report for one (group, lattice) pair; ``invariants`` is the
+    datum's :func:`invariant_report`, irreducibility and two-forms included."""
 
     lattice_label: str
-    irreducible: bool
-    symplectic_form_dim: int
+    invariants: InvariantReport
     freeness: FreenessCheck
     resolution: ResolutionVerdict
     known_model: str | None
@@ -288,9 +273,7 @@ def analyze(spec: RootSystemSpec, lattice_selector: str, cap: int) -> HKVerdict:
     datum = build_root_datum(spec)
     lattice_label = _select_lattice_label(spec, lattice_selector)
 
-    base = rep_reflection(datum)
-    irreducible = irreducibility_check(base)
-    form_dim = symplectic_form_dim(base)
+    invariants = invariant_report(datum)
 
     order = group_order_formula(spec)
     if order > cap:
@@ -300,8 +283,7 @@ def analyze(spec: RootSystemSpec, lattice_selector: str, cap: int) -> HKVerdict:
 
     return HKVerdict(
         lattice_label=lattice_label,
-        irreducible=irreducible,
-        symplectic_form_dim=form_dim,
+        invariants=invariants,
         freeness=freeness,
         resolution=RESOLUTION_TABLE[spec.family],
         known_model=known_model(spec, lattice_label),

@@ -8,12 +8,15 @@ enumeration is ever required.
 
 A simple reflection differs from the identity in one row, so a generator
 image is held as its moved rows only, ``{row: {col: value}}``; dense input
-is converted once, at ``rep_reflection``.  The double, symmetric and
-alternating squares compute only the rows that move, each from the entries
-of the rows it depends on, and both linear systems here (fixed
-points and commutant) are assembled from the moved rows alone, as sparse
-``{col: value}`` integer rows for one exact echelon rank.  Weyl matrices in
-the simple-root basis are integral, so every value is an ``int``.
+is converted once, at ``rep_reflection``.  The symmetric and alternating
+squares compute only the rows that move, each from the entries of the rows
+it depends on, and both linear systems here (fixed points and commutant)
+are assembled from the moved rows alone, as sparse ``{col: value}`` integer
+rows for one exact echelon rank.  Weyl matrices in the simple-root basis are
+integral, so every value is an ``int``.
+
+The doubled span V + V = V (x) Q^2 is never built: W acts trivially on Q^2,
+so Wedge2(V + V) = 3 Wedge2 V + Sym2 V gives its invariant two-forms.
 """
 
 from __future__ import annotations
@@ -85,13 +88,6 @@ def _add(row: dict, col: int, x) -> None:
         row.pop(col, None)
 
 
-def _double_matrix(g: Image, n: int) -> Image:
-    """Block-diagonal diag(g, g); row i moves in both copies iff row i of g moves."""
-    image = {k: dict(row) for k, row in g.items()}
-    image.update((k + n, {c + n: x for c, x in row.items()}) for k, row in g.items())
-    return image
-
-
 def _sym2_matrix(g: Image, n: int) -> Image:
     """Induced action on degree-two monomials, basis x_i x_j with i <= j.
 
@@ -150,12 +146,6 @@ def _wedge2_matrix(g: Image, n: int) -> Image:
     return image
 
 
-def rep_double(rep: Representation) -> Representation:
-    """Block-diagonal doubling: two copies of the input side by side."""
-    images = tuple(_double_matrix(g, rep.dim) for g in rep.generator_images)
-    return Representation(2 * rep.dim, images)
-
-
 def rep_sym2(rep: Representation) -> Representation:
     """Symmetric square, dimension n(n+1)/2."""
     images = tuple(_sym2_matrix(g, rep.dim) for g in rep.generator_images)
@@ -209,8 +199,15 @@ def invariant_dim(rep: Representation) -> int:
 
 
 class InvariantReport(NamedTuple):
-    """Invariant dimensions of the three tensor constructions plus
-    irreducibility of the underlying reflection representation."""
+    """Invariant dimensions of Sym2 V, Wedge2 V and Wedge2(V + V) for the
+    reflection representation V, with its irreducibility.
+
+    ``dim_wedge2_doubled_inv`` is 3 dim_wedge2_inv + dim_sym2_inv.
+    ``decomposition_consistent`` is Schur's cross-check between the
+    commutant and the two squares: the invariant Gram makes V self-dual, so
+    End_W(V) = (V (x) V)^W = Sym2(V)^W + Wedge2(V)^W, and V is irreducible
+    exactly when those two invariant dimensions sum to 1.
+    """
 
     dim_sym2_inv: int
     dim_wedge2_inv: int
@@ -230,22 +227,22 @@ class InvariantReport(NamedTuple):
 
 
 def invariant_report(datum: RootDatum) -> InvariantReport:
-    """Run the full set of generator-only invariant checks for one datum.
+    """Run the generator-only invariant checks for one datum: three exact
+    ranks, of the Sym2 and Wedge2 fixed-point systems and of the commutant.
 
-    The alternating square of a doubled space splits into three copies of the
-    alternating square plus one symmetric square, so the three invariant
-    dimensions, each computed independently, must satisfy the same relation.
+    The commutant equations share no construction code with the two squares,
+    so Schur's relation between them is an independent check of both.
     """
     v = rep_reflection(datum)
     inv_s2 = invariant_dim(rep_sym2(v))
     inv_w2 = invariant_dim(rep_wedge2(v))
-    inv_w2d = invariant_dim(rep_wedge2(rep_double(v)))
+    irreducible = irreducibility_check(v)
     return InvariantReport(
         dim_sym2_inv=inv_s2,
         dim_wedge2_inv=inv_w2,
-        dim_wedge2_doubled_inv=inv_w2d,
-        irreducible=irreducibility_check(v),
-        decomposition_consistent=inv_w2d == 3 * inv_w2 + inv_s2,
+        dim_wedge2_doubled_inv=3 * inv_w2 + inv_s2,
+        irreducible=irreducible,
+        decomposition_consistent=irreducible == (inv_s2 + inv_w2 == 1),
     )
 
 

@@ -64,11 +64,8 @@ def test_criterion_02_decomposition_identity():
     dims_ok = all(
         n * (2 * n - 1) == 3 * (n * (n - 1) // 2) + n * (n + 1) // 2 for n in range(1, 9)
     )
-    invariants_ok = all(
-        invariant_report(build_root_datum(RootSystemSpec("A", n))).decomposition_consistent
-        for n in range(1, 9)
-    )
-    _verdict(2, "decomposition identity", dims_ok and invariants_ok, "ranks 1..8")
+    invariants_ok = all(invariant_report(build_root_datum(spec)).decomposition_consistent for spec in standard_table())
+    _verdict(2, "decomposition identity", dims_ok and invariants_ok, f"ranks 1..8, {len(standard_table())} data")
 
 
 def test_criterion_03_reynolds_oracle_equivalence(groups, constructions):
@@ -83,6 +80,10 @@ def test_criterion_03_reynolds_oracle_equivalence(groups, constructions):
             if invariant_dim_reynolds(chain, elements) != invariant_dim(rep):
                 failures.append((spec.label, chain))
             checked += 1
+        # The reported two-form dimension, read from Sym2 and Wedge2 alone.
+        doubled = invariant_dim_reynolds(("wedge2", ("double", ("defining",))), elements)
+        if invariant_report(group.datum).dim_wedge2_doubled_inv != doubled:
+            failures.append((spec.label, "report"))
     _verdict(3, "Reynolds oracle equivalence", not failures and checked > 0, f"{checked} representations")
 
 

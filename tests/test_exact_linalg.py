@@ -17,7 +17,6 @@ from roothk.exact_linalg import (
 from roothk.invariant_theory import (
     _commutant_rows,
     _fixed_point_rows,
-    rep_double,
     rep_reflection,
     rep_wedge2,
 )
@@ -410,18 +409,19 @@ def test_sparse_echelon_matches_dense_reference(seed):
     _assert_echelon_matches_dense(dense_rows, rows, ncols)
 
 
-def _invariant_systems(n):
+def _invariant_systems(n, double):
     """The w2d and commutant rank systems of A_n, with their column counts.
 
-    w2d is the invariant two-form system on the doubled span.
+    w2d is the invariant two-form system on the doubled span, built by the
+    ``double`` fixture: the commands read its dimension from Sym2 and Wedge2.
     """
     v = rep_reflection(build_root_datum(RootSystemSpec("A", n)))
-    w2d = rep_wedge2(rep_double(v))
+    w2d = rep_wedge2(double(v))
     return [(_fixed_point_rows(w2d), w2d.dim), (_commutant_rows(v), v.dim * v.dim)]
 
 
-def test_sparse_echelon_matches_dense_reference_on_a16_systems():
-    for rows, ncols in _invariant_systems(16):
+def test_sparse_echelon_matches_dense_reference_on_a16_systems(double):
+    for rows, ncols in _invariant_systems(16, double):
         _assert_echelon_matches_dense([_dense(r, ncols) for r in rows], rows, ncols)
 
 
@@ -444,20 +444,20 @@ def test_rank_is_invariant_under_row_and_column_permutations(seed):
         assert integer_row_rank(permuted) == rank
 
 
-def test_rank_is_invariant_under_permutations_on_a16_systems():
+def test_rank_is_invariant_under_permutations_on_a16_systems(double):
     rng = random.Random(2816)
-    for (rows, ncols), rank in zip(_invariant_systems(16), (495, 255)):
+    for (rows, ncols), rank in zip(_invariant_systems(16, double), (495, 255)):
         assert integer_row_rank(rows) == rank
         for permuted in _permuted_systems(rng, rows, ncols, 3):
             assert integer_row_rank(permuted) == rank
 
 
-def test_echelon_of_a24_w2d_keeps_fill_in_low(monkeypatch):
+def test_echelon_of_a24_w2d_keeps_fill_in_low(monkeypatch, double):
     # Deterministic, with no timing.  Every row operation of the kernel calls
     # gcd twice: once for the multipliers and once for the content.
     calls = []
     monkeypatch.setattr(exact_linalg, "gcd", lambda *args: calls.append(None) or gcd(*args))
-    rows, ncols = _invariant_systems(24)[0]
+    rows, ncols = _invariant_systems(24, double)[0]
     echelon, pivots = _int_echelon(rows)
     assert len(pivots) == ncols - 1
     # Index order with the old pivot rule: 3,490 nonzeros, entries up to

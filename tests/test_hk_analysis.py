@@ -15,9 +15,8 @@ from roothk.hk_analysis import (
     fixed_locus_on_abelian,
     freeness_codim_check,
     known_model,
-    symplectic_form_dim,
 )
-from roothk.invariant_theory import Representation, _image, rep_reflection
+from roothk.invariant_theory import invariant_report
 from roothk.root_data import RootSystemSpec, build_root_datum, simple_reflections
 from roothk.weyl import WeylGroup, element_iter
 
@@ -294,15 +293,12 @@ def test_resolution_table():
 
 
 def test_symplectic_form_dim_from_datum():
-    assert symplectic_form_dim(rep_reflection(build_root_datum(RootSystemSpec("A", 3)))) == 1
-    assert symplectic_form_dim(rep_reflection(build_root_datum(RootSystemSpec("F", 4)))) == 1
-
-
-def test_symplectic_form_dim_reducible_rep_is_two():
-    g1 = IntMatrix.from_rows([[-1, 0], [0, 1]])
-    g2 = IntMatrix.from_rows([[1, 0], [0, -1]])
-    rep = Representation(2, (_image(g1), _image(g2)))
-    assert symplectic_form_dim(rep) == 2
+    # analyze reads irreducibility and the two-form dimension from one report.
+    for family, rank in (("A", 3), ("F", 4)):
+        spec = RootSystemSpec(family, rank)
+        invariants = analyze(spec, "root", weyl.DEFAULT_GROUP_CAP).invariants
+        assert invariants == invariant_report(build_root_datum(spec))
+        assert invariants.dim_wedge2_doubled_inv == 1 and invariants.decomposition_consistent
 
 
 def test_known_model_tags():
@@ -315,8 +311,8 @@ def test_known_model_tags():
 
 def test_analyze_a2_root():
     verdict = analyze(RootSystemSpec("A", 2), "root", weyl.DEFAULT_GROUP_CAP)
-    assert verdict.irreducible
-    assert verdict.symplectic_form_dim == 1
+    assert verdict.invariants.irreducible
+    assert verdict.invariants.dim_wedge2_doubled_inv == 1
     assert verdict.freeness.min_codim_doubled == 2
     assert verdict.resolution is ResolutionVerdict.RESOLVABLE
     assert verdict.freeness.status == "verified"
@@ -338,8 +334,8 @@ def test_analyze_b3_tower_member():
 
 def test_analyze_e6_full_pipeline():
     verdict = analyze(RootSystemSpec("E", 6), "root", weyl.DEFAULT_GROUP_CAP)
-    assert verdict.irreducible
-    assert verdict.symplectic_form_dim == 1
+    assert verdict.invariants.irreducible
+    assert verdict.invariants.dim_wedge2_doubled_inv == 1
     assert verdict.freeness.status == "verified"
     assert verdict.freeness.min_codim_doubled == 2
     assert verdict.resolution is ResolutionVerdict.NOT_RESOLVABLE
@@ -348,8 +344,8 @@ def test_analyze_e6_full_pipeline():
 
 def test_analyze_e8_skips_freeness():
     verdict = analyze(RootSystemSpec("E", 8), "root", weyl.DEFAULT_GROUP_CAP)
-    assert verdict.irreducible
-    assert verdict.symplectic_form_dim == 1
+    assert verdict.invariants.irreducible
+    assert verdict.invariants.dim_wedge2_doubled_inv == 1
     assert verdict.freeness.status == "skipped"
     assert verdict.resolution is ResolutionVerdict.NOT_RESOLVABLE
 

@@ -1,10 +1,13 @@
 import random
 import tracemalloc
+from math import gcd
 
 import numpy as np
 import pytest
 
 from oracles import all_elements, batch_images, invariant_dim_reynolds, reynolds_sum
+from roothk import exact_linalg, invariant_theory
+from roothk.cli import main
 from roothk.exact_linalg import IntMatrix, integer_row_rank
 from roothk.invariant_theory import (
     Representation,
@@ -14,7 +17,6 @@ from roothk.invariant_theory import (
     invariant_dim,
     invariant_report,
     irreducibility_check,
-    rep_double,
     rep_reflection,
     rep_sym2,
     rep_wedge2,
@@ -64,22 +66,6 @@ def test_reflection_images_preserve_the_gram(spec):
         assert g.transpose() @ gram @ g == gram
 
 
-def test_double_blocks_and_involution():
-    v = rep_reflection(_datum("A", 2))
-    d = rep_double(v)
-    assert d.dim == 4
-    ident = IntMatrix.identity(4)
-    for g, base in zip(d.generator_images, v.generator_images):
-        g, base = _dense(g, 4), _dense(base, 2)
-        assert g @ g == ident
-        for i in range(2):
-            for j in range(2):
-                assert g[i, j] == base[i, j]
-                assert g[i + 2, j + 2] == base[i, j]
-                assert g[i, j + 2] == 0
-                assert g[i + 2, j] == 0
-
-
 def test_tensor_square_dims():
     v = rep_reflection(_datum("A", 2))
     assert rep_sym2(v).dim == 3
@@ -103,11 +89,11 @@ def test_sym2_preserves_induced_form():
     "family,rank,sym2,wedge2,doubled",
     [("A", 1, 1, 0, 1), ("A", 2, 1, 0, 1), ("A", 3, 1, 0, 1), ("B", 3, 1, 0, 1), ("G", 2, 1, 0, 1)],
 )
-def test_invariant_dims_small(family, rank, sym2, wedge2, doubled):
+def test_invariant_dims_small(family, rank, sym2, wedge2, doubled, double):
     v = rep_reflection(_datum(family, rank))
     assert invariant_dim(rep_sym2(v)) == sym2
     assert invariant_dim(rep_wedge2(v)) == wedge2
-    assert invariant_dim(rep_wedge2(rep_double(v))) == doubled
+    assert invariant_dim(rep_wedge2(double(v))) == doubled
 
 
 def test_images_must_fit_the_dimension():
@@ -196,6 +182,80 @@ def test_decomposition_check(family, rank):
     assert invariant_report(_datum(family, rank)).decomposition_consistent
 
 
+@pytest.mark.parametrize("family,rank", [("A", 12), ("A", 16), ("D", 8), ("E", 8)])
+def test_doubled_two_forms_match_the_report(family, rank, double):
+    # The report reads dim Wedge2(V + V)^W as 3 dim Wedge2(V)^W + dim Sym2(V)^W;
+    # here the doubled span is built and its fixed-point system ranked.
+    datum = _datum(family, rank)
+    w2d = rep_wedge2(double(rep_reflection(datum)))
+    rows = []
+    for g in w2d.generator_images:
+        for k, row in g.items():
+            row = {**row, k: row.get(k, 0) - 1}
+            rows.append({c: x for c, x in row.items() if x})
+    assert invariant_report(datum).dim_wedge2_doubled_inv == w2d.dim - integer_row_rank(rows) == 1
+
+
+def _rows_of(argv, capsys):
+    # (exit code, {row name: status}) of one command, run in this process.
+    code = main([*argv, "--format", "tsv"])
+    lines = capsys.readouterr().out.splitlines()[1:]
+    return code, dict(line.split("\t")[:2] for line in lines)
+
+
+def _drop_first_generator_equation(original):
+    # The commutant without the equation g X = X g of the first generator.
+    return lambda rep: original(Representation(rep.dim, rep.generator_images[1:]))
+
+
+def _perturb_one_sym2_entry(original):
+    # One entry of each Sym2 image, the first of its first moved row, off by one.
+    def perturbed(g, n):
+        image = original(g, n)
+        row = image[min(image)]
+        row[min(row)] += 1
+        return image
+
+    return perturbed
+
+
+@pytest.mark.parametrize(
+    "attr, mutate", [("_commutant_rows", _drop_first_generator_equation), ("_sym2_matrix", _perturb_one_sym2_entry)]
+)
+def test_schur_cross_check_catches_a_broken_system(attr, mutate, monkeypatch, capsys):
+    # Each mutation breaks one of the two sides of Schur's relation, so the
+    # report turns inconsistent and both of analyze's invariant rows fail.
+    monkeypatch.setattr(invariant_theory, attr, mutate(getattr(invariant_theory, attr)))
+    report = invariant_report(_datum("A", 3))
+    assert not report.decomposition_consistent and not report.passed
+    code, rows = _rows_of(["lemma-check", "--max-rank", "3"], capsys)
+    assert code == 1 and rows["lemma/A3"] == "fail"
+    code, rows = _rows_of(["analyze", "A", "3"], capsys)
+    assert code == 1
+    assert rows["analyze/A3/irreducible"] == rows["analyze/A3/symplectic-form-dim"] == "fail"
+    assert rows["analyze/A3/freeness-codim"] == "pass"
+
+
+def test_invariant_report_work_on_a24_stays_bounded(monkeypatch):
+    # Deterministic, with no timing: the rows handed to integer_row_rank and
+    # the kernel's gcd calls.  The Sym2, Wedge2 and commutant systems of A24
+    # take 3,314 rows and 15,030 calls; adding the doubled span's two-form
+    # system took 5,546 rows and 34,874 calls.
+    datum = _datum("A", 24)
+    rows, calls = [], []
+    monkeypatch.setattr(exact_linalg, "gcd", lambda *args: calls.append(None) or gcd(*args))
+
+    def counted(system):
+        system = list(system)
+        rows.append(len(system))
+        return integer_row_rank(system)
+
+    monkeypatch.setattr(invariant_theory, "integer_row_rank", counted)
+    assert invariant_report(datum).passed
+    assert len(rows) == 3 and sum(rows) <= 3_314
+    assert 0 < len(calls) <= 16_000
+
+
 def test_decomposition_dims_identity():
     for n in range(1, 9):
         assert n * (2 * n - 1) == 3 * (n * (n - 1) // 2) + n * (n + 1) // 2
@@ -210,9 +270,9 @@ def test_irreducibility_one_dim():
     assert irreducibility_check(_rep(IntMatrix.from_rows([[-1]])))
 
 
-def test_doubled_rep_is_reducible():
+def test_doubled_rep_is_reducible(double):
     v = rep_reflection(_datum("A", 2))
-    d = rep_double(v)
+    d = double(v)
     assert not irreducibility_check(d)
     assert commutant_dimension(d) == 4
 
@@ -235,13 +295,13 @@ def test_invariant_report_passes():
     assert (report.dim_sym2_inv, report.dim_wedge2_inv, report.dim_wedge2_doubled_inv) == (1, 0, 1)
 
 
-def test_reducible_two_line_rep_has_two_invariant_forms():
+def test_reducible_two_line_rep_has_two_invariant_forms(double):
     # Two orthogonal sign characters: the doubled alternating square picks up
     # one invariant per irreducible summand.
     g1 = IntMatrix.from_rows([[-1, 0], [0, 1]])
     g2 = IntMatrix.from_rows([[1, 0], [0, -1]])
     rep = _rep(g1, g2)
-    assert invariant_dim(rep_wedge2(rep_double(rep))) == 2
+    assert invariant_dim(rep_wedge2(double(rep))) == 2
 
 
 def _conjugated(v):
@@ -257,14 +317,14 @@ def _conjugated(v):
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
-def test_unimodular_conjugate_matches_integral(family, rank):
+def test_unimodular_conjugate_matches_integral(family, rank, double):
     v = rep_reflection(_datum(family, rank))
     w, p_inv = _conjugated(v)
     assert all(g != h for g, h in zip(w.generator_images, v.generator_images))
-    for build in (rep_sym2, rep_wedge2, lambda r: rep_wedge2(rep_double(r))):
+    for build in (rep_sym2, rep_wedge2, lambda r: rep_wedge2(double(r))):
         assert invariant_dim(build(w)) == invariant_dim(build(v))
     assert commutant_dimension(w) == commutant_dimension(v) == 1
-    assert commutant_dimension(rep_double(w)) == commutant_dimension(rep_double(v)) == 4
+    assert commutant_dimension(double(w)) == commutant_dimension(double(v)) == 4
     # The invariant form moves with the basis: the conjugated images preserve P^-T G P^-1.
     moved = p_inv.transpose() @ _datum(family, rank).gram @ p_inv
     for g in w.generator_images:
@@ -281,25 +341,25 @@ def test_commutant_of_one_reflection():
         assert commutant_dimension(_rep(s.transpose())) == 1 + (rank - 1) ** 2
 
 
-def test_commutant_of_four_copies():
+def test_commutant_of_four_copies(double):
     v = rep_reflection(_datum("A", 2))
-    assert commutant_dimension(rep_double(rep_double(v))) == 16
+    assert commutant_dimension(double(double(v))) == 16
 
 
-def test_integral_constructions_stay_integer():
+def test_integral_constructions_stay_integer(double):
     v = rep_reflection(_datum("A", 4))
-    w2d = rep_wedge2(rep_double(v))
+    w2d = rep_wedge2(double(v))
     assert all(type(x) is int for g in w2d.generator_images for row in g.values() for x in row.values())
     assert invariant_dim(w2d) == 1
 
 
-def test_integral_images_hold_moved_rows_only():
+def test_integral_images_hold_moved_rows_only(double):
     # A reflection moves about 4 * rank of the rank(2 rank - 1) rows of its
     # Wedge2(V + V) image; the dense A16 images took 31.5 MB.
     v = rep_reflection(_datum("A", 16))
     tracemalloc.start()
     try:
-        w2d = rep_wedge2(rep_double(v))
+        w2d = rep_wedge2(double(v))
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -357,14 +417,14 @@ def _block_double(m):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_systems_match_dense_reference(seed):
+def test_systems_match_dense_reference(seed, double):
     mats = _random_images(seed)
     rep = _rep(*mats)
     first = rep.generator_images[0]
     assert set(first) == {0, 1} and set(first[0]) == {0, 2} and first[0][0] == 1
     assert not any(1 in row for row in first.values())
     cases = [(rep, mats), (_rep(*mats[:1]), mats[:1])]
-    cases += [(rep_double(r), [_block_double(m) for m in ms]) for r, ms in cases]
+    cases += [(double(r), [_block_double(m) for m in ms]) for r, ms in cases]
     for r, dense in cases:
         n = r.dim
         assert invariant_dim(r) == n - _rank(_dense_fixed_rows(dense))
