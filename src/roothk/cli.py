@@ -7,11 +7,8 @@ Every numeric value is an exact integer or an exact rational string "p/q".
 Exit codes: 0 all runnable checks pass, 1 any check failure, 2 usage error
 (any ValueError).  Standard output depends on the command line alone.
 
-``report`` runs in two processes where ``os.fork`` exists: a forked worker
-enumerates W (the ``freeness/*`` and ``fixed-locus/*`` rows, and the only
-numpy import) while the parent runs the generator-only rows; the document
-keeps its row order.  ``main`` defaults ``OPENBLAS_NUM_THREADS`` to 1 before
-numpy can load, since no computation here calls BLAS.
+``main`` defaults ``OPENBLAS_NUM_THREADS`` to 1 before numpy can load, since
+no computation here calls BLAS.
 
 Run as ``python -m roothk.cli`` or as the ``roothk`` script, both through
 ``run``, the process freezes its heap once ``main`` returns, which spares
@@ -87,10 +84,6 @@ class ReportDocument:
     def __init__(self, command: dict):
         self.command = command
         self.checks: list[CheckRecord] = []
-        # Time spent in report's worker and on the parent's own rows, for the
-        # closing diagnostic line only.
-        self.worker_ms: int | None = None
-        self.parent_ms: int | None = None
 
     def add(self, name: str, status: str, values: dict, citation: str = "") -> None:
         self.checks.append(CheckRecord(name=name, status=status, values=values, citation=citation))
@@ -240,10 +233,55 @@ def _group_under_cap(doc: ReportDocument, name: str, spec: RootSystemSpec, cap: 
     return generate_group(build_root_datum(spec))
 
 
-def _enumerated_checks(cap: int) -> list[CheckRecord]:
-    """The rows of ``report`` that enumerate W, and so the only ones that
-    load numpy: freeness over every group under the cap, then fixed loci."""
-    doc = ReportDocument(command={})
+def cmd_report(suite: str, cap: int) -> ReportDocument:
+    """The default suite, every row computed in this process: the
+    generator-only rows first, then the rows that enumerate W (the only ones
+    that load numpy), then the cited resolution verdicts."""
+    if suite != "default":
+        raise ValueError(f"unknown suite {suite!r}; available: default")
+    doc = ReportDocument(command={"command": "report", "suite": suite})
+
+    # Invariant dimensions and irreducibility across the whole table.
+    for spec in standard_table():
+        _add_lemma_row(doc, spec)
+
+    # Dual-lattice quotient model for type A.
+    for n in range(1, 7):
+        model = dual_lattice_quotient_check(n)
+        doc.add(
+            f"dual-quotient/A{n}",
+            "pass" if model.passed else "fail",
+            {
+                "disc_order": model.n + 1,
+                "cyclic": model.cyclic_of_expected_order,
+                "gram_match": model.grams_match,
+            },
+        )
+
+    # Sublattice towers.
+    for n in range(1, 9):
+        tower = tower_for_spec(RootSystemSpec("A", n))
+        divisors = sum(1 for d in range(1, n + 2) if (n + 1) % d == 0)
+        doc.add(
+            f"towers/A{n}",
+            "pass" if len(tower.lattices) == divisors else "fail",
+            {"lattices": len(tower.lattices), "expected": divisors},
+        )
+    for n in range(3, 8):
+        tower = tower_for_spec(RootSystemSpec("B", n))
+        expected = (f"D{n}", f"Z^{n}", f"D{n}*")
+        doc.add(
+            f"towers/B{n}:D{n}",
+            "pass" if tower.labels == expected else "fail",
+            {"labels": ",".join(tower.labels)},
+        )
+    tower_e8 = tower_for_spec(RootSystemSpec("E", 8))
+    doc.add(
+        "towers/E8",
+        "pass" if tower_e8.labels == ("E8",) else "fail",
+        {"lattices": len(tower_e8.lattices)},
+    )
+
     # Group orders and freeness, exhaustively where the cap allows.
     for spec in standard_table():
         name = f"freeness/{spec.label}"
@@ -284,121 +322,6 @@ def _enumerated_checks(cap: int) -> list[CheckRecord]:
             "pass" if agree and compared > 0 else "fail",
             {"elements_compared": compared, "all_equal": agree},
         )
-    return doc.checks
-
-
-def _worker_outcome(cap: int) -> tuple[bool, object, int]:
-    """(True, rows, ms) or (False, exception, ms) of ``_enumerated_checks``."""
-    started = time.monotonic_ns()
-    try:
-        outcome = (True, _enumerated_checks(cap))
-    except BaseException as exc:
-        outcome = (False, exc)
-    return (*outcome, (time.monotonic_ns() - started) // 1_000_000)
-
-
-def cmd_report(suite: str, cap: int) -> ReportDocument:
-    """The default suite in two processes: a forked worker runs the rows that
-    enumerate W while this process runs the generator-only ones.
-
-    The worker pickles its outcome into a pipe and always ends with
-    ``os._exit``, never unwinding into the caller's stack.  Its rows keep
-    their place in the document, its exceptions are raised here, and on any
-    exception here it is killed; either way it is reaped before this returns.
-    Where ``os.fork`` does not exist the worker's function runs inline.
-    From the command line the parent has never loaded numpy when it forks, so
-    it holds no thread that the fork could leave in a bad state.
-    """
-    if suite != "default":
-        raise ValueError(f"unknown suite {suite!r}; available: default")
-    import pickle
-    import signal
-
-    doc = ReportDocument(command={"command": "report", "suite": suite})
-    pid = pipe = None
-    if hasattr(os, "fork"):
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            try:
-                os.close(read_fd)
-                outcome = _worker_outcome(cap)
-                if not outcome[0] and hasattr(outcome[1], "add_note"):
-                    import traceback
-
-                    # The traceback itself does not pickle; keep it as a note.
-                    outcome[1].add_note("".join(traceback.format_exception(outcome[1])).rstrip())
-                # An outcome that does not pickle sends nothing, like a crash.
-                with os.fdopen(write_fd, "wb") as out:
-                    out.write(pickle.dumps(outcome))
-            finally:
-                os._exit(0)
-        os.close(write_fd)
-        pipe = os.fdopen(read_fd, "rb")
-
-    started = time.monotonic_ns()
-    try:
-        # Invariant dimensions and irreducibility across the whole table.
-        for spec in standard_table():
-            _add_lemma_row(doc, spec)
-
-        # Dual-lattice quotient model for type A.
-        for n in range(1, 7):
-            model = dual_lattice_quotient_check(n)
-            doc.add(
-                f"dual-quotient/A{n}",
-                "pass" if model.passed else "fail",
-                {
-                    "disc_order": model.n + 1,
-                    "cyclic": model.cyclic_of_expected_order,
-                    "gram_match": model.grams_match,
-                },
-            )
-
-        # Sublattice towers.
-        for n in range(1, 9):
-            tower = tower_for_spec(RootSystemSpec("A", n))
-            divisors = sum(1 for d in range(1, n + 2) if (n + 1) % d == 0)
-            doc.add(
-                f"towers/A{n}",
-                "pass" if len(tower.lattices) == divisors else "fail",
-                {"lattices": len(tower.lattices), "expected": divisors},
-            )
-        for n in range(3, 8):
-            tower = tower_for_spec(RootSystemSpec("B", n))
-            expected = (f"D{n}", f"Z^{n}", f"D{n}*")
-            doc.add(
-                f"towers/B{n}:D{n}",
-                "pass" if tower.labels == expected else "fail",
-                {"labels": ",".join(tower.labels)},
-            )
-        tower_e8 = tower_for_spec(RootSystemSpec("E", 8))
-        doc.add(
-            "towers/E8",
-            "pass" if tower_e8.labels == ("E8",) else "fail",
-            {"lattices": len(tower_e8.lattices)},
-        )
-
-        doc.parent_ms = (time.monotonic_ns() - started) // 1_000_000
-        data = pipe.read() if pipe else None
-    except BaseException:
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        if pipe:
-            pipe.close()
-            _, status = os.waitpid(pid, 0)
-
-    if pid is None:
-        ok, result, doc.worker_ms = _worker_outcome(cap)
-    elif data:
-        ok, result, doc.worker_ms = pickle.loads(data)
-    else:
-        raise RootHKError(f"report worker ended without a result (wait status {status})")
-    if not ok:
-        raise result
-    doc.checks += result
 
     # Resolution verdicts, a cited lookup.
     for family, verdict in RESOLUTION_TABLE.items():
@@ -410,7 +333,6 @@ def cmd_report(suite: str, cap: int) -> ReportDocument:
         )
 
     return doc
-
 
 # --- entry point ----------------------------------------------------------------
 
@@ -487,8 +409,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     sys.stdout.write(doc.render(args.format))
     elapsed_ms = (time.monotonic_ns() - started) // 1_000_000
-    worker = "" if doc.worker_ms is None else f" (worker {doc.worker_ms} ms, parent {doc.parent_ms} ms)"
-    print(f"roothk: {args.subcommand} finished in {elapsed_ms} ms{worker}", file=sys.stderr)
+    print(f"roothk: {args.subcommand} finished in {elapsed_ms} ms", file=sys.stderr)
     return 1 if doc.failed else 0
 
 

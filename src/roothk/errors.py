@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Every constructor argument is passed on to ``Exception.__init__`` and the
-message is built in ``__str__``, so each error pickles and unpickles to an
-equal one (``report`` sends its worker's errors through a pipe).
+message is built in ``__str__``, so that, as for the built-in exceptions,
+copying or serialising an error rebuilds an equal one.
 """
 
 

@@ -3,17 +3,15 @@ import hashlib
 import json
 import os
 import re
-import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
 from roothk import cli
 from roothk.cli import main
-from roothk.errors import DiscriminantTooLargeError, RootHKError
+from roothk.errors import DiscriminantTooLargeError
 
 
 def run_python(args, env_extra=None):
@@ -302,7 +300,7 @@ print("numpy" in sys.modules)
         (("sublattices", "D", "4"), False),
         (("lemma-check",), False),
         (("analyze", "A", "3"), True),  # enumerates W
-        (("report", "--suite", "default"), False),  # W is enumerated in a forked worker
+        (("report", "--suite", "default"), True),  # enumerates W
     ],
     ids=lambda v: " ".join(v) or "import" if isinstance(v, tuple) else str(v),
 )
@@ -387,7 +385,7 @@ def test_report_never_builds_a_group_over_the_cap(monkeypatch):
         return generate_group(datum)
 
     monkeypatch.setattr(cli, "generate_group", record)
-    cli._enumerated_checks(DEFAULT_GROUP_CAP)
+    cli.cmd_report("default", DEFAULT_GROUP_CAP)
     assert "E8" not in {spec.label for spec in built}
     assert set(built) == {spec for spec in standard_table() if group_order_formula(spec) <= DEFAULT_GROUP_CAP}
 
@@ -404,40 +402,31 @@ def test_root_count_is_asserted_where_the_roots_are_read(monkeypatch):
         freeness_codim_check(generate_group(datum))
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_report_reaps_its_worker(capsys):
+def test_report_stderr_is_one_timing_line(capsys):
     assert main(["report", "--format", "tsv"]) == 0
-    _assert_no_child_left()
-    err = capsys.readouterr().err
-    assert "(worker " in err
-    assert re.fullmatch(r"roothk: report finished in \d+ ms \(worker \d+ ms, parent \d+ ms\)\n", err)
+    assert re.fullmatch(r"roothk: report finished in \d+ ms\n", capsys.readouterr().err)
 
 
-def test_report_without_fork_runs_the_worker_inline(capsys, monkeypatch):
-    monkeypatch.delattr(os, "fork")
-    assert main(["report", "--format", "tsv"]) == 0
+def test_report_runs_in_the_calling_process(capsys, monkeypatch):
+    def no_fork():
+        raise AssertionError("report forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(["report"]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256["tsv"]
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256["json"]
 
 
-def test_report_reraises_a_worker_assertion(monkeypatch):
+def test_report_raises_an_assertion_from_the_freeness_pass(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("boom")
 
     monkeypatch.setattr(cli, "freeness_codim_check", boom)
-    with pytest.raises(AssertionError, match="boom") as excinfo:
+    with pytest.raises(AssertionError, match="boom"):
         main(["report"])
-    _assert_no_child_left()
-    if sys.version_info >= (3, 11):
-        # The worker's traceback travels as a note.
-        assert "_enumerated_checks" in "".join(excinfo.value.__notes__)
 
 
-def test_report_worker_error_exits_1(capsys, monkeypatch):
+def test_report_error_in_the_freeness_pass_exits_1(capsys, monkeypatch):
     def too_large(*args, **kwargs):
         raise DiscriminantTooLargeError(4096, 2048)
 
@@ -446,64 +435,3 @@ def test_report_worker_error_exits_1(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "discriminant group of order 4096 exceeds the cap of 2048" in captured.err
-    _assert_no_child_left()
-
-
-def test_report_killed_worker_exits_1(capsys, monkeypatch):
-    def killed(*args, **kwargs):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    monkeypatch.setattr(cli, "freeness_codim_check", killed)
-    assert main(["report"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"report worker ended without a result (wait status {signal.SIGKILL})" in captured.err
-    _assert_no_child_left()
-
-
-def test_report_unpicklable_worker_error_exits_1(capsys, monkeypatch):
-    class LocalError(Exception):  # a class local to a function does not pickle
-        pass
-
-    def fails(*args, **kwargs):
-        raise LocalError("unpicklable")
-
-    monkeypatch.setattr(cli, "freeness_codim_check", fails)
-    assert main(["report"]) == 1
-    assert "report worker ended without a result (wait status 0)" in capsys.readouterr().err
-    _assert_no_child_left()
-
-
-def test_report_parent_error_kills_the_worker(capsys, monkeypatch):
-    def fails(*args, **kwargs):
-        raise RootHKError("parent side failed")
-
-    # A worker that would run for a minute: only a kill ends it in time.
-    monkeypatch.setattr(cli, "freeness_codim_check", lambda *args, **kwargs: time.sleep(60))
-    monkeypatch.setattr(cli, "invariant_report", fails)
-    started = time.monotonic()
-    assert main(["report"]) == 1
-    assert time.monotonic() - started < 30
-    assert "parent side failed" in capsys.readouterr().err
-    _assert_no_child_left()
-
-
-# Runs report in a fresh interpreter and prints, from a `finally` around
-# main, whether the process leaving main is the one that called it.
-UNWIND_PROBE = """
-import contextlib, io, os
-from roothk.cli import main
-
-caller = os.getpid()
-try:
-    with contextlib.redirect_stdout(io.StringIO()):
-        main(["report"])
-finally:
-    print(os.getpid() == caller)
-"""
-
-
-def test_report_worker_never_returns_into_the_caller():
-    proc = run_python(["-c", UNWIND_PROBE])
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True\n"

@@ -10,7 +10,7 @@ from roothk.errors import (
 )
 
 INSTANCES = [
-    RootHKError("worker ended"),
+    RootHKError("check failed"),
     DiscriminantTooLargeError(4096, 2048),
     LatticeActionError("reflection in (1, 0) does not preserve the dual lattice"),
 ]
@@ -23,7 +23,7 @@ def test_every_error_class_is_covered():
 
 @pytest.mark.parametrize("exc", INSTANCES, ids=lambda e: type(e).__name__)
 def test_errors_survive_a_pickle_round_trip(exc):
-    # report's worker sends its errors to the parent through a pipe.
+    # Exception.__reduce__ rebuilds an error from its args alone.
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc)
     assert vars(back) == vars(exc)

@@ -1,7 +1,6 @@
 """Every function and method in ``src/roothk`` is run by some command.
 
-The commands below run in this process, with ``os.fork`` removed so that
-``report``'s worker rows run inline, under ``sys.setprofile``.  Each
+The commands below run in this process under ``sys.setprofile``.  Each
 module-level function, each non-dunder method and each class's ``__init__``
 defined in ``src/roothk/*.py`` must have been called, or be listed in
 ``UNREACHED`` with its reason.  Code that only tests call shows up here in
@@ -9,7 +8,6 @@ the diff that leaves it behind.
 """
 
 import ast
-import os
 import sys
 from pathlib import Path
 
@@ -62,7 +60,6 @@ def _called(monkeypatch, capsys):
     """(module, qualified name) of every function in ``src/roothk`` that the
     commands call, from a cold start: the package's caches are emptied
     first, since a cached call never enters its function."""
-    monkeypatch.delattr(os, "fork")
     for name, module in list(sys.modules.items()):
         if name.startswith("roothk."):
             for obj in vars(module).values():
