@@ -11,9 +11,10 @@ Exit codes: 0 all runnable checks pass, 1 any check failure, 2 usage error
 no computation here calls BLAS.
 
 Run as ``python -m roothk.cli`` or as the ``roothk`` script, both through
-``run``, the process freezes its heap once ``main`` returns, which spares
-interpreter teardown its full collections; ``main`` itself leaves the
-collector alone, so in-process callers are unaffected.
+``run``, the process turns automatic garbage collection off before ``main``
+and freezes its heap once ``main`` returns, which spares the command its
+generational collections and interpreter teardown its full ones; ``main``
+itself leaves the collector alone, so in-process callers are unaffected.
 Nothing imported here loads ``fractions``: rationals arrive as exact
 numerator/denominator pairs.
 """
@@ -415,8 +416,12 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> int:
     """The program's entry point, for ``python -m roothk.cli`` and the
-    ``roothk`` console script alike: ``main()``, then a freeze of the heap
-    just before the process exits with its code."""
+    ``roothk`` console script alike: ``main()`` with automatic collection
+    off, then a freeze of the heap just before the process exits with its
+    code."""
+    # A command is short, and its cyclic garbage dies with the process; the
+    # collections its allocations would trigger cost time and free little.
+    gc.disable()
     code = main()
     # Interpreter teardown would otherwise run full collections over every
     # object the imports and caches made; frozen objects are never traversed.

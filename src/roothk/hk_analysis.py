@@ -32,10 +32,14 @@ from .weyl import (
 GENERATOR_ONLY_MAX_RANK = 24
 
 # Bounds on the brute-force grid (2n int64 words a point) and on the freeness
-# pass's trace tiles: at most 2^18 int16 traces, 8,192 elements of V wide, so
-# W(E7)'s 1512 * 1920 traces take twelve tiles of at most 136 rows and W(E8)'s
-# 13,440 * 51,840 take tiles of 32 rows.  An untiled trace array would be
-# 5.8 MB for W(E7) and 1.4 GB for W(E8).
+# pass's trace blocks, 8,192 elements of V wide.  Only U's first block takes
+# the n^2-wide product; every later block is its walk parent's traces plus a
+# rank-n update, and a parent is held only until its last child.  A tile of
+# blocks and the parents held beside it stay within 2^18 int16 traces where
+# one block allows: W(E7)'s 1512 * 1920 traces are 56 blocks of 27 rows,
+# counted two at a time beside at most 3 held; W(E8)'s 13,440 * 51,840 are
+# 240 blocks of 56 rows in seven column blocks of V, at most 8 held (7.3 MB).
+# An untiled trace array would be 5.8 MB for W(E7) and 1.4 GB for W(E8).
 _GRID_MAX_POINTS = 1 << 16
 _FREENESS_TILE = 1 << 18
 _FREENESS_COLUMNS = 8192
@@ -136,10 +140,14 @@ def freeness_codim_check(group: WeylGroup) -> FreenessCheck:
 
     The pass reads W as every product u * v of an element u of U and an
     element v of V, the two halves of ``group``, of about sqrt(|W|) elements
-    each.  As tr(u v) = <vec(u^T), vec(v)>, the traces of a tile of rows of
-    U against a block of V are one integer product, tiles of at most
-    ``_FREENESS_TILE`` traces and ``_FREENESS_COLUMNS`` elements of V, and
-    only the pairs of trace n - 2 are multiplied out.
+    each, in blocks of ``_FREENESS_COLUMNS`` elements of V.  As
+    tr(u v) = <vec(u^T), vec(v)>, the traces of U's first block (see
+    :class:`WeylGroup`) are one integer product, in tiles of at most
+    ``_FREENESS_TILE`` traces.  Every later block of U's outermost walk
+    (``group.walk``) must differ from its
+    parent block in the stepped row i alone, which the pass asserts; then
+    tr(u' v) = tr(u v) + (row i of u' - row i of u) . (column i of v), n
+    multiply-adds a trace.  Only the pairs of trace n - 2 are multiplied out.
     """
     import numpy as np
 
@@ -150,26 +158,60 @@ def freeness_codim_check(group: WeylGroup) -> FreenessCheck:
     # int16 holds exactly up to n = 8.
     if n * n * _ENTRY_BOUND**2 >= 1 << 15:
         raise AssertionError(f"traces of rank {n} could overflow the int16 accumulator")
-    u_t = u.transpose(0, 2, 1).reshape(len(u), n * n).astype(np.int16)
-    u = u.astype(np.int32)
+    blocks = u.reshape(len(group.walk) + 1, -1, n, n)
+    rows = len(blocks[0])
+    parents, stepped = np.array(group.walk, dtype=np.intp).reshape(-1, 2).T
+    # Block j + 1 against its parent: rows that differ must be the stepped row.
+    steps = np.arange(len(parents))
+    child, base = blocks[1:], blocks[parents]
+    moved = (child != base).any(axis=(1, 3)) & (np.arange(n) != stepped[:, None])
+    if moved.any():
+        j = int(np.flatnonzero(moved.any(axis=1))[0])
+        raise AssertionError(f"block {j + 1} of U differs from its parent block {parents[j]} outside row {stepped[j]}")
+    # Row i of each block minus row i of its parent, (steps, rows, n) int16.
+    shifts = child[steps, :, stepped].astype(np.int16) - base[steps, :, stepped]
+    last_child = {parent: j for j, (parent, _) in enumerate(group.walk, 1)}
+    first_t = blocks[0].transpose(0, 2, 1).reshape(rows, n * n).astype(np.int16)
     ident = np.eye(n, dtype=np.int32)
     width = min(v.shape[0], _FREENESS_COLUMNS, _FREENESS_TILE)
     height = _FREENESS_TILE // width
+    # Blocks of U counted together: with the most parents ever held, at most
+    # one tile of traces, or else one block.
+    held_at_most = max(sum(p <= j < c for p, c in last_child.items()) for j in range(len(blocks)))
+    per_tile = max(1, height // rows - held_at_most)
     elements = identities = reflections = trace_sum = trace_square_sum = 0
     for lo in range(0, v.shape[0], width):
         block = v[lo : lo + width]
         # Element-last and C-contiguous: with the transposed strides that a
         # plain astype keeps, einsum runs about four times slower.
         v_t = block.reshape(-1, n * n).T.astype(np.int16, order="C")
-        for top in range(0, len(u), height):
-            traces = np.einsum("ux,xk->uk", u_t[top : top + height], v_t)
+        # columns[i] is column i of every element of the block, (n, width).
+        columns = v_t.reshape(n, n, -1).swapaxes(0, 1)
+        held = {}
+        for first in range(0, len(blocks), per_tile):
+            stop = min(first + per_tile, len(blocks))
+            traces = np.empty((stop - first, rows, len(block)), dtype=np.int16)
+            if first == 0:
+                for top in range(0, rows, height):
+                    np.einsum("ux,xk->uk", first_t[top : top + height], v_t, out=traces[0, top : top + height])
+            # Every later block: shift . column i, plus its parent's traces.
+            derived = slice(max(first, 1) - 1, stop - 1)  # their steps
+            np.einsum("juc,jck->juk", shifts[derived], columns[stepped[derived]], out=traces[derived.start + 1 - first :])
+            for j, out in enumerate(traces, first):
+                if j:
+                    parent = group.walk[j - 1][0]
+                    out += held[parent]
+                    if last_child[parent] == j:
+                        del held[parent]
+                if j in last_child:
+                    held[j] = out.copy()  # a view would keep the whole tile alive
             elements += traces.size
             identities += int(np.count_nonzero(traces == n))
-            ui, vi = np.divmod(np.flatnonzero(traces == n - 2), traces.shape[1])
-            w = u[top + ui] @ block[vi].astype(np.int32)  # int8 entries; products fit int32
+            ui, vi = np.divmod(np.flatnonzero(traces == n - 2), len(block))
+            w = u[first * rows + ui].astype(np.int32) @ block[vi]  # int8 entries; products fit int32
             reflections += int(np.count_nonzero((w @ w == ident).all(axis=(1, 2))))
             trace_sum += int(traces.sum(dtype=np.int64))
-            trace_square_sum += int(np.einsum("uk,uk->", traces, traces, dtype=np.int64))
+            trace_square_sum += int(np.einsum("juk,juk->", traces, traces, dtype=np.int64))
     if elements != group.order:
         raise AssertionError(f"the pass saw {elements} elements, expected order {group.order}")
     if identities != 1:

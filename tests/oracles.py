@@ -9,7 +9,8 @@ A construction chain says how a representation is built from the defining
 (reflection) one, e.g. ("wedge2", ("double", ("defining",))); the test that
 builds the representation passes the chain it built it by.
 
-- Every element of a group held as two halves, multiplied out.
+- Every element of a group held as two halves, multiplied out, and the
+  counts and character sums over the products of any two element arrays.
 - Reynolds averaging: the invariant dimension of a representation is the
   rank of the sum of its images over all group elements, assembled from the
   pair sums of the element array and ranked over ``Fraction``.
@@ -52,6 +53,26 @@ def all_elements(group):
     for i, a in enumerate(u.astype(np.int16)):
         out[i] = a @ v
     return out.reshape(-1, n, n)
+
+
+def trace_counts(u, v):
+    """(identities, reflections, sum of traces, sum of squared traces) over
+    every product of an element of ``u`` and one of ``v``, each multiplied
+    out in int64: products of trace n count as identities, and those of
+    trace n - 2 that square to 1 as reflections.  Any two integer arrays
+    will do, not only the halves of a group."""
+    n = v.shape[1]
+    v = v.astype(np.int64)
+    identities = reflections = trace_sum = trace_square_sum = 0
+    for a in u.astype(np.int64):
+        w = a @ v
+        traces = np.trace(w, axis1=1, axis2=2)
+        candidates = w[traces == n - 2]
+        identities += int(np.count_nonzero(traces == n))
+        reflections += int(np.count_nonzero((candidates @ candidates == np.eye(n)).all(axis=(1, 2))))
+        trace_sum += int(traces.sum())
+        trace_square_sum += int((traces * traces).sum())
+    return identities, reflections, trace_sum, trace_square_sum
 
 
 # --- Reynolds averaging -------------------------------------------------------

@@ -343,9 +343,9 @@ def test_no_dataclasses_in_the_import_graph(argv):
 def test_main_leaves_the_gc_freeze_count_as_it_found_it(argv, capsys):
     # The exit-time freeze belongs to ``python -m roothk.cli`` alone: a caller
     # of main(), such as the benchmark's traced pass, keeps a collectable heap.
-    before = gc.get_freeze_count()
+    before = gc.get_freeze_count(), gc.isenabled()
     assert main(list(argv)) == 0
-    assert gc.get_freeze_count() == before
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 ENTRY_PROBE = """
@@ -370,6 +370,34 @@ def test_console_script_and_module_freeze_before_exit():
         proc = run_python(["-c", ENTRY_PROBE, target, "sublattices", "B", "3"])
         assert proc.returncode == 0, proc.stderr
         assert int(re.search(r"freeze count (\d+)", proc.stderr).group(1)) > 0
+
+
+GC_PROBE = """
+import gc, sys
+import roothk.cli as cli
+collections = []
+gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(info["generation"]))
+main = cli.main
+def probed():
+    print(f"collecting in main {gc.isenabled()}", file=sys.stderr)
+    return main()
+cli.main = probed
+sys.argv = ["roothk", *sys.argv[1:]]
+code = cli.run()
+print(f"collections {len(collections)}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_run_turns_automatic_collection_off_for_main():
+    # Under ``run`` the command allocates with the collector off: no
+    # generational collection starts while it runs, where main() alone, in
+    # this process, leaves the collector as it found it.
+    assert gc.isenabled()
+    proc = run_python(["-c", GC_PROBE, "sublattices", "B", "3"])
+    assert proc.returncode == 0, proc.stderr
+    assert "collecting in main False" in proc.stderr
+    assert "collections 0" in proc.stderr
 
 
 def test_report_never_builds_a_group_over_the_cap(monkeypatch):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from roothk.hk_analysis import (
     known_model,
 )
 from roothk.invariant_theory import invariant_report
-from roothk.root_data import RootSystemSpec, build_root_datum, simple_reflections
+from roothk.root_data import RootSystemSpec, build_root_datum, simple_reflections, standard_table
 from roothk.weyl import WeylGroup, element_iter
 
 
@@ -138,7 +139,7 @@ def _stored(group):
     """The same group held as the identity and every element, the way a
     group whose whole element array is stored would be read."""
     eye = np.eye(group.rank, dtype=np.int8)[None]
-    return WeylGroup(group.datum, group.order, (eye, oracles.all_elements(group)))
+    return WeylGroup(group.datum, group.order, (eye, oracles.all_elements(group)), [])
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("G", 2), ("B", 3), ("D", 4), ("F", 4), ("E", 6)])
@@ -183,7 +184,7 @@ def _b3_with_overwrite(groups, source_is_reflection, replacement):
         if i > 0 and is_reflection == source_is_reflection:
             elements[i] = replacement
             break
-    return WeylGroup(group.datum, group.order, (eye, elements))
+    return WeylGroup(group.datum, group.order, (eye, elements), [])
 
 
 def test_freeness_rejects_extra_reflection(groups):
@@ -205,7 +206,7 @@ def test_freeness_rejects_missing_element(groups):
     # notice.
     group = _stored(groups("B", 3))
     eye, elements = group.halves
-    truncated = WeylGroup(group.datum, group.order, (eye, elements[:-1]))
+    truncated = WeylGroup(group.datum, group.order, (eye, elements[:-1]), [])
     with pytest.raises(AssertionError, match="saw 47 elements"):
         freeness_codim_check(truncated)
 
@@ -220,19 +221,19 @@ def test_freeness_rejects_wrong_character_sums(groups):
     assert elements[-1].tolist() == [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
     s1, s2, _ = simple_reflections(group.datum)
     elements[-1] = (s1 @ s2).to_rows()
-    mutated = WeylGroup(group.datum, group.order, (eye, elements))
+    mutated = WeylGroup(group.datum, group.order, (eye, elements), [])
     with pytest.raises(AssertionError, match="character sums 3 and 39, expected 0 and 48"):
         freeness_codim_check(mutated)
 
 
 @pytest.mark.parametrize("edit", ["drop", "duplicate"])
 def test_freeness_rejects_wrong_coset_representatives(monkeypatch, edit):
-    # W(B3) streams as the chain R_1 R_2 R_3 = 8 * 3 * 2: one walk step
-    # dropped or duplicated, first in R_1 and then in R_2 alone, leaves only
-    # the element count to notice.
+    # W(B3) streams as the chain R_1 R_2 R_3 = 6 * 4 * 2, split as U = R_1
+    # and V = R_2 R_3: one walk step dropped or duplicated, first in R_1 and
+    # then in R_2 alone, leaves only the element count to notice.
     real = weyl._walk
     datum = build_root_datum(RootSystemSpec("B", 3))
-    for edited_k, seen in ((2, {"drop": 42, "duplicate": 54}), (1, {"drop": 32, "duplicate": 64})):
+    for edited_k, seen in ((2, {"drop": 40, "duplicate": 56}), (1, {"drop": 36, "duplicate": 60})):
 
         def edited(datum, k, edited_k=edited_k):
             steps = real(datum, k)
@@ -241,9 +242,76 @@ def test_freeness_rejects_wrong_coset_representatives(monkeypatch, edit):
             return steps[:-1] if edit == "drop" else steps + steps[-1:]
 
         monkeypatch.setattr(weyl, "_walk", edited)
-        u, v = weyl.coset_halves(datum)
+        u, v, walk = weyl.coset_halves(datum)
         with pytest.raises(AssertionError, match=f"saw {seen[edit]} elements"):
-            freeness_codim_check(WeylGroup(datum, 48, (u, v)))
+            freeness_codim_check(WeylGroup(datum, 48, (u, v), walk))
+
+
+def _first_failure(counts, group):
+    """The message of the first check of the pass that counts ``counts``
+    (identities, reflections, sum tr, sum tr^2) fail, or None."""
+    identities, reflections, trace_sum, trace_square_sum = counts
+    if identities != 1:
+        return f"identity appeared {identities} times"
+    if reflections != group.datum.spec.root_count // 2:
+        return f"found {reflections} reflections"
+    if (trace_sum, trace_square_sum) != (0, group.order):
+        return f"character sums {trace_sum} and {trace_square_sum},"
+    return None
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in standard_table() if weyl.group_order_formula(s) <= 51_840], ids=lambda s: s.label
+)
+def test_freeness_counts_match_the_product_oracle(spec, groups):
+    # The pass reads the traces of all but U's first block from their walk
+    # parents; the oracle multiplies every product out.  On the group they
+    # agree on the count and the reflections, and the oracle's identities
+    # and character sums are the ones the pass asserts.  With row i of U's
+    # last block negated (still one row from its parent) the products are
+    # no longer W: the pass must fail the first check the oracle's counts
+    # fail, printing the oracle's numbers, and pass only where they pass
+    # (E6, whose counts and sums happen to survive the edit).
+    group = groups(spec.family, spec.rank)
+    u, v = group.halves
+    check = freeness_codim_check(group)
+    assert (check.elements, check.reflections) == (len(oracles.all_elements(group)), spec.root_count // 2)
+    assert _first_failure(oracles.trace_counts(u, v), group) is None
+    if not group.walk:
+        return
+    rows = len(u) // (len(group.walk) + 1)
+    mutated = u.copy()
+    mutated[-rows:, group.walk[-1][1]] *= -1
+    counts = oracles.trace_counts(mutated, v)
+    message = _first_failure(counts, group)
+    edited = WeylGroup(group.datum, group.order, (mutated, v), group.walk)
+    if message is None:
+        assert freeness_codim_check(edited).reflections == counts[1]
+    else:
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            freeness_codim_check(edited)
+
+
+@pytest.mark.parametrize("edit", ["entry", "walk"])
+@pytest.mark.parametrize("j", [1, 26])
+def test_freeness_rejects_a_block_that_differs_outside_its_row(groups, edit, j):
+    # W(E6)'s U is 27 blocks of 16 elements; block j is s_i times its parent
+    # block.  One entry changed outside row i, or a walk that names another
+    # row, breaks the one-row difference the traces of block j are read by.
+    group = groups("E", 6)
+    u, v = group.halves
+    walk = list(group.walk)
+    parent, i = walk[j - 1]
+    other = (i + 1) % 6
+    if edit == "entry":
+        u = u.copy()
+        u[16 * j, other, 0] += 1
+        row = i
+    else:
+        walk[j - 1] = (parent, other)
+        row = other
+    with pytest.raises(AssertionError, match=f"block {j} of U differs from its parent block {parent} outside row {row}$"):
+        freeness_codim_check(WeylGroup(group.datum, group.order, (u, v), walk))
 
 
 @pytest.mark.parametrize(

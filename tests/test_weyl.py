@@ -81,15 +81,16 @@ def _assert_closed_group(elements, generators, order):
         assert np.array_equal(_keys(elements @ np.array(gen.to_rows(), dtype=np.int16)), keys)
 
 
-def _exponents(datum, k=None):
+def _exponents(datum, nodes=None):
     """Exponents m_i from the height partition of the positive roots:
     #{i : m_i >= h} is the number of positive roots of height h (Kostant 1959).
 
-    With ``k``, only the roots supported on the first k simple roots: the
-    root system of the parabolic subgroup W_J, J = {s_0, ..., s_(k-1)} (the
+    With ``nodes``, only the roots supported on those simple roots: the root
+    system of the parabolic subgroup W_J, J = {s_j : j in nodes} (the
     partition adds up over its components)."""
     coords = oracles.root_coords(datum.simple_rows, datum.denominator)
-    per_height = Counter(int(sum(c)) for c in coords if min(c) >= 0 and (k is None or not any(c[k:])))
+    outside = [j for j in range(datum.rank) if nodes is not None and j not in nodes]
+    per_height = Counter(int(sum(c)) for c in coords if min(c) >= 0 and not any(c[j] for j in outside))
     return sorted(h for h in per_height for _ in range(per_height[h] - per_height[h + 1]))
 
 
@@ -113,14 +114,25 @@ def test_exponents_from_root_heights():
     assert _exponents(build_root_datum(RootSystemSpec("E", 7))) == [1, 5, 7, 9, 11, 13, 17]
     assert _exponents(build_root_datum(RootSystemSpec("G", 2))) == [1, 5]
     assert _exponents(build_root_datum(RootSystemSpec("B", 4))) == [1, 3, 5, 7]
-    # E7 without its last node is E6; B4 without its last node is A3.
-    assert _exponents(build_root_datum(RootSystemSpec("E", 7)), 6) == [1, 4, 5, 7, 8, 11]
-    assert _exponents(build_root_datum(RootSystemSpec("B", 4)), 3) == [1, 2, 3]
+    # E7 without its last node is E6; B4 without its last node is A3, and
+    # without its first node B3; D5 without its first node is D4.
+    assert _exponents(build_root_datum(RootSystemSpec("E", 7)), range(6)) == [1, 4, 5, 7, 8, 11]
+    assert _exponents(build_root_datum(RootSystemSpec("B", 4)), range(3)) == [1, 2, 3]
+    assert _exponents(build_root_datum(RootSystemSpec("B", 4)), range(1, 4)) == [1, 3, 5]
+    assert _exponents(build_root_datum(RootSystemSpec("D", 5)), range(1, 5)) == [1, 3, 3, 5]
 
 
 def _representatives(datum, k):
     # The minimal-length representatives R_k of one step of the chain, identity first.
     return weyl._left_multiply(datum, [weyl._walk(datum, k)])
+
+
+def _chain(datum):
+    """The nodes in the order the parabolic chain takes them: from the far
+    end of the diagram for B, C and D (B_n labels its short simple root n,
+    D_n forks at n - 2), in label order for the other families."""
+    nodes = list(range(datum.rank))
+    return nodes[::-1] if datum.spec.family in ("B", "C", "D") else nodes
 
 
 @pytest.mark.parametrize(
@@ -149,20 +161,21 @@ def test_level_sizes_are_poincare_coefficients(family, rank):
     [("A", 2), ("A", 5), ("B", 3), ("C", 4), ("D", 4), ("D", 8), ("F", 4), ("G", 2), ("E", 6), ("E", 8)],
 )
 def test_min_coset_representatives_are_minimal(family, rank):
-    # With K the first k + 1 simple reflections and J the first k, u is
+    # With K the first k + 1 nodes of the chain and J the first k, u is
     # minimal in u W_J exactly when u(alpha_j) is positive for each j in J,
     # i.e. when column j of u has a positive coordinate sum.  Distinct
     # minimal elements lie in distinct cosets, so |R| = |W_K| / |W_J|.
     datum = build_root_datum(RootSystemSpec(family, rank))
+    chain = _chain(datum)
     for k in range(rank):
         reps = _representatives(datum, k)
         assert (reps[0] == np.eye(rank)).all()
         assert np.unique(reps.reshape(len(reps), -1), axis=0).shape[0] == len(reps)
-        assert (reps.sum(axis=1, dtype=np.int64)[:, :k] > 0).all()
+        assert (reps.sum(axis=1, dtype=np.int64)[:, chain[:k]] > 0).all()
         lengths = _lengths(datum, reps)
         assert lengths == sorted(lengths)
-        parabolic = _poincare(_exponents(datum, k))
-        assert len(reps) * sum(parabolic) == sum(_poincare(_exponents(datum, k + 1)))
+        parabolic = _poincare(_exponents(datum, chain[:k]))
+        assert len(reps) * sum(parabolic) == sum(_poincare(_exponents(datum, chain[: k + 1])))
 
 
 @pytest.mark.parametrize(
@@ -175,7 +188,7 @@ def test_coset_halves_multiply_to_the_group(spec):
     # that holds the identity is W.
     n = spec.rank
     datum = build_root_datum(spec)
-    u, v = weyl.coset_halves(datum)
+    u, v, _ = weyl.coset_halves(datum)
     products = (u[:, None].astype(np.int16) @ v[None].astype(np.int16)).reshape(-1, n, n)
     assert (products[0] == np.eye(n)).all()
     _assert_closed_group(products, simple_reflections(datum), group_order_formula(spec))
@@ -262,6 +275,29 @@ def test_element_iter_is_the_product_of_the_halves(spec, groups):
     assert len(elems) == len(set(elems)) == group.order
     assert elems[0] == IntMatrix.identity(spec.rank)
     assert [w.to_rows() for w in elems] == oracles.all_elements(group).tolist()
+
+
+@pytest.mark.parametrize(
+    "family,rank,sizes",
+    [
+        ("B", 2, [2, 4]),
+        ("B", 7, [2, 4, 6, 8, 10, 12, 14]),
+        ("C", 3, [2, 4, 6]),
+        ("C", 7, [2, 4, 6, 8, 10, 12, 14]),
+        ("D", 3, [2, 2, 6]),
+        ("D", 4, [2, 2, 6, 8]),
+        ("D", 7, [2, 2, 6, 8, 10, 12, 14]),
+        ("E", 7, [2, 2, 3, 10, 16, 27, 56]),
+    ],
+)
+def test_chain_walk_sizes(family, rank, sizes):
+    # B, C and D chain from the far end of the diagram: W(B_{k+1}) over
+    # W(B_k) has 2(k + 1) cosets, and D_n steps through A1, A1 x A1 and
+    # A3 = D3 before D4, ..., D_n.  Starting from the other end made the
+    # last walk the orbit of the spin weight, 2^n or 2^(n-1) elements.
+    # E keeps its order, with the last node's orbit outermost.
+    datum = build_root_datum(RootSystemSpec(family, rank))
+    assert [len(weyl._walk(datum, k)) + 1 for k in range(rank)] == sizes
 
 
 def test_e7_is_held_as_two_halves():
