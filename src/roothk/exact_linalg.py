@@ -10,8 +10,9 @@ immutable classes derive from ``Frozen``.
 
 The normal forms return what their callers read: ``smith_normal_form`` the
 invariant factors and the unimodular left transform (the discriminant group
-reads its rows), ``hermite_normal_form`` the echelon basis alone.  Ranks
-come from a sparse fraction-free echelon.
+reads its rows), ``hermite_normal_form`` the echelon basis alone.  A rank
+is a count: ``integer_row_rank`` eliminates sparse rows fraction-free and
+keeps no echelon.
 """
 
 from __future__ import annotations
@@ -374,40 +375,46 @@ def _bezout(p: int, v: int) -> tuple[int, int]:
 SparseRow = dict[int, int]
 
 
-def _int_echelon(rows: Iterable[SparseRow]) -> tuple[list[SparseRow], list[int]]:
-    """Fraction-free row echelon form with per-row content reduction.
+def integer_row_rank(rows: Iterable[SparseRow]) -> int:
+    """Rank over the rationals of the matrix with the given ``{col: value}``
+    integer rows, by sparse fraction-free elimination.
 
-    Rows are ``{col: value}`` dicts; every row is copied to a dict of its
-    nonzero entries, and each column maps to the set of unpivoted rows that
-    are nonzero there, so an elimination step touches only the rows and
-    entries it changes.  Columns are eliminated in decreasing order of
-    their nonzero count in the input, ties by column index: this order is
-    fixed before elimination starts, and on the generator-only invariant
-    systems it keeps far less fill-in than index order.  The pivot of a
-    column is the entry of smallest magnitude; on a tie, the row with fewer
-    nonzeros, then the first in current row order.  It is swapped into place,
-    and an eliminated row is divided by its content.  Returns the nonzero
-    echelon rows, as dicts, and their pivot columns in elimination order.
+    Every row is copied to a dict of its nonzero entries, so the input is
+    untouched, and each column maps to the set of live rows that are nonzero
+    there, so an elimination step touches only the rows and entries it
+    changes.  A row with one nonzero entry puts that unit vector in the row
+    space: it counts one toward the rank, and its column is deleted from
+    every row, repeated while rows shrink to one entry.  The remaining
+    columns are eliminated in decreasing order of their nonzero count, ties
+    by column index: this order is fixed before elimination starts, and on
+    the generator-only invariant systems it keeps far less fill-in than
+    index order.  The pivot of a column is the entry of smallest magnitude;
+    on a tie, the row with fewer nonzeros, then the lower input index.  An
+    eliminated row is divided by its content.
     """
     work = [r for r in ({c: x for c, x in row.items() if x} for row in rows) if r]
-    # order[k] is the row at position k; pos is its inverse.
-    order = list(range(len(work)))
-    pos = list(order)
     index: dict[int, set[int]] = {}
     for i, r in enumerate(work):
         for c in r:
             index.setdefault(c, set()).add(i)
-    pivots: list[int] = []
     rank = 0
+    single = [i for i, r in enumerate(work) if len(r) == 1]
+    while single:
+        r = work[single.pop()]
+        if not r:  # emptied by an earlier single-entry row in its column
+            continue
+        (c,) = r
+        for i in index.pop(c):
+            row = work[i]
+            del row[c]
+            if len(row) == 1:
+                single.append(i)
+        rank += 1
     for c in sorted(index, key=lambda col: (-len(index[col]), col)):
         live = index.pop(c)
         if not live:
             continue
-        piv = min(live, key=lambda i: (abs(work[i][c]), len(work[i]), pos[i]))
-        k = pos[piv]
-        other = order[rank]
-        order[rank], order[k] = piv, other
-        pos[piv], pos[other] = rank, k
+        piv = min(live, key=lambda i: (abs(work[i][c]), len(work[i]), i))
         live.discard(piv)
         prow = work[piv]
         p = prow[c]
@@ -436,13 +443,5 @@ def _int_echelon(rows: Iterable[SparseRow]) -> tuple[list[SparseRow], list[int]]
             if cg > 1:
                 for col in row:
                     row[col] //= cg
-        pivots.append(c)
         rank += 1
-    return [work[i] for i in order[:rank]], pivots
-
-
-def integer_row_rank(rows: Iterable[SparseRow]) -> int:
-    """Rank over the rationals of the matrix with the given ``{col: value}``
-    integer rows."""
-    _, pivots = _int_echelon(rows)
-    return len(pivots)
+    return rank

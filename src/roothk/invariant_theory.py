@@ -12,8 +12,8 @@ is converted once, at ``rep_reflection``.  The symmetric and alternating
 squares compute only the rows that move, each from the entries of the rows
 it depends on, and both linear systems here (fixed points and commutant)
 are assembled from the moved rows alone, as sparse ``{col: value}`` integer
-rows for one exact echelon rank.  Weyl matrices in the simple-root basis are
-integral, so every value is an ``int``.
+rows whose exact rank ``integer_row_rank`` counts.  Weyl matrices in the
+simple-root basis are integral, so every value is an ``int``.
 
 The doubled span V + V = V (x) Q^2 is never built: W acts trivially on Q^2,
 so Wedge2(V + V) = 3 Wedge2 V + Sym2 V gives its invariant two-forms.

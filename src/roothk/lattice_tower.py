@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterator, NamedTuple
 
@@ -76,13 +76,12 @@ def discriminant_group(datum: RootDatum) -> DiscriminantGroup:
     In dual-basis coordinates the root lattice is the row space of the Gram
     matrix; with U G V = D unimodularly diagonal, the class of x is U x read
     modulo the invariant factors, and the factor generators lift to the
-    columns of U^{-1}.
+    columns of U^{-1}.  The order is the product of the Smith diagonal.
     """
-    gram = datum.gram
-    det = gram.det()
-    if det == 0:
+    sf = smith_normal_form(datum.gram)
+    order = prod(sf.diag)
+    if order == 0:
         raise ValueError("gram matrix is singular")
-    sf = smith_normal_form(gram)
     factors = sf.torsion_factors
     n = datum.rank
     u_adj, u_det = sf.left.adjugate()
@@ -98,7 +97,7 @@ def discriminant_group(datum: RootDatum) -> DiscriminantGroup:
         rank=n,
         invariant_factors=factors,
         generator_lifts=lifts,
-        order=det,
+        order=order,
         to_invariant_rows=rows,
     )
 
@@ -376,16 +375,25 @@ def tower_for_spec(spec: RootSystemSpec) -> TowerReport:
     groups; the interesting tower for these Weyl groups lives over D_n, on
     which the full signed-permutation group acts, generated by the
     reflections in the B/C simple roots.
+
+    Raises :class:`DiscriminantTooLargeError` before any datum is built when
+    the Cartan determinant of the tower's datum exceeds ``_DISC_CAP``.  For
+    A, D and E, the only families whose discriminant group grows, that
+    closed form is the group's order; ``all_subgroups`` checks the others.
     """
-    if spec.family in ("B", "C"):
-        if spec.rank < 3:
-            raise ValueError("the D-lattice tower needs rank >= 3")
-        d_datum = build_root_datum(RootSystemSpec("D", spec.rank))
-        reflections = _primitive_roots(d_datum, build_root_datum(spec).simple_rows)
-        return invariant_intermediate_lattices(d_datum, reflections)
-    n = spec.rank
-    units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return invariant_intermediate_lattices(build_root_datum(spec), units)
+    bc = spec.family in ("B", "C")
+    if bc and spec.rank < 3:
+        raise ValueError("the D-lattice tower needs rank >= 3")
+    tower_spec = RootSystemSpec("D", spec.rank) if bc else spec
+    if tower_spec.cartan_determinant > _DISC_CAP:
+        raise DiscriminantTooLargeError(tower_spec.cartan_determinant, _DISC_CAP)
+    datum = build_root_datum(tower_spec)
+    if bc:
+        reflections = _primitive_roots(datum, build_root_datum(spec).simple_rows)
+    else:
+        n = spec.rank
+        reflections = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return invariant_intermediate_lattices(datum, reflections)
 
 
 # --- exact short vectors and isometry testing ---------------------------------

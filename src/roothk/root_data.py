@@ -226,25 +226,20 @@ def simple_reflections(datum: RootDatum) -> tuple[IntMatrix, ...]:
 
 
 class DualQuotientReport(NamedTuple):
-    """Result of checking the quotient model of the type-A weight lattice.
+    """Verdicts of the quotient model of the type-A weight lattice.
 
     The weight lattice of A_n is the image of Z^(n+1) under orthogonal
     projection to the sum-zero hyperplane; the projected standard basis
     vectors have pairwise inner products delta_ij - 1/(n+1), and the partial
     sums of the first i of them realize the fundamental weights, whose Gram
-    matrix is the inverse of the Cartan matrix.  Every matrix is kept in
-    integers, multiplied by ``scale`` = n+1: ``model_gram`` is (n+1)I - J and
-    ``weight_basis_gram`` its partial sums, compared with the adjugate of the
-    Gram matrix, which is (n+1) times its inverse exactly when its
-    determinant is n+1.
+    matrix is the inverse of the Cartan matrix.  ``grams_match`` compares,
+    in integers times n+1, those partial sums of (n+1)I - J with the
+    adjugate of the Gram matrix, which is n+1 times its inverse exactly when
+    its determinant is n+1.
     """
 
     n: int
-    invariant_factors: tuple[int, ...]
     cyclic_of_expected_order: bool
-    scale: int
-    model_gram: IntMatrix
-    weight_basis_gram: IntMatrix
     grams_match: bool
 
     @property
@@ -264,10 +259,8 @@ def dual_lattice_quotient_check(n: int) -> DualQuotientReport:
     spec = RootSystemSpec("A", n)
     datum = build_root_datum(spec)
 
-    factors = smith_normal_form(datum.gram).torsion_factors
-    cyclic = factors == (n + 1,)
-
     k = n + 1
+    cyclic = smith_normal_form(datum.gram).torsion_factors == (k,)
     model = IntMatrix(k, k, (k * (i == j) - 1 for i in range(k) for j in range(k)))
     # Partial sums of the first i projected basis vectors, i = 1..n.
     weight_gram = IntMatrix(
@@ -275,15 +268,7 @@ def dual_lattice_quotient_check(n: int) -> DualQuotientReport:
     )
     adj, det = datum.gram.adjugate()
 
-    return DualQuotientReport(
-        n=n,
-        invariant_factors=factors,
-        cyclic_of_expected_order=cyclic,
-        scale=k,
-        model_gram=model,
-        weight_basis_gram=weight_gram,
-        grams_match=det == k and weight_gram == adj,
-    )
+    return DualQuotientReport(n=n, cyclic_of_expected_order=cyclic, grams_match=det == k and weight_gram == adj)
 
 
 def standard_table() -> tuple[RootSystemSpec, ...]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from roothk import cli
+from roothk import cli, lattice_tower
 from roothk.cli import main
 from roothk.errors import DiscriminantTooLargeError
 
@@ -61,6 +61,22 @@ def test_sublattices_b2_needs_rank_3():
     proc = run_cli(["sublattices", "B", "2"])
     assert proc.returncode == 2
     assert "rank >= 3" in proc.stderr
+
+
+def test_sublattices_over_the_discriminant_cap_fails_before_building_a_datum(capsys, monkeypatch):
+    # A datum of rank 10^6 would hold about 10^12 entries.
+    real = lattice_tower.build_root_datum
+
+    def small_only(spec):
+        if spec.rank > 100:
+            raise AssertionError(f"asked for a datum of rank {spec.rank}")
+        return real(spec)
+
+    monkeypatch.setattr(lattice_tower, "build_root_datum", small_only)
+    assert main(["sublattices", "A", "1000000", "--format", "tsv"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "sublattices/A1000000\tfail\treason=discriminant group of order 1000001 exceeds the cap of 1000000\t"
+    ]
 
 
 def test_lemma_check_exit_0_and_rows(capsys):

@@ -9,7 +9,6 @@ import _rational as ref
 from roothk import exact_linalg
 from roothk.exact_linalg import (
     IntMatrix,
-    _int_echelon,
     hermite_normal_form,
     integer_row_rank,
     smith_normal_form,
@@ -310,7 +309,8 @@ def test_matmul_and_transpose():
 
 
 def _dense_echelon(rows, columns=None):
-    """Reference: a dense fraction-free echelon with the sparse kernel's rules.
+    """Reference for ``integer_row_rank``: the pivot columns of a dense
+    fraction-free echelon, as many as the rank.
 
     Columns are eliminated in the order ``columns``; by default, decreasing
     nonzero count in the input, ties by index.  The pivot is the entry of
@@ -320,7 +320,7 @@ def _dense_echelon(rows, columns=None):
     """
     work = [list(row) for row in rows if any(row)]
     if not work:
-        return [], []
+        return []
     if columns is None:
         counts = [sum(1 for row in work if row[c]) for c in range(len(work[0]))]
         columns = sorted(range(len(counts)), key=lambda c: (-counts[c], c))
@@ -353,7 +353,7 @@ def _dense_echelon(rows, columns=None):
         rank += 1
         if rank == len(work):
             break
-    return work[:rank], pivots
+    return pivots
 
 
 def _dense(row, ncols):
@@ -363,20 +363,16 @@ def _dense(row, ncols):
     return out
 
 
-def _assert_echelon_matches_dense(dense_rows, sparse_rows, ncols):
-    ref_rows, ref_pivots = _dense_echelon(dense_rows)
-    for rows in (sparse_rows, _sparse(dense_rows)):
-        before = [dict(r) for r in rows]
-        echelon, pivots = _int_echelon(rows)
-        assert pivots == ref_pivots
-        assert [_dense(r, ncols) for r in echelon] == ref_rows
-        # Only nonzero entries are stored, in copies: the input is unchanged.
-        assert all(all(echelon_row.values()) for echelon_row in echelon)
-        assert rows == before
-    assert integer_row_rank(sparse_rows) == len(ref_pivots)
+def _assert_rank_matches_dense(dense_rows, sparse_rows, ncols):
+    rank = len(_dense_echelon(dense_rows))
     # Rank does not depend on the column order, so an index-order
     # elimination checks the rank independently of the count order.
-    assert len(ref_pivots) == len(_dense_echelon(dense_rows, range(ncols))[1])
+    assert rank == len(_dense_echelon(dense_rows, range(ncols)))
+    for rows in (sparse_rows, _sparse(dense_rows)):
+        before = [dict(r) for r in rows]
+        assert integer_row_rank(rows) == rank
+        # The kernel works on copies: the input is unchanged.
+        assert rows == before
 
 
 def _random_sparse_rows(rng, nrows, ncols):
@@ -406,7 +402,7 @@ def test_sparse_echelon_matches_dense_reference(seed):
     ncols = rng.randint(2, 14)
     rows = _random_sparse_rows(rng, rng.randint(1, 18), ncols)
     dense_rows = [_dense(r, ncols) for r in rows]
-    _assert_echelon_matches_dense(dense_rows, rows, ncols)
+    _assert_rank_matches_dense(dense_rows, rows, ncols)
 
 
 def _invariant_systems(n, double):
@@ -422,7 +418,7 @@ def _invariant_systems(n, double):
 
 def test_sparse_echelon_matches_dense_reference_on_a16_systems(double):
     for rows, ncols in _invariant_systems(16, double):
-        _assert_echelon_matches_dense([_dense(r, ncols) for r in rows], rows, ncols)
+        _assert_rank_matches_dense([_dense(r, ncols) for r in rows], rows, ncols)
 
 
 def _permuted_systems(rng, rows, ncols, count):
@@ -454,23 +450,30 @@ def test_rank_is_invariant_under_permutations_on_a16_systems(double):
 
 def test_echelon_of_a24_w2d_keeps_fill_in_low(monkeypatch, double):
     # Deterministic, with no timing.  Every row operation of the kernel calls
-    # gcd twice: once for the multipliers and once for the content.
+    # gcd twice: once for the multipliers and once for the content; clearing
+    # a single-entry row calls neither.
     calls = []
     monkeypatch.setattr(exact_linalg, "gcd", lambda *args: calls.append(None) or gcd(*args))
     rows, ncols = _invariant_systems(24, double)[0]
-    echelon, pivots = _int_echelon(rows)
-    assert len(pivots) == ncols - 1
-    # Index order with the old pivot rule: 3,490 nonzeros, entries up to
-    # 1,430, 38,203 row operations.  Index order with the row-length
-    # tiebreak: 34,060 row operations; count order without it: 29,193.  The
-    # count order with the tiebreak: 2,351 nonzeros, entries up to 476,
-    # 9,922 row operations.
-    assert sum(map(len, echelon)) <= 2_500
-    assert max(abs(x) for row in echelon for x in row.values()) <= 500
+    assert integer_row_rank(rows) == ncols - 1
+    # Index order with the old pivot rule: 38,203 row operations.  Index
+    # order with the row-length tiebreak: 34,060; count order without it:
+    # 29,193; the count order with the tiebreak: 9,922.  Clearing the
+    # single-entry rows first: 4,543.
     assert 0 < len(calls) // 2 <= 12_000
 
 
 def test_echelon_empty_and_zero_rows():
-    assert _int_echelon([]) == ([], [])
-    assert _int_echelon([{0: 0, 1: 0}, {}, {1: 0}]) == ([], [])
-    assert _int_echelon([{3: 6, 5: -4}]) == ([{3: 6, 5: -4}], [3])
+    assert integer_row_rank([]) == 0
+    assert integer_row_rank([{0: 0, 1: 0}, {}, {1: 0}]) == 0
+    assert integer_row_rank([{3: 6, 5: -4}]) == 1
+
+
+def test_single_entry_rows_clear_their_columns_in_a_cascade():
+    # Column 0 empties the duplicate {0: 6} and leaves {1: 5}, which clears
+    # column 1 and leaves {2: -1}, which clears column 2; the last two rows
+    # are then proportional.
+    rows = [{0: 3}, {0: 2, 1: 5}, {1: 4, 2: -1}, {0: 6}, {2: 7, 3: 1, 4: 1}, {3: 2, 4: 2}]
+    before = [dict(r) for r in rows]
+    assert integer_row_rank(rows) == ref.rank([_dense(r, 5) for r in rows]) == 4
+    assert rows == before

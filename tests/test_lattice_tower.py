@@ -124,6 +124,29 @@ def test_subgroup_cap(monkeypatch):
         all_subgroups(disc)
 
 
+@pytest.mark.parametrize(
+    "family,rank,built",
+    [
+        ("A", 3, []),  # Cartan determinant 4: stopped before any datum
+        ("C", 4, []),  # the D4 tower, Cartan determinant 4
+        ("F", 4, ["F4"]),  # Cartan determinant 1, Gram determinant 4
+    ],
+)
+def test_tower_cap_is_checked_before_the_datum_where_the_closed_form_is_the_order(monkeypatch, family, rank, built):
+    real = lattice_tower.build_root_datum
+    asked = []
+
+    def recorded(spec):
+        asked.append(spec.label)
+        return real(spec)
+
+    monkeypatch.setattr(lattice_tower, "build_root_datum", recorded)
+    monkeypatch.setattr(lattice_tower, "_DISC_CAP", 3)
+    with pytest.raises(DiscriminantTooLargeError, match="of order 4 exceeds the cap of 3"):
+        tower_for_spec(RootSystemSpec(family, rank))
+    assert asked == built
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_a_tower_size_is_divisor_count(n):
     report = tower_for_spec(RootSystemSpec("A", n))

@@ -229,25 +229,48 @@ def test_all_roots_are_the_ambient_image_of_root_coords(spec):
         assert set((g @ columns).transpose()) == roots
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_dual_quotient_check_examples(n):
     report = dual_lattice_quotient_check(n)
-    assert report.invariant_factors == (n + 1,)
-    assert report.cyclic_of_expected_order
-    assert report.grams_match
+    assert report == (n, True, True)
     assert report.passed
-    # Every Gram is kept times n+1: divided by it, they are the projected
-    # model and the inverse of the A_n Gram, recomputed over the rationals.
-    k = report.scale
-    assert k == n + 1
-    gram = build_root_datum(RootSystemSpec("A", n)).gram
-    assert ref.divided(report.weight_basis_gram, k) == ref.inverse(gram)
-    assert ref.divided(report.model_gram, k) == [
+    # The model, rebuilt over the rationals: e_i projected to the sum-zero
+    # hyperplane of Q^(n+1) has inner products delta_ij - 1/(n+1), and the
+    # partial sums of the first i projections have the inverse A_n Gram.
+    k = n + 1
+    projected = [[Fraction(int(a == i)) - Fraction(1, k) for a in range(k)] for i in range(k)]
+    assert ref.matmul(projected, ref.transpose(projected)) == [
         [int(i == j) - Fraction(1, k) for j in range(k)] for i in range(k)
     ]
-    if n == 1:  # the weight Gram (1/2) is [1] at scale 2
-        assert report.weight_basis_gram == IntMatrix.from_rows([[1]])
-        assert report.model_gram == IntMatrix.from_rows([[1, -1], [-1, 1]])
+    weights = [[sum(col) for col in zip(*projected[:i])] for i in range(1, k)]
+    gram = build_root_datum(RootSystemSpec("A", n)).gram
+    assert ref.matmul(weights, ref.transpose(weights)) == ref.inverse(gram)
+    assert ref.det(gram) == k
+
+
+def test_a_wrong_adjugate_fails_the_report_row(monkeypatch, capsys):
+    # The adjugate is off by the identity only while the A3 check runs, so
+    # the towers after it read the true one.
+    from roothk import cli
+
+    real_adjugate = IntMatrix.adjugate
+    real_check = cli.dual_lattice_quotient_check
+
+    def off_by_identity(m):
+        adj, det = real_adjugate(m)
+        return adj + IntMatrix.identity(m.rows), det
+
+    def check(n):
+        with monkeypatch.context() as patch:
+            if n == 3:
+                patch.setattr(IntMatrix, "adjugate", off_by_identity)
+            return real_check(n)
+
+    assert check(3) == (3, True, False)
+    monkeypatch.setattr(cli, "dual_lattice_quotient_check", check)
+    assert cli.main(["report", "--format", "tsv"]) == 1
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in rows if row[1:2] == ["fail"]] == ["dual-quotient/A3"]
 
 
 @pytest.mark.parametrize(
