@@ -25,7 +25,6 @@ from .root_data import (
     RootDatum,
     RootSystemSpec,
     build_root_datum,
-    dual_lattice_quotient_check,
     simple_reflections,
     standard_table,
 )

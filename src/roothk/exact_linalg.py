@@ -55,10 +55,6 @@ class IntMatrix(Frozen):
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
 
-    def __reduce__(self):
-        # The default slot-state restore assigns through __setattr__, which raises.
-        return IntMatrix, (self.rows, self.cols, self.data)
-
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> IntMatrix:
         r = len(rows)

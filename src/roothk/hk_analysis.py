@@ -289,13 +289,17 @@ def _select_lattice_label(spec: RootSystemSpec, selector: str) -> str:
     if selector == "dual":
         return f"{spec.label}*"
     if selector.startswith("index:"):
-        k = int(selector.split(":", 1)[1])
-        report = tower_for_spec(spec)
-        if not 0 <= k < len(report.lattices):
-            raise ValueError(
-                f"tower of {spec.label} has {len(report.lattices)} lattices; index {k} is out of range"
-            )
-        return report.lattices[k].label
+        try:
+            k = int(selector.removeprefix("index:"))
+        except ValueError:
+            pass
+        else:
+            report = tower_for_spec(spec)
+            if not 0 <= k < len(report.lattices):
+                raise ValueError(
+                    f"tower of {spec.label} has {len(report.lattices)} lattices; index {k} is out of range"
+                )
+            return report.lattices[k].label
     raise ValueError(f"unknown lattice selector {selector!r}; use root, dual, or index:k")
 
 

@@ -209,7 +209,6 @@ class IntermediateLattice(NamedTuple):
     """
 
     label: str
-    subgroup_generators: tuple[tuple[int, ...], ...]
     subgroup_order: int
     index_over_root: int
     basis: IntMatrix
@@ -255,10 +254,9 @@ def _lattice_from_subgroup(
 ) -> IntermediateLattice:
     n = datum.rank
     gram_adj, gram_det = gram_adjugate
-    gens = minimal_generating_set(disc, subgroup)
     # The root lattice (the Gram rows) and the generator lifts span the lattice.
     rows = datum.gram.to_rows()
-    rows.extend(list(disc.lift(g)) for g in gens)
+    rows.extend(list(disc.lift(g)) for g in minimal_generating_set(disc, subgroup))
     h = hermite_normal_form(IntMatrix.from_rows(rows))
     basis = IntMatrix.from_rows(h.to_rows()[:n])
     # A full-rank row HNF is upper triangular: det B is its pivot product.
@@ -277,7 +275,6 @@ def _lattice_from_subgroup(
         raise AssertionError("det of B adj(G) B^T is not det(B)^2 det(G)^(n-1)")
     return IntermediateLattice(
         label="",
-        subgroup_generators=gens,
         subgroup_order=len(subgroup),
         index_over_root=index,
         basis=basis,

@@ -12,9 +12,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import cache, lru_cache
 from math import gcd
-from typing import NamedTuple
 
-from .exact_linalg import Frozen, IntMatrix, smith_normal_form
+from .exact_linalg import Frozen, IntMatrix
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -223,52 +222,6 @@ def simple_reflections(datum: RootDatum) -> tuple[IntMatrix, ...]:
         data[i * n : (i + 1) * n] = [int(c == i) - datum.cartan[c, i] for c in range(n)]
         out.append(IntMatrix(n, n, data))
     return tuple(out)
-
-
-class DualQuotientReport(NamedTuple):
-    """Verdicts of the quotient model of the type-A weight lattice.
-
-    The weight lattice of A_n is the image of Z^(n+1) under orthogonal
-    projection to the sum-zero hyperplane; the projected standard basis
-    vectors have pairwise inner products delta_ij - 1/(n+1), and the partial
-    sums of the first i of them realize the fundamental weights, whose Gram
-    matrix is the inverse of the Cartan matrix.  ``grams_match`` compares,
-    in integers times n+1, those partial sums of (n+1)I - J with the
-    adjugate of the Gram matrix, which is n+1 times its inverse exactly when
-    its determinant is n+1.
-    """
-
-    n: int
-    cyclic_of_expected_order: bool
-    grams_match: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.cyclic_of_expected_order and self.grams_match
-
-
-def dual_lattice_quotient_check(n: int) -> DualQuotientReport:
-    """Verify the two facts behind the quotient model of the A_n weight lattice.
-
-    (a) the discriminant group of A_n is cyclic of order n+1, and (b) the Gram
-    matrix of the projected-basis model of Z^(n+1)/(diagonal copy of Z) matches
-    the inverse-Gram of A_n in the fundamental-weight basis.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    spec = RootSystemSpec("A", n)
-    datum = build_root_datum(spec)
-
-    k = n + 1
-    cyclic = smith_normal_form(datum.gram).torsion_factors == (k,)
-    model = IntMatrix(k, k, (k * (i == j) - 1 for i in range(k) for j in range(k)))
-    # Partial sums of the first i projected basis vectors, i = 1..n.
-    weight_gram = IntMatrix(
-        n, n, (sum(model[a, b] for a in range(i) for b in range(j)) for i in range(1, k) for j in range(1, k))
-    )
-    adj, det = datum.gram.adjugate()
-
-    return DualQuotientReport(n=n, cyclic_of_expected_order=cyclic, grams_match=det == k and weight_gram == adj)
 
 
 def standard_table() -> tuple[RootSystemSpec, ...]:

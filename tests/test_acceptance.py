@@ -13,6 +13,7 @@ import numpy as np
 
 import _rational as ref
 from oracles import all_elements, ambient_matrices, invariant_dim_reynolds
+from roothk.cli import cmd_report
 from roothk.exact_linalg import IntMatrix
 from roothk.hk_analysis import (
     RESOLUTION_TABLE,
@@ -30,7 +31,6 @@ from roothk.lattice_tower import _isometry_search, tower_for_spec
 from roothk.root_data import (
     RootSystemSpec,
     build_root_datum,
-    dual_lattice_quotient_check,
     standard_table,
 )
 from roothk.weyl import element_iter, generate_group, group_order_formula
@@ -121,7 +121,9 @@ def test_criterion_05_signed_permutations():
 
 
 def test_criterion_06_dual_quotient_model():
-    failures = [n for n in range(1, 7) if not dual_lattice_quotient_check(n).passed]
+    rows = [c for c in cmd_report("default", GROUP_CAP).checks if c.name.startswith("dual-quotient/")]
+    assert [c.name for c in rows] == [f"dual-quotient/A{n}" for n in range(1, 7)]
+    failures = [c.name for c in rows if c.status != "pass"]
     _verdict(6, "dual-lattice quotient model", not failures, "n = 1..6")
 
 

@@ -423,3 +423,5 @@ def test_analyze_bad_selector():
         analyze(RootSystemSpec("A", 2), "weights", weyl.DEFAULT_GROUP_CAP)
     with pytest.raises(ValueError):
         analyze(RootSystemSpec("A", 2), "index:9", weyl.DEFAULT_GROUP_CAP)
+    with pytest.raises(ValueError, match=r"^unknown lattice selector 'index:x'; use root, dual, or index:k$"):
+        analyze(RootSystemSpec("A", 2), "index:x", weyl.DEFAULT_GROUP_CAP)

@@ -301,7 +301,8 @@ def test_duality_involution_on_towers():
         datum = _datum(family, rank)
         disc = discriminant_group(datum)
         report = tower_for_spec(RootSystemSpec(family, rank))
-        subgroups = [_naive_closure(disc, lat.subgroup_generators) for lat in report.lattices]
+        subgroups = [_subgroup_of_basis(disc, lat) for lat in report.lattices]
+        assert [len(s) for s in subgroups] == [lat.subgroup_order for lat in report.lattices]
         ann = {s: oracles.annihilator(disc, s, datum.gram) for s in subgroups}
         for s in subgroups:
             assert ann[s] in subgroups
@@ -527,6 +528,12 @@ def _naive_closure(disc, seed):
         closed |= sums
 
 
+def _subgroup_of_basis(disc, lat):
+    """The lattice's image in the discriminant group, read from its HNF basis:
+    the classes of the basis rows, closed under addition."""
+    return _naive_closure(disc, {disc.reduce(row) for row in lat.basis})
+
+
 @pytest.mark.parametrize("factors", [(2, 4), (2, 2, 2), (4, 4), (3, 9)])
 def test_close_subgroup_matches_naive_closure(factors):
     # The subgroup generated by a seed, one _extend_subgroup step per
@@ -576,7 +583,7 @@ def test_hnf_from_generator_lifts_matches_all_lifts():
 
     for datum, tower in _report_towers():
         for lat in tower.lattices:
-            subgroup = _naive_closure(tower.disc, lat.subgroup_generators)
+            subgroup = _subgroup_of_basis(tower.disc, lat)
             assert len(subgroup) == lat.subgroup_order
             rows = datum.gram.to_rows() + [list(tower.disc.lift(e)) for e in sorted(subgroup)]
             h = hermite_normal_form(IntMatrix.from_rows(rows))

@@ -6,11 +6,11 @@ import pytest
 import _rational as ref
 import oracles
 from roothk.exact_linalg import IntMatrix, integer_row_rank
+from roothk.lattice_tower import tower_for_spec
 from roothk.root_data import (
     RootDatum,
     RootSystemSpec,
     build_root_datum,
-    dual_lattice_quotient_check,
     simple_reflections,
     specs_up_to_rank,
     standard_table,
@@ -229,45 +229,44 @@ def test_all_roots_are_the_ambient_image_of_root_coords(spec):
         assert set((g @ columns).transpose()) == roots
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 6])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_dual_quotient_check_examples(n):
-    report = dual_lattice_quotient_check(n)
-    assert report == (n, True, True)
-    assert report.passed
-    # The model, rebuilt over the rationals: e_i projected to the sum-zero
-    # hyperplane of Q^(n+1) has inner products delta_ij - 1/(n+1), and the
-    # partial sums of the first i projections have the inverse A_n Gram.
+    # The model over the rationals: e_i projected to the sum-zero hyperplane
+    # of Q^(n+1) has inner products delta_ij - 1/(n+1), and the partial sums
+    # of the first i projections have the inverse A_n Gram.  The tower's top
+    # member, A_n*, must carry that form in its own basis.
     k = n + 1
     projected = [[Fraction(int(a == i)) - Fraction(1, k) for a in range(k)] for i in range(k)]
     assert ref.matmul(projected, ref.transpose(projected)) == [
         [int(i == j) - Fraction(1, k) for j in range(k)] for i in range(k)
     ]
     weights = [[sum(col) for col in zip(*projected[:i])] for i in range(1, k)]
+    weight_gram = ref.matmul(weights, ref.transpose(weights))
     gram = build_root_datum(RootSystemSpec("A", n)).gram
-    assert ref.matmul(weights, ref.transpose(weights)) == ref.inverse(gram)
+    assert weight_gram == ref.inverse(gram)
     assert ref.det(gram) == k
+    tower = tower_for_spec(RootSystemSpec("A", n))
+    assert tower.disc.invariant_factors == (k,)
+    dual = tower.lattices[-1]
+    assert dual.label == f"A{n}*"
+    assert ref.divided(dual.scaled_gram, dual.gram_denominator) == weight_gram
 
 
 def test_a_wrong_adjugate_fails_the_report_row(monkeypatch, capsys):
-    # The adjugate is off by the identity only while the A3 check runs, so
-    # the towers after it read the true one.
+    # The A3 adjugate, conjugated by the swap of indices 0 and 1: symmetric
+    # and of the same determinant, so the tower's det(B adj(G) B^T) check
+    # still holds, but the weight lattice's form no longer matches the model.
     from roothk import cli
 
     real_adjugate = IntMatrix.adjugate
-    real_check = cli.dual_lattice_quotient_check
+    a3 = build_root_datum(RootSystemSpec("A", 3)).gram
+    swap = IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 
-    def off_by_identity(m):
+    def swapped(m):
         adj, det = real_adjugate(m)
-        return adj + IntMatrix.identity(m.rows), det
+        return (swap @ adj @ swap, det) if m == a3 else (adj, det)
 
-    def check(n):
-        with monkeypatch.context() as patch:
-            if n == 3:
-                patch.setattr(IntMatrix, "adjugate", off_by_identity)
-            return real_check(n)
-
-    assert check(3) == (3, True, False)
-    monkeypatch.setattr(cli, "dual_lattice_quotient_check", check)
+    monkeypatch.setattr(IntMatrix, "adjugate", swapped)
     assert cli.main(["report", "--format", "tsv"]) == 1
     rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
     assert [row[0] for row in rows if row[1:2] == ["fail"]] == ["dual-quotient/A3"]
@@ -280,13 +279,17 @@ def test_a_wrong_adjugate_fails_the_report_row(monkeypatch, capsys):
         (2, [[2, 1], [1, 2]]),  # det 3, but its adjugate is not the weight Gram
     ],
 )
-def test_dual_quotient_check_rejects_a_wrong_gram(monkeypatch, n, rows):
-    from roothk import root_data
+def test_dual_quotient_check_rejects_a_wrong_gram(monkeypatch, capsys, n, rows):
+    # The tower of A_n is built over the wrong Gram; every other row reads
+    # the true datum.
+    from roothk import cli, lattice_tower
 
-    real = root_data.build_root_datum
+    real = lattice_tower.build_root_datum
 
     def wrong_gram(spec):
         d = real(spec)
+        if spec != RootSystemSpec("A", n):
+            return d
         return RootDatum(
             spec=d.spec,
             cartan=d.cartan,
@@ -295,15 +298,12 @@ def test_dual_quotient_check_rejects_a_wrong_gram(monkeypatch, n, rows):
             gram=IntMatrix.from_rows(rows),
         )
 
-    monkeypatch.setattr(root_data, "build_root_datum", wrong_gram)
-    report = dual_lattice_quotient_check(n)
-    assert not report.grams_match
-    assert not report.passed
-
-
-def test_dual_quotient_check_rejects_bad_rank():
-    with pytest.raises(ValueError):
-        dual_lattice_quotient_check(0)
+    monkeypatch.setattr(lattice_tower, "build_root_datum", wrong_gram)
+    assert cli.main(["report", "--format", "tsv"]) == 1
+    report = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    _, status, values, _ = next(row for row in report if row[0] == f"dual-quotient/A{n}")
+    assert status == "fail"
+    assert "gram_match=0" in values.split(";")
 
 
 def test_standard_table_contents():
