@@ -41,7 +41,7 @@ from .hk_analysis import (
     freeness_codim_check,
 )
 from .invariant_theory import invariant_report
-from .lattice_tower import tower_for_spec
+from .lattice_tower import classify_up_to_rescaling, tower_for_spec
 from .root_data import (
     RootSystemSpec,
     build_root_datum,
@@ -208,17 +208,20 @@ def cmd_sublattices(family: str, rank: int) -> ReportDocument:
             f"sublattices/{spec.label}/{lat.label}",
             "pass",
             {
-                "index_over_root": lat.index_over_root,
+                "index_over_root": lat.subgroup_order,
                 "subgroup_order": lat.subgroup_order,
                 "gram_det": lat.gram_det,
                 "primitive_gram_det": lat.primitive_gram_det,
             },
         )
-    classes = "|".join(",".join(str(i) for i in cls) for cls in tower.rescaling_classes)
+    classes, inconclusive = classify_up_to_rescaling(tower.lattices)
     doc.add(
         f"sublattices/{spec.label}/rescaling-classes",
         "pass",
-        {"classes": classes, "inconclusive_pairs": len(tower.inconclusive_pairs)},
+        {
+            "classes": "|".join(",".join(str(i) for i in cls) for cls in classes),
+            "inconclusive_pairs": len(inconclusive),
+        },
     )
     return doc
 

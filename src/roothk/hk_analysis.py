@@ -142,12 +142,10 @@ def freeness_codim_check(group: WeylGroup) -> FreenessCheck:
     element v of V, the two halves of ``group``, of about sqrt(|W|) elements
     each, in blocks of ``_FREENESS_COLUMNS`` elements of V.  As
     tr(u v) = <vec(u^T), vec(v)>, the traces of U's first block (see
-    :class:`WeylGroup`) are one integer product, in tiles of at most
-    ``_FREENESS_TILE`` traces.  Every later block of U's outermost walk
-    (``group.walk``) must differ from its
-    parent block in the stepped row i alone, which the pass asserts; then
-    tr(u' v) = tr(u v) + (row i of u' - row i of u) . (column i of v), n
-    multiply-adds a trace.  Only the pairs of trace n - 2 are multiplied out.
+    :class:`WeylGroup`) are one integer product.  Every later block of U's
+    outermost walk (``group.walk``) must differ from its parent block in the
+    stepped row i alone, which the pass asserts; then tr(u' v) = tr(u v) +
+    (row i of u' - row i of u) . (column i of v), n multiply-adds a trace.  Only the pairs of trace n - 2 are multiplied out.
     """
     import numpy as np
 
@@ -173,7 +171,7 @@ def freeness_codim_check(group: WeylGroup) -> FreenessCheck:
     last_child = {parent: j for j, (parent, _) in enumerate(group.walk, 1)}
     first_t = blocks[0].transpose(0, 2, 1).reshape(rows, n * n).astype(np.int16)
     ident = np.eye(n, dtype=np.int32)
-    width = min(v.shape[0], _FREENESS_COLUMNS, _FREENESS_TILE)
+    width = min(v.shape[0], _FREENESS_COLUMNS)
     height = _FREENESS_TILE // width
     # Blocks of U counted together: with the most parents ever held, at most
     # one tile of traces, or else one block.
@@ -192,8 +190,7 @@ def freeness_codim_check(group: WeylGroup) -> FreenessCheck:
             stop = min(first + per_tile, len(blocks))
             traces = np.empty((stop - first, rows, len(block)), dtype=np.int16)
             if first == 0:
-                for top in range(0, rows, height):
-                    np.einsum("ux,xk->uk", first_t[top : top + height], v_t, out=traces[0, top : top + height])
+                np.einsum("ux,xk->uk", first_t, v_t, out=traces[0])
             # Every later block: shift . column i, plus its parent's traces.
             derived = slice(max(first, 1) - 1, stop - 1)  # their steps
             np.einsum("juc,jck->juk", shifts[derived], columns[stepped[derived]], out=traces[derived.start + 1 - first :])

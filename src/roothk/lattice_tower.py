@@ -210,7 +210,6 @@ class IntermediateLattice(NamedTuple):
 
     label: str
     subgroup_order: int
-    index_over_root: int
     basis: IntMatrix
     scaled_gram: IntMatrix
     gram_denominator: int
@@ -238,8 +237,6 @@ class TowerReport(NamedTuple):
 
     disc: DiscriminantGroup
     lattices: tuple[IntermediateLattice, ...]
-    rescaling_classes: tuple[tuple[int, ...], ...]
-    inconclusive_pairs: tuple[tuple[int, int], ...]
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -265,8 +262,7 @@ def _lattice_from_subgroup(
         basis_det *= basis[i, i]
     if basis_det == 0:
         raise AssertionError("lattice basis is singular")
-    index = abs(gram_det) // basis_det
-    if index != len(subgroup):
+    if abs(gram_det) // basis_det != len(subgroup):
         raise AssertionError("index does not match subgroup order")
     # B G^-1 B^T = B adj(G) B^T / det G.
     scaled = basis @ gram_adj @ basis.transpose()
@@ -276,7 +272,6 @@ def _lattice_from_subgroup(
     return IntermediateLattice(
         label="",
         subgroup_order=len(subgroup),
-        index_over_root=index,
         basis=basis,
         scaled_gram=scaled,
         gram_denominator=gram_det,
@@ -296,8 +291,7 @@ def _recognize_label(datum: RootDatum, disc_order: int, lat: IntermediateLattice
     # n pairs span a unimodular sublattice of full rank, which is all of L.
     if all(x % d == 0 for x in lat.scaled_gram.data) and lat.gram_det == (1, 1):
         rank = datum.rank
-        g = IntMatrix(rank, rank, (x // d for x in lat.scaled_gram.data))
-        if len(short_vectors(g, 1)) == rank:
+        if len(short_vectors(lat.primitive_gram(), 1)) == rank:
             base = f"Z^{rank}"
             if base not in seen:
                 return base
@@ -319,7 +313,8 @@ def invariant_intermediate_lattices(datum: RootDatum, reflections: tuple[tuple[i
     discriminant group are enumerated exhaustively, filtered by the induced
     action of the reflections, and lifted back to lattices with their
     inherited Gram forms.  Output is sorted by index over the root lattice,
-    then by subgroup elements.
+    then by subgroup elements.  Classes up to rescaling are left to
+    :func:`classify_up_to_rescaling`.
     """
     disc = discriminant_group(datum)
     gram_adjugate = datum.gram.adjugate()
@@ -334,14 +329,7 @@ def invariant_intermediate_lattices(datum: RootDatum, reflections: tuple[tuple[i
         label = _recognize_label(datum, disc.order, lat, labels)
         labels.append(label)
         lattices.append(lat._replace(label=label))
-
-    classes, flagged = classify_up_to_rescaling(lattices)
-    return TowerReport(
-        disc=disc,
-        lattices=tuple(lattices),
-        rescaling_classes=classes,
-        inconclusive_pairs=flagged,
-    )
+    return TowerReport(disc=disc, lattices=tuple(lattices))
 
 
 def _primitive_roots(

@@ -246,6 +246,8 @@ GENERATOR_ONLY_SHA256 = {
     ("analyze", "A", "14", "--lattice", "dual"): "4639eeec268242850a70e452b8772b9e0268d7e71dd0da89412e77cd8fa4fa24",
     ("analyze", "A", "16", "--lattice", "dual"): "3f4cf84858a7ea4b2c2b87e2739bceee550bcb902f51b49e140c7069c3cef7ce",
     ("analyze", "A", "24", "--lattice", "dual"): "44dd5fd7aa53122c3518ea285f43def54d3fce7f4f52a2cbc527922a327ab664",
+    # One label of the D24 tower; classifying that tower takes seconds of isometry search.
+    ("analyze", "D", "24", "--lattice", "index:1"): "483caaff86a982e32de3b72cfffa046f2e8dc50af09281985f27a9086c0f06a8",
     ("lemma-check",): "30aebacf7219c4e19e09dae6f22f85f83e7f4dc3f9910bf087bb1fefbaae9d6d",
 }
 
@@ -459,6 +461,23 @@ def test_report_runs_in_the_calling_process(capsys, monkeypatch):
     assert main(["report"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256["json"]
+
+
+def test_only_sublattices_classifies_a_tower_up_to_rescaling(capsys, monkeypatch):
+    # report and analyze --lattice index:k read a tower's labels and sizes;
+    # only sublattices prints its rescaling classes, so only it searches.
+    def no_classification(*args):
+        raise AssertionError("a tower was classified up to rescaling")
+
+    monkeypatch.setattr(lattice_tower, "_isometry_search", no_classification)
+    monkeypatch.setattr(lattice_tower, "classify_up_to_rescaling", no_classification)
+    assert main(["report"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256["json"]
+    assert main(["analyze", "D", "6", "--lattice", "index:1"]) == 0
+    # D6's half-spin lattices reach the search, so the patch is live.
+    with pytest.raises(AssertionError, match="classified up to rescaling"):
+        main(["sublattices", "D", "6"])
 
 
 def test_report_raises_an_assertion_from_the_freeness_pass(monkeypatch):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -27,6 +27,12 @@ def _datum(family, rank):
 
 def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _index_over_root(datum, lat):
+    """[L : root lattice] = |det G| / det B, B the triangular HNF basis of L."""
+    diag = [lat.basis[i, i] for i in range(datum.rank)]
+    return abs(datum.gram.det()) // prod(diag)
 
 
 def _units(n):
@@ -154,9 +160,9 @@ def test_a_tower_size_is_divisor_count(n):
     assert report.labels[0] == f"A{n}"
     assert report.labels[-1] == f"A{n}*"
     # Indices multiply correctly through the tower.
-    disc_order = n + 1
+    datum, disc_order = _datum("A", n), n + 1
     for lat in report.lattices:
-        assert disc_order % lat.index_over_root == 0
+        assert disc_order % _index_over_root(datum, lat) == 0
 
 
 def test_a4_tower_exactly_root_and_dual():
@@ -169,7 +175,8 @@ def test_bc_tower_is_three_lattices(n):
     for family in ("B", "C"):
         report = tower_for_spec(RootSystemSpec(family, n))
         assert report.labels == (f"D{n}", f"Z^{n}", f"D{n}*")
-        assert [lat.index_over_root for lat in report.lattices] == [1, 2, 4]
+        d_datum = _datum("D", n)
+        assert [_index_over_root(d_datum, lat) for lat in report.lattices] == [1, 2, 4]
         # The middle lattice carries a unimodular integral form.
         middle = report.lattices[1]
         form = ref.divided(middle.scaled_gram, middle.gram_denominator)
@@ -317,8 +324,7 @@ def test_classify_a1_tower_single_rescaling_class():
     assert report.lattices[0].primitive_gram() == IntMatrix.from_rows([[1]])
     dual = report.lattices[1]
     assert ref.divided(dual.scaled_gram, dual.gram_denominator) == [[Fraction(1, 2)]]
-    assert report.rescaling_classes == ((0, 1),)
-    assert report.inconclusive_pairs == ()
+    assert classify_up_to_rescaling(report.lattices) == (((0, 1),), ())
 
 
 def test_classify_d3_a3_same_class():
@@ -353,8 +359,9 @@ def test_node_cap_bounds_the_short_vector_enumeration(monkeypatch):
     monkeypatch.setattr(lattice_tower, "_NODE_CAP", 10_000)
     report = tower_for_spec(RootSystemSpec("D", 24))
     assert report.labels == ("D24", "D24+[2]", "Z^24", "D24+[2]#2", "D24*")
-    assert report.inconclusive_pairs == ((1, 3),)
-    assert report.rescaling_classes == ((0,), (1,), (2,), (3,), (4,))
+    classes, inconclusive = classify_up_to_rescaling(report.lattices)
+    assert inconclusive == ((1, 3),)
+    assert classes == ((0,), (1,), (2,), (3,), (4,))
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -363,7 +370,7 @@ def test_unimodular_towers_tell_the_cube_from_the_half_spin_lattices(n):
     # isometry search against the identity form agrees with the label.
     report = tower_for_spec(RootSystemSpec("D", n))
     assert report.labels == (f"D{n}", f"D{n}+[2]", f"Z^{n}", f"D{n}+[2]#2", f"D{n}*")
-    assert report.inconclusive_pairs == ()
+    assert classify_up_to_rescaling(report.lattices)[1] == ()
     for k in (1, 2, 3):
         lat = report.lattices[k]
         assert lat.gram_det == (1, 1) and lat.primitive_gram_det == 1
@@ -397,7 +404,7 @@ def test_count_first_rejects_unimodular_non_cube():
 def test_bc_tower_classes_all_distinct():
     # D3, Z^3 and D3* have primitive determinants 4, 1 and 16: three classes.
     report = tower_for_spec(RootSystemSpec("B", 3))
-    assert report.rescaling_classes == ((0,), (1,), (2,))
+    assert classify_up_to_rescaling(report.lattices)[0] == ((0,), (1,), (2,))
     assert [lat.primitive_gram().det() for lat in report.lattices] == [4, 1, 16]
 
 
