@@ -110,12 +110,18 @@ class IntMatrix(Frozen):
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self.data, other.data
-        rows = [a[i * k : (i + 1) * k] for i in range(n)]
-        cols = [b[j::m] for j in range(m)]
-        mul = operator.mul
-        return IntMatrix(n, m, [sum(map(mul, row, col)) for row in rows for col in cols])
+        # Row i of the product is the sum of a[i, t] times row t of ``other``
+        # over the nonzero a[i, t] alone: HNF bases are mostly zeros.
+        k, m = self.cols, other.cols
+        b_rows = [other.row(t) for t in range(k)]
+        out: list[int] = []
+        for i in range(self.rows):
+            acc = [0] * m
+            for a_it, b_row in zip(self.row(i), b_rows):
+                if a_it:
+                    acc = [x + a_it * y for x, y in zip(acc, b_row)]
+            out.extend(acc)
+        return IntMatrix(self.rows, m, out)
 
     def transpose(self) -> IntMatrix:
         return IntMatrix(

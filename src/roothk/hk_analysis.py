@@ -153,7 +153,8 @@ def freeness_codim_check(group: WeylGroup) -> FreenessCheck:
     u, v = group.halves
     # Entries of u and v lie in [-6, 6] (the walk asserted it on every row),
     # so a trace is a sum of n^2 products of absolute value at most 36, which
-    # int16 holds exactly up to n = 8.
+    # int16 holds exactly up to n = 8.  So |tr| < 2^15 and tr^2 < 2^30: the
+    # squares are exact in int32.
     if n * n * _ENTRY_BOUND**2 >= 1 << 15:
         raise AssertionError(f"traces of rank {n} could overflow the int16 accumulator")
     blocks = u.reshape(len(group.walk) + 1, -1, n, n)
@@ -208,7 +209,7 @@ def freeness_codim_check(group: WeylGroup) -> FreenessCheck:
             w = u[first * rows + ui].astype(np.int32) @ block[vi]  # int8 entries; products fit int32
             reflections += int(np.count_nonzero((w @ w == ident).all(axis=(1, 2))))
             trace_sum += int(traces.sum(dtype=np.int64))
-            trace_square_sum += int(np.einsum("juk,juk->", traces, traces, dtype=np.int64))
+            trace_square_sum += int(np.square(traces, dtype=np.int32).sum(dtype=np.int64))
     if elements != group.order:
         raise AssertionError(f"the pass saw {elements} elements, expected order {group.order}")
     if identities != 1:

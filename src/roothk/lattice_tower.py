@@ -25,6 +25,13 @@ from .root_data import RootDatum, RootSystemSpec, build_root_datum
 _DISC_CAP = 10**6
 _NODE_CAP = 1_000_000
 
+# Cost ceiling on the rank of a tower.  The disc cap never stops B, C or D
+# (their groups have order at most 4), and a datum of rank n holds n^2
+# entries.  On a 2-core Xeon, `sublattices A 95`, `A 99`, `A 100` and `B 100`
+# take 3.3, 3.3, 1.5 and 1.2 s, `A 119` 10.6 s; `D 64` and `D 100` take 37
+# and 64 s, nearly all in the node-capped isometry search.
+TOWER_MAX_RANK = 100
+
 
 def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(map(mul, a, b))
@@ -178,19 +185,6 @@ def all_subgroups(disc: DiscriminantGroup) -> tuple[frozenset, ...]:
     return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 
-def minimal_generating_set(disc: DiscriminantGroup, subgroup: frozenset) -> tuple[tuple[int, ...], ...]:
-    """A small deterministic generating set of a subgroup."""
-    gens: list[tuple[int, ...]] = []
-    span = frozenset({disc.zero()})
-    for e in sorted(subgroup):
-        if e not in span:
-            gens.append(e)
-            span = _extend_subgroup(disc, span, e)
-            if span == subgroup:
-                break
-    return tuple(gens)
-
-
 class Ratio(NamedTuple):
     """An exact rational numerator/denominator in lowest terms, denominator positive."""
 
@@ -244,16 +238,17 @@ class TowerReport(NamedTuple):
 
 
 def _lattice_from_subgroup(
-    datum: RootDatum,
+    root_hnf: IntMatrix,
     disc: DiscriminantGroup,
     subgroup: frozenset,
     gram_adjugate: tuple[IntMatrix, int],
 ) -> IntermediateLattice:
-    n = datum.rank
+    n = root_hnf.rows
     gram_adj, gram_det = gram_adjugate
-    # The root lattice (the Gram rows) and the generator lifts span the lattice.
-    rows = datum.gram.to_rows()
-    rows.extend(list(disc.lift(g)) for g in minimal_generating_set(disc, subgroup))
+    # The root lattice (its HNF rows) and the lifts of the subgroup span the
+    # lattice; a row HNF is unique, so the basis is that of any spanning set.
+    rows = root_hnf.to_rows()
+    rows.extend(list(disc.lift(e)) for e in subgroup)
     h = hermite_normal_form(IntMatrix.from_rows(rows))
     basis = IntMatrix.from_rows(h.to_rows()[:n])
     # A full-rank row HNF is upper triangular: det B is its pivot product.
@@ -264,8 +259,9 @@ def _lattice_from_subgroup(
         raise AssertionError("lattice basis is singular")
     if abs(gram_det) // basis_det != len(subgroup):
         raise AssertionError("index does not match subgroup order")
-    # B G^-1 B^T = B adj(G) B^T / det G.
-    scaled = basis @ gram_adj @ basis.transpose()
+    # B G^-1 B^T = B adj(G) B^T / det G; adj(G) is symmetric, so both left
+    # factors are the sparse HNF basis.
+    scaled = basis @ (basis @ gram_adj).transpose()
     scaled_det = scaled.det()
     if scaled_det != basis_det**2 * gram_det ** (n - 1):
         raise AssertionError("det of B adj(G) B^T is not det(B)^2 det(G)^(n-1)")
@@ -317,6 +313,7 @@ def invariant_intermediate_lattices(datum: RootDatum, reflections: tuple[tuple[i
     :func:`classify_up_to_rescaling`.
     """
     disc = discriminant_group(datum)
+    root_hnf = hermite_normal_form(datum.gram)
     gram_adjugate = datum.gram.adjugate()
     actions = induced_discriminant_action(reflections, disc, datum.gram)
     # all_subgroups is sorted by (order, elements), and the filter keeps it so.
@@ -325,7 +322,7 @@ def invariant_intermediate_lattices(datum: RootDatum, reflections: tuple[tuple[i
     lattices: list[IntermediateLattice] = []
     labels: list[str] = []
     for s in stable:
-        lat = _lattice_from_subgroup(datum, disc, s, gram_adjugate)
+        lat = _lattice_from_subgroup(root_hnf, disc, s, gram_adjugate)
         label = _recognize_label(datum, disc.order, lat, labels)
         labels.append(label)
         lattices.append(lat._replace(label=label))
@@ -365,6 +362,8 @@ def tower_for_spec(spec: RootSystemSpec) -> TowerReport:
     the Cartan determinant of the tower's datum exceeds ``_DISC_CAP``.  For
     A, D and E, the only families whose discriminant group grows, that
     closed form is the group's order; ``all_subgroups`` checks the others.
+    Then ranks above ``TOWER_MAX_RANK`` raise ValueError, also before any
+    datum is built.
     """
     bc = spec.family in ("B", "C")
     if bc and spec.rank < 3:
@@ -372,6 +371,10 @@ def tower_for_spec(spec: RootSystemSpec) -> TowerReport:
     tower_spec = RootSystemSpec("D", spec.rank) if bc else spec
     if tower_spec.cartan_determinant > _DISC_CAP:
         raise DiscriminantTooLargeError(tower_spec.cartan_determinant, _DISC_CAP)
+    if spec.rank > TOWER_MAX_RANK:
+        raise ValueError(
+            f"{spec.label} is over the tower cost ceiling: rank {spec.rank} > TOWER_MAX_RANK = {TOWER_MAX_RANK}"
+        )
     datum = build_root_datum(tower_spec)
     if bc:
         reflections = _primitive_roots(datum, build_root_datum(spec).simple_rows)

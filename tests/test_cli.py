@@ -79,6 +79,24 @@ def test_sublattices_over_the_discriminant_cap_fails_before_building_a_datum(cap
     ]
 
 
+@pytest.mark.parametrize("family,rank", [("D", 1000000), ("B", 1000000), ("A", 239), ("C", 101)])
+def test_sublattices_over_the_rank_ceiling_is_a_usage_error_before_building_a_datum(capsys, monkeypatch, family, rank):
+    # D1000000's discriminant group has order 4 and A239's 240: no cap on
+    # the group stops them, and a D_n datum of rank 10^6 would not fit.
+    real = lattice_tower.build_root_datum
+
+    def small_only(spec):
+        if spec.rank > 100:
+            raise AssertionError(f"asked for a datum of rank {spec.rank}")
+        return real(spec)
+
+    monkeypatch.setattr(lattice_tower, "build_root_datum", small_only)
+    assert main(["sublattices", family, str(rank)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"rank {rank} > TOWER_MAX_RANK = {lattice_tower.TOWER_MAX_RANK}" in captured.err
+
+
 def test_lemma_check_exit_0_and_rows(capsys):
     code = main(["lemma-check", "--max-rank", "2", "--format", "json"])
     out = capsys.readouterr().out

@@ -307,6 +307,31 @@ def test_matmul_and_transpose():
     assert a.transpose().to_rows() == [[1, 3], [2, 4]]
 
 
+def test_matmul_skips_zero_entries_of_the_left_factor():
+    # A zero left row, zero entries within a row, and an HNF-shaped basis
+    # (the identity with a last column), each against the Fraction product.
+    rng = random.Random(801)
+    b = IntMatrix(3, 4, (rng.randint(-5, 5) for _ in range(12)))
+    hnf = IntMatrix.from_rows([[1, 0, 3], [0, 1, 2], [0, 0, 4]])
+    for a, other in (
+        (IntMatrix.from_rows([[0, 0, 0], [2, 0, -1]]), b),
+        (IntMatrix.from_rows([[0, 7, 0], [0, 0, 0], [1, 0, 0]]), b),
+        (hnf, hnf.transpose()),
+    ):
+        got = a @ other
+        assert (got.rows, got.cols) == (a.rows, other.cols)
+        assert got.to_rows() == ref.matmul(a, other)
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (1, 1), (0, 2), (2, 0)])
+def test_matmul_over_an_empty_inner_dimension_is_zero(n, m):
+    # n x 0 @ 0 x m: every entry is an empty sum.  ref.matmul cannot say it,
+    # since its transpose of a 0 x m matrix loses m.
+    got = IntMatrix(n, 0, ()) @ IntMatrix(0, m, ())
+    assert (got.rows, got.cols) == (n, m)
+    assert got.data == (0,) * (n * m)
+
+
 
 def _dense_echelon(rows, columns=None):
     """Reference for ``integer_row_rank``: the pivot columns of a dense

@@ -544,7 +544,7 @@ def _subgroup_of_basis(disc, lat):
 @pytest.mark.parametrize("factors", [(2, 4), (2, 2, 2), (4, 4), (3, 9)])
 def test_close_subgroup_matches_naive_closure(factors):
     # The subgroup generated by a seed, one _extend_subgroup step per
-    # generator, as all_subgroups and minimal_generating_set grow theirs.
+    # generator, as all_subgroups grows its subgroups.
     import random
 
     from roothk.lattice_tower import _extend_subgroup
@@ -619,15 +619,17 @@ def test_integral_grams_match_rational_reference():
 
 def test_scaled_gram_determinant_is_asserted(monkeypatch):
     import roothk.lattice_tower as lt
+    from roothk.exact_linalg import hermite_normal_form
 
     datum = _datum("A", 3)
     disc = discriminant_group(datum)
     subgroup = all_subgroups(disc)[1]
+    root_hnf = hermite_normal_form(datum.gram)
     adjugate = datum.gram.adjugate()
     # The identity det(B adj(G) B^T) = det(B)^2 det(G)^(n-1) holds...
-    lt._lattice_from_subgroup(datum, disc, subgroup, adjugate)
+    lt._lattice_from_subgroup(root_hnf, disc, subgroup, adjugate)
     # ...and a wrong determinant of the product is caught.
     true_det = IntMatrix.det
     monkeypatch.setattr(IntMatrix, "det", lambda m: true_det(m) + 1)
     with pytest.raises(AssertionError, match="det of B adj"):
-        lt._lattice_from_subgroup(datum, disc, subgroup, adjugate)
+        lt._lattice_from_subgroup(root_hnf, disc, subgroup, adjugate)

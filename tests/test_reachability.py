@@ -39,6 +39,7 @@ COMMANDS = (
     (["sublattices", "B", "3"], 0),
     (["sublattices", "D", "4"], 0),
     (["sublattices", "A", "1000000"], 1),
+    (["sublattices", "D", "1000000"], 2),
 )
 
 UNREACHED = {
